@@ -138,7 +138,7 @@ class HPRFunctional:
         ):
             h = np.ascontiguousarray(block, dtype=float).ravel()
             hI = h[d.interior_dofs]
-            total += (-0.5 * float(hI @ (d.A_interior @ h)) + float(f @ hI))
+            total += (-0.5 * float(hI @ d.interior_apply(h)) + float(f @ hI))
         return total * model.cell_area
 
     def _stress_part(self, state: HPRState) -> float:

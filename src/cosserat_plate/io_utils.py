@@ -31,15 +31,18 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path, cfg_hash: str, columns: list[str], rows) -> None:
-    path = Path(path)
-    with open(path, "w") as f:
+def _write_lines(path, cfg_hash: str, columns: list[str], lines) -> None:
+    with open(Path(path), "w") as f:
         f.write(_header(cfg_hash))
         f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(
-                x if isinstance(x, str) else _fmt(x) for x in row
-            ) + "\n")
+        f.writelines(lines)
+
+
+def write_csv(path, cfg_hash: str, columns: list[str], rows) -> None:
+    _write_lines(path, cfg_hash, columns, (
+        ",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n"
+        for row in rows
+    ))
 
 
 def write_snapshot(path, cfg_hash: str, model, state=None,
@@ -49,11 +52,11 @@ def write_snapshot(path, cfg_hash: str, model, state=None,
     X, Y = model.X, model.Y
     fields = [np.broadcast_to(np.asarray(getattr(kin, n), dtype=float),
                               X.shape) for n in KINEMATIC_FIELDS]
-    rows = []
-    for i in range(model.nx):
-        for j in range(model.ny):
-            rows.append([X[i, j], Y[i, j]] + [f[i, j] for f in fields])
-    write_csv(path, cfg_hash, ["x1", "x2", *KINEMATIC_FIELDS], rows)
+    table = np.stack([X, Y, *fields]).reshape(2 + len(fields), -1).T
+    # "%.17g" % x formats a float exactly as _fmt does
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    _write_lines(path, cfg_hash, ["x1", "x2", *KINEMATIC_FIELDS],
+                 (line % tuple(row) for row in table.tolist()))
 
 
 def write_energy_log(path, cfg_hash: str, energy) -> None:

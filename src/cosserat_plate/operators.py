@@ -174,13 +174,13 @@ class TractionOperator:
         tc = self.tc
         c_p = tc.nu * tc.h**2 / (10.0 * (1.0 - tc.nu)) * np.asarray(loads.p)
         c_t = 0.5 * tc.kappa2_sq * tc.h * (1.0 - tc.Psi) * np.asarray(loads.t)
-        zero = 0.0 * c_p
+        zero = np.zeros_like(c_p)
         return [n[0] * c_p, n[1] * c_p, zero, zero, n[0] * c_t, n[1] * c_t]
 
     def ext_load_part(self, loads, n):
         tc = self.tc
         c_s = tc.h * tc.nu / (1.0 - tc.nu) * np.asarray(loads.sigma0)
-        return [n[0] * c_s, n[1] * c_s, 0.0 * c_s]
+        return [n[0] * c_s, n[1] * c_s, np.zeros_like(c_s)]
 
 
 # ---------------------------------------------------------------------------

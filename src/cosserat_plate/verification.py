@@ -370,7 +370,7 @@ def lowest_flexural_mode(model):
     import scipy.sparse as sp
 
     d = model.flex_d
-    K = (-d.A_interior[:, d.interior_dofs]).tocsc()
+    K = (-d.interior_blocks[0]).tocsc()
     M = sp.diags(np.asarray(d.mass_interior))
     w2, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM")
     return float(np.sqrt(max(w2[0], 0.0))), vecs[:, 0]
