@@ -55,19 +55,71 @@ def _load_config(path: str) -> dict:
         return json.load(f)
 
 
+# Accepted keys of each config section (the README schema); a key outside
+# these is a typo that would otherwise fall back to a default silently.
+_SECTION_KEYS = {
+    "material": None,  # a file path, or the moduli (_MATERIAL_KEYS)
+    "geometry": {"a", "b", "h"},
+    "grid": {"nx", "ny"},
+    "bc": {"left", "right", "bottom", "top"},
+    "loads": {"p", "sigma0", "v", "t"},
+    "time": {"t_final", "dt", "snapshot_every"},
+    "initial": {"field", "kind", "amplitude", "center", "width"},
+    "mode": {"shear_correction"},
+    "dispersion": {"directions", "k_min", "k_max", "n", "modes"},
+    "sweep": {"N", "l_t", "l_b", "Psi", "xi_mag", "base"},
+}
+_MATERIAL_KEYS = {"lambda", "lam", "mu", "alpha", "beta", "gamma", "epsilon",
+                  "rho", "J"}
+_SWEEP_BASE_KEYS = {"E", "nu", "rho", "J", "h"}
+_LOAD_KEYS = {
+    "constant": {"preset", "amplitude"},
+    "gaussian-pulse": {"preset", "amplitude", "center", "width", "t0", "tau"},
+    "sinusoidal": {"preset", "amplitude", "kx", "ky", "omega", "lx", "ly"},
+}
+
+
+def _check_keys(where: str, section, allowed) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; "
+                          f"expected some of {sorted(allowed)}")
+
+
+def _check_config_keys(cfg) -> None:
+    """Raise ConfigError on any key the config schema does not define."""
+    _check_keys("config", cfg, set(_SECTION_KEYS))
+    for name, allowed in _SECTION_KEYS.items():
+        section = cfg.get(name)
+        if section is not None and allowed is not None:
+            _check_keys(f"'{name}'", section, allowed)
+    if isinstance(cfg.get("material"), dict):
+        _check_keys("'material'", cfg["material"], _MATERIAL_KEYS)
+    if (cfg.get("sweep") or {}).get("base") is not None:
+        _check_keys("'sweep.base'", cfg["sweep"]["base"], _SWEEP_BASE_KEYS)
+
+
 def _material_from_config(cfg: dict) -> MaterialParams:
     mat = cfg.get("material")
     if mat is None:
         raise ConfigError("config lacks a 'material' entry")
     if isinstance(mat, str):
-        return MaterialParams.from_json(mat)
+        mat = _load_config(mat)
+        _check_keys("the material file", mat, _MATERIAL_KEYS)
     return MaterialParams.from_dict(mat)
 
 
 def _load_preset(spec) :
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a load must be a JSON object, got {spec!r}")
     preset = spec.get("preset", "constant")
+    if preset not in _LOAD_KEYS:
+        raise ConfigError(f"unknown load preset {preset!r}")
+    _check_keys(f"{preset} load", spec, _LOAD_KEYS[preset])
     if preset == "constant":
         return ConstantLoad(spec.get("amplitude", 0.0))
     if preset == "gaussian-pulse":
@@ -76,13 +128,11 @@ def _load_preset(spec) :
             width=spec.get("width", 0.1), t0=spec.get("t0", 0.0),
             tau=spec.get("tau"),
         )
-    if preset == "sinusoidal":
-        return SinusoidalLoad(
-            spec.get("amplitude", 0.0), kx=spec.get("kx", 1),
-            ky=spec.get("ky", 1), omega=spec.get("omega", 0.0),
-            lx=spec.get("lx", 1.0), ly=spec.get("ly", 1.0),
-        )
-    raise ConfigError(f"unknown load preset {preset!r}")
+    return SinusoidalLoad(
+        spec.get("amplitude", 0.0), kx=spec.get("kx", 1),
+        ky=spec.get("ky", 1), omega=spec.get("omega", 0.0),
+        lx=spec.get("lx", 1.0), ly=spec.get("ly", 1.0),
+    )
 
 
 def _model_from_config(cfg: dict, paper_literal: bool = False):
@@ -359,18 +409,6 @@ _COMMANDS = {
 }
 
 
-def _set_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except Exception:
-        print(f"note: --threads {n} requested but threadpoolctl is "
-              "unavailable; BLAS thread count unchanged", file=sys.stderr)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cosserat-plate",
@@ -384,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output directory (default ./out)")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized verification suites")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap worker/BLAS thread count")
     ap.add_argument("--paper-literal-operators", action="store_true",
                     help="build operators from the literal published "
                          "coefficient tables (diff/exploration mode)")
@@ -394,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _set_threads(args.threads)
     try:
         cfg = _load_config(args.config) if args.config else {}
     except (OSError, json.JSONDecodeError) as exc:
@@ -405,6 +440,7 @@ def run(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
     cfg_hash = io_utils.config_hash(cfg)
     try:
+        _check_config_keys(cfg)
         return _COMMANDS[args.command](cfg, args, out, cfg_hash)
     except (ConfigError, MaterialError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

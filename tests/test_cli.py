@@ -70,6 +70,99 @@ def test_static_outputs(config_file, tmp_path):
     assert "config_sha256" in summary and "center_w" in summary
 
 
+def test_static_deterministic(config_file, tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(["static", "--config", config_file, "--out", str(out1)]) == 0
+    assert run(["static", "--config", config_file, "--out", str(out2)]) == 0
+    for name in ("static_snapshot.csv", "static_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _edited_config(config_file, tmp_path, edit):
+    cfg = json.loads(Path(config_file).read_text())
+    edit(cfg)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "static"])
+def test_grid_typo_is_config_error(config_file, tmp_path, capsys, command):
+    """A misspelt section used to run a 33^2 default solve and exit 0."""
+    path = _edited_config(config_file, tmp_path,
+                          lambda c: c.update(gird=c.pop("grid")))
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "'gird'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda c: c["grid"].update(nz=7), "'nz'"),
+    (lambda c: c["time"].update(snapshot_evry=5), "'snapshot_evry'"),
+    (lambda c: c["loads"]["p"].update(amplitdue=2.0), "'amplitdue'"),
+    (lambda c: c["loads"].update(q={"preset": "constant"}), "'q'"),
+    (lambda c: c.update(material={"lambda": 1, "mu": 1, "alpha": 1,
+                                  "beta": 1, "gamma": 1, "epsilon": 1,
+                                  "rho": 1, "J": [1, 1, 1], "eps": 1}),
+     "'eps'"),
+    (lambda c: c.update(sweep={"base": {"E": 1.0, "nuu": 0.3}}), "'nuu'"),
+], ids=["grid", "time", "load", "loads", "material", "sweep-base"])
+def test_unknown_section_key_is_config_error(config_file, tmp_path, capsys,
+                                             edit, key):
+    path = _edited_config(config_file, tmp_path, edit)
+    assert run(["static", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_unknown_key_in_material_file_is_config_error(config_file, tmp_path,
+                                                     capsys):
+    """A misspelt "rho" used to leave the density at its default of 0."""
+    mat = tmp_path / "typo.json"
+    mat.write_text(json.dumps({"lambda": 1, "mu": 1, "alpha": 1, "beta": 1,
+                               "gamma": 1, "epsilon": 1, "rh0": 1,
+                               "J": [1, 1, 1]}))
+    path = _edited_config(config_file, tmp_path,
+                          lambda c: c.update(material=str(mat)))
+    assert run(["validate", "--config", path]) == 2
+    assert "'rh0'" in capsys.readouterr().err
+
+
+def test_every_documented_key_is_accepted(tmp_path):
+    """Every key of the README config schema, at a small grid."""
+    cfg = {
+        "material": {"lambda": 1.0, "mu": 1.0, "alpha": 1.0, "beta": 1.0,
+                     "gamma": 1.0, "epsilon": 1.0, "rho": 1.0,
+                     "J": [1.0, 1.0, 1.0]},
+        "geometry": {"a": 1.0, "b": 1.0, "h": 0.1},
+        "grid": {"nx": 7, "ny": 7},
+        "bc": {"left": "clamped", "right": "traction",
+               "bottom": "clamped", "top": "clamped"},
+        "loads": {
+            "p": {"preset": "constant", "amplitude": 1.0},
+            "sigma0": {"preset": "sinusoidal", "amplitude": 1, "kx": 1,
+                       "ky": 1, "omega": 0.0, "lx": 1.0, "ly": 1.0},
+            "t": {"preset": "gaussian-pulse", "amplitude": 1,
+                  "center": [0.5, 0.5], "width": 0.1, "t0": 0.2,
+                  "tau": 0.05},
+            "v": None,
+        },
+        "time": {"t_final": 1.0, "dt": None, "snapshot_every": 50},
+        "initial": {"field": "w", "kind": "velocity", "amplitude": 1.0,
+                    "center": [0.5, 0.5], "width": 0.15},
+        "mode": {"shear_correction": "standard"},
+        "dispersion": {"directions": [[1, 0]], "k_min": 0.01, "k_max": 100,
+                       "n": 6, "modes": False},
+        "sweep": {"N": [0.1], "l_t": [0.05], "l_b": [0.05], "Psi": [1.0],
+                  "xi_mag": 1.0,
+                  "base": {"E": 1, "nu": 0.3, "rho": 1, "J": [1, 1, 1],
+                           "h": 0.1}},
+    }
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("validate", "static", "dispersion", "sweep"):
+        assert run([command, "--config", str(path),
+                    "--out", str(tmp_path / command)]) == 0, command
+
+
 def test_simulate_deterministic(config_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["simulate", "--config", config_file, "--out", str(out1)]) == 0
