@@ -22,7 +22,9 @@ from . import io_utils, verification
 from .dispersion import (
     NonConservativeSymbolError,
     cutoff_frequencies,
+    default_wavevectors,
     dispersion_curves,
+    wavevector_magnitudes,
 )
 from .dynamics import (
     ConfigError,
@@ -302,27 +304,26 @@ def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
     ext = build_extensional(tc, inertia, paper_literal=args.paper_literal_operators)
     dcfg = cfg.get("dispersion", {})
     directions = dcfg.get("directions", [[1, 0], [0, 1], [1, 1]])
-    k_min = float(dcfg.get("k_min", 1e-2))
-    k_max = float(dcfg.get("k_max", 1e2))
-    n = int(dcfg.get("n", 60))
-    mags = np.unique(np.concatenate([
-        np.geomspace(k_min, k_max, n // 2),
-        np.linspace(k_min, k_max, n - n // 2),
-    ]))
+    with_modes = dcfg.get("modes", False)
+    try:
+        sampling = (float(dcfg.get("k_min", 1e-2)),
+                    float(dcfg.get("k_max", 1e2)), int(dcfg.get("n", 60)))
+        mags = wavevector_magnitudes(*sampling)
+        xi = default_wavevectors(directions, *sampling)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'dispersion': {exc}") from exc
+    res = dispersion_curves(flex, ext, xi, with_modes=with_modes)
     results = []
     modes_payload = {}
-    for d in directions:
-        dv = np.asarray(d, dtype=float)
-        dv = dv / np.linalg.norm(dv)
-        xi = mags[:, None] * dv[None, :]
-        res = dispersion_curves(flex, ext, xi, with_modes=dcfg.get("modes", False))
+    for j, d in enumerate(directions):
+        rows = slice(j * mags.size, (j + 1) * mags.size)
         label = f"{d[0]}:{d[1]}"
-        results.append((label, mags, res.flexural, res.extensional))
-        if dcfg.get("modes", False):
+        results.append((label, mags, res.flexural[rows], res.extensional[rows]))
+        if with_modes:
             modes_payload[label] = {
                 "xi_mag": mags.tolist(),
-                "flexural_modes_real": np.real(res.flexural_modes).tolist(),
-                "flexural_modes_imag": np.imag(res.flexural_modes).tolist(),
+                "flexural_modes_real": np.real(res.flexural_modes[rows]).tolist(),
+                "flexural_modes_imag": np.imag(res.flexural_modes[rows]).tolist(),
             }
     io_utils.write_dispersion(out / "dispersion.csv", cfg_hash, directions,
                               results)
@@ -359,6 +360,8 @@ def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
     J = tuple(base.get("J", (1.0, 1.0, 1.0)))
     h = float(base.get("h", 0.1))
     k_mag = float(sw.get("xi_mag", 1.0))
+    if not np.isfinite(k_mag):
+        raise ConfigError(f"'sweep': xi_mag must be finite, got {k_mag}")
     Ns = sw.get("N", [0.1, 0.3, 0.5, 0.7])
     lts = sw.get("l_t", [0.05])
     lbs = sw.get("l_b", [0.05])

@@ -5,9 +5,18 @@ becomes the generalized Hermitian-definite eigenproblem
 
     A(k) v = w^2 M v,      A(k) = -L(i k),
 
-with M the diagonal inertia.  For admissible materials A(k) is positive
-semidefinite, so all branches are real; a significantly negative
-eigenvalue signals a broken (non-conservative) operator table and raises.
+with M the diagonal inertia.  ``wave_eigensystem`` solves it for all
+wavevectors at once, as the stack M^-1/2 A M^-1/2 in one numpy call, and
+returns M-normalised modes.  For admissible materials A(k) is positive
+semidefinite, so all branches are real; a non-Hermitian A(k) or a
+significantly negative eigenvalue signals a broken (non-conservative)
+operator table and raises, naming the first offending wavevector.
+
+Phase rule: the first component of a mode within a relative 1e-8 of its
+largest in magnitude is made real and positive, so that components equal
+in exact arithmetic (Omega1_0 and Omega2_0 on the diagonals) cannot let
+roundoff flip the sign.  Wavevectors must be finite; ``default_wavevectors``
+needs 0 < k_min < k_max, n >= 1 and nonzero finite directions.
 """
 
 from __future__ import annotations
@@ -15,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+from .operators import wave_matrices
 
 NEGATIVE_TOL = -1e-10
+PHASE_TIE = 1e-8
 
 
 class NonConservativeSymbolError(RuntimeError):
@@ -33,65 +44,59 @@ class DispersionResult:
     extensional_modes: np.ndarray | None = None  # (n, 3, 3)
 
 
-def _branch_frequencies(op, k1: float, k2: float, with_modes: bool):
-    A = op.wave_matrix(k1, k2)
-    herm_err = np.max(np.abs(A - A.conj().T))
-    scale = max(np.max(np.abs(A)), 1.0)
-    if herm_err > 1e-12 * scale:
+def wave_eigensystem(op, xi, with_modes: bool = False):
+    """Squared frequencies (n, m), ascending and unclipped, and the
+    M-normalised, phase-fixed modes (n, m, m; one per column) or None,
+    at each row of the (n, 2) array ``xi`` of finite wavevectors [1/m].
+    """
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("wavevectors must be finite")
+    A = wave_matrices(op.active_coeffs, xi)
+    scale = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1.0)
+    asym = np.max(np.abs(A - np.conj(np.swapaxes(A, 1, 2))), axis=(1, 2))
+    if np.any(asym > 1e-12 * scale):
+        i = np.argmax(asym > 1e-12 * scale)
         raise NonConservativeSymbolError(
-            f"wave matrix not Hermitian at k=({k1}, {k2}):"
-            f" asymmetry {herm_err:.3e} (operator table inconsistent)"
-        )
-    M = np.diag(op.mass.astype(float))
+            f"wave matrix not Hermitian at k=({xi[i, 0]}, {xi[i, 1]}):"
+            f" asymmetry {asym[i]:.3e} (operator table inconsistent)")
+    msqrt = 1.0 / np.sqrt(op.mass)
+    B = msqrt[:, None] * A * msqrt
     if with_modes:
-        w2, vecs = scipy.linalg.eigh(A, M)
+        w2, vecs = np.linalg.eigh(B)
+        modes = _fix_phase(msqrt[:, None] * vecs)
     else:
-        w2 = scipy.linalg.eigh(A, M, eigvals_only=True)
-        vecs = None
-    floor = NEGATIVE_TOL * max(scale / np.min(op.mass), 1.0)
-    if np.min(w2) < floor:
+        w2, modes = np.linalg.eigvalsh(B), None
+    floor = NEGATIVE_TOL * np.maximum(scale / np.min(op.mass), 1.0)
+    if np.any(w2[:, 0] < floor):
+        i = np.argmax(w2[:, 0] < floor)
         raise NonConservativeSymbolError(
-            f"negative squared frequency {np.min(w2):.3e} at k=({k1}, {k2})"
-        )
-    w = np.sqrt(np.clip(w2, 0.0, None))
-    order = np.argsort(w)
-    w = w[order]
-    if vecs is not None:
-        vecs = vecs[:, order]
-        vecs = _fix_phase(vecs)
-    return w, vecs
+            f"negative squared frequency {w2[i, 0]:.3e} at k=({xi[i, 0]}, {xi[i, 1]})")
+    return w2, modes
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector phase: largest component real positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = np.argmax(np.abs(out[:, j]))
-        pivot = out[i, j]
-        if pivot != 0.0:
-            out[:, j] = out[:, j] * (np.conj(pivot) / abs(pivot))
-    return out
+    """Make each column's pivot, its first component within PHASE_TIE of
+    the largest in magnitude, real and positive."""
+    mag = np.abs(vecs)
+    near_max = mag >= (1.0 - PHASE_TIE) * np.max(mag, axis=-2, keepdims=True)
+    lead = np.argmax(near_max, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vecs, lead, axis=-2)
+    return vecs * (np.conj(pivot) / np.abs(pivot))
 
 
 def dispersion_curves(flex, ext, xi, with_modes: bool = False) -> DispersionResult:
     """Frequencies of both subsystems along a list of wavevectors.
 
-    ``xi`` is an (n, 2) array of real wavevectors [1/m]; branches come out
-    sorted ascending per sample.
+    ``xi`` is an (n, 2) array of finite real wavevectors [1/m]; branches
+    come out sorted ascending per sample.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    nf = np.zeros((xi.shape[0], 6))
-    ne = np.zeros((xi.shape[0], 3))
-    mf = np.zeros((xi.shape[0], 6, 6), dtype=complex) if with_modes else None
-    me = np.zeros((xi.shape[0], 3, 3), dtype=complex) if with_modes else None
-    for i, (k1, k2) in enumerate(xi):
-        wf, vf = _branch_frequencies(flex, k1, k2, with_modes)
-        we, ve = _branch_frequencies(ext, k1, k2, with_modes)
-        nf[i], ne[i] = wf, we
-        if with_modes:
-            mf[i], me[i] = vf, ve
+    w2f, mf = wave_eigensystem(flex, xi, with_modes)
+    w2e, me = wave_eigensystem(ext, xi, with_modes)
     return DispersionResult(
-        xi=xi, flexural=nf, extensional=ne,
+        xi=xi, flexural=np.sqrt(np.clip(w2f, 0.0, None)),
+        extensional=np.sqrt(np.clip(w2e, 0.0, None)),
         flexural_modes=mf, extensional_modes=me,
     )
 
@@ -117,36 +122,43 @@ def cutoff_frequencies(op, rel_tol: float = 1e-9) -> CutoffReport:
     entirely).  Each zero mode is labelled by the dominant field of its
     eigenvector.
     """
-    A = op.wave_matrix(0.0, 0.0).real
-    M = np.diag(op.mass.astype(float))
-    w2, vecs = scipy.linalg.eigh(A, M)
-    scale = np.max(np.abs(A)) / np.min(op.mass)
+    (w2,), (vecs,) = wave_eigensystem(op, [(0.0, 0.0)], with_modes=True)
+    # A(0) = -L(0) holds only the constant-monomial coefficients
+    scale = np.max(np.abs(op.active_coeffs[..., 0])) / np.min(op.mass)
     tol = rel_tol * max(scale, 1e-300)
-    names = _FLEX_NAMES if A.shape[0] == 6 else _EXT_NAMES
-    zero_fields = []
-    for j in range(len(w2)):
-        if w2[j] <= tol:
-            zero_fields.append(names[int(np.argmax(np.abs(vecs[:, j])))])
-    w = np.sqrt(np.clip(w2, 0.0, None))
-    return CutoffReport(
-        frequencies=np.sort(w),
-        zero_mode_count=len(zero_fields),
-        zero_mode_fields=tuple(zero_fields),
-    )
+    names = _FLEX_NAMES if len(w2) == 6 else _EXT_NAMES
+    zero_fields = tuple(names[int(np.argmax(np.abs(vecs[:, j])))]
+                        for j in np.flatnonzero(w2 <= tol))
+    return CutoffReport(np.sqrt(np.clip(w2, 0.0, None)), len(zero_fields),
+                        zero_fields)
+
+
+def wavevector_magnitudes(k_min: float = 1e-2, k_max: float = 1e2,
+                          n: int = 60) -> np.ndarray:
+    """Sorted union of n//2 log-spaced and n - n//2 linearly spaced
+    magnitudes on [k_min, k_max]; requires 0 < k_min < k_max, n >= 1."""
+    if not (0.0 < k_min < k_max < np.inf and n >= 1):
+        raise ValueError(f"need finite 0 < k_min < k_max and n >= 1, got "
+                         f"k_min={k_min}, k_max={k_max}, n={n}")
+    return np.unique(np.concatenate([
+        np.geomspace(k_min, k_max, n // 2),
+        np.linspace(k_min, k_max, n - n // 2),
+    ]))
 
 
 def default_wavevectors(directions=None, k_min: float = 1e-2,
                         k_max: float = 1e2, n: int = 60) -> np.ndarray:
-    """Sample wavevectors along unit directions, log+linear spacing."""
+    """Sample wavevectors along unit directions, log+linear spacing: the
+    ``wavevector_magnitudes`` along each direction in turn."""
     if directions is None:
         directions = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    mags = np.unique(np.concatenate([
-        np.geomspace(k_min, k_max, n // 2),
-        np.linspace(k_min, k_max, n - n // 2),
-    ]))
+    mags = wavevector_magnitudes(k_min, k_max, n)
     out = []
     for d in directions:
         d = np.asarray(d, dtype=float)
+        if d.shape != (2,) or not np.all(np.isfinite(d)) or not np.any(d):
+            raise ValueError(f"bad direction {d.tolist()}: need two finite "
+                             "numbers, not both zero")
         d = d / np.linalg.norm(d)
         out.append(mags[:, None] * d[None, :])
     return np.vstack(out)

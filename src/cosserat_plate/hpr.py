@@ -157,9 +157,9 @@ class HPRFunctional:
         for name, ebc in model.bc.items():
             if ebc.kind != "traction":
                 continue
-            for key, picker, ds in (
-                ("flex_data", _flex_block, None),
-                ("ext_data", _ext_block, None),
+            for key, picker in (
+                ("flex_data", PlateKinematics.flexural),
+                ("ext_data", PlateKinematics.extensional),
             ):
                 data = getattr(ebc, key)
                 if data is None:
@@ -219,14 +219,6 @@ class HPRFunctional:
             curv = abs(self.second_difference(state, d))
         num = abs(self.directional_derivative(state, d))
         return num / np.sqrt(max(curv, floor) * max(u_ref, floor))
-
-
-def _flex_block(u: PlateKinematics):
-    return u.flexural()
-
-
-def _ext_block(u: PlateKinematics):
-    return u.extensional()
 
 
 def _edge_values(model, name, u, picker):

@@ -33,34 +33,31 @@ from .poly2d import Poly2D, apply_symbol_monomials
 
 MONOMIALS = ("1", "xi1", "xi2", "xi1^2", "xi1*xi2", "xi2^2")
 
-_I1, _X1, _X2, _X11, _X12, _X22 = range(6)
+
+def monomial_basis(xi1, xi2) -> np.ndarray:
+    """The MONOMIALS at (xi1, xi2), stacked on a new leading axis."""
+    return np.stack(np.broadcast_arrays(1.0, xi1, xi2, xi1**2, xi1 * xi2, xi2**2))
 
 
 def _symbol_value(coeffs: np.ndarray, xi1, xi2):
     """Evaluate entries of a coefficient tensor at a formal symbol point."""
-    basis = np.array([1.0, xi1, xi2, xi1**2, xi1 * xi2, xi2**2])
-    return coeffs @ basis
+    return coeffs @ monomial_basis(xi1, xi2)
 
 
-def _wave_matrix(coeffs: np.ndarray, k1: float, k2: float) -> np.ndarray:
-    """A(k) = -L(i k): the Hermitian plane-wave stiffness matrix."""
-    basis = np.array(
-        [1.0, 1j * k1, 1j * k2, -(k1**2), -(k1 * k2), -(k2**2)], dtype=complex
-    )
-    return -(coeffs @ basis)
+def wave_matrices(coeffs: np.ndarray, xi) -> np.ndarray:
+    """A(k) = -L(i k) at every row k of ``xi`` (n, 2): shape (n, m, m).
+
+    For a conservative table each A(k) is Hermitian.
+    """
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    real = monomial_basis(xi[:, 0], xi[:, 1])
+    # at (i k1, i k2) the first-degree monomials gain i, the second-degree -1
+    basis = np.concatenate([real[:1], 1j * real[1:3], -real[3:]])
+    return -np.einsum("rcm,mk->krc", coeffs, basis)
 
 
-@dataclass(frozen=True)
-class FlexuralOperator:
-    """6x6 operator on H = [Psi1, Psi2, W, Omega3, Omega1_0, Omega2_0]."""
-
-    coeffs: np.ndarray                 # (6, 6, 6) derived entries
-    coeffs_literal: np.ndarray         # (6, 6, 6) published-variant entries
-    k: dict                            # literal coefficient table k1..k14
-    K: dict                            # derived coefficient table
-    mass: np.ndarray                   # (6,)
-    tc: TechnicalConstants
-    paper_literal: bool = False
+class _SymbolMethods:
+    """Symbol evaluation shared by the flexural and extensional operators."""
 
     @property
     def active_coeffs(self) -> np.ndarray:
@@ -70,18 +67,32 @@ class FlexuralOperator:
         return _symbol_value(self.active_coeffs, xi1, xi2)
 
     def wave_matrix(self, k1: float, k2: float) -> np.ndarray:
-        return _wave_matrix(self.active_coeffs, k1, k2)
+        return wave_matrices(self.active_coeffs, [[k1, k2]])[0]
 
     def apply_to_polynomials(self, fields) -> list[Poly2D]:
-        """L(d/dx) applied exactly to six Poly2D fields."""
+        """L(d/dx) applied exactly to one Poly2D per field."""
         C = self.active_coeffs
+        n = C.shape[0]
         return [
             sum(
-                (apply_symbol_monomials(C[r, c], fields[c]) for c in range(6)),
+                (apply_symbol_monomials(C[r, c], fields[c]) for c in range(n)),
                 Poly2D.zero(),
             )
-            for r in range(6)
+            for r in range(n)
         ]
+
+
+@dataclass(frozen=True)
+class FlexuralOperator(_SymbolMethods):
+    """6x6 operator on H = [Psi1, Psi2, W, Omega3, Omega1_0, Omega2_0]."""
+
+    coeffs: np.ndarray                 # (6, 6, 6) derived entries
+    coeffs_literal: np.ndarray         # (6, 6, 6) published-variant entries
+    k: dict                            # literal coefficient table k1..k14
+    K: dict                            # derived coefficient table
+    mass: np.ndarray                   # (6,)
+    tc: TechnicalConstants
+    paper_literal: bool = False
 
     def load_vector(self, loads, grad1, grad2):
         """F from the load set and the in-plane gradients of (p, t).
@@ -105,7 +116,7 @@ class FlexuralOperator:
 
 
 @dataclass(frozen=True)
-class ExtensionalOperator:
+class ExtensionalOperator(_SymbolMethods):
     """3x3 operator on H~ = [U1, U2, Omega3_0]."""
 
     coeffs: np.ndarray                 # (3, 3, 6)
@@ -114,26 +125,6 @@ class ExtensionalOperator:
     mass: np.ndarray                   # (3,)
     tc: TechnicalConstants
     paper_literal: bool = False
-
-    @property
-    def active_coeffs(self) -> np.ndarray:
-        return self.coeffs_literal if self.paper_literal else self.coeffs
-
-    def symbol(self, xi1, xi2) -> np.ndarray:
-        return _symbol_value(self.active_coeffs, xi1, xi2)
-
-    def wave_matrix(self, k1: float, k2: float) -> np.ndarray:
-        return _wave_matrix(self.active_coeffs, k1, k2)
-
-    def apply_to_polynomials(self, fields) -> list[Poly2D]:
-        C = self.active_coeffs
-        return [
-            sum(
-                (apply_symbol_monomials(C[r, c], fields[c]) for c in range(3)),
-                Poly2D.zero(),
-            )
-            for r in range(3)
-        ]
 
     def load_vector(self, loads, grad1, grad2):
         tc = self.tc
@@ -160,14 +151,12 @@ class TractionOperator:
     tc: TechnicalConstants
 
     def flex_symbol(self, xi1, xi2, n) -> np.ndarray:
-        basis = np.array([1.0, xi1, xi2, xi1**2, xi1 * xi2, xi2**2])
-        nvec = np.asarray(n, dtype=float)
-        return np.einsum("rcab,a,b->rc", self.flex, nvec, basis)
+        return np.einsum("rcab,a,b->rc", self.flex, np.asarray(n, dtype=float),
+                         monomial_basis(xi1, xi2))
 
     def ext_symbol(self, xi1, xi2, n) -> np.ndarray:
-        basis = np.array([1.0, xi1, xi2, xi1**2, xi1 * xi2, xi2**2])
-        nvec = np.asarray(n, dtype=float)
-        return np.einsum("rcab,a,b->rc", self.ext, nvec, basis)
+        return np.einsum("rcab,a,b->rc", self.ext, np.asarray(n, dtype=float),
+                         monomial_basis(xi1, xi2))
 
     def flex_load_part(self, loads, n):
         """n . (load part of the flexural resultants), rows 1..6."""

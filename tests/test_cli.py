@@ -113,6 +113,31 @@ def test_unknown_section_key_is_config_error(config_file, tmp_path, capsys,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [
+    {"dispersion": {"directions": [[0, 0]]}},
+    {"dispersion": {"directions": [[1, float("nan")]]}},
+    {"dispersion": {"directions": [[1, 0, 0]]}},
+    {"dispersion": {"directions": [1, 0]}},
+    {"dispersion": {"directions": []}},
+    {"dispersion": {"k_min": -1}},
+    {"dispersion": {"k_min": 0}},
+    {"dispersion": {"k_min": 10, "k_max": 1}},
+    {"dispersion": {"k_max": float("inf")}},
+    {"dispersion": {"n": 0}},
+    {"sweep": {"xi_mag": float("nan")}},
+    {"sweep": {"xi_mag": float("inf")}},
+], ids=["zero-direction", "nan-direction", "three-components", "not-pairs",
+        "no-directions", "negative-k_min", "zero-k_min", "k_min-above-k_max",
+        "infinite-k_max", "n-zero", "nan-xi_mag", "infinite-xi_mag"])
+def test_bad_plane_wave_input_is_config_error(config_file, tmp_path, capsys,
+                                              section):
+    """A zero direction or a negative k_min used to end in a traceback."""
+    command = next(iter(section))
+    path = _edited_config(config_file, tmp_path, lambda c: c.update(section))
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_unknown_key_in_material_file_is_config_error(config_file, tmp_path,
                                                      capsys):
     """A misspelt "rho" used to leave the density at its default of 0."""
@@ -171,6 +196,24 @@ def test_simulate_deterministic(config_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     log = (out1 / "energy_log.csv").read_text().splitlines()
     assert log[1] == "t,kinetic,strain,external_work,total"
+
+
+@pytest.mark.parametrize("command,names", [
+    ("dispersion", ("dispersion.csv", "dispersion_summary.json",
+                    "dispersion_modes.json")),
+    ("sweep", ("sweep.csv",)),
+])
+def test_plane_wave_commands_deterministic(config_file, tmp_path, command,
+                                           names):
+    """Mode shapes on the diagonals, where two components tie in size."""
+    path = _edited_config(config_file, tmp_path, lambda c: c.update(
+        dispersion={"directions": [[1, 1], [1, -1], [1, 0]], "n": 12,
+                    "modes": True}))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run([command, "--config", path, "--out", str(out1)]) == 0
+    assert run([command, "--config", path, "--out", str(out2)]) == 0
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_dispersion_output(config_file, tmp_path):

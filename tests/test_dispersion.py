@@ -10,6 +10,7 @@ from cosserat_plate.dispersion import (
     cutoff_frequencies,
     default_wavevectors,
     dispersion_curves,
+    wave_eigensystem,
 )
 from cosserat_plate.material import material_from_technical, technical_constants
 from cosserat_plate.oracles import mindlin_dispersion
@@ -142,13 +143,77 @@ def test_modes_deterministic_phase(micro_ops):
         assert pivot.real > 0
 
 
+def _reference_phase(vecs):
+    """Per-column loop form of the phase rule: the first component within
+    1e-8 of the largest in magnitude is made real and positive."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        mag = np.abs(out[:, j])
+        i = np.flatnonzero(mag >= (1.0 - 1e-8) * mag.max())[0]
+        out[:, j] *= np.conj(out[i, j]) / abs(out[i, j])
+    return out
+
+
+def test_batched_path_matches_per_wavevector_reference(micro_ops, rng):
+    import scipy.linalg
+
+    _, _, flex, ext = micro_ops
+    xi = np.vstack([rng.uniform(-20.0, 20.0, size=(40, 2)),
+                    [[0.0, 0.0], [0.53, 0.53], [2.0, -2.0], [7.5, 0.0]]])
+    for op in (flex, ext):
+        w2, modes = wave_eigensystem(op, xi, with_modes=True)
+        for i, (k1, k2) in enumerate(xi):
+            w2_ref, v_ref = scipy.linalg.eigh(op.wave_matrix(k1, k2),
+                                              np.diag(op.mass))
+            v_ref = _reference_phase(v_ref)
+            top = np.max(np.abs(w2_ref))
+            assert np.max(np.abs(w2[i] - w2_ref)) <= 1e-12 * top
+            gaps = np.abs(np.diff(w2_ref)) / top
+            gap = np.minimum(np.append(gaps, np.inf), np.append(np.inf, gaps))
+            for j in np.flatnonzero(gap > 1e-8):
+                # eigenvector roundoff grows like eps / relative gap
+                tol = max(1e-10, 1e-13 / gap[j]) * np.linalg.norm(v_ref[:, j])
+                assert np.linalg.norm(modes[i][:, j] - v_ref[:, j]) <= tol
+
+
+def test_mode_phase_ties_break_to_first_component():
+    """On the diagonals |Omega1_0| = |Omega2_0| in exact arithmetic, so the
+    pivot of a mode must not be left to roundoff."""
+    p = material_from_technical(E=1.0, nu=0.3, N=0.3, l_t=0.05, l_b=0.06,
+                                Psi=0.8, rho=1.0, J=(1.0, 1.0, 1.0))
+    _, _, flex, ext = make_ops(p, 0.1)
+    res = dispersion_curves(flex, ext, [[0.53, 0.53], [0.53, -0.53]],
+                            with_modes=True)
+    for modes in (*res.flexural_modes, *res.extensional_modes):
+        np.testing.assert_allclose(modes, _reference_phase(modes),
+                                   rtol=0, atol=1e-12)
+
+
 def test_non_hermitian_symbol_raises(micro_ops):
     _, _, flex, _ = micro_ops
     bad_coeffs = flex.coeffs.copy()
     bad_coeffs[0, 5, 0] *= -1.0  # break the zero-order symmetry
     bad = dataclasses.replace(flex, coeffs=bad_coeffs)
-    with pytest.raises(NonConservativeSymbolError):
-        dispersion_curves(bad, flex, [[0.0, 0.0]])
+    with pytest.raises(NonConservativeSymbolError,
+                       match=r"not Hermitian.* at k=\(0\.5, 0\.25\)"):
+        dispersion_curves(bad, flex, [[0.5, 0.25], [0.0, 0.0]])
+
+
+def test_negative_squared_frequency_raises(micro_ops):
+    """A Hermitian but indefinite symbol: W stiffens the wrong way."""
+    _, _, flex, ext = micro_ops
+    bad_coeffs = flex.coeffs.copy()
+    bad_coeffs[2, 2] *= -1.0
+    bad = dataclasses.replace(flex, coeffs=bad_coeffs)
+    with pytest.raises(NonConservativeSymbolError,
+                       match=r"negative squared frequency .* at k=\(0\.5, 0\.0\)"):
+        dispersion_curves(bad, ext, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+
+
+def test_non_finite_wavevector_raises(micro_ops):
+    _, _, flex, ext = micro_ops
+    with pytest.raises(ValueError, match="finite"):
+        dispersion_curves(flex, ext, [[1.0, 0.0], [np.nan, 0.0]])
 
 
 def test_default_wavevectors_shape():
