@@ -37,6 +37,8 @@ from .dynamics import (
     SingularSystemError,
     SinusoidalLoad,
     assemble,
+    checked_number,
+    checked_pair,
     simulate,
     stable_dt,
     static_solve,
@@ -110,10 +112,13 @@ def _material_from_config(cfg: dict) -> MaterialParams:
     if isinstance(mat, str):
         mat = _load_config(mat)
         _check_keys("the material file", mat, _MATERIAL_KEYS)
-    return MaterialParams.from_dict(mat)
+    try:
+        return MaterialParams.from_dict(mat)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"'material': {exc}") from exc
 
 
-def _load_preset(spec) :
+def _load_preset(name, spec):
     if spec is None:
         return None
     if not isinstance(spec, dict):
@@ -122,19 +127,23 @@ def _load_preset(spec) :
     if preset not in _LOAD_KEYS:
         raise ConfigError(f"unknown load preset {preset!r}")
     _check_keys(f"{preset} load", spec, _LOAD_KEYS[preset])
-    if preset == "constant":
-        return ConstantLoad(spec.get("amplitude", 0.0))
-    if preset == "gaussian-pulse":
-        return GaussianPulseLoad(
-            spec.get("amplitude", 0.0), center=spec.get("center", (0.5, 0.5)),
-            width=spec.get("width", 0.1), t0=spec.get("t0", 0.0),
-            tau=spec.get("tau"),
+    try:
+        if preset == "constant":
+            return ConstantLoad(spec.get("amplitude", 0.0))
+        if preset == "gaussian-pulse":
+            return GaussianPulseLoad(
+                spec.get("amplitude", 0.0),
+                center=spec.get("center", (0.5, 0.5)),
+                width=spec.get("width", 0.1), t0=spec.get("t0", 0.0),
+                tau=spec.get("tau"),
+            )
+        return SinusoidalLoad(
+            spec.get("amplitude", 0.0), kx=spec.get("kx", 1),
+            ky=spec.get("ky", 1), omega=spec.get("omega", 0.0),
+            lx=spec.get("lx", 1.0), ly=spec.get("ly", 1.0),
         )
-    return SinusoidalLoad(
-        spec.get("amplitude", 0.0), kx=spec.get("kx", 1),
-        ky=spec.get("ky", 1), omega=spec.get("omega", 0.0),
-        lx=spec.get("lx", 1.0), ly=spec.get("ly", 1.0),
-    )
+    except ConfigError as exc:
+        raise ConfigError(f"'loads.{name}' ({preset}): {exc}") from None
 
 
 def _model_from_config(cfg: dict, paper_literal: bool = False):
@@ -142,21 +151,17 @@ def _model_from_config(cfg: dict, paper_literal: bool = False):
     geo = cfg.get("geometry", {})
     grid = cfg.get("grid", {})
     loads_cfg = cfg.get("loads", {})
-    loads = LoadFunctions(
-        p=_load_preset(loads_cfg.get("p")),
-        sigma0=_load_preset(loads_cfg.get("sigma0")),
-        v=_load_preset(loads_cfg.get("v")),
-        t=_load_preset(loads_cfg.get("t")),
-    )
+    loads = LoadFunctions(**{name: _load_preset(name, loads_cfg.get(name))
+                             for name in ("p", "sigma0", "v", "t")})
     bc = cfg.get("bc", {e: "clamped" for e in ("left", "right", "bottom", "top")})
     mode = cfg.get("mode", {})
     mc = ModelConfig(
         material=mat,
-        h=float(geo.get("h", 0.1)),
-        a=float(geo.get("a", 1.0)),
-        b=float(geo.get("b", 1.0)),
-        nx=int(grid.get("nx", 33)),
-        ny=int(grid.get("ny", 33)),
+        h=checked_number("'geometry.h'", geo.get("h", 0.1)),
+        a=checked_number("'geometry.a'", geo.get("a", 1.0)),
+        b=checked_number("'geometry.b'", geo.get("b", 1.0)),
+        nx=checked_number("'grid.nx'", grid.get("nx", 33), integer=True),
+        ny=checked_number("'grid.ny'", grid.get("ny", 33), integer=True),
         bc=bc,
         loads=loads,
         shear_correction=mode.get("shear_correction", "standard"),
@@ -176,9 +181,10 @@ def _initial_state(cfg: dict, model) -> DiscreteState:
     if field not in KINEMATIC_FIELDS:
         raise ConfigError(f"unknown initial field {field!r}")
     idx = KINEMATIC_FIELDS.index(field)
-    amp = float(spec.get("amplitude", 1.0))
-    cx, cy = spec.get("center", (0.5, 0.5))
-    width = float(spec.get("width", 0.15))
+    amp = checked_number("'initial.amplitude'", spec.get("amplitude", 1.0))
+    cx, cy = checked_pair("'initial.center'", spec.get("center", (0.5, 0.5)))
+    width = checked_number("'initial.width'", spec.get("width", 0.15),
+                           positive=True)
     prof = amp * np.exp(
         -0.5 * ((model.X - cx) ** 2 + (model.Y - cy) ** 2) / width**2
     )
@@ -215,7 +221,7 @@ def _cmd_validate(cfg, args, out: Path, cfg_hash: str) -> int:
 
 def _cmd_constants(cfg, args, out: Path, cfg_hash: str) -> int:
     mat = _material_from_config(cfg)
-    h = float(cfg.get("geometry", {}).get("h", 0.1))
+    h = checked_number("'geometry.h'", cfg.get("geometry", {}).get("h", 0.1))
     mode = cfg.get("mode", {})
     tc = technical_constants(mat, h, mode.get("shear_correction", "standard"))
     inertia = inertia_constants(mat, h)
@@ -261,9 +267,12 @@ def _cmd_static(cfg, args, out: Path, cfg_hash: str) -> int:
 def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
     model = _model_from_config(cfg, args.paper_literal_operators)
     tcfg = cfg.get("time", {})
-    t_final = float(tcfg.get("t_final", 1.0))
+    t_final = checked_number("'time.t_final'", tcfg.get("t_final", 1.0))
     dt = tcfg.get("dt")
-    every = int(tcfg.get("snapshot_every", 0))
+    if dt is not None:
+        dt = checked_number("'time.dt'", dt, positive=True)
+    every = checked_number("'time.snapshot_every'",
+                           tcfg.get("snapshot_every", 0), integer=True)
     state0 = _initial_state(cfg, model)
     traj = simulate(model, t_final=t_final, dt=dt, snapshot_every=every,
                     initial=state0)
@@ -283,8 +292,8 @@ def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
         "dt": traj.dt,
         "n_steps": traj.n_steps,
         "stable_dt": stable_dt(model),
-        # exact balance holds for clamped homogeneous edges; traction
-        # edges exchange additional boundary work not tracked here
+        # exact balance holds for clamped edges, with or without data;
+        # traction edges exchange additional boundary work not tracked here
         "energy_drift_vs_interior_work": drift,
         "interior_work_accounting_exact": all_clamped,
         "final_total_energy": e["total"][-1],
@@ -296,7 +305,7 @@ def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
 
 def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
     mat = _material_from_config(cfg)
-    h = float(cfg.get("geometry", {}).get("h", 0.1))
+    h = checked_number("'geometry.h'", cfg.get("geometry", {}).get("h", 0.1))
     mode = cfg.get("mode", {})
     tc = technical_constants(mat, h, mode.get("shear_correction", "standard"))
     inertia = inertia_constants(mat, h)
@@ -351,21 +360,27 @@ def _cmd_verify(cfg, args, out: Path, cfg_hash: str) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _numbers(where: str, values) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
+    return tuple(checked_number(where, v) for v in values)
+
+
 def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
     sw = cfg.get("sweep", {})
     base = sw.get("base", {})
-    E = float(base.get("E", 1.0))
-    nu = float(base.get("nu", 0.3))
-    rho = float(base.get("rho", 1.0))
-    J = tuple(base.get("J", (1.0, 1.0, 1.0)))
-    h = float(base.get("h", 0.1))
-    k_mag = float(sw.get("xi_mag", 1.0))
-    if not np.isfinite(k_mag):
-        raise ConfigError(f"'sweep': xi_mag must be finite, got {k_mag}")
-    Ns = sw.get("N", [0.1, 0.3, 0.5, 0.7])
-    lts = sw.get("l_t", [0.05])
-    lbs = sw.get("l_b", [0.05])
-    psis = sw.get("Psi", [1.0])
+    E = checked_number("'sweep.base.E'", base.get("E", 1.0))
+    nu = checked_number("'sweep.base.nu'", base.get("nu", 0.3))
+    rho = checked_number("'sweep.base.rho'", base.get("rho", 1.0))
+    h = checked_number("'sweep.base.h'", base.get("h", 0.1))
+    J = _numbers("'sweep.base.J'", base.get("J", (1.0, 1.0, 1.0)))
+    if len(J) != 3:
+        raise ConfigError(f"'sweep.base.J' must hold 3 numbers, got {J}")
+    k_mag = checked_number("'sweep.xi_mag'", sw.get("xi_mag", 1.0))
+    Ns = _numbers("'sweep.N'", sw.get("N", [0.1, 0.3, 0.5, 0.7]))
+    lts = _numbers("'sweep.l_t'", sw.get("l_t", [0.05]))
+    lbs = _numbers("'sweep.l_b'", sw.get("l_b", [0.05]))
+    psis = _numbers("'sweep.Psi'", sw.get("Psi", [1.0]))
     rows = []
     for Nval in Ns:
         for lt in lts:

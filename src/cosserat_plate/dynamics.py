@@ -7,6 +7,15 @@ rows (identity, data re-imposed exactly every step) or resultant traction
 rows T(d/dx) H = F* discretized with one-sided second-order stencils in
 the normal direction.  The formulation is ghost-free.
 
+Every load is a spatial field times a time envelope (the presets'
+``space(x, y)`` and ``envelope(t) -> (value, rate)``).  Each subsystem
+builds, once and on first use, one term per load that acts on it: the
+interior load vector F_k of the field and its in-plane gradients, and the
+traction load part T_k at the traction nodes.  The load vector at time t
+is then sum_k e_k(t) F_k, the traction load part sum_k e_k(t) T_k and its
+rate sum_k e_k'(t) T_k; no field is sampled and no gradient taken per
+step.
+
 A static solve (``static_solve``) condenses each subsystem's system A h = b
 onto its free (interior and traction) dofs: the identity Dirichlet rows
 and columns are dropped and A_FD g moves to the right-hand side.  The free
@@ -29,21 +38,24 @@ shares its conserved shadow energy.  The kernel (``_Subsystem`` and
 velocities w and accelerations a on the interior dofs of each subsystem.
 The end-of-step acceleration a(h') is the next step's starting a(h)
 ("first same as last"), so each step costs one interior matvec and one
-load evaluation per subsystem.  The interior rows are split by column
-into an interior block and Dirichlet and traction boundary blocks; the
-Dirichlet lift (boundary block times the time-independent data) is formed
-once per run.  Traction boundary values are quasi-static: inside every
-acceleration the boundary block is solved from the traction rows for the
-current u (one sparse factorization, reused).  Traction boundary
-velocities, from the time-differentiated constraint, feed nothing back
-into the interior update and are solved only when a ``DiscreteState`` is
-built, at snapshots and at the end of a run.
+envelope-weighted sum of the load terms per subsystem.  The interior rows
+are split by column into an interior block and Dirichlet and traction
+boundary blocks; the Dirichlet lift (boundary block times the
+time-independent data) is formed once per run.  Traction boundary values
+are quasi-static: inside every acceleration the boundary block is solved
+from the traction rows for the current u (one sparse factorization,
+reused).  Traction boundary velocities, from the time-differentiated
+constraint, feed nothing back into the interior update and are solved only
+when a ``DiscreteState`` is built, at snapshots and at the end of a run.
 
 Energy bookkeeping uses the discrete quadratic forms of the scheme itself:
-kinetic = 0.5 v^T M v and strain = -0.5 h^T L h (cell-area weighted), the
-consistent quadrature of the plate stress energy integral.  With clamped
-homogeneous edges the semi-discrete energy is exactly conserved, so the
-measured drift isolates the time-integration error and scales as dt^2.
+kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - A_ID g) over the
+interior dofs, -0.5 u^T A_II u with clamped edges (cell-area weighted), the
+consistent quadrature of the plate stress energy integral.  The Dirichlet
+lift A_ID g is a constant interior force, and its midpoint work is counted
+with the load work.  With clamped edges the semi-discrete energy less that
+work is exactly conserved, so the measured drift isolates the
+time-integration error and scales as dt^2.
 ``simulate`` checks that the energy is finite and within budget every
 ``GUARD_EVERY`` steps, whatever the snapshot cadence.
 """
@@ -53,7 +65,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -112,15 +124,43 @@ _NORMALS = {
 # loads
 # ---------------------------------------------------------------------------
 
+def checked_number(where: str, value, *, integer: bool = False,
+                   positive: bool = False):
+    """``value`` as a finite float (an int with ``integer``, one > 0 with
+    ``positive``); anything else is a ConfigError naming ``where``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if positive and not x > 0.0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    if integer:
+        if not x.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(x)
+    return x
+
+
+def checked_pair(where: str, value) -> tuple[float, float]:
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a pair of numbers, "
+                          f"got {value!r}") from None
+    return checked_number(where, x), checked_number(where, y)
+
+
 class ConstantLoad:
     def __init__(self, amplitude: float):
-        self.amplitude = float(amplitude)
+        self.amplitude = checked_number("amplitude", amplitude)
 
-    def value(self, x, y, t):
+    def space(self, x, y):
         return self.amplitude * np.ones_like(np.asarray(x, dtype=float))
 
-    def rate(self, x, y, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def envelope(self, t):
+        return 1.0, 0.0
 
 
 class GaussianPulseLoad:
@@ -128,76 +168,64 @@ class GaussianPulseLoad:
 
     def __init__(self, amplitude, center=(0.5, 0.5), width=0.1,
                  t0=0.0, tau=None):
-        self.amplitude = float(amplitude)
-        self.center = (float(center[0]), float(center[1]))
-        self.width = float(width)
-        self.t0 = float(t0)
-        self.tau = None if tau is None else float(tau)
+        self.amplitude = checked_number("amplitude", amplitude)
+        self.center = checked_pair("center", center)
+        self.width = checked_number("width", width, positive=True)
+        self.t0 = checked_number("t0", t0)
+        self.tau = None if tau is None else checked_number("tau", tau,
+                                                           positive=True)
 
-    def _space(self, x, y):
+    def space(self, x, y):
         r2 = (np.asarray(x) - self.center[0]) ** 2 + (np.asarray(y) - self.center[1]) ** 2
         return self.amplitude * np.exp(-0.5 * r2 / self.width**2)
 
-    def _time(self, t):
+    def envelope(self, t):
         if self.tau is None:
-            return 1.0
-        return math.exp(-0.5 * ((t - self.t0) / self.tau) ** 2)
-
-    def value(self, x, y, t):
-        return self._space(x, y) * self._time(t)
-
-    def rate(self, x, y, t):
-        if self.tau is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return self._space(x, y) * self._time(t) * (-(t - self.t0) / self.tau**2)
+            return 1.0, 0.0
+        e = math.exp(-0.5 * ((t - self.t0) / self.tau) ** 2)
+        return e, e * (-(t - self.t0) / self.tau**2)
 
 
 class SinusoidalLoad:
     def __init__(self, amplitude, kx=1, ky=1, omega=0.0, lx=1.0, ly=1.0):
-        self.amplitude = float(amplitude)
-        self.kx, self.ky = int(kx), int(ky)
-        self.omega = float(omega)
-        self.lx, self.ly = float(lx), float(ly)
+        self.amplitude = checked_number("amplitude", amplitude)
+        self.kx = checked_number("kx", kx, integer=True)
+        self.ky = checked_number("ky", ky, integer=True)
+        self.omega = checked_number("omega", omega)
+        self.lx = checked_number("lx", lx, positive=True)
+        self.ly = checked_number("ly", ly, positive=True)
 
-    def _space(self, x, y):
+    def space(self, x, y):
         return self.amplitude * np.sin(self.kx * np.pi * np.asarray(x) / self.lx) * np.sin(
             self.ky * np.pi * np.asarray(y) / self.ly
         )
 
-    def value(self, x, y, t):
-        return self._space(x, y) * math.cos(self.omega * t)
-
-    def rate(self, x, y, t):
-        return -self.omega * self._space(x, y) * math.sin(self.omega * t)
+    def envelope(self, t):
+        return math.cos(self.omega * t), -self.omega * math.sin(self.omega * t)
 
 
 @dataclass(frozen=True)
 class LoadFunctions:
-    """The four face loads as time-dependent fields (None = zero)."""
+    """The four face loads (None = zero), each a preset: a spatial field
+    ``space(x, y)`` times a time envelope ``envelope(t) -> (value, rate)``."""
 
     p: object | None = None
     sigma0: object | None = None
     v: object | None = None
     t: object | None = None
 
-    @property
-    def is_empty(self) -> bool:
-        return self.p is None and self.sigma0 is None and self.v is None \
-            and self.t is None
-
     def sample(self, X, Y, time: float) -> LoadSet:
         def ev(f):
-            return f.value(X, Y, time) if f is not None else np.zeros_like(X)
+            return (f.space(X, Y) * f.envelope(time)[0] if f is not None
+                    else np.zeros_like(X))
 
-        return LoadSet(p=ev(self.p), sigma0=ev(self.sigma0),
-                       v=ev(self.v), t=ev(self.t))
+        return LoadSet(**{name: ev(f) for name, f in vars(self).items()})
 
-    def sample_rate(self, X, Y, time: float) -> LoadSet:
-        def ev(f):
-            return f.rate(X, Y, time) if f is not None else np.zeros_like(X)
 
-        return LoadSet(p=ev(self.p), sigma0=ev(self.sigma0),
-                       v=ev(self.v), t=ev(self.t))
+def _envelope_sum(presets, rows: np.ndarray, t: float, part: int = 0):
+    """sum_k e_k(t) rows[k], with e_k the value (``part`` 0) or the rate
+    (``part`` 1) of preset k's time envelope."""
+    return np.array([f.envelope(t)[part] for f in presets]) @ rows
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +391,7 @@ class _Discretization:
         self.dx, self.dy = dx, dy
         self.X, self.Y = X, Y
         self.bc = bc
+        self.loads = config.loads
         self.ndof = self.nf * self.nx * self.ny
 
         self._classify_nodes()
@@ -545,90 +574,73 @@ class _Discretization:
 
     # -- load / data vectors -------------------------------------------------
 
-    def _loads_on_grid(self, config_loads, t):
-        loads = config_loads.sample(self.X, self.Y, t)
-        zero = np.zeros_like(self.X)
+    @cached_property
+    def load_terms(self):
+        """The loads acting on this subsystem as (presets, F, T): row k of F
+        is the interior load vector of preset k's spatial field and its
+        gradients, and row k of T minus its traction load part (per-node
+        normals), so the load vector at t is sum_k e_k(t) F[k].  A preset
+        that leaves both zero, one that loads only the other subsystem, is
+        dropped.  Built on first use: each spatial field is evaluated once
+        per model and subsystem."""
+        zeros = LoadSet(*[np.zeros_like(self.X)] * 4)
+        normal = (self.normal[:, :, 0], self.normal[:, :, 1])
+        presets, F, T = [], [], []
+        for name, f in vars(self.loads).items():
+            if f is None:
+                continue
+            space = np.asarray(f.space(self.X, self.Y), dtype=float)
+            gx, gy = np.gradient(space, self.dx, self.dy, edge_order=2)
+            loads, grad1, grad2 = (replace(zeros, **{name: a})
+                                   for a in (space, gx, gy))
+            Fk = np.concatenate([np.ravel(r)[self.interior_nodes] for r in
+                                 self.op.load_vector(loads, grad1, grad2)])
+            Tk = -np.concatenate([np.ravel(r)[self.trac_nodes] for r in
+                                  self.trac_load_part(loads, normal)])
+            if np.any(Fk) or np.any(Tk):
+                presets.append(f)
+                F.append(Fk)
+                T.append(Tk)
+        n = len(presets)
+        return (tuple(presets), np.reshape(F, (n, self.interior_dofs.size)),
+                np.reshape(T, (n, self.trac_dofs.size)))
 
-        def grad(name):
-            # an absent load samples to zeros, whose gradient is zero
-            if getattr(config_loads, name) is None:
-                return zero, zero
-            return np.gradient(np.asarray(getattr(loads, name), dtype=float),
-                               self.dx, self.dy, edge_order=2)
-
-        (g1p, g2p), (g1t, g2t), (g1s, g2s) = grad("p"), grad("t"), grad("sigma0")
-        grad1 = LoadSet(p=g1p, sigma0=g1s, v=zero, t=g1t)
-        grad2 = LoadSet(p=g2p, sigma0=g2s, v=zero, t=g2t)
-        return loads, grad1, grad2
-
-    def load_rhs(self, config_loads, t):
-        """Interior components of the load vector F, flattened per field."""
-        if config_loads.is_empty:
-            return np.zeros(self.interior_dofs.size)
-        F = self.op.load_vector(*self._loads_on_grid(config_loads, t))
-        return np.concatenate(
-            [np.asarray(f).ravel()[self.interior_nodes] for f in F])
+    def load_rhs(self, t):
+        """Interior components of the load vector F at time t."""
+        presets, F, _ = self.load_terms
+        return _envelope_sum(presets, F, t)
 
     def dirichlet_values(self, edge_data_key="flex_data"):
-        """Prescribed field values on the displacement boundary dofs."""
-        if self.dirich_nodes.size == 0:
-            return np.zeros(0)
+        """Prescribed field values on the displacement boundary dofs (zero
+        for ``edge_data_key`` None)."""
         ii, jj = self._dir_ij
-        x, y = self.X[ii, jj], self.Y[ii, jj]
         data = np.zeros((self.nf, ii.size))
+        for mask, vals in self._edge_data("clamped", ii, jj, edge_data_key):
+            data[:, mask] = vals
+        return data.ravel()
+
+    def traction_values(self, edge_data_key="flex_data"):
+        """Prescribed boundary resultants on the traction dofs (zero for
+        ``edge_data_key`` None); at a traction-traction corner each edge's
+        data is weighted for the averaged normal."""
+        ti, tj = self._trac_ij
+        out = np.zeros((self.nf, ti.size))
+        for mask, vals in self._edge_data("traction", ti, tj, edge_data_key):
+            out[:, mask] += self.trac_weight[ti[mask], tj[mask]] * vals
+        return out.ravel()
+
+    def _edge_data(self, kind, ii, jj, edge_data_key):
+        """(mask, values) over the nodes ii, jj of every ``kind`` edge with
+        data under ``edge_data_key``."""
+        x, y = self.X[ii, jj], self.Y[ii, jj]
         for name in EDGES:
             ebc = self.bc[name]
-            if ebc.kind != "clamped":
-                continue
-            fdata = getattr(ebc, edge_data_key)
-            if fdata is None:
+            fdata = getattr(ebc, edge_data_key) if edge_data_key else None
+            if ebc.kind != kind or fdata is None:
                 continue
             mask = _edge_mask(name, ii, jj, self.nx, self.ny)
             if np.any(mask):
-                vals_edge = np.asarray(fdata(x[mask], y[mask]))
-                data[:, mask] = vals_edge
-        return data.ravel()
-
-    def traction_rhs(self, config_loads, t, edge_data_key="flex_data"):
-        """F* on the traction dofs: prescribed minus load part."""
-        if self.trac_dofs.size == 0:
-            return np.zeros(0)
-        ti, tj = self._trac_ij
-        x, y = self.X[ti, tj], self.Y[ti, tj]
-        if config_loads.is_empty:
-            out = np.zeros((self.nf, ti.size))
-        else:
-            out = -self._trac_load_part(config_loads.sample(x, y, t))
-        for name in EDGES:
-            ebc = self.bc[name]
-            if ebc.kind != "traction":
-                continue
-            fdata = getattr(ebc, edge_data_key)
-            if fdata is None:
-                continue
-            mask = _edge_mask(name, ti, tj, self.nx, self.ny)
-            if np.any(mask):
-                w = self.trac_weight[ti[mask], tj[mask]]
-                out[:, mask] += w * np.asarray(fdata(x[mask], y[mask]))
-        return out.ravel()
-
-    def traction_rhs_rate(self, config_loads, t, edge_data_key="flex_data"):
-        """d(F*)/dt (prescribed data static; only loads move)."""
-        if self.trac_dofs.size == 0:
-            return np.zeros(0)
-        if config_loads.is_empty:
-            return np.zeros(self.trac_dofs.size)
-        ti, tj = self._trac_ij
-        x, y = self.X[ti, tj], self.Y[ti, tj]
-        return -self._trac_load_part(
-            config_loads.sample_rate(x, y, t)).ravel()
-
-    def _trac_load_part(self, loads) -> np.ndarray:
-        """(nf, n_trac) load part of the traction rows at every traction
-        node, each with its own (averaged) normal."""
-        ti, tj = self._trac_ij
-        n = (self.normal[ti, tj, 0], self.normal[ti, tj, 1])
-        return np.array(self.trac_load_part(loads, n))
+                yield mask, np.asarray(fdata(x[mask], y[mask]))
 
     def interior_apply(self, h: np.ndarray) -> np.ndarray:
         """Interior rows of L h for a full-grid vector h."""
@@ -765,14 +777,16 @@ class _StaticFactor:
         return h
 
 
-def _static_rhs(d: _Discretization, config, data_key, extra_F=None):
+def _static_rhs(d: _Discretization, data_key, extra_F=None):
     rhs = np.zeros(d.ndof)
-    rhs[d.interior_dofs] = d.load_rhs(config.loads, 0.0)
+    presets, F, T = d.load_terms
+    rhs[d.interior_dofs] = _envelope_sum(presets, F, 0.0)
     if extra_F is not None:
         flat = np.asarray(extra_F, dtype=float).reshape(d.nf, -1)
         rhs[d.interior_dofs] += flat[:, d.interior_nodes].ravel()
     rhs[d.dirich_dofs] = d.dirichlet_values(data_key)
-    rhs[d.trac_dofs] = d.traction_rhs(config.loads, 0.0, data_key)
+    rhs[d.trac_dofs] = d.traction_values(data_key)
+    rhs[d.trac_dofs] += _envelope_sum(presets, T, 0.0)
     return rhs
 
 
@@ -783,14 +797,14 @@ _FLEX_NULL = (
 _EXT_NULL = "uniform in-plane translations U1, U2 (and Omega3_0 as N -> 0)"
 
 
-def _solve_subsystem(d: _Discretization, config, data_key, null_desc,
+def _solve_subsystem(d: _Discretization, data_key, null_desc,
                      extra_F=None):
     if not d.has_dirichlet:
         raise SingularSystemError(
             f"{d.name} system has traction data on every edge; the rigid "
             f"null space ({null_desc}) makes the static problem singular"
         )
-    rhs = _static_rhs(d, config, data_key, extra_F)
+    rhs = _static_rhs(d, data_key, extra_F)
     h = d.static_factor.solve(rhs)
     if not np.all(np.isfinite(h)):
         raise SingularSystemError(f"{d.name} static solve produced non-finite values")
@@ -806,10 +820,9 @@ def static_solve(model: DiscreteModel, extra_flex_F=None, extra_ext_F=None):
     rigid modes are reported by name.  ``extra_*_F`` adds a manufactured
     interior forcing (per-field grids) to the load vector.
     """
-    cfg = model.config
-    hf, rf, sf = _solve_subsystem(model.flex_d, cfg, "flex_data", _FLEX_NULL,
+    hf, rf, sf = _solve_subsystem(model.flex_d, "flex_data", _FLEX_NULL,
                                   extra_flex_F)
-    he, re_, se = _solve_subsystem(model.ext_d, cfg, "ext_data", _EXT_NULL,
+    he, re_, se = _solve_subsystem(model.ext_d, "ext_data", _EXT_NULL,
                                    extra_ext_F)
     shape = (model.nx, model.ny)
     flex_fields = hf.reshape(6, *shape)
@@ -876,7 +889,7 @@ def _power_iteration(d: _Discretization, iterations: int, seed: int) -> float:
     v = rng.standard_normal(d.interior_dofs.size)
     v /= np.linalg.norm(v)
     lam = 0.0
-    homogeneous = _Subsystem(d, LoadFunctions(), None)
+    homogeneous = _Subsystem(d, None)
     for _ in range(iterations):
         w = -homogeneous.acceleration(v, 0.0)
         lam = float(v @ w)
@@ -892,26 +905,26 @@ class _Subsystem:
 
     ``u``, ``w`` and ``a`` are the positions, velocities and accelerations
     on the interior dofs.  The Dirichlet data ``g``, its lifts into the
-    interior and traction rows and, for a load-free run, the traction data
-    F* do not depend on time and are formed once.  ``Lu`` and ``hT`` keep
-    the interior rows of L h and the traction boundary values of the last
-    acceleration evaluated.  ``key`` None means homogeneous boundary data.
+    interior and traction rows and the prescribed traction data do not
+    depend on time and are formed once; the loads enter through the
+    discretization's load terms, weighted by their envelopes.  ``Lu`` and
+    ``hT`` keep the interior rows of L h and the traction boundary values
+    of the last acceleration evaluated.  ``key`` None means homogeneous
+    boundary data and no loads.
     """
 
-    def __init__(self, d: _Discretization, loads: LoadFunctions, key):
+    def __init__(self, d: _Discretization, key):
         self.d = d
-        self.loads = loads
-        self.key = key
-        self.loaded = not loads.is_empty
+        self.presets, self.F, self.T = d.load_terms
+        if key is None:
+            self.presets, self.F, self.T = (), self.F[:0], self.T[:0]
         self.A_II, A_ID, self.A_IT = d.interior_blocks
-        self.g = (d.dirichlet_values(key) if key is not None
-                  else np.zeros(d.dirich_dofs.size))
+        self.g = d.dirichlet_values(key)
         lifted = bool(np.any(self.g))
         self.lift = A_ID @ self.g if lifted else None
         if d.trac_lu is not None:
             self.trac_lift = d.A_TD @ self.g if lifted else None
-            self.fstar = (d.traction_rhs(loads, 0.0, key) if key is not None
-                          else np.zeros(d.trac_dofs.size))
+            self.trac_data = d.traction_values(key)
 
     def start(self, h: np.ndarray, v: np.ndarray, t: float) -> None:
         """Take u and w from full-grid vectors and a(t) from h with its
@@ -934,8 +947,7 @@ class _Subsystem:
             rest = d.A_TI @ u
             if self.trac_lift is not None:
                 rest += self.trac_lift
-            fstar = (d.traction_rhs(self.loads, t, self.key) if self.loaded
-                     else self.fstar)
+            fstar = self.trac_data + _envelope_sum(self.presets, self.T, t)
             self.hT = d.trac_lu.solve(fstar - rest)
             Lu += self.A_IT @ self.hT
         return self.acceleration_from(Lu, t)
@@ -943,9 +955,17 @@ class _Subsystem:
     def acceleration_from(self, Lu: np.ndarray, t: float) -> np.ndarray:
         """M^-1 (L h - F) from the interior rows of L h, kept in ``Lu``."""
         self.Lu = Lu
-        if self.loaded:
-            return (Lu - self.d.load_rhs(self.loads, t)) / self.d.mass_interior
+        if self.presets:
+            Lu = Lu - _envelope_sum(self.presets, self.F, t)
         return Lu / self.d.mass_interior
+
+    def force(self, t: float) -> np.ndarray:
+        """The interior force at time t that the strain form leaves out:
+        the Dirichlet lift A_ID g minus the load vector F."""
+        f = -_envelope_sum(self.presets, self.F, t)
+        if self.lift is not None:
+            f += self.lift
+        return f
 
     def grid_vectors(self, t: float):
         """Full-grid positions and velocities; the traction boundary
@@ -958,7 +978,7 @@ class _Subsystem:
         h[d.dirich_dofs] = self.g
         if d.trac_lu is not None:
             h[d.trac_dofs] = self.hT
-            rate = d.traction_rhs_rate(self.loads, t, self.key)
+            rate = _envelope_sum(self.presets, self.T, t, part=1)
             v[d.trac_dofs] = d.trac_lu.solve(rate - d.A_TI @ self.w)
         shape = (d.nf, d.nx, d.ny)
         return h.reshape(shape), v.reshape(shape)
@@ -971,7 +991,7 @@ def _subsystems(model: DiscreteModel, state: DiscreteState) -> list:
         (model.flex_d, "flex_data", state.flex, state.flex_vel),
         (model.ext_d, "ext_data", state.ext, state.ext_vel),
     ):
-        p = _Subsystem(d, model.config.loads, key)
+        p = _Subsystem(d, key)
         p.start(np.asarray(h, dtype=float).reshape(-1),
                 np.asarray(v, dtype=float).reshape(-1), state.time)
         parts.append(p)
@@ -1037,14 +1057,17 @@ class EnergyLog:
 
 def _energies(parts: list, dA: float):
     """Kinetic and interior strain energy of the kernel state, the strain
-    from the L h of the last acceleration."""
+    from the L h of the last acceleration less the Dirichlet lift, which is
+    a force (``_Subsystem.force``): -0.5 u.A_II u with clamped edges."""
     ke = 0.0
     ue = 0.0
     for p in parts:
         ke += 0.5 * float(p.w @ (p.d.mass_interior * p.w)) * dA
-        ue += -0.5 * float(p.u @ p.Lu) * dA
-        # boundary strain contribution is quasi-static and excluded; with
-        # homogeneous clamped edges the interior form is exact
+        uLu = float(p.u @ p.Lu)
+        if p.lift is not None:
+            uLu -= float(p.u @ p.lift)
+        ue += -0.5 * uLu * dA
+        # the quasi-static traction boundary's own strain is excluded
     return ke, ue
 
 
@@ -1070,7 +1093,8 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
 
     Every ``GUARD_EVERY`` steps, at each snapshot and at the end, aborts
     with a diagnostic when the total energy is not finite or has grown
-    beyond ten times the initial energy plus the accumulated external work.
+    beyond ten times the initial energy plus the accumulated external work
+    (of the loads and of the Dirichlet lift).
     """
     if not t_final > 0.0:
         raise ConfigError(f"t_final must be positive, got {t_final}")
@@ -1083,7 +1107,8 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     state = initial if initial is not None else DiscreteState.zero(model)
     warn = state.stability_warning or dt > bound * (1.0 + 1e-12)
     parts = _subsystems(model, state)
-    loads = model.config.loads
+    # parts on which a force does work: loads or a Dirichlet lift
+    worked = [p for p in parts if p.presets or p.lift is not None]
     dA = model.cell_area
 
     energy = EnergyLog()
@@ -1095,18 +1120,14 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     states = [state]
     times = [t]
 
-    track_work = not loads.is_empty
     for k in range(1, n_steps + 1):
-        if track_work:
-            w_prev = [p.w.copy() for p in parts]
-            t_mid = t + 0.5 * dt
+        w_prev = [p.w.copy() for p in worked]
+        t_mid = t + 0.5 * dt
         t = _leapfrog_step(parts, t, dt)
-        if track_work:
-            # midpoint external power; the applied force is -F in the
-            # convention L h - F = M hdd
-            for p, w0 in zip(parts, w_prev):
-                f_mid = p.d.load_rhs(loads, t_mid)
-                w_ext -= dt * float(f_mid @ (0.5 * (w0 + p.w))) * dA
+        # midpoint power of the applied force, A_ID g - F in the convention
+        # A_II u + A_ID g - F = M udd
+        for p, w0 in zip(worked, w_prev):
+            w_ext += dt * float(p.force(t_mid) @ (0.5 * (w0 + p.w))) * dA
 
         record = bool(snapshot_every) and k % snapshot_every == 0
         if k == n_steps or record:

@@ -116,8 +116,8 @@ class HPRFunctional:
         self.model = model
         self.t = t
         self.loads = model.sample_loads(t)
-        self._f_flex = model.flex_d.load_rhs(model.config.loads, t)
-        self._f_ext = model.ext_d.load_rhs(model.config.loads, t)
+        self._f_flex = model.flex_d.load_rhs(t)
+        self._f_ext = model.ext_d.load_rhs(t)
         zero = PlateKinematics(**{
             n: np.zeros((model.nx, model.ny)) for n in KINEMATIC_FIELDS
         })

@@ -138,6 +138,60 @@ def test_bad_plane_wave_input_is_config_error(config_file, tmp_path, capsys,
     assert "configuration error" in capsys.readouterr().err
 
 
+def _gaussian(**kw):
+    return {"preset": "gaussian-pulse", "amplitude": 1.0, "width": 0.2, **kw}
+
+
+def _sinusoidal(**kw):
+    return {"preset": "sinusoidal", "amplitude": 1.0, **kw}
+
+
+@pytest.mark.parametrize("command,edit,where", [
+    ("static", lambda c: c["grid"].update(nx="abc"), "'grid.nx'"),
+    ("static", lambda c: c["grid"].update(nx=7.5), "'grid.nx'"),
+    ("static", lambda c: c["geometry"].update(h="thin"), "'geometry.h'"),
+    ("static", lambda c: c["material"].update(mu="x"), "'material'"),
+    ("static", lambda c: c["loads"]["p"].update(amplitude="x"), "amplitude"),
+    ("static", lambda c: c["loads"].update(
+        p=_gaussian(amplitude=float("nan"))), "amplitude"),
+    ("static", lambda c: c["loads"].update(p=_gaussian(width=0)), "width"),
+    ("static", lambda c: c["loads"].update(p=_gaussian(tau=0)), "tau"),
+    ("static", lambda c: c["loads"].update(p=_gaussian(center="ab")),
+     "center"),
+    ("static", lambda c: c["loads"].update(p=_sinusoidal(kx=1.5)), "kx"),
+    ("static", lambda c: c["loads"].update(p=_sinusoidal(ly=0)), "ly"),
+    ("simulate", lambda c: c["time"].update(t_final="x"), "'time.t_final'"),
+    ("simulate", lambda c: c["time"].update(dt="x"), "'time.dt'"),
+    ("simulate", lambda c: c["time"].update(dt=-0.1), "'time.dt'"),
+    ("simulate", lambda c: c["time"].update(snapshot_every=2.5),
+     "'time.snapshot_every'"),
+    ("simulate", lambda c: c.update(initial={"amplitude": "x"}),
+     "'initial.amplitude'"),
+    ("sweep", lambda c: c.update(sweep={"N": ["x"]}), "'sweep.N'"),
+    ("sweep", lambda c: c.update(sweep={"base": {"E": "x"}}),
+     "'sweep.base.E'"),
+    ("sweep", lambda c: c.update(sweep={"base": {"J": [1, 1]}}),
+     "'sweep.base.J'"),
+], ids=["nx-text", "nx-fraction", "h-text", "material-text", "amplitude-text",
+        "amplitude-nan", "width-zero", "tau-zero", "center-text",
+        "kx-fraction", "ly-zero", "t_final-text", "dt-text", "dt-negative",
+        "snapshot_every-fraction", "initial-text", "sweep-N-text",
+        "sweep-E-text", "sweep-J-short"])
+def test_malformed_number_is_config_error(config_file, tmp_path, capsys,
+                                          command, edit, where):
+    """Each used to end in a traceback, a misattributed solver failure or a
+    silently truncated value."""
+    cfg = json.loads(Path(config_file).read_text())
+    cfg["material"] = json.loads(Path(cfg["material"]).read_text())
+    edit(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path),
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and where in err
+
+
 def test_unknown_key_in_material_file_is_config_error(config_file, tmp_path,
                                                      capsys):
     """A misspelt "rho" used to leave the density at its default of 0."""

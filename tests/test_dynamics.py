@@ -28,6 +28,7 @@ from cosserat_plate.dynamics import (
     step,
 )
 from cosserat_plate.material import material_from_technical
+from cosserat_plate.plate_fields import LoadSet
 
 ALL_CLAMPED = {e: "clamped" for e in ("left", "right", "bottom", "top")}
 ALL_TRACTION = {e: "traction" for e in ("left", "right", "bottom", "top")}
@@ -305,7 +306,7 @@ class TestStaticFactor:
         kin, _ = static_solve(model)
         for d, key, h in ((model.flex_d, "flex_data", kin.flexural()),
                           (model.ext_d, "ext_data", kin.extensional())):
-            rhs = dynamics._static_rhs(d, model.config, key)
+            rhs = dynamics._static_rhs(d, key)
             ref = spla.spsolve(d.A.tocsc(), rhs)
             assert np.max(np.abs(h.ravel() - ref)) <= \
                 1e-9 * np.max(np.abs(ref)), d.name
@@ -527,8 +528,8 @@ class TestKernel:
         model = make_model(nx=17, ny=17, bc=bc)
         dt = stable_dt(model)
         s0 = kicked_state(model, amplitude=1e-3)
-        # the lifted boundary data does work that the energy log leaves
-        # out, so the energy guard is off for this comparison
+        # the quasi-static traction boundary exchanges work that the energy
+        # log leaves out, so the energy guard is off for this comparison
         traj = simulate(model, t_final=50 * dt, dt=dt, snapshot_every=25,
                         initial=s0, abort_on_instability=False)
         ref = step_loop(model, s0, traj.dt, traj.n_steps, 25)
@@ -539,6 +540,31 @@ class TestKernel:
                 assert np.all(s.flex[0][0, :] == 0.01)
                 assert np.all(s.flex[2][0, :] == 0.02)
                 assert np.all(s.flex[2][1:, 0] == 0.0)
+
+    def test_dirichlet_data_work_enters_the_energy_balance(self):
+        """The lift A_ID g of prescribed edge values is a constant interior
+        force: a run from rest at the stable dt used to trip the energy
+        guard, since its work was not counted.  Now the energy tracks that
+        work to O(dt^2), and a run above the stability bound still raises."""
+        def flex_data(x, y):
+            return np.stack([0.01 + 0 * x, 0 * x, 0.02 + 0 * x,
+                             0 * x, 0 * x, 0 * x])
+
+        data = EdgeBC(kind="clamped", flex_data=flex_data)
+        model = make_model(nx=9, ny=9, bc={"left": data, "right": "clamped",
+                                           "bottom": data, "top": data})
+        dt = stable_dt(model)
+
+        def imbalance(run_dt, every):
+            traj = simulate(model, t_final=2000 * dt, dt=run_dt,
+                            snapshot_every=every)
+            e = traj.energy.as_arrays()
+            assert e["total"][0] == 0.0 and np.max(e["total"]) > 1e-5
+            return np.max(np.abs(e["total"] - e["external_work"]))
+
+        assert imbalance(dt, 10) / imbalance(dt / 4, 40) > 10.0  # ~16
+        with pytest.raises(InstabilityError, match="stability bound"):
+            simulate(model, t_final=2000 * dt, dt=2.05 * dt, snapshot_every=10)
 
     def test_stable_dt_bitwise_equals_full_matrix_power_iteration(self):
         """Oracle: the power iteration on full-grid vectors and the
@@ -607,6 +633,8 @@ def per_node_traction_load_rows(d, tc, loads):
 
 class TestTractionLoadPart:
     def test_bitwise_equal_to_per_node_loop(self):
+        """Oracle: each load term's traction rows assembled node by node from
+        its spatial field, then weighted by the envelope values or rates."""
         loads = LoadFunctions(
             p=ConstantLoad(-0.7),
             sigma0=SinusoidalLoad(0.4, omega=3.0),
@@ -616,14 +644,93 @@ class TestTractionLoadPart:
         model = make_model(nx=9, ny=9, loads=loads,
                            bc={"left": "clamped", "right": "traction",
                                "bottom": "traction", "top": "traction"})
-        for d, key in ((model.flex_d, "flex_data"), (model.ext_d, "ext_data")):
+        for d in (model.flex_d, model.ext_d):
             ti, tj = d._trac_ij
             x, y = d.X[ti, tj], d.Y[ti, tj]
+            presets, _, T = d.load_terms
+            rows = np.array([
+                per_node_traction_load_rows(d, model.tc, LoadSet(**{
+                    name: f.space(x, y) if f is preset else np.zeros_like(x)
+                    for name, f in vars(loads).items()}))
+                for preset in presets])
+            assert T.tobytes() == rows.tobytes()
             for t in (0.0, 0.13):
-                want = per_node_traction_load_rows(
-                    d, model.tc, loads.sample(x, y, t))
-                assert d.traction_rhs(loads, t, key).tobytes() == want.tobytes()
-                want = per_node_traction_load_rows(
-                    d, model.tc, loads.sample_rate(x, y, t))
-                assert d.traction_rhs_rate(loads, t, key).tobytes() == \
-                    want.tobytes()
+                for part in (0, 1):
+                    e = np.array([f.envelope(t)[part] for f in presets])
+                    want = e @ rows
+                    got = dynamics._envelope_sum(presets, T, t, part=part)
+                    assert got.tobytes() == want.tobytes()
+
+
+def sampled_load_rhs(d, loads, t):
+    """Oracle: the loads sampled on the grid at t, their gradients taken
+    with np.gradient and the load vector built on the interior nodes."""
+    sampled = loads.sample(d.X, d.Y, t)
+    grads = {name: np.gradient(np.asarray(value, dtype=float), d.dx, d.dy,
+                               edge_order=2)
+             for name, value in vars(sampled).items()}
+    F = d.op.load_vector(sampled,
+                         LoadSet(**{k: g[0] for k, g in grads.items()}),
+                         LoadSet(**{k: g[1] for k, g in grads.items()}))
+    return np.concatenate([np.ravel(f)[d.interior_nodes] for f in F])
+
+
+class TestLoadTerms:
+    """Each load is a spatial field times a time envelope, so its load
+    vectors are built once per discretization and weighted by the envelope
+    at every t."""
+
+    @pytest.mark.parametrize("loads", [
+        LoadFunctions(
+            p=ConstantLoad(0.8),
+            sigma0=SinusoidalLoad(0.4, kx=2, ky=1, omega=3.0),
+            v=GaussianPulseLoad(0.5, center=(0.4, 0.6), width=0.2),
+            t=GaussianPulseLoad(0.3, center=(0.6, 0.4), width=0.15,
+                                t0=0.1, tau=0.05)),
+        LoadFunctions(
+            p=GaussianPulseLoad(-1.2, center=(0.55, 0.45), width=0.12,
+                                t0=0.2, tau=0.1),
+            sigma0=GaussianPulseLoad(0.6, center=(0.3, 0.5), width=0.25),
+            v=ConstantLoad(-0.3),
+            t=SinusoidalLoad(0.7, kx=1, ky=3, omega=5.0, lx=1.0, ly=0.8)),
+    ], ids=["set-a", "set-b"])
+    def test_term_sum_matches_sampled_load_vector(self, loads):
+        model = make_model(nx=17, ny=13, b=0.8, loads=loads)
+        for d in (model.flex_d, model.ext_d):
+            for t in (0.0, 0.13, 0.4):
+                want = sampled_load_rhs(d, loads, t)
+                got = d.load_rhs(t)
+                assert np.max(np.abs(got - want)) <= \
+                    1e-14 * np.max(np.abs(want)), (d.name, t)
+
+    def test_spatial_field_is_evaluated_once_per_subsystem(self, monkeypatch):
+        calls = []
+        space = GaussianPulseLoad.space
+
+        def counted(self, x, y):
+            calls.append(np.shape(x))
+            return space(self, x, y)
+
+        monkeypatch.setattr(GaussianPulseLoad, "space", counted)
+        counts = []
+        for n_steps in (10, 100):
+            model = make_model(loads=LoadFunctions(p=GaussianPulseLoad(
+                1.0, width=0.2, t0=0.1, tau=0.05)))
+            calls.clear()
+            dt = stable_dt(model)
+            simulate(model, t_final=n_steps * dt, dt=dt, snapshot_every=5)
+            counts.append(len(calls))
+        assert counts == [2, 2]  # one per subsystem
+
+    def test_a_load_acts_only_on_its_subsystem(self):
+        model = make_model(loads=LoadFunctions(
+            p=ConstantLoad(1.0), t=GaussianPulseLoad(0.3, tau=0.1)))
+        presets, F, T = model.ext_d.load_terms
+        assert presets == ()
+        assert F.shape == (0, model.ext_d.interior_dofs.size)
+        assert model.flex_d.load_terms[0] == (model.config.loads.p,
+                                              model.config.loads.t)
+        model = make_model(loads=LoadFunctions(
+            sigma0=GaussianPulseLoad(1.0), v=SinusoidalLoad(0.2)))
+        assert model.flex_d.load_terms[0] == ()
+        assert len(model.ext_d.load_terms[0]) == 2
