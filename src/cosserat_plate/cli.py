@@ -181,6 +181,10 @@ def _initial_state(cfg: dict, model) -> DiscreteState:
     if field not in KINEMATIC_FIELDS:
         raise ConfigError(f"unknown initial field {field!r}")
     idx = KINEMATIC_FIELDS.index(field)
+    kind = spec.get("kind", "velocity")
+    if kind not in ("velocity", "displacement"):
+        raise ConfigError(f"unknown initial kind {kind!r}; expected "
+                          f"'velocity' or 'displacement'")
     amp = checked_number("'initial.amplitude'", spec.get("amplitude", 1.0))
     cx, cy = checked_pair("'initial.center'", spec.get("center", (0.5, 0.5)))
     width = checked_number("'initial.width'", spec.get("width", 0.15),
@@ -193,7 +197,6 @@ def _initial_state(cfg: dict, model) -> DiscreteState:
     ext = state.ext.copy()
     flex_vel = state.flex_vel.copy()
     ext_vel = state.ext_vel.copy()
-    kind = spec.get("kind", "velocity")
     target = flex_vel if kind == "velocity" else flex
     target_ext = ext_vel if kind == "velocity" else ext
     if idx < 6:

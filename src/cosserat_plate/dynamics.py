@@ -1,11 +1,28 @@
 """Finite-difference discretization, static solves and explicit dynamics.
 
 The mid-plane rectangle [0, a] x [0, b] carries a uniform nx x ny node
-grid.  Interior nodes collocate the governing systems with second-order
-central differences; boundary nodes carry either resultant displacement
-rows (identity, data re-imposed exactly every step) or resultant traction
-rows T(d/dx) H = F* discretized with one-sided second-order stencils in
-the normal direction.  The formulation is ghost-free.
+grid.  Each node is interior, displacement (Dirichlet) or traction.  One
+table (``EDGE_TABLE``) gives each edge its grid axis, node line and outward
+normal.  The edges are tagged in the order left, right, bottom, top, and
+displacement data wins a corner.  At a traction-traction corner the two
+edge rows superpose: the node's normal is the average n = (n1 + n2) /
+|n1 + n2| and each edge's data is weighted by 1 / |n1 + n2|.
+
+Every row of A comes from one stencil-table builder
+(``_Discretization._stencil_rows``).  A node class's table holds weights
+over (row field, column field, stencil slot, node) and a node offset per
+slot, and one ``np.nonzero`` pass emits the class's COO triplets.
+Interior rows collocate the governing systems with a fixed 15-slot
+second-order central table: the value, central d/dx and d/dy, the compact
+[1, -2, 1] second differences and the 4-point cross difference.  Its
+weights (num * c) / den do not depend on the node and are broadcast over
+the interior nodes.  Displacement rows are the identity; their data is
+re-imposed exactly every step.  Traction rows n . T(d/dx) H = F* take 7
+slots per node: the value, three d/dx and three d/dy slots, one-sided
+across the edge and central along it.  They are weighted by the
+normal-contracted traction coefficients.  The formulation is ghost-free.
+Within a row the entries run over column field, then slot, which fixes
+the order in which the CSR conversion sums duplicates.
 
 Every load is a spatial field times a time envelope (the presets'
 ``space(x, y)`` and ``envelope(t) -> (value, rate)``).  Each subsystem
@@ -111,13 +128,21 @@ class InstabilityError(RuntimeError):
     """Unbounded energy growth detected during a run."""
 
 
-EDGES = ("left", "right", "bottom", "top")
-_NORMALS = {
-    "left": (-1.0, 0.0),
-    "right": (1.0, 0.0),
-    "bottom": (0.0, -1.0),
-    "top": (0.0, 1.0),
+# Edge geometry: the grid axis an edge lies across, the index of its node
+# line along that axis (-1 the last) and its outward unit normal.
+EDGE_TABLE = {
+    "left": (0, 0, (-1.0, 0.0)),
+    "right": (0, -1, (1.0, 0.0)),
+    "bottom": (1, 0, (0.0, -1.0)),
+    "top": (1, -1, (0.0, 1.0)),
 }
+EDGES = tuple(EDGE_TABLE)
+
+
+def edge_line(name: str) -> tuple:
+    """Index of edge ``name``'s node line in an (nx, ny, ...) array."""
+    axis, index, _ = EDGE_TABLE[name]
+    return (index, slice(None)) if axis == 0 else (slice(None), index)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +393,32 @@ def assemble(config: ModelConfig) -> DiscreteModel:
 # per-subsystem discretization
 # ---------------------------------------------------------------------------
 
-def _d1_stencil(i: int, n: int, d: float):
-    """Second-order first-derivative stencil offsets/weights along one axis."""
-    if i == 0:
-        return ((0, -1.5 / d), (1, 2.0 / d), (2, -0.5 / d))
-    if i == n - 1:
-        return ((0, 1.5 / d), (-1, -2.0 / d), (-2, 0.5 / d))
-    return ((-1, -0.5 / d), (1, 0.5 / d))
+# The interior stencil table: slot s weights the coefficient of monomial
+# ``term`` (1, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2) by num / den[term] at
+# the node offset (di, dj).  Slots run in term order, as a row's entries
+# must for the duplicate sums of A to stay fixed.
+_INTERIOR_SLOTS = np.array([
+    # term, num, di, dj
+    (0, 1.0, 0, 0),
+    (1, 0.5, 1, 0), (1, -0.5, -1, 0),
+    (2, 0.5, 0, 1), (2, -0.5, 0, -1),
+    (3, 1.0, 1, 0), (3, -2.0, 0, 0), (3, 1.0, -1, 0),
+    (4, 0.25, 1, 1), (4, 0.25, -1, -1), (4, -0.25, 1, -1), (4, -0.25, -1, 1),
+    (5, 1.0, 0, 1), (5, -2.0, 0, 0), (5, 1.0, 0, -1),
+]).T
+
+# Second-order first-derivative stencils along one axis, as node offsets
+# and weights times the spacing: forward at the first node, backward at
+# the last and central elsewhere, where the third slot is empty.
+_D1_OFFSETS = np.array([[0, 1, 2], [0, -1, -2], [-1, 1, 0]])
+_D1_WEIGHTS = np.array([[-1.5, 2.0, -0.5], [1.5, -2.0, 0.5], [-0.5, 0.5, 0.0]])
+
+
+def _d1_slots(i: np.ndarray, n: int, d: float):
+    """(3, N) offsets and weights of d/dx at the node indices i of an
+    n-node axis with spacing d."""
+    side = np.where(i == 0, 0, np.where(i == n - 1, 1, 2))
+    return _D1_OFFSETS[side].T, (_D1_WEIGHTS / d)[side].T
 
 
 class _Discretization:
@@ -395,7 +439,12 @@ class _Discretization:
         self.ndof = self.nf * self.nx * self.ny
 
         self._classify_nodes()
-        self._assemble_matrix()
+        rows, cols, vals = map(np.concatenate, zip(
+            self._stencil_rows(self.interior_nodes, *self._interior_table()),
+            self._stencil_rows(self.dirich_nodes, *self._dirichlet_table()),
+            self._stencil_rows(self.trac_nodes, *self._traction_table())))
+        self.A = sp.coo_matrix((vals, (rows, cols)),
+                               shape=(self.ndof, self.ndof)).tocsr()
         self._factorize_traction()
         self.mass_interior = np.repeat(
             op.mass, self.interior_nodes.size
@@ -404,35 +453,22 @@ class _Discretization:
 
     # -- node bookkeeping --------------------------------------------------
 
-    def _node_index(self, i, j):
-        return i * self.ny + j
-
-    def _gdof(self, f, node):
-        return f * (self.nx * self.ny) + node
-
     def _classify_nodes(self):
         nx, ny = self.nx, self.ny
         kind = np.zeros((nx, ny), dtype=int)  # 0 interior, 1 dirichlet, 2 traction
         normal_raw = np.zeros((nx, ny, 2))    # accumulated edge normals
-        edge_nodes = {
-            "left": [(0, j) for j in range(ny)],
-            "right": [(nx - 1, j) for j in range(ny)],
-            "bottom": [(i, 0) for i in range(nx)],
-            "top": [(i, ny - 1) for i in range(nx)],
-        }
-        for name in EDGES:
+        for name, (_, _, n) in EDGE_TABLE.items():
             tag = 1 if self.bc[name].kind == "clamped" else 2
-            n = _NORMALS[name]
-            for (i, j) in edge_nodes[name]:
-                if kind[i, j] == 1:
-                    continue  # displacement data wins at corners
-                if kind[i, j] == 2 and tag == 2:
-                    # traction-traction corner: superpose the edge rows,
-                    # which averages the normals and halves the data weight
-                    normal_raw[i, j] += np.asarray(n)
-                    continue
-                kind[i, j] = tag
-                normal_raw[i, j] = n
+            line = edge_line(name)
+            k, nr = kind[line], normal_raw[line]  # views of the edge
+            # traction-traction corner: superpose the edge rows, which
+            # averages the normals and weights each edge's data by
+            # 1 / |n1 + n2|
+            corner = (k == 2) & (tag == 2)
+            nr[corner] += n
+            new = (k != 1) & ~corner  # displacement data wins at corners
+            k[new] = tag
+            nr[new] = n
         norm = np.linalg.norm(normal_raw, axis=2)
         norm[norm == 0.0] = 1.0
         self.kind = kind
@@ -440,107 +476,73 @@ class _Discretization:
         # per-node weight applied to each contributing edge's prescribed
         # data so the combined row stays consistent with the averaged normal
         self.trac_weight = 1.0 / norm
-        ii, jj = np.nonzero(kind == 0)
-        self.interior_nodes = self._node_index(ii, jj)
-        self._int_ij = (ii, jj)
-        ii, jj = np.nonzero(kind == 1)
-        self.dirich_nodes = self._node_index(ii, jj)
-        self._dir_ij = (ii, jj)
-        ii, jj = np.nonzero(kind == 2)
-        self.trac_nodes = self._node_index(ii, jj)
-        self._trac_ij = (ii, jj)
+        self.interior_nodes, _, self.interior_dofs = self._nodes_of(0)
+        self.dirich_nodes, self._dir_ij, self.dirich_dofs = self._nodes_of(1)
+        self.trac_nodes, self._trac_ij, self.trac_dofs = self._nodes_of(2)
 
-        nn = self.nx * self.ny
-        self.interior_dofs = (
-            np.arange(self.nf)[:, None] * nn + self.interior_nodes[None, :]
-        ).ravel()
-        self.dirich_dofs = (
-            np.arange(self.nf)[:, None] * nn + self.dirich_nodes[None, :]
-        ).ravel()
-        self.trac_dofs = (
-            np.arange(self.nf)[:, None] * nn + self.trac_nodes[None, :]
-        ).ravel()
+    def _nodes_of(self, tag):
+        """Node indices i * ny + j, their (i, j) and their dofs (field by
+        field) of the nodes of kind ``tag``."""
+        ii, jj = np.nonzero(self.kind == tag)
+        nodes = ii * self.ny + jj
+        dofs = np.arange(self.nf)[:, None] * (self.nx * self.ny) + nodes
+        return nodes, (ii, jj), dofs.ravel()
 
     # -- matrix assembly ----------------------------------------------------
 
-    def _assemble_matrix(self):
-        nx, ny, nf = self.nx, self.ny, self.nf
+    def _stencil_rows(self, node, W, di, dj):
+        """COO triplets (rows, cols, vals) of the rows of the nodes
+        ``node`` (i * ny + j): field r at node k takes W[r, c, s, k] times
+        field c at node k offset by (di[s, k], dj[s, k]) in (i, j).  A last
+        axis of length 1 in W, di and dj applies to every node.  Within a
+        row the entries run over c, then s, the order in which the CSR
+        conversion sums duplicates."""
+        r, c, s, k = np.nonzero(W)
+        if W.shape[-1] == node.size:
+            node = node[k]
+        else:  # node-independent weights and offsets: every node
+            r, c, s, k = (a[:, None] for a in (r, c, s, k))
+        nn = self.nx * self.ny
+        out = np.broadcast_arrays(
+            r * nn + node,
+            c * nn + di[s, k] * self.ny + dj[s, k] + node,
+            W[r, c, s, k])
+        return [a.ravel() for a in out]
+
+    def _interior_table(self):
+        """Central rows of L: node-independent weights (num * c) / den."""
         dx, dy = self.dx, self.dy
-        rows, cols, vals = [], [], []
+        term, num, di, dj = _INTERIOR_SLOTS
+        term, di, dj = (a.astype(int) for a in (term, di, dj))
+        den = np.array([1.0, dx, dy, dx**2, dx * dy, dy**2])[term]
+        W = (num * self.op.active_coeffs[:, :, term]) / den
+        return W[..., None], di[:, None], dj[:, None]
 
-        ii, jj = self._int_ij
-        node = self.interior_nodes
-        C = self.op.active_coeffs
+    def _dirichlet_table(self):
+        """Displacement rows: the identity."""
+        zero = np.zeros((1, 1), dtype=int)
+        return np.eye(self.nf)[:, :, None, None], zero, zero
 
-        def add(r, c, di, dj, w):
-            rows.append(self._gdof(r, node))
-            cols.append(self._gdof(c, self._node_index(ii + di, jj + dj)))
-            vals.append(np.full(node.size, w))
-
-        for r in range(nf):
-            for c in range(nf):
-                c0, c1, c2, c3, c4, c5 = C[r, c]
-                if c0 != 0.0:
-                    add(r, c, 0, 0, c0)
-                if c1 != 0.0:
-                    add(r, c, 1, 0, 0.5 * c1 / dx)
-                    add(r, c, -1, 0, -0.5 * c1 / dx)
-                if c2 != 0.0:
-                    add(r, c, 0, 1, 0.5 * c2 / dy)
-                    add(r, c, 0, -1, -0.5 * c2 / dy)
-                if c3 != 0.0:
-                    add(r, c, 1, 0, c3 / dx**2)
-                    add(r, c, 0, 0, -2.0 * c3 / dx**2)
-                    add(r, c, -1, 0, c3 / dx**2)
-                if c4 != 0.0:
-                    w = 0.25 * c4 / (dx * dy)
-                    add(r, c, 1, 1, w)
-                    add(r, c, -1, -1, w)
-                    add(r, c, 1, -1, -w)
-                    add(r, c, -1, 1, -w)
-                if c5 != 0.0:
-                    add(r, c, 0, 1, c5 / dy**2)
-                    add(r, c, 0, 0, -2.0 * c5 / dy**2)
-                    add(r, c, 0, -1, c5 / dy**2)
-
-        # displacement rows: identity
-        if self.dirich_nodes.size:
-            for f in range(nf):
-                rows.append(self._gdof(f, self.dirich_nodes))
-                cols.append(self._gdof(f, self.dirich_nodes))
-                vals.append(np.ones(self.dirich_nodes.size))
-
-        # traction rows: n . T with one-sided normal stencils
+    def _traction_table(self):
+        """Traction rows n . T: 7 slots per node, the value and three d/dx
+        and three d/dy slots, one-sided across the edge and central along
+        it, weighted by the normal-contracted traction coefficients."""
         ti, tj = self._trac_ij
-        for i, j in zip(ti, tj):
-            nvec = self.normal[i, j]
-            node_ij = self._node_index(i, j)
-            coeffs = np.einsum("rcab,a->rcb", self.tn, nvec)
-            sx = _d1_stencil(i, nx, dx)
-            sy = _d1_stencil(j, ny, dy)
-            for r in range(nf):
-                for c in range(nf):
-                    c0, c1, c2 = coeffs[r, c, 0], coeffs[r, c, 1], coeffs[r, c, 2]
-                    if c0 != 0.0:
-                        rows.append([self._gdof(r, node_ij)])
-                        cols.append([self._gdof(c, node_ij)])
-                        vals.append([c0])
-                    if c1 != 0.0:
-                        for di, w in sx:
-                            rows.append([self._gdof(r, node_ij)])
-                            cols.append([self._gdof(c, self._node_index(i + di, j))])
-                            vals.append([c1 * w])
-                    if c2 != 0.0:
-                        for dj, w in sy:
-                            rows.append([self._gdof(r, node_ij)])
-                            cols.append([self._gdof(c, self._node_index(i, j + dj))])
-                            vals.append([c2 * w])
-
-        rows = np.concatenate([np.asarray(r, dtype=int) for r in rows])
-        cols = np.concatenate([np.asarray(c, dtype=int) for c in cols])
-        vals = np.concatenate([np.asarray(v, dtype=float) for v in vals])
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(self.ndof, self.ndof))
-        self.A = A.tocsr()
+        if ti.size == 0:
+            none = np.zeros((7, 0), dtype=int)
+            return np.zeros((self.nf, self.nf, 7, 0)), none, none
+        # the per-node contraction, made once per distinct normal
+        normals, which = np.unique(self.normal[ti, tj], axis=0,
+                                   return_inverse=True)
+        coeffs = np.stack([np.einsum("rcab,a->rcb", self.tn, n)
+                           for n in normals], axis=-1)[:, :, :, which.ravel()]
+        ox, wx = _d1_slots(ti, self.nx, self.dx)
+        oy, wy = _d1_slots(tj, self.ny, self.dy)
+        W = np.concatenate([coeffs[:, :, :1], coeffs[:, :, 1:2] * wx,
+                            coeffs[:, :, 2:3] * wy], axis=2)
+        z = np.zeros_like(ox)
+        return (W, np.concatenate([z[:1], ox, z]),
+                np.concatenate([z[:1], z, oy]))
 
     @cached_property
     def static_factor(self) -> "_StaticFactor":
@@ -633,12 +635,12 @@ class _Discretization:
         """(mask, values) over the nodes ii, jj of every ``kind`` edge with
         data under ``edge_data_key``."""
         x, y = self.X[ii, jj], self.Y[ii, jj]
-        for name in EDGES:
+        for name, (axis, index, _) in EDGE_TABLE.items():
             ebc = self.bc[name]
             fdata = getattr(ebc, edge_data_key) if edge_data_key else None
             if ebc.kind != kind or fdata is None:
                 continue
-            mask = _edge_mask(name, ii, jj, self.nx, self.ny)
+            mask = (ii, jj)[axis] == range((self.nx, self.ny)[axis])[index]
             if np.any(mask):
                 yield mask, np.asarray(fdata(x[mask], y[mask]))
 
@@ -651,16 +653,6 @@ class _Discretization:
         if self.trac_dofs.size:
             Lh += A_IT @ h[self.trac_dofs]
         return Lh
-
-
-def _edge_mask(name, ii, jj, nx, ny):
-    if name == "left":
-        return ii == 0
-    if name == "right":
-        return ii == nx - 1
-    if name == "bottom":
-        return jj == 0
-    return jj == ny - 1
 
 
 # ---------------------------------------------------------------------------
@@ -1096,11 +1088,9 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     beyond ten times the initial energy plus the accumulated external work
     (of the loads and of the Dirichlet lift).
     """
-    if not t_final > 0.0:
-        raise ConfigError(f"t_final must be positive, got {t_final}")
+    t_final = checked_number("t_final", t_final, positive=True)
     bound = stable_dt(model)
-    if dt is None:
-        dt = bound
+    dt = bound if dt is None else checked_number("dt", dt, positive=True)
     n_steps = max(1, math.ceil(t_final / dt))
     dt = t_final / n_steps
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiscreteModel
+from .dynamics import EDGE_TABLE, DiscreteModel, edge_line
 from .plate_constitutive import (
     plate_energy_density,
     stress_from_kinematics,
@@ -157,6 +157,9 @@ class HPRFunctional:
         for name, ebc in model.bc.items():
             if ebc.kind != "traction":
                 continue
+            line = edge_line(name)
+            x, y = model.X[line], model.Y[line]
+            ds = (model.dy, model.dx)[EDGE_TABLE[name][0]]  # spacing along it
             for key, picker in (
                 ("flex_data", PlateKinematics.flexural),
                 ("ext_data", PlateKinematics.extensional),
@@ -164,9 +167,8 @@ class HPRFunctional:
                 data = getattr(ebc, key)
                 if data is None:
                     continue
-                x, y, fields, ds_len = _edge_values(model, name, state.u, picker)
-                presc = np.asarray(data(x, y))
-                total += float(np.sum(presc * fields)) * ds_len
+                fields = picker(state.u)[(slice(None),) + line]
+                total += float(np.sum(np.asarray(data(x, y)) * fields)) * ds
         return total
 
     def _kinetic_part(self, state: HPRState) -> float:
@@ -219,27 +221,6 @@ class HPRFunctional:
             curv = abs(self.second_difference(state, d))
         num = abs(self.directional_derivative(state, d))
         return num / np.sqrt(max(curv, floor) * max(u_ref, floor))
-
-
-def _edge_values(model, name, u, picker):
-    block = picker(u)
-    if name == "left":
-        vals = block[:, 0, :]
-        x, y = model.X[0], model.Y[0]
-        ds = model.dy
-    elif name == "right":
-        vals = block[:, -1, :]
-        x, y = model.X[-1], model.Y[-1]
-        ds = model.dy
-    elif name == "bottom":
-        vals = block[:, :, 0]
-        x, y = model.X[:, 0], model.Y[:, 0]
-        ds = model.dx
-    else:
-        vals = block[:, :, -1]
-        x, y = model.X[:, -1], model.Y[:, -1]
-        ds = model.dx
-    return x, y, vals, ds
 
 
 def hpr_functional(model: DiscreteModel, state: HPRState, t: float = 0.0) -> float:

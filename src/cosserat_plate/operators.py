@@ -154,10 +154,6 @@ class TractionOperator:
         return np.einsum("rcab,a,b->rc", self.flex, np.asarray(n, dtype=float),
                          monomial_basis(xi1, xi2))
 
-    def ext_symbol(self, xi1, xi2, n) -> np.ndarray:
-        return np.einsum("rcab,a,b->rc", self.ext, np.asarray(n, dtype=float),
-                         monomial_basis(xi1, xi2))
-
     def flex_load_part(self, loads, n):
         """n . (load part of the flexural resultants), rows 1..6."""
         tc = self.tc

@@ -10,7 +10,7 @@ immutable; operations on them are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,24 +171,8 @@ class LoadSet:
     t: np.ndarray | float = 0.0
 
     @classmethod
-    def from_faces(cls, sigma_top, sigma_bot, mu_top=0.0, mu_bot=0.0) -> "LoadSet":
-        """p = s^t - s^b, sigma0 = (s^t+s^b)/2, v = (m^t-m^b)/2, t = (m^t+m^b)/2."""
-        return cls(
-            p=sigma_top - sigma_bot,
-            sigma0=0.5 * (sigma_top + sigma_bot),
-            v=0.5 * (mu_top - mu_bot),
-            t=0.5 * (mu_top + mu_bot),
-        )
-
-    @classmethod
     def zero(cls) -> "LoadSet":
         return cls()
-
-    def is_zero(self) -> bool:
-        return all(
-            np.all(np.asarray(getattr(self, f.name)) == 0.0)
-            for f in dc_fields(self)
-        )
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,33 @@ def test_malformed_number_is_config_error(config_file, tmp_path, capsys,
     assert "configuration error" in err and where in err
 
 
+@pytest.mark.parametrize("kind", ["velocty", "Displacement", 1])
+def test_unknown_initial_kind_is_config_error(config_file, tmp_path, capsys,
+                                              kind):
+    """"kind": "velocty" used to start the plate displaced and exit 0."""
+    path = _edited_config(config_file, tmp_path,
+                          lambda c: c.update(initial={"kind": kind}))
+    assert run(["simulate", "--config", path,
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "initial kind" in err
+
+
+@pytest.mark.parametrize("kind,moving", [("velocity", True),
+                                         ("displacement", False)])
+def test_initial_kind_sets_velocity_or_displacement(config_file, tmp_path,
+                                                    kind, moving):
+    path = _edited_config(config_file, tmp_path, lambda c: c.update(
+        loads={}, initial={"kind": kind}))
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", path, "--out", str(out)]) == 0
+    lines = (out / "energy_log.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    first = dict(zip(header, map(float, lines[2].split(","))))
+    assert (first["kinetic"] > 0.0) == moving
+    assert (first["strain"] > 0.0) != moving
+
+
 def test_unknown_key_in_material_file_is_config_error(config_file, tmp_path,
                                                      capsys):
     """A misspelt "rho" used to leave the density at its default of 0."""

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_material
 import scipy.sparse.linalg as spla
@@ -80,6 +81,117 @@ class TestAssemble:
                                "bottom": "clamped", "top": "traction"})
         assert model.flex_d.trac_nodes.size > 0
         assert model.flex_d.dirich_nodes.size > 0
+
+
+def per_node_matrix(d):
+    """Oracle: A assembled monomial by monomial on the interior and node by
+    node, field pair by field pair, on the traction boundary."""
+    nx, ny, nf, dx, dy = d.nx, d.ny, d.nf, d.dx, d.dy
+    nn = nx * ny
+    rows, cols, vals = [], [], []
+
+    def d1(i, n, h):
+        if i == 0:
+            return ((0, -1.5 / h), (1, 2.0 / h), (2, -0.5 / h))
+        if i == n - 1:
+            return ((0, 1.5 / h), (-1, -2.0 / h), (-2, 0.5 / h))
+        return ((-1, -0.5 / h), (1, 0.5 / h))
+
+    node = d.interior_nodes
+    ii, jj = np.divmod(node, ny)
+
+    def add(r, c, di, dj, w):
+        rows.append(r * nn + node)
+        cols.append(c * nn + (ii + di) * ny + jj + dj)
+        vals.append(np.full(node.size, w))
+
+    for r in range(nf):
+        for c in range(nf):
+            c0, c1, c2, c3, c4, c5 = d.op.active_coeffs[r, c]
+            if c0 != 0.0:
+                add(r, c, 0, 0, c0)
+            if c1 != 0.0:
+                add(r, c, 1, 0, 0.5 * c1 / dx)
+                add(r, c, -1, 0, -0.5 * c1 / dx)
+            if c2 != 0.0:
+                add(r, c, 0, 1, 0.5 * c2 / dy)
+                add(r, c, 0, -1, -0.5 * c2 / dy)
+            if c3 != 0.0:
+                add(r, c, 1, 0, c3 / dx**2)
+                add(r, c, 0, 0, -2.0 * c3 / dx**2)
+                add(r, c, -1, 0, c3 / dx**2)
+            if c4 != 0.0:
+                w = 0.25 * c4 / (dx * dy)
+                add(r, c, 1, 1, w)
+                add(r, c, -1, -1, w)
+                add(r, c, 1, -1, -w)
+                add(r, c, -1, 1, -w)
+            if c5 != 0.0:
+                add(r, c, 0, 1, c5 / dy**2)
+                add(r, c, 0, 0, -2.0 * c5 / dy**2)
+                add(r, c, 0, -1, c5 / dy**2)
+    for f in range(nf):
+        rows.append(f * nn + d.dirich_nodes)
+        cols.append(f * nn + d.dirich_nodes)
+        vals.append(np.ones(d.dirich_nodes.size))
+    for i, j in zip(*d._trac_ij):
+        coeffs = np.einsum("rcab,a->rcb", d.tn, d.normal[i, j])
+        sx, sy = d1(i, nx, dx), d1(j, ny, dy)
+        for r in range(nf):
+            for c in range(nf):
+                c0, c1, c2 = coeffs[r, c, 0], coeffs[r, c, 1], coeffs[r, c, 2]
+                terms = ([(0, 0, c0)] if c0 != 0.0 else []) + (
+                    [(di, 0, c1 * w) for di, w in sx] if c1 != 0.0 else []) + (
+                    [(0, dj, c2 * w) for dj, w in sy] if c2 != 0.0 else [])
+                for di, dj, w in terms:
+                    rows.append([r * nn + i * ny + j])
+                    cols.append([c * nn + (i + di) * ny + j + dj])
+                    vals.append([w])
+    rows = np.concatenate([np.asarray(r, dtype=int) for r in rows])
+    cols = np.concatenate([np.asarray(c, dtype=int) for c in cols])
+    vals = np.concatenate([np.asarray(v, dtype=float) for v in vals])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(d.ndof, d.ndof)).tocsr()
+
+
+BC_PATTERNS = {
+    "clamped": dict(ALL_CLAMPED),
+    "right-top-traction": {"left": "clamped", "right": "traction",
+                           "bottom": "clamped", "top": "traction"},
+    "cantilever": {"left": "clamped", "right": "traction",
+                   "bottom": "traction", "top": "traction"},
+    "all-traction": dict(ALL_TRACTION),
+}
+
+
+class TestStencilRows:
+    """Interior, Dirichlet and traction rows come from one stencil table
+    and one row builder; A stays bitwise the per-node assembly."""
+
+    @pytest.mark.parametrize("nx, ny, b", [(9, 9, 1.0), (17, 17, 1.0),
+                                           (9, 13, 0.7)],
+                             ids=["9x9", "17x17", "9x13"])
+    @pytest.mark.parametrize("pattern", list(BC_PATTERNS))
+    def test_bitwise_equal_to_per_node_assembly(self, pattern, nx, ny, b):
+        model = make_model(nx=nx, ny=ny, b=b, bc=BC_PATTERNS[pattern])
+        for d in (model.flex_d, model.ext_d):
+            want = per_node_matrix(d)
+            for name in ("indptr", "indices", "data"):
+                got, ref = getattr(d.A, name), getattr(want, name)
+                assert got.dtype == ref.dtype, (d.name, name)
+                assert got.tobytes() == ref.tobytes(), (d.name, name)
+
+    def test_node_kinds_at_corners(self):
+        """Displacement data wins a corner; two traction edges share it
+        with the averaged normal and half the data weight each."""
+        d = make_model(bc=BC_PATTERNS["cantilever"]).flex_d
+        assert d.kind[0, 0] == d.kind[0, -1] == 1
+        assert d.kind[-1, 0] == d.kind[-1, -1] == 2
+        s = 1.0 / np.sqrt(2.0)
+        assert np.array_equal(d.normal[-1, -1], [s, s])
+        assert np.array_equal(d.normal[-1, 0], [s, -s])
+        assert d.trac_weight[-1, -1] == 1.0 / np.sqrt(2.0)
+        assert np.array_equal(d.normal[4, -1], [0.0, 1.0])
+        assert d.trac_weight[4, -1] == 1.0
 
 
 class TestStableDt:
@@ -376,6 +488,18 @@ class TestStaticFactor:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_bad_dt(self, dt):
+        """dt = -0.1 used to run one step of dt = 1.0 and only warn."""
+        with pytest.raises(ConfigError, match="dt must be"):
+            simulate(make_model(), t_final=1.0, dt=dt)
+
+    @pytest.mark.parametrize("t_final", [0.0, float("nan"), float("inf")])
+    def test_rejects_bad_t_final(self, t_final):
+        """t_final = inf used to end in an OverflowError."""
+        with pytest.raises(ConfigError, match="t_final must be"):
+            simulate(make_model(), t_final=t_final)
+
     def test_zero_run_flat_energy(self):
         model = make_model()
         traj = simulate(model, t_final=0.1, snapshot_every=2)

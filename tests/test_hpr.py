@@ -3,6 +3,7 @@ import pytest
 
 from cosserat_plate.dynamics import (
     ConstantLoad,
+    EdgeBC,
     LoadFunctions,
     ModelConfig,
     assemble,
@@ -116,3 +117,35 @@ def test_kinetic_bilinear_term_enters():
     )) * model.cell_area
     assert F.value(with_acc) - F.value(st) == pytest.approx(dens_expected,
                                                             rel=1e-7)
+
+
+def test_boundary_part_is_the_per_edge_traction_work():
+    """Prescribed-traction work summed edge by edge: the data times the
+    edge's node values, times the node spacing along that edge."""
+    def flex_data(x, y):
+        return np.stack([np.sin(k + x) * (1.0 + y) for k in range(6)])
+
+    def ext_data(x, y):
+        return np.stack([np.cos(k + 2.0 * y) - x for k in range(3)])
+
+    mat = material_from_technical(E=1.0, nu=0.3, N=0.35, l_t=0.05, l_b=0.06,
+                                  Psi=0.9, rho=1.0, J=(0.2, 0.2, 0.2))
+    bc = {"left": "clamped", "bottom": "clamped",
+          "right": EdgeBC("traction", flex_data=flex_data, ext_data=ext_data),
+          "top": EdgeBC("traction", flex_data=flex_data)}
+    model = assemble(ModelConfig(material=mat, h=0.1, a=1.0, b=1.0, nx=9,
+                                 ny=13, bc=bc))
+    assert model.dx != model.dy
+    rng = np.random.default_rng(7)
+    u = PlateKinematics(**{n: rng.standard_normal((model.nx, model.ny))
+                           for n in KINEMATIC_FIELDS})
+    X, Y = model.X, model.Y
+    flex, ext = u.flexural(), u.extensional()
+    terms = [  # in the order of the bc: right (flexural, extensional), top
+        float(np.sum(flex_data(X[-1], Y[-1]) * flex[:, -1, :])) * model.dy,
+        float(np.sum(ext_data(X[-1], Y[-1]) * ext[:, -1, :])) * model.dy,
+        float(np.sum(flex_data(X[:, -1], Y[:, -1]) * flex[:, :, -1])) * model.dx,
+    ]
+    got = HPRFunctional(model)._boundary_part(
+        HPRState(u=u, s=zero_state(model).s))
+    assert got == sum(terms) != 0.0
