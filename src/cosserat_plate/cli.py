@@ -12,6 +12,7 @@ configuration or validation failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from .dispersion import (
     cutoff_frequencies,
     default_wavevectors,
     dispersion_curves,
+    stacked_frequencies,
     wavevector_magnitudes,
 )
 from .dynamics import (
@@ -317,9 +319,14 @@ def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
     dcfg = cfg.get("dispersion", {})
     directions = dcfg.get("directions", [[1, 0], [0, 1], [1, 1]])
     with_modes = dcfg.get("modes", False)
+    if not isinstance(with_modes, bool):
+        raise ConfigError(f"'dispersion.modes' must be true or false, "
+                          f"got {with_modes!r}")
+    sampling = (checked_number("'dispersion.k_min'", dcfg.get("k_min", 1e-2)),
+                checked_number("'dispersion.k_max'", dcfg.get("k_max", 1e2)),
+                checked_number("'dispersion.n'", dcfg.get("n", 60),
+                               integer=True))
     try:
-        sampling = (float(dcfg.get("k_min", 1e-2)),
-                    float(dcfg.get("k_max", 1e2)), int(dcfg.get("n", 60)))
         mags = wavevector_magnitudes(*sampling)
         xi = default_wavevectors(directions, *sampling)
     except (TypeError, ValueError) as exc:
@@ -333,12 +340,11 @@ def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
         results.append((label, mags, res.flexural[rows], res.extensional[rows]))
         if with_modes:
             modes_payload[label] = {
-                "xi_mag": mags.tolist(),
-                "flexural_modes_real": np.real(res.flexural_modes[rows]).tolist(),
-                "flexural_modes_imag": np.imag(res.flexural_modes[rows]).tolist(),
+                "xi_mag": mags,
+                "flexural_modes_real": np.real(res.flexural_modes[rows]),
+                "flexural_modes_imag": np.imag(res.flexural_modes[rows]),
             }
-    io_utils.write_dispersion(out / "dispersion.csv", cfg_hash, directions,
-                              results)
+    io_utils.write_dispersion(out / "dispersion.csv", cfg_hash, results)
     cut_f = cutoff_frequencies(flex)
     cut_e = cutoff_frequencies(ext)
     io_utils.write_summary(out / "dispersion_summary.json", cfg_hash, {
@@ -384,34 +390,34 @@ def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
     lts = _numbers("'sweep.l_t'", sw.get("l_t", [0.05]))
     lbs = _numbers("'sweep.l_b'", sw.get("l_b", [0.05]))
     psis = _numbers("'sweep.Psi'", sw.get("Psi", [1.0]))
+    points, flexes, exts = [], [], []
+    for point in itertools.product(Ns, lts, lbs, psis):
+        Nval, lt, lb, psi = point
+        try:
+            mat = material_from_technical(E=E, nu=nu, N=Nval, l_t=lt, l_b=lb,
+                                          Psi=psi, rho=rho, J=J)
+            tc = technical_constants(mat, h)
+        except MaterialError as exc:
+            print(f"skip N={Nval} l_t={lt} l_b={lb} Psi={psi}: {exc}")
+            continue
+        inertia = inertia_constants(mat, h)
+        points.append(point)
+        flexes.append(build_flexural(tc, inertia))
+        exts.append(build_extensional(tc, inertia))
     rows = []
-    for Nval in Ns:
-        for lt in lts:
-            for lb in lbs:
-                for psi in psis:
-                    try:
-                        mat = material_from_technical(
-                            E=E, nu=nu, N=Nval, l_t=lt, l_b=lb, Psi=psi,
-                            rho=rho, J=J,
-                        )
-                        tc = technical_constants(mat, h)
-                    except MaterialError as exc:
-                        print(f"skip N={Nval} l_t={lt} l_b={lb} Psi={psi}: {exc}")
-                        continue
-                    inertia = inertia_constants(mat, h)
-                    flex = build_flexural(tc, inertia)
-                    ext = build_extensional(tc, inertia)
-                    cf = cutoff_frequencies(flex)
-                    ce = cutoff_frequencies(ext)
-                    res = dispersion_curves(flex, ext, [[k_mag, 0.0]])
-                    for b, w in enumerate(cf.frequencies):
-                        rows.append([Nval, lt, lb, psi, "flexural_cutoff", b, w])
-                    for b, w in enumerate(ce.frequencies):
-                        rows.append([Nval, lt, lb, psi, "extensional_cutoff", b, w])
-                    for b in range(6):
-                        rows.append([Nval, lt, lb, psi,
-                                     f"flexural_omega@k={k_mag}", b,
-                                     res.flexural[0, b]])
+    if points:
+        names = ["N={} l_t={} l_b={} Psi={}".format(*p) for p in points]
+        cut_f = stacked_frequencies(flexes, (0.0, 0.0), True, names)
+        cut_e = stacked_frequencies(exts, (0.0, 0.0), True, names)
+        omega_f = stacked_frequencies(flexes, (k_mag, 0.0), False, names)
+        # solved for its checks only, as dispersion_curves does
+        stacked_frequencies(exts, (k_mag, 0.0), False, names)
+        for point, cf, ce, wf in zip(points, cut_f, cut_e, omega_f):
+            rows += [[*point, "flexural_cutoff", b, w] for b, w in enumerate(cf)]
+            rows += [[*point, "extensional_cutoff", b, w]
+                     for b, w in enumerate(ce)]
+            rows += [[*point, f"flexural_omega@k={k_mag}", b, w]
+                     for b, w in enumerate(wf)]
     io_utils.write_csv(out / "sweep.csv", cfg_hash,
                        ["N", "l_t", "l_b", "Psi", "quantity", "branch", "value"],
                        rows)

@@ -5,12 +5,16 @@ becomes the generalized Hermitian-definite eigenproblem
 
     A(k) v = w^2 M v,      A(k) = -L(i k),
 
-with M the diagonal inertia.  ``wave_eigensystem`` solves it for all
-wavevectors at once, as the stack M^-1/2 A M^-1/2 in one numpy call, and
-returns M-normalised modes.  For admissible materials A(k) is positive
-semidefinite, so all branches are real; a non-Hermitian A(k) or a
-significantly negative eigenvalue signals a broken (non-conservative)
-operator table and raises, naming the first offending wavevector.
+with M the diagonal inertia.  ``solve_wave_matrices`` solves it for a
+whole stack of matrices A, each with its own M, as M^-1/2 A M^-1/2 in one
+numpy call, and returns M-normalised modes.  Two callers build the stack:
+``wave_eigensystem`` from one operator at many wavevectors (the dispersion
+curves and the cutoffs), and ``stacked_frequencies`` from many operators,
+one per material, at one wavevector (the parameter sweep).  For admissible
+materials A(k) is positive semidefinite, so all branches are real; a
+non-Hermitian A(k) or a significantly negative eigenvalue signals a broken
+(non-conservative) operator table and raises, naming the first offending
+wavevector or material.
 
 Phase rule: the first component of a mode within a relative 1e-8 of its
 largest in magnitude is made real and positive, so that components equal
@@ -53,26 +57,53 @@ def wave_eigensystem(op, xi, with_modes: bool = False):
     if not np.all(np.isfinite(xi)):
         raise ValueError("wavevectors must be finite")
     A = wave_matrices(op.active_coeffs, xi)
+    return solve_wave_matrices(A, np.broadcast_to(op.mass, A.shape[:2]),
+                               with_modes,
+                               lambda i: f"k=({xi[i, 0]}, {xi[i, 1]})")
+
+
+def solve_wave_matrices(A, mass, with_modes: bool, where):
+    """``wave_eigensystem`` for a stack of plane-wave matrices A (n, m, m)
+    with one diagonal inertia per row, ``mass`` (n, m): A v = w^2 M v
+    through M^-1/2 A M^-1/2, with ``eigh`` when ``with_modes`` and
+    ``eigvalsh`` otherwise (the two can differ in the last bits).
+    ``where(i)`` names row i in the errors it raises.
+    """
     scale = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1.0)
     asym = np.max(np.abs(A - np.conj(np.swapaxes(A, 1, 2))), axis=(1, 2))
     if np.any(asym > 1e-12 * scale):
         i = np.argmax(asym > 1e-12 * scale)
         raise NonConservativeSymbolError(
-            f"wave matrix not Hermitian at k=({xi[i, 0]}, {xi[i, 1]}):"
+            f"wave matrix not Hermitian at {where(i)}:"
             f" asymmetry {asym[i]:.3e} (operator table inconsistent)")
-    msqrt = 1.0 / np.sqrt(op.mass)
-    B = msqrt[:, None] * A * msqrt
+    msqrt = 1.0 / np.sqrt(mass)
+    B = msqrt[:, :, None] * A * msqrt[:, None, :]
     if with_modes:
         w2, vecs = np.linalg.eigh(B)
-        modes = _fix_phase(msqrt[:, None] * vecs)
+        modes = _fix_phase(msqrt[:, :, None] * vecs)
     else:
         w2, modes = np.linalg.eigvalsh(B), None
-    floor = NEGATIVE_TOL * np.maximum(scale / np.min(op.mass), 1.0)
+    floor = NEGATIVE_TOL * np.maximum(scale / np.min(mass, axis=1), 1.0)
     if np.any(w2[:, 0] < floor):
         i = np.argmax(w2[:, 0] < floor)
         raise NonConservativeSymbolError(
-            f"negative squared frequency {w2[i, 0]:.3e} at k=({xi[i, 0]}, {xi[i, 1]})")
+            f"negative squared frequency {w2[i, 0]:.3e} at {where(i)}")
     return w2, modes
+
+
+def stacked_frequencies(ops, xi, with_modes: bool, names) -> np.ndarray:
+    """Angular frequencies (p, m) of p operators of one subsystem, one per
+    material, at the one wavevector ``xi``, in one stacked eigensolve.
+
+    ``with_modes`` solves as ``cutoff_frequencies`` does, otherwise as
+    ``dispersion_curves`` does; errors name operator i by ``names[i]``.
+    """
+    xi = np.asarray(xi, dtype=float)
+    A = wave_matrices(np.stack([op.active_coeffs for op in ops]), [xi])[:, 0]
+    w2, _ = solve_wave_matrices(
+        A, np.stack([op.mass for op in ops]), with_modes,
+        lambda i: f"{names[i]}, k=({xi[0]}, {xi[1]})")
+    return np.sqrt(np.clip(w2, 0.0, None))
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:

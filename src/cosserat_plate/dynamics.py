@@ -152,7 +152,10 @@ def edge_line(name: str) -> tuple:
 def checked_number(where: str, value, *, integer: bool = False,
                    positive: bool = False):
     """``value`` as a finite float (an int with ``integer``, one > 0 with
-    ``positive``); anything else is a ConfigError naming ``where``."""
+    ``positive``); anything else, and a bool where an int is wanted, is a
+    ConfigError naming ``where``."""
+    if integer and isinstance(value, bool):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError):

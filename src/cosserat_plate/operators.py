@@ -45,7 +45,8 @@ def _symbol_value(coeffs: np.ndarray, xi1, xi2):
 
 
 def wave_matrices(coeffs: np.ndarray, xi) -> np.ndarray:
-    """A(k) = -L(i k) at every row k of ``xi`` (n, 2): shape (n, m, m).
+    """A(k) = -L(i k) at every row k of ``xi`` (n, 2): shape (n, m, m), or
+    (..., n, m, m) for a stack of tables ``coeffs`` (..., m, m, 6).
 
     For a conservative table each A(k) is Hermitian.
     """
@@ -53,7 +54,7 @@ def wave_matrices(coeffs: np.ndarray, xi) -> np.ndarray:
     real = monomial_basis(xi[:, 0], xi[:, 1])
     # at (i k1, i k2) the first-degree monomials gain i, the second-degree -1
     basis = np.concatenate([real[:1], 1j * real[1:3], -real[3:]])
-    return -np.einsum("rcm,mk->krc", coeffs, basis)
+    return -np.einsum("...rcm,mk->...krc", coeffs, basis)
 
 
 class _SymbolMethods:

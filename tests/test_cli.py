@@ -1,12 +1,22 @@
+import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cosserat_plate import cli, verification
 from cosserat_plate.cli import run
-from cosserat_plate import verification
-from cosserat_plate.io_utils import config_hash
+from cosserat_plate.dispersion import cutoff_frequencies, dispersion_curves
+from cosserat_plate.io_utils import config_hash, write_csv
+from cosserat_plate.material import (
+    MaterialError,
+    material_from_technical,
+    technical_constants,
+)
+from cosserat_plate.operators import build_extensional, build_flexural
+from cosserat_plate.plate_fields import inertia_constants
 
 
 @pytest.fixture
@@ -124,14 +134,21 @@ def test_unknown_section_key_is_config_error(config_file, tmp_path, capsys,
     {"dispersion": {"k_min": 10, "k_max": 1}},
     {"dispersion": {"k_max": float("inf")}},
     {"dispersion": {"n": 0}},
+    {"dispersion": {"n": 12.7}},
+    {"dispersion": {"n": True}},
+    {"dispersion": {"modes": "false"}},
+    {"dispersion": {"modes": 1}},
     {"sweep": {"xi_mag": float("nan")}},
     {"sweep": {"xi_mag": float("inf")}},
 ], ids=["zero-direction", "nan-direction", "three-components", "not-pairs",
         "no-directions", "negative-k_min", "zero-k_min", "k_min-above-k_max",
-        "infinite-k_max", "n-zero", "nan-xi_mag", "infinite-xi_mag"])
+        "infinite-k_max", "n-zero", "n-fraction", "n-bool", "modes-text",
+        "modes-int", "nan-xi_mag", "infinite-xi_mag"])
 def test_bad_plane_wave_input_is_config_error(config_file, tmp_path, capsys,
                                               section):
-    """A zero direction or a negative k_min used to end in a traceback."""
+    """A zero direction or a negative k_min used to end in a traceback; a
+    fractional or boolean n was truncated, and "modes": "false" wrote the
+    mode file."""
     command = next(iter(section))
     path = _edited_config(config_file, tmp_path, lambda c: c.update(section))
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -165,6 +182,8 @@ def _sinusoidal(**kw):
     ("simulate", lambda c: c["time"].update(dt=-0.1), "'time.dt'"),
     ("simulate", lambda c: c["time"].update(snapshot_every=2.5),
      "'time.snapshot_every'"),
+    ("simulate", lambda c: c["time"].update(snapshot_every=True),
+     "'time.snapshot_every'"),
     ("simulate", lambda c: c.update(initial={"amplitude": "x"}),
      "'initial.amplitude'"),
     ("sweep", lambda c: c.update(sweep={"N": ["x"]}), "'sweep.N'"),
@@ -175,7 +194,7 @@ def _sinusoidal(**kw):
 ], ids=["nx-text", "nx-fraction", "h-text", "material-text", "amplitude-text",
         "amplitude-nan", "width-zero", "tau-zero", "center-text",
         "kx-fraction", "ly-zero", "t_final-text", "dt-text", "dt-negative",
-        "snapshot_every-fraction", "initial-text", "sweep-N-text",
+        "snapshot_every-fraction", "snapshot_every-bool", "initial-text", "sweep-N-text",
         "sweep-E-text", "sweep-J-short"])
 def test_malformed_number_is_config_error(config_file, tmp_path, capsys,
                                           command, edit, where):
@@ -314,6 +333,85 @@ def test_sweep_output(config_file, tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[1].startswith("N,l_t,l_b,Psi,quantity")
     assert len(lines) > 10
+
+
+def per_material_sweep(path, cfg_hash, sweep):
+    """Oracle: sweep.csv built one material at a time from
+    cutoff_frequencies and dispersion_curves."""
+    base = sweep["base"]
+    rows = []
+    for point in itertools.product(sweep["N"], sweep["l_t"], sweep["l_b"],
+                                   sweep["Psi"]):
+        N, lt, lb, psi = point
+        try:
+            mat = material_from_technical(E=base["E"], nu=base["nu"], N=N,
+                                          l_t=lt, l_b=lb, Psi=psi,
+                                          rho=base["rho"], J=base["J"])
+            tc = technical_constants(mat, base["h"])
+        except MaterialError:
+            continue
+        inertia = inertia_constants(mat, base["h"])
+        flex = build_flexural(tc, inertia)
+        ext = build_extensional(tc, inertia)
+        res = dispersion_curves(flex, ext, [[sweep["xi_mag"], 0.0]])
+        rows += [[*point, "flexural_cutoff", b, w]
+                 for b, w in enumerate(cutoff_frequencies(flex).frequencies)]
+        rows += [[*point, "extensional_cutoff", b, w]
+                 for b, w in enumerate(cutoff_frequencies(ext).frequencies)]
+        rows += [[*point, f"flexural_omega@k={sweep['xi_mag']}", b, w]
+                 for b, w in enumerate(res.flexural[0])]
+    write_csv(path, cfg_hash,
+              ["N", "l_t", "l_b", "Psi", "quantity", "branch", "value"], rows)
+
+
+_SWEEP_BASE = {"E": 1.0, "nu": 0.3, "rho": 1.0, "J": [0.1, 0.2, 0.3], "h": 0.1}
+
+
+@pytest.mark.parametrize("grid,skipped", [
+    ({"N": [0.1, 1.5, 0.4], "l_t": [0.03, 0.07], "l_b": [0.05],
+      "Psi": [0.6, 1.2]}, 4),
+    ({"N": [0.3], "l_t": [0.05], "l_b": [0.06], "Psi": [0.8]}, 0),
+    ({"N": [1.5, 2.0], "l_t": [0.05], "l_b": [0.05], "Psi": [1.0]}, 2),
+], ids=["one-inadmissible", "one-material", "all-skipped"])
+def test_sweep_bytes_equal_per_material_oracle(tmp_path, capsys, grid,
+                                               skipped):
+    sweep = dict(grid, xi_mag=1.7, base=_SWEEP_BASE)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": sweep}))
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("skip N=") == skipped
+    cfg_hash = config_hash(json.loads(path.read_text()))
+    per_material_sweep(tmp_path / "oracle.csv", cfg_hash, sweep)
+    assert (out / "sweep.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("entry,message", [
+    ((0, 5, 0), "not Hermitian"),           # breaks the symbol's symmetry
+    ((2, 2), "negative squared frequency"),  # W stiffens the wrong way
+])
+def test_sweep_non_conservative_table_names_material(tmp_path, capsys,
+                                                     monkeypatch, entry,
+                                                     message):
+    def broken_at_n03(tc, inertia):
+        op = build_flexural(tc, inertia)
+        if abs(tc.N - 0.3) > 1e-9:
+            return op
+        coeffs = op.coeffs.copy()
+        coeffs[entry] *= -1.0
+        return dataclasses.replace(op, coeffs=coeffs)
+
+    monkeypatch.setattr(cli, "build_flexural", broken_at_n03)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": {
+        "N": [0.1, 0.3, 0.5], "l_t": [0.05], "l_b": [0.06], "Psi": [0.8],
+        "xi_mag": 1.0, "base": _SWEEP_BASE}}))
+    assert run(["sweep", "--config", str(path),
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "solver failure" in err and message in err
+    assert "N=0.3 l_t=0.05 l_b=0.06 Psi=0.8" in err
 
 
 def test_paper_literal_flag_changes_solution(config_file, tmp_path):

@@ -1,4 +1,9 @@
+import json
+
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cosserat_plate import io_utils
 from cosserat_plate.dynamics import DiscreteState, ModelConfig, assemble
@@ -37,5 +42,108 @@ def test_snapshot_bytes_equal_per_value_writer(tmp_path):
                           ext_vel=np.zeros_like(ext))
     io_utils.write_snapshot(tmp_path / "new.csv", "cafe", model, state=state)
     per_value_snapshot(tmp_path / "old.csv", "cafe", model, state)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+
+
+def json_dump_summary(path, cfg_hash, payload):
+    """Oracle: the summary written by the json module's encoder."""
+    payload = dict(payload, version=io_utils.__version__,
+                   config_sha256=cfg_hash)
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True,
+                  default=io_utils._json_default)
+        f.write("\n")
+
+
+def assert_summary_matches_json(tmp_path, payload):
+    io_utils.write_summary(tmp_path / "new.json", "cafe", payload)
+    json_dump_summary(tmp_path / "old.json", "cafe", payload)
+    assert (tmp_path / "new.json").read_bytes() == \
+        (tmp_path / "old.json").read_bytes()
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+def test_summary_bytes_equal_json_dump(tmp_path):
+    rng = np.random.default_rng(7)
+    specials = np.array(SPECIAL)
+    payload = {
+        # strings a template writer could mistake for its own slots or
+        # for non-finite numbers
+        "config": {"name": "\u0001%r%s[]", "note": "nan inf NaN Infinity",
+                   "n": 3, "grid": [1, 2.5, None, True]},
+        "empty": np.zeros(0), "one": np.array([0.1]),
+        "specials": specials, "matrix": rng.standard_normal((4, 3)),
+        "stack": np.where(rng.random((3, 2, 4)) < 0.3,
+                          specials[rng.integers(0, 6, (3, 2, 4))],
+                          rng.standard_normal((3, 2, 4))),
+        "empty_rows": np.zeros((2, 0)), "empty_stack": np.zeros((0, 3, 3)),
+        "float32": np.float32(0.1), "float64": np.float64(-0.0),
+        "float32s": np.array([0.1, np.nan, -np.inf], dtype=np.float32),
+        "int": np.int64(-3), "ints": np.arange(6).reshape(2, 3),
+        "scalar_array": np.array(2.5),
+        "nested": {"modes": {"xi_mag": rng.random(5) * 10.0**rng.integers(
+            -320, 300, 5)}, "": {}, "list": []},
+        # more values than one formatted chunk holds, and a row that
+        # alone exceeds a chunk
+        "long": rng.standard_normal(io_utils._CHUNK_VALUES + 7),
+        "modes": rng.standard_normal((300, 6, 6)),
+        "wide": rng.standard_normal((2, io_utils._CHUNK_VALUES + 1)),
+        "views": np.real(rng.standard_normal((5, 3, 3))
+                         + 1j * rng.standard_normal((5, 3, 3))),
+    }
+    assert_summary_matches_json(tmp_path, payload)
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+_LEAVES = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3,
+                                            min_side=0, max_side=4),
+               elements=_FLOATS),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2,
+                                          min_side=0, max_side=3)),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**62, 2**62).map(np.int64),
+    st.text(), st.none(), st.booleans(), st.integers(), st.lists(_FLOATS),
+)
+_PAYLOADS = st.dictionaries(st.text(max_size=4), st.recursive(
+    _LEAVES, lambda tree: st.dictionaries(st.text(max_size=4), tree,
+                                          max_size=3), max_leaves=8),
+    max_size=5)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_PAYLOADS)
+def test_summary_bytes_equal_json_dump_random(tmp_path, payload):
+    assert_summary_matches_json(tmp_path, payload)
+
+
+def row_per_value_dispersion(path, cfg_hash, results):
+    """Oracle: the dispersion table built as one list per row."""
+    rows = []
+    for label, mags, flex, ext in results:
+        for i, k in enumerate(mags):
+            for b in range(flex.shape[1]):
+                rows.append([label, k, b, flex[i, b], "flexural"])
+            for b in range(ext.shape[1]):
+                rows.append([label, k, b, ext[i, b], "extensional"])
+    io_utils.write_csv(path, cfg_hash,
+                       ["direction", "xi_mag", "branch", "omega", "subsystem"],
+                       rows)
+
+
+def test_dispersion_bytes_equal_per_row_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    n = io_utils._CHUNK_VALUES // 9 + 5  # more than one formatted chunk
+    flex = rng.standard_normal((n, 6)) * 10.0**rng.integers(-300, 300, (n, 6))
+    flex[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
+    results = [("1:0", rng.random(n), flex, rng.random((n, 3))),
+               ("1.5:-1", np.zeros(0), np.zeros((0, 6)), np.zeros((0, 3))),
+               ("1%s:0", rng.random(2), rng.random((2, 6)), rng.random((2, 3)))]
+    io_utils.write_dispersion(tmp_path / "new.csv", "cafe", results)
+    row_per_value_dispersion(tmp_path / "old.csv", "cafe", results)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "old.csv").read_bytes()
