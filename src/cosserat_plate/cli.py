@@ -404,7 +404,7 @@ def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
         points.append(point)
         flexes.append(build_flexural(tc, inertia))
         exts.append(build_extensional(tc, inertia))
-    rows = []
+    quantities = []
     if points:
         names = ["N={} l_t={} l_b={} Psi={}".format(*p) for p in points]
         cut_f = stacked_frequencies(flexes, (0.0, 0.0), True, names)
@@ -412,16 +412,12 @@ def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
         omega_f = stacked_frequencies(flexes, (k_mag, 0.0), False, names)
         # solved for its checks only, as dispersion_curves does
         stacked_frequencies(exts, (k_mag, 0.0), False, names)
-        for point, cf, ce, wf in zip(points, cut_f, cut_e, omega_f):
-            rows += [[*point, "flexural_cutoff", b, w] for b, w in enumerate(cf)]
-            rows += [[*point, "extensional_cutoff", b, w]
-                     for b, w in enumerate(ce)]
-            rows += [[*point, f"flexural_omega@k={k_mag}", b, w]
-                     for b, w in enumerate(wf)]
-    io_utils.write_csv(out / "sweep.csv", cfg_hash,
-                       ["N", "l_t", "l_b", "Psi", "quantity", "branch", "value"],
-                       rows)
-    print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
+        quantities = [("flexural_cutoff", cut_f),
+                      ("extensional_cutoff", cut_e),
+                      (f"flexural_omega@k={k_mag}", omega_f)]
+    io_utils.write_sweep(out / "sweep.csv", cfg_hash, points, quantities)
+    n_rows = len(points) * sum(values.shape[1] for _, values in quantities)
+    print(f"wrote {n_rows} sweep rows to {out / 'sweep.csv'}")
     return 0
 
 

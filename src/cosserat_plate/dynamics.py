@@ -50,20 +50,33 @@ its single-state velocity form: with M hdd = L h - f,
     v+ = v + dt/2 * a(h);  h' = h + dt * v+;  v' = v+ + dt/2 * a(h'),
 
 which is algebraically the classic two-level central-difference update and
-shares its conserved shadow energy.  The kernel (``_Subsystem`` and
-``_leapfrog_step``) advances flat interior vectors only: positions u,
-velocities w and accelerations a on the interior dofs of each subsystem.
-The end-of-step acceleration a(h') is the next step's starting a(h)
-("first same as last"), so each step costs one interior matvec and one
-envelope-weighted sum of the load terms per subsystem.  The interior rows
-are split by column into an interior block and Dirichlet and traction
-boundary blocks; the Dirichlet lift (boundary block times the
-time-independent data) is formed once per run.  Traction boundary values
-are quasi-static: inside every acceleration the boundary block is solved
-from the traction rows for the current u (one sparse factorization,
-reused).  Traction boundary velocities, from the time-differentiated
-constraint, feed nothing back into the interior update and are solved only
-when a ``DiscreteState`` is built, at snapshots and at the end of a run.
+shares its conserved shadow energy.  The kernel (``_Kernel``) advances
+both subsystems at once on stacked interior vectors, flexural first:
+positions u, velocities w and accelerations a on the interior dofs, with
+one slice per subsystem.  The interior rows of the two subsystems are
+stacked once per model (``_InteriorStack``) into the block diagonal B of
+their interior blocks, which keeps every row's entries in their order in
+A, and one stacked mass vector.  A step is four vector updates and one
+matvec,
+
+    w += dt/2 * a;  u += dt * w;  Lu = B u (+ lift);  a = (Lu - F(t)) / m;
+    w += dt/2 * a,
+
+and the end-of-step acceleration, with its half kick dt/2 * a, is the next
+step's start ("first same as last").  The interior rows are split by column
+into the interior block and Dirichlet and traction boundary blocks; each
+subsystem's Dirichlet lift (boundary block times the time-independent
+data) and its load terms are built once per model (``_forcing``).  Load
+envelope sums, traction solves and energy and work dot products are formed
+per subsystem on its slice, so the kernel's arithmetic is that of two
+separate subsystems.  Traction
+boundary values are quasi-static: inside every acceleration the boundary
+block is solved from the traction rows for the current u (one sparse
+factorization, reused).  Traction boundary velocities, from the
+time-differentiated constraint, feed nothing back into the interior update
+and are solved only when a ``DiscreteState`` is built, at snapshots and at
+the end of a run.  ``stable_dt``'s power iterations, one per subsystem,
+run in lockstep through the same stacked matvec.
 
 Energy bookkeeping uses the discrete quadratic forms of the scheme itself:
 kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - A_ID g) over the
@@ -351,6 +364,12 @@ class DiscreteModel:
     def sample_loads(self, t: float) -> LoadSet:
         return self.config.loads.sample(self.X, self.Y, t)
 
+    @cached_property
+    def interior_stack(self) -> "_InteriorStack":
+        """Both subsystems' interior rows, stacked for the explicit kernel,
+        built on first use: static solves never need them."""
+        return _InteriorStack(self)
+
 
 def assemble(config: ModelConfig) -> DiscreteModel:
     """Validate the configuration and build the discrete model."""
@@ -553,16 +572,6 @@ class _Discretization:
         repeat static solves never refactor and dynamic runs never pay."""
         return _StaticFactor(self)
 
-    @cached_property
-    def interior_blocks(self):
-        """Interior rows of A split by column into the interior, Dirichlet
-        and traction blocks (A_II, A_ID, A_IT), so the explicit kernel works
-        on interior vectors and hoists the Dirichlet lift A_ID g.  Built on
-        first use: static solves never need them."""
-        A_int = self.A[self.interior_dofs]
-        return (A_int[:, self.interior_dofs], A_int[:, self.dirich_dofs],
-                A_int[:, self.trac_dofs])
-
     def _factorize_traction(self):
         if self.trac_dofs.size == 0:
             self.trac_lu = None
@@ -646,16 +655,6 @@ class _Discretization:
             mask = (ii, jj)[axis] == range((self.nx, self.ny)[axis])[index]
             if np.any(mask):
                 yield mask, np.asarray(fdata(x[mask], y[mask]))
-
-    def interior_apply(self, h: np.ndarray) -> np.ndarray:
-        """Interior rows of L h for a full-grid vector h."""
-        A_II, A_ID, A_IT = self.interior_blocks
-        Lh = A_II @ h[self.interior_dofs]
-        if self.dirich_dofs.size:
-            Lh += A_ID @ h[self.dirich_dofs]
-        if self.trac_dofs.size:
-            Lh += A_IT @ h[self.trac_dofs]
-        return Lh
 
 
 # ---------------------------------------------------------------------------
@@ -871,148 +870,273 @@ def stable_dt(model: DiscreteModel, iterations: int = 300, seed: int = 0) -> flo
     """
     key = ("stable_dt", iterations, seed)
     if key not in model._cache:
-        w2 = max(
-            _power_iteration(model.flex_d, iterations, seed),
-            _power_iteration(model.ext_d, iterations, seed + 1),
-        )
+        w2 = max(_power_iteration(model, iterations, seed))
         model._cache[key] = 0.9 * 2.0 / math.sqrt(max(w2, 1e-300))
     return model._cache[key]
 
 
-def _power_iteration(d: _Discretization, iterations: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d.interior_dofs.size)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    homogeneous = _Subsystem(d, None)
+def _power_iteration(model: DiscreteModel, iterations: int,
+                     seed: int) -> list:
+    """|Rayleigh quotient| of M^-1 K per subsystem after ``iterations``
+    power steps, the flexural one started from ``seed`` and the extensional
+    one from ``seed + 1``.  The two run in lockstep through the homogeneous
+    kernel's stacked matvec; each keeps its own quotient and norm on its
+    slice, and one whose iterate vanishes stays at zero."""
+    kernel = _Kernel(model, homogeneous=True)
+    v = np.empty(kernel.mass.size)
+    for p in kernel.parts:
+        rng = np.random.default_rng(seed + p.k)
+        v[p.s] = rng.standard_normal(p.s.stop - p.s.start)
+        v[p.s] /= np.linalg.norm(v[p.s])
+    lam = [0.0] * len(kernel.parts)
     for _ in range(iterations):
-        w = -homogeneous.acceleration(v, 0.0)
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return abs(lam)
+        w = -kernel.acceleration(v, 0.0)
+        for p in kernel.parts:
+            lam[p.k] = float(v[p.s] @ w[p.s])
+            nw = np.linalg.norm(w[p.s])
+            if nw != 0.0:
+                w[p.s] /= nw
+        v = w
+    return [abs(x) for x in lam]
 
 
-class _Subsystem:
-    """One subsystem's interior state in the explicit kernel.
+class _InteriorStack:
+    """The interior rows of both subsystems, stacked flexural first.
 
-    ``u``, ``w`` and ``a`` are the positions, velocities and accelerations
-    on the interior dofs.  The Dirichlet data ``g``, its lifts into the
-    interior and traction rows and the prescribed traction data do not
-    depend on time and are formed once; the loads enter through the
-    discretization's load terms, weighted by their envelopes.  ``Lu`` and
-    ``hT`` keep the interior rows of L h and the traction boundary values
-    of the last acceleration evaluated.  ``key`` None means homogeneous
-    boundary data and no loads.
+    ``B`` is the block diagonal of the two interior blocks A_II in CSR form,
+    each row's entries in their order in A, so ``B @ u`` forms every row sum
+    exactly as ``A_II @ u`` does.  ``mass`` stacks the interior masses,
+    ``slices`` holds each subsystem's range of the stacked vectors and
+    ``boundary`` its Dirichlet and traction column blocks (A_ID, A_IT).
+    Built once per model, on first use (``DiscreteModel.interior_stack``);
+    no per-subsystem A_II is kept beside it.
     """
 
-    def __init__(self, d: _Discretization, key):
-        self.d = d
-        self.presets, self.F, self.T = d.load_terms
-        if key is None:
-            self.presets, self.F, self.T = (), self.F[:0], self.T[:0]
-        self.A_II, A_ID, self.A_IT = d.interior_blocks
-        self.g = d.dirichlet_values(key)
-        lifted = bool(np.any(self.g))
-        self.lift = A_ID @ self.g if lifted else None
-        if d.trac_lu is not None:
-            self.trac_lift = d.A_TD @ self.g if lifted else None
-            self.trac_data = d.traction_values(key)
+    def __init__(self, model: DiscreteModel):
+        self.ds = (model.flex_d, model.ext_d)
+        # the columns are sliced first: their blocks are small
+        self.boundary = [(d.A[:, d.dirich_dofs][d.interior_dofs],
+                          d.A[:, d.trac_dofs][d.interior_dofs])
+                         for d in self.ds]
+        # B's rows are A's interior rows restricted to the interior columns,
+        # their entries taken straight from A's arrays in their order there:
+        # building each A_II first would double the memory the stack needs
+        # while it is built.  An interior row's columns are interior,
+        # Dirichlet or traction, which gives each row's count.
+        counts = np.concatenate([
+            np.diff(d.A.indptr)[d.interior_dofs] - np.diff(A_ID.indptr)
+            - np.diff(A_IT.indptr)
+            for d, (A_ID, A_IT) in zip(self.ds, self.boundary)])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        n = nnz = 0
+        for d in self.ds:
+            interior = np.zeros(d.ndof, dtype=bool)
+            interior[d.interior_dofs] = True
+            keep = (np.repeat(interior, np.diff(d.A.indptr))
+                    & interior[d.A.indices])
+            end = nnz + int(np.count_nonzero(keep))
+            data[nnz:end] = d.A.data[keep]
+            column = np.cumsum(interior, dtype=np.int32) + (n - 1)
+            indices[nnz:end] = column[d.A.indices[keep]]
+            n += d.interior_dofs.size
+            nnz = end
+        self.B = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        self.mass = np.concatenate([d.mass_interior for d in self.ds])
+        ends = np.cumsum([0] + [d.interior_dofs.size for d in self.ds])
+        self.slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
 
-    def start(self, h: np.ndarray, v: np.ndarray, t: float) -> None:
-        """Take u and w from full-grid vectors and a(t) from h with its
-        boundary values as given; every later acceleration re-imposes g
-        and re-solves the traction block."""
-        d = self.d
-        self.u = h[d.interior_dofs]
-        self.w = v[d.interior_dofs]
-        self.hT = h[d.trac_dofs]
-        self.a = self.acceleration_from(d.interior_apply(h), t)
+    def apply(self, hs) -> np.ndarray:
+        """Stacked interior rows of L h for the full-grid flat vectors
+        ``hs`` (flexural, extensional)."""
+        Lh = self.B @ np.concatenate(
+            [h[d.interior_dofs] for d, h in zip(self.ds, hs)])
+        for d, h, s, (A_ID, A_IT) in zip(self.ds, hs, self.slices,
+                                         self.boundary):
+            if d.dirich_dofs.size:
+                Lh[s] += A_ID @ h[d.dirich_dofs]
+            if d.trac_dofs.size:
+                Lh[s] += A_IT @ h[d.trac_dofs]
+        return Lh
 
-    def acceleration(self, u: np.ndarray, t: float) -> np.ndarray:
-        """M^-1 (L h - F) on the interior rows at time t, where h is u on
-        the interior, g on Gamma_u and the traction solve on Gamma_sigma."""
-        d = self.d
-        Lu = self.A_II @ u
-        if self.lift is not None:
-            Lu += self.lift
-        if d.trac_lu is not None:
-            rest = d.A_TI @ u
-            if self.trac_lift is not None:
-                rest += self.trac_lift
-            fstar = self.trac_data + _envelope_sum(self.presets, self.T, t)
-            self.hT = d.trac_lu.solve(fstar - rest)
-            Lu += self.A_IT @ self.hT
-        return self.acceleration_from(Lu, t)
 
-    def acceleration_from(self, Lu: np.ndarray, t: float) -> np.ndarray:
-        """M^-1 (L h - F) from the interior rows of L h, kept in ``Lu``."""
-        self.Lu = Lu
-        if self.presets:
-            Lu = Lu - _envelope_sum(self.presets, self.F, t)
-        return Lu / self.d.mass_interior
+@dataclass(frozen=True)
+class _Forcing:
+    """What drives one subsystem in the explicit kernel, with its index
+    ``k`` and slice ``s`` of the stacked vectors and its traction column
+    block.  The Dirichlet data ``g``, its lifts into the interior and
+    traction rows (None when g is zero) and the prescribed traction data
+    do not depend on time; the loads enter through the load terms ``F`` and
+    ``T`` of ``presets``, weighted by their envelopes."""
+
+    d: _Discretization
+    k: int
+    s: slice
+    A_IT: sp.csr_matrix
+    presets: tuple
+    F: np.ndarray
+    T: np.ndarray
+    g: np.ndarray
+    lift: np.ndarray | None
+    trac_lift: np.ndarray | None
+    trac_data: np.ndarray | None
 
     def force(self, t: float) -> np.ndarray:
         """The interior force at time t that the strain form leaves out:
-        the Dirichlet lift A_ID g minus the load vector F."""
+        the Dirichlet lift A_ID g minus the load vector."""
         f = -_envelope_sum(self.presets, self.F, t)
         if self.lift is not None:
             f += self.lift
         return f
 
-    def grid_vectors(self, t: float):
-        """Full-grid positions and velocities; the traction boundary
-        velocities are solved from the time-differentiated constraint."""
-        d = self.d
-        h = np.zeros(d.ndof)
-        v = np.zeros(d.ndof)
-        h[d.interior_dofs] = self.u
-        v[d.interior_dofs] = self.w
-        h[d.dirich_dofs] = self.g
-        if d.trac_lu is not None:
-            h[d.trac_dofs] = self.hT
-            rate = _envelope_sum(self.presets, self.T, t, part=1)
-            v[d.trac_dofs] = d.trac_lu.solve(rate - d.A_TI @ self.w)
-        shape = (d.nf, d.nx, d.ny)
-        return h.reshape(shape), v.reshape(shape)
+
+def _forcing(model: DiscreteModel, homogeneous: bool) -> tuple:
+    """Both subsystems' ``_Forcing``, built once per model: with the
+    model's boundary data and loads, or (``homogeneous``) with neither."""
+    key = ("forcing", homogeneous)
+    if key not in model._cache:
+        stack = model.interior_stack
+        parts = []
+        for k, (d, data_key) in enumerate(((model.flex_d, "flex_data"),
+                                           (model.ext_d, "ext_data"))):
+            presets, F, T = d.load_terms
+            if homogeneous:
+                data_key, presets, F, T = None, (), F[:0], T[:0]
+            A_ID, A_IT = stack.boundary[k]
+            g = d.dirichlet_values(data_key)
+            lifted = bool(np.any(g))
+            traction = d.trac_lu is not None
+            parts.append(_Forcing(
+                d=d, k=k, s=stack.slices[k], A_IT=A_IT, presets=presets,
+                F=F, T=T, g=g, lift=A_ID @ g if lifted else None,
+                trac_lift=d.A_TD @ g if traction and lifted else None,
+                trac_data=d.traction_values(data_key) if traction else None))
+        model._cache[key] = tuple(parts)
+    return model._cache[key]
 
 
-def _subsystems(model: DiscreteModel, state: DiscreteState) -> list:
-    """Both subsystems' kernel state, started from a grid state."""
-    parts = []
-    for d, key, h, v in (
-        (model.flex_d, "flex_data", state.flex, state.flex_vel),
-        (model.ext_d, "ext_data", state.ext, state.ext_vel),
-    ):
-        p = _Subsystem(d, key)
-        p.start(np.asarray(h, dtype=float).reshape(-1),
-                np.asarray(v, dtype=float).reshape(-1), state.time)
-        parts.append(p)
-    return parts
+class _Kernel:
+    """Both subsystems' interior state in the explicit kernel.
 
-
-def _leapfrog_step(parts: list, t0: float, dt: float) -> float:
-    """Advance every subsystem one step from t0 and return t0 + dt.
-
-    Each part enters holding a(t0) and leaves holding a(t0 + dt), which the
-    next step reuses as its starting acceleration.
+    ``u``, ``w`` and ``a`` stack the positions, velocities and
+    accelerations on the interior dofs of both subsystems, flexural first.
+    ``Lu`` keeps the interior rows of L h of the last acceleration
+    evaluated and ``hT`` each subsystem's traction boundary values.  One
+    stacked matvec serves both subsystems; load sums, traction solves and
+    energy terms are formed per subsystem on its slice.
     """
-    half = 0.5 * dt
-    t1 = t0 + dt
-    for p in parts:
-        p.w += half * p.a
-        p.u += dt * p.w
-        p.a = p.acceleration(p.u, t1)
-        p.w += half * p.a
-    return t1
 
+    def __init__(self, model: DiscreteModel, homogeneous: bool = False):
+        self.stack = model.interior_stack
+        self.B, self.mass = self.stack.B, self.stack.mass
+        self.parts = _forcing(model, homogeneous)
+        self.lifted = [p for p in self.parts if p.lift is not None]
+        self.loaded = [p for p in self.parts if p.presets]
+        self.traction = [p for p in self.parts if p.d.trac_lu is not None]
+        self.hT = [None] * len(self.parts)
+        self.matvecs = 0
 
-def _grid_state(parts: list, t: float, warn: bool) -> DiscreteState:
-    (flex, flex_vel), (ext, ext_vel) = (p.grid_vectors(t) for p in parts)
-    return DiscreteState(flex=flex, ext=ext, flex_vel=flex_vel,
-                         ext_vel=ext_vel, time=t, stability_warning=warn)
+    def start(self, state: DiscreteState) -> "_Kernel":
+        """Take u and w from a grid state and a(t) from its fields with
+        their boundary values as given; every later acceleration re-imposes
+        g and re-solves the traction block."""
+        hs = [np.asarray(h, dtype=float).reshape(-1)
+              for h in (state.flex, state.ext)]
+        vs = [np.asarray(v, dtype=float).reshape(-1)
+              for v in (state.flex_vel, state.ext_vel)]
+        self.u = np.concatenate([h[p.d.interior_dofs]
+                                 for p, h in zip(self.parts, hs)])
+        self.w = np.concatenate([v[p.d.interior_dofs]
+                                 for p, v in zip(self.parts, vs)])
+        self.hT = [h[p.d.trac_dofs] for p, h in zip(self.parts, hs)]
+        self.matvecs += 1
+        self.a = self._acceleration_from(self.stack.apply(hs), state.time)
+        self.kick_dt = None
+        return self
+
+    def acceleration(self, u: np.ndarray, t: float) -> np.ndarray:
+        """M^-1 (L h - F) on the stacked interior rows at time t, where h is
+        u on the interior, g on Gamma_u and the traction solve on
+        Gamma_sigma."""
+        Lu = self.B @ u
+        self.matvecs += 1
+        for p in self.lifted:
+            Lu[p.s] += p.lift
+        for p in self.traction:
+            d = p.d
+            rest = d.A_TI @ u[p.s]
+            if p.trac_lift is not None:
+                rest += p.trac_lift
+            fstar = p.trac_data + _envelope_sum(p.presets, p.T, t)
+            self.hT[p.k] = d.trac_lu.solve(fstar - rest)
+            Lu[p.s] += p.A_IT @ self.hT[p.k]
+        return self._acceleration_from(Lu, t)
+
+    def _acceleration_from(self, Lu: np.ndarray, t: float) -> np.ndarray:
+        """M^-1 (L h - F) from the interior rows of L h, kept in ``Lu``."""
+        self.Lu = Lu
+        if not self.loaded:
+            return Lu / self.mass
+        a = Lu.copy()
+        for p in self.loaded:
+            a[p.s] -= _envelope_sum(p.presets, p.F, t)
+        a /= self.mass
+        return a
+
+    def advance(self, t0: float, dt: float) -> float:
+        """One leapfrog step from t0; returns t0 + dt.  The kernel enters
+        holding a(t0) and leaves holding a(t0 + dt), which the next step
+        reuses as its starting acceleration, and with it the half kick
+        dt/2 * a when dt is unchanged."""
+        half = 0.5 * dt
+        t1 = t0 + dt
+        if self.kick_dt != dt:
+            self.kick = half * self.a
+        self.w += self.kick
+        self.u += dt * self.w
+        self.a = self.acceleration(self.u, t1)
+        self.kick = half * self.a
+        self.kick_dt = dt
+        self.w += self.kick
+        return t1
+
+    def energies(self, dA: float):
+        """Kinetic and interior strain energy, the strain from the L h of
+        the last acceleration less the Dirichlet lift, which is a force
+        (``_Forcing.force``): -0.5 u.A_II u with clamped edges."""
+        ke = 0.0
+        ue = 0.0
+        for p in self.parts:
+            u, w = self.u[p.s], self.w[p.s]
+            ke += 0.5 * float(w @ (self.mass[p.s] * w)) * dA
+            uLu = float(u @ self.Lu[p.s])
+            if p.lift is not None:
+                uLu -= float(u @ p.lift)
+            ue += -0.5 * uLu * dA
+            # the quasi-static traction boundary's own strain is excluded
+        return ke, ue
+
+    def grid_state(self, t: float, warn: bool) -> DiscreteState:
+        """The full-grid state at time t; the traction boundary velocities
+        are solved from the time-differentiated constraint."""
+        fields = []
+        for p in self.parts:
+            d = p.d
+            h = np.zeros(d.ndof)
+            v = np.zeros(d.ndof)
+            h[d.interior_dofs] = self.u[p.s]
+            v[d.interior_dofs] = self.w[p.s]
+            h[d.dirich_dofs] = p.g
+            if d.trac_lu is not None:
+                h[d.trac_dofs] = self.hT[p.k]
+                rate = _envelope_sum(p.presets, p.T, t, part=1)
+                v[d.trac_dofs] = d.trac_lu.solve(rate - d.A_TI @ self.w[p.s])
+            shape = (d.nf, d.nx, d.ny)
+            fields += [h.reshape(shape), v.reshape(shape)]
+        flex, flex_vel, ext, ext_vel = fields
+        return DiscreteState(flex=flex, ext=ext, flex_vel=flex_vel,
+                             ext_vel=ext_vel, time=t, stability_warning=warn)
 
 
 def step(state: DiscreteState, model: DiscreteModel, dt: float) -> DiscreteState:
@@ -1023,8 +1147,8 @@ def step(state: DiscreteState, model: DiscreteModel, dt: float) -> DiscreteState
     the stability bound only flags the returned state, it does not raise.
     """
     warn = state.stability_warning or dt > stable_dt(model) * (1.0 + 1e-12)
-    parts = _subsystems(model, state)
-    return _grid_state(parts, _leapfrog_step(parts, state.time, dt), warn)
+    kernel = _Kernel(model).start(state)
+    return kernel.grid_state(kernel.advance(state.time, dt), warn)
 
 
 @dataclass
@@ -1048,22 +1172,6 @@ class EnergyLog:
     def as_arrays(self) -> dict:
         return {k: np.asarray(getattr(self, k)) for k in
                 ("t", "kinetic", "strain", "external_work", "total")}
-
-
-def _energies(parts: list, dA: float):
-    """Kinetic and interior strain energy of the kernel state, the strain
-    from the L h of the last acceleration less the Dirichlet lift, which is
-    a force (``_Subsystem.force``): -0.5 u.A_II u with clamped edges."""
-    ke = 0.0
-    ue = 0.0
-    for p in parts:
-        ke += 0.5 * float(p.w @ (p.d.mass_interior * p.w)) * dA
-        uLu = float(p.u @ p.Lu)
-        if p.lift is not None:
-            uLu -= float(p.u @ p.lift)
-        ue += -0.5 * uLu * dA
-        # the quasi-static traction boundary's own strain is excluded
-    return ke, ue
 
 
 @dataclass
@@ -1099,40 +1207,43 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
 
     state = initial if initial is not None else DiscreteState.zero(model)
     warn = state.stability_warning or dt > bound * (1.0 + 1e-12)
-    parts = _subsystems(model, state)
-    # parts on which a force does work: loads or a Dirichlet lift
-    worked = [p for p in parts if p.presets or p.lift is not None]
+    kernel = _Kernel(model).start(state)
+    # subsystems on which a force does work: loads or a Dirichlet lift
+    worked = [p for p in kernel.parts if p.presets or p.lift is not None]
     dA = model.cell_area
 
     energy = EnergyLog()
     t = state.time
-    ke, ue = _energies(parts, dA)
+    ke, ue = kernel.energies(dA)
     w_ext = 0.0
     energy.append(t, ke, ue, w_ext)
     e0 = ke + ue
     states = [state]
     times = [t]
+    checks = 0
 
     for k in range(1, n_steps + 1):
-        w_prev = [p.w.copy() for p in worked]
+        w_prev = [kernel.w[p.s].copy() for p in worked]
         t_mid = t + 0.5 * dt
-        t = _leapfrog_step(parts, t, dt)
+        t = kernel.advance(t, dt)
         # midpoint power of the applied force, A_ID g - F in the convention
         # A_II u + A_ID g - F = M udd
         for p, w0 in zip(worked, w_prev):
-            w_ext += dt * float(p.force(t_mid) @ (0.5 * (w0 + p.w))) * dA
+            w_ext += dt * float(p.force(t_mid)
+                                @ (0.5 * (w0 + kernel.w[p.s]))) * dA
 
         record = bool(snapshot_every) and k % snapshot_every == 0
         if k == n_steps or record:
-            ke, ue = _energies(parts, dA)
+            ke, ue = kernel.energies(dA)
             energy.append(t, ke, ue, w_ext)
-            states.append(_grid_state(parts, t, warn))
+            states.append(kernel.grid_state(t, warn))
             times.append(t)
         elif abort_on_instability and k % GUARD_EVERY == 0:
-            ke, ue = _energies(parts, dA)
+            ke, ue = kernel.energies(dA)
         else:
             continue
         if abort_on_instability:
+            checks += 1
             budget = abs(e0) + abs(w_ext) + 1e-300
             if not np.isfinite(ke + ue) or (ke + ue) > 10.0 * budget + 10.0 * abs(e0):
                 raise InstabilityError(
@@ -1140,5 +1251,8 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
                     f"t={t:.3e} (initial {e0:.3e}, external work "
                     f"{w_ext:.3e}); dt={dt:.3e} vs stability bound {bound:.3e}"
                 )
+    _log.debug("simulate: %d steps, %d matvecs, %d guard checks, "
+               "%d snapshots, dt=%.6e, stability bound=%.6e", n_steps,
+               kernel.matvecs, checks, len(states) - 1, dt, bound)
     return Trajectory(times=times, states=states, energy=energy, dt=dt,
                       n_steps=n_steps)

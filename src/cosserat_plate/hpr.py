@@ -131,14 +131,15 @@ class HPRFunctional:
 
     def _displacement_part(self, u: PlateKinematics) -> float:
         model = self.model
+        stack = model.interior_stack
+        hs = [np.ascontiguousarray(block, dtype=float).ravel()
+              for block in (u.flexural(), u.extensional())]
+        Lh = stack.apply(hs)
         total = 0.0
-        for d, block, f in (
-            (model.flex_d, u.flexural(), self._f_flex),
-            (model.ext_d, u.extensional(), self._f_ext),
-        ):
-            h = np.ascontiguousarray(block, dtype=float).ravel()
+        for d, s, h, f in zip(stack.ds, stack.slices, hs,
+                              (self._f_flex, self._f_ext)):
             hI = h[d.interior_dofs]
-            total += (-0.5 * float(hI @ d.interior_apply(h)) + float(f @ hI))
+            total += (-0.5 * float(hI @ Lh[s]) + float(f @ hI))
         return total * model.cell_area
 
     def _stress_part(self, state: HPRState) -> float:
@@ -151,7 +152,9 @@ class HPRFunctional:
         return float(np.sum(phi0)) * self.model.cell_area
 
     def _boundary_part(self, state: HPRState) -> float:
-        """Prescribed-traction work on Gamma_sigma (zero data contributes 0)."""
+        """Prescribed-traction work on Gamma_sigma (zero data contributes
+        0), integrated along each edge by the trapezoid rule: weight ds at
+        every node, ds/2 at the edge's two end nodes."""
         model = self.model
         total = 0.0
         for name, ebc in model.bc.items():
@@ -160,6 +163,8 @@ class HPRFunctional:
             line = edge_line(name)
             x, y = model.X[line], model.Y[line]
             ds = (model.dy, model.dx)[EDGE_TABLE[name][0]]  # spacing along it
+            trapezoid = np.ones(x.size)
+            trapezoid[[0, -1]] = 0.5
             for key, picker in (
                 ("flex_data", PlateKinematics.flexural),
                 ("ext_data", PlateKinematics.extensional),
@@ -168,7 +173,8 @@ class HPRFunctional:
                 if data is None:
                     continue
                 fields = picker(state.u)[(slice(None),) + line]
-                total += float(np.sum(np.asarray(data(x, y)) * fields)) * ds
+                total += float(np.sum(np.asarray(data(x, y)) * fields
+                                      * trapezoid)) * ds
         return total
 
     def _kinetic_part(self, state: HPRState) -> float:

@@ -92,6 +92,28 @@ def write_dispersion(path, cfg_hash: str, results) -> None:
                  lines())
 
 
+def write_sweep(path, cfg_hash: str, points, quantities) -> None:
+    """One row per material point, quantity and branch: the point's
+    (N, l_t, l_b, Psi), the quantity's label, the branch and its value.
+    ``quantities`` is a list of (label, values (len(points), branches)),
+    empty when there are no points."""
+    lines = ()
+    if quantities:
+        # one template per point: every quantity's branches in turn
+        row = "".join(f"%.17g,%.17g,%.17g,%.17g,{label.replace('%', '%%')},"
+                      f"{_fmt(b)},%.17g\n"
+                      for label, values in quantities
+                      for b in range(values.shape[1]))
+        values = np.hstack([values for _, values in quantities])
+        table = np.empty(values.shape + (5,))
+        table[:, :, :4] = np.reshape(points, (-1, 1, 4))
+        table[:, :, 4] = values
+        lines = _formatted(table.reshape(len(table), -1), row)
+    _write_lines(path, cfg_hash,
+                 ["N", "l_t", "l_b", "Psi", "quantity", "branch", "value"],
+                 lines)
+
+
 def _formatted(rows: np.ndarray, row_template: str, sep: str = ""):
     """The rows of the 2-D float array ``rows``, each through the
     %-template ``row_template`` and joined by ``sep``, as a stream of

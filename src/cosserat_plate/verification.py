@@ -369,9 +369,10 @@ def lowest_flexural_mode(model):
     """Fundamental flexural eigenmode of the constrained discrete system."""
     import scipy.sparse as sp
 
-    d = model.flex_d
-    K = (-d.interior_blocks[0]).tocsc()
-    M = sp.diags(np.asarray(d.mass_interior))
+    stack = model.interior_stack
+    s = stack.slices[0]
+    K = (-stack.B[s, s]).tocsc()
+    M = sp.diags(stack.mass[s])
     w2, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM")
     return float(np.sqrt(max(w2[0], 0.0))), vecs[:, 0]
 

@@ -121,7 +121,8 @@ def test_kinetic_bilinear_term_enters():
 
 def test_boundary_part_is_the_per_edge_traction_work():
     """Prescribed-traction work summed edge by edge: the data times the
-    edge's node values, times the node spacing along that edge."""
+    edge's node values, by the trapezoid rule along that edge (the node
+    spacing, halved at the edge's two end nodes)."""
     def flex_data(x, y):
         return np.stack([np.sin(k + x) * (1.0 + y) for k in range(6)])
 
@@ -141,11 +142,34 @@ def test_boundary_part_is_the_per_edge_traction_work():
                            for n in KINEMATIC_FIELDS})
     X, Y = model.X, model.Y
     flex, ext = u.flexural(), u.extensional()
+    wy, wx = np.ones(model.ny), np.ones(model.nx)
+    wy[[0, -1]] = wx[[0, -1]] = 0.5
     terms = [  # in the order of the bc: right (flexural, extensional), top
-        float(np.sum(flex_data(X[-1], Y[-1]) * flex[:, -1, :])) * model.dy,
-        float(np.sum(ext_data(X[-1], Y[-1]) * ext[:, -1, :])) * model.dy,
-        float(np.sum(flex_data(X[:, -1], Y[:, -1]) * flex[:, :, -1])) * model.dx,
+        float(np.sum(flex_data(X[-1], Y[-1]) * flex[:, -1, :] * wy))
+        * model.dy,
+        float(np.sum(ext_data(X[-1], Y[-1]) * ext[:, -1, :] * wy)) * model.dy,
+        float(np.sum(flex_data(X[:, -1], Y[:, -1]) * flex[:, :, -1] * wx))
+        * model.dx,
     ]
     got = HPRFunctional(model)._boundary_part(
         HPRState(u=u, s=zero_state(model).s))
     assert got == sum(terms) != 0.0
+
+
+@pytest.mark.parametrize("n", [9, 17, 33])
+def test_boundary_part_integrates_unit_data_over_the_edge_length(n):
+    """Unit data on one field of a unit-length traction edge against a unit
+    field does unit work: the rectangle rule over all n nodes gave
+    1 + 1/(n - 1)."""
+    def flex_data(x, y):
+        return np.stack([1.0 + 0 * x] + [0 * x] * 5)
+
+    mat = material_from_technical(E=1.0, nu=0.3, N=0.35, l_t=0.05, l_b=0.06,
+                                  Psi=0.9, rho=1.0, J=(0.2, 0.2, 0.2))
+    bc = dict(ALL_CLAMPED, right=EdgeBC("traction", flex_data=flex_data))
+    model = assemble(ModelConfig(material=mat, h=0.1, a=1.0, b=1.0, nx=n,
+                                 ny=n, bc=bc))
+    u = PlateKinematics(**{name: np.ones((n, n)) for name in KINEMATIC_FIELDS})
+    got = HPRFunctional(model)._boundary_part(
+        HPRState(u=u, s=zero_state(model).s))
+    assert got == 1.0
