@@ -1,4 +1,4 @@
-"""Plane-wave dispersion analysis of the homogeneous governing systems.
+"""Plane-wave dispersion analysis of the load-free governing systems.
 
 For a wave H = v exp(i(k . x - w t)) the system L(d/dx) H = M d^2H/dt^2
 becomes the generalized Hermitian-definite eigenproblem

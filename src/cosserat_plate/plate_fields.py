@@ -219,7 +219,7 @@ def weighted_from_microrotation(theta1_0, theta2_0, theta3_0, theta3, h: float):
     """Map raw microrotation amplitudes to the weighted mid-plane averages.
 
     Omega_a^0 = (4/5) Theta_a^0,  Omega3 = (8/5) Theta3 / h,
-    Omega3^0 = Theta3^0.  Linear and homogeneous.
+    Omega3^0 = Theta3^0.  The map is linear.
     """
     if not h > 0.0:
         raise MaterialError(f"thickness must be positive, got {h}")
