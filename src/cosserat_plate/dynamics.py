@@ -41,8 +41,9 @@ fields of a node adjacent, and SuperLU factors A_FF in that order with
 diagonal-preferring threshold pivoting; two steps of iterative refinement
 against A_FF follow every solve.  The factor is built on the first static
 solve and cached on the discretization, so later solves on one model only
-run the triangular solves.  Factor fill, free-dof count, residuals and
-the normwise backward error are logged at DEBUG level.
+run the triangular solves.  Factor fill, free-dof count and residuals
+are logged at DEBUG level; the normwise backward error of each solve is
+logged too and returned in ``static_solve``'s diagnostics.
 
 Time integration is the explicit central-difference (leapfrog) scheme in
 its single-state velocity form: with M hdd = L h - f,
@@ -735,6 +736,11 @@ class _StaticFactor:
         self.A_FF = A_F[:, self.free]
         self.A_FD = A_F[:, self.dirich]
         del A_F
+        # ||A_FF|| in the infinity norm, the largest |row| sum, for the
+        # backward error; its temporary |A_FF| is freed before SuperLU runs
+        self.norm = float(np.max(_abs_matvec(self.A_FF,
+                                             np.ones(self.free.size))))
+        self.backward_error = None
         # SuperLU sizes its work arrays from a fill estimate and touches only
         # part of them.  On fresh pages the untouched part costs no memory;
         # on C-heap pages that earlier work touched and freed, which glibc
@@ -759,7 +765,9 @@ class _StaticFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Full-grid h with A h = rhs, where rhs holds the Dirichlet data g
-        on the Dirichlet dofs."""
+        on the Dirichlet dofs.  Sets ``backward_error`` to the normwise
+        backward error ||r|| / (||A_FF|| ||x|| + ||b||), infinity norms, of
+        the refined free-dof solution x."""
         g = rhs[self.dirich]
         b = rhs[self.free] - self.A_FD @ g
         scale = max(np.max(np.abs(b)), 1.0e-300)
@@ -770,14 +778,12 @@ class _StaticFactor:
             resid.append(np.max(np.abs(r)))
             if k < self.REFINE:
                 x += self.lu.solve(r)
-        if _log.isEnabledFor(logging.DEBUG):
-            # the normwise backward error, ||A_FF|| the largest |row| sum
-            norm = np.max(_abs_matvec(self.A_FF, np.ones(x.size)))
-            backward = resid[-1] / (norm * np.max(np.abs(x)) + scale)
-            _log.debug("%s static solve: %d free dofs, %d refinement steps, "
-                       "relative residual %.3e -> %.3e, backward error %.3e",
-                       self.name, self.free.size, self.REFINE,
-                       resid[0] / scale, resid[-1] / scale, backward)
+        self.backward_error = float(
+            resid[-1] / (self.norm * np.max(np.abs(x)) + scale))
+        _log.debug("%s static solve: %d free dofs, %d refinement steps, "
+                   "relative residual %.3e -> %.3e, backward error %.3e",
+                   self.name, self.free.size, self.REFINE,
+                   resid[0] / scale, resid[-1] / scale, self.backward_error)
         h = np.empty(rhs.size)
         h[self.free] = x
         h[self.dirich] = g
@@ -817,7 +823,7 @@ def _solve_subsystem(d: _Discretization, data_key, null_desc,
         raise SingularSystemError(f"{d.name} static solve produced non-finite values")
     resid = np.max(np.abs(d.A @ h - rhs))
     scale = max(np.max(np.abs(rhs)), 1.0e-300)
-    return h, resid, scale
+    return h, resid, scale, d.static_factor.backward_error
 
 
 def static_solve(model: DiscreteModel, extra_flex_F=None, extra_ext_F=None):
@@ -827,18 +833,20 @@ def static_solve(model: DiscreteModel, extra_flex_F=None, extra_ext_F=None):
     rigid modes are reported by name.  ``extra_*_F`` adds a manufactured
     interior forcing (per-field grids) to the load vector.
     """
-    hf, rf, sf = _solve_subsystem(model.flex_d, "flex_data", _FLEX_NULL,
-                                  extra_flex_F)
-    he, re_, se = _solve_subsystem(model.ext_d, "ext_data", _EXT_NULL,
-                                   extra_ext_F)
+    hf, rf, sf, bf = _solve_subsystem(model.flex_d, "flex_data", _FLEX_NULL,
+                                      extra_flex_F)
+    he, re_, se, be = _solve_subsystem(model.ext_d, "ext_data", _EXT_NULL,
+                                       extra_ext_F)
     shape = (model.nx, model.ny)
     flex_fields = hf.reshape(6, *shape)
     ext_fields = he.reshape(3, *shape)
     diag = {
         "flexural_residual": rf,
         "flexural_rhs_scale": sf,
+        "flexural_backward_error": bf,
         "extensional_residual": re_,
         "extensional_rhs_scale": se,
+        "extensional_backward_error": be,
     }
     kin = PlateKinematics.from_arrays(flexural=flex_fields, extensional=ext_fields)
     return kin, diag
@@ -1198,6 +1206,8 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     (of the loads and of the Dirichlet lift).
     """
     t_final = checked_number("t_final", t_final, positive=True)
+    # the kernel builds the interior stack, which stable_dt then only reads
+    kernel = _Kernel(model)
     bound = stable_dt(model)
     dt = bound if dt is None else checked_number("dt", dt, positive=True)
     n_steps = max(1, math.ceil(t_final / dt))
@@ -1205,7 +1215,7 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
 
     state = initial if initial is not None else DiscreteState.zero(model)
     warn = state.stability_warning or dt > bound * (1.0 + 1e-12)
-    kernel = _Kernel(model).start(state)
+    kernel.start(state)
     # subsystems on which a force does work: loads or a Dirichlet lift
     worked = [p for p in kernel.parts if p.presets or p.lift is not None]
     dA = model.cell_area

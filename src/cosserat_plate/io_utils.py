@@ -3,7 +3,9 @@
 Every file starts with (or embeds) the package version and a SHA-256 hash
 of the canonicalized run configuration, so outputs are traceable and two
 runs with identical config and seed produce byte-identical files.  No
-timestamps are written.
+timestamps are written.  The one exception is telemetry:
+``verify_report.json``, written by ``verification.run_all``, records each
+suite's wall time and is outside the byte-identity guarantee.
 """
 
 from __future__ import annotations

@@ -5,20 +5,25 @@ Each suite returns a :class:`SuiteResult` with the measured numbers in
 tolerances are fixed here, not configurable: they are the acceptance
 contract of the package.  ``run_all`` executes everything and optionally
 writes the operator coefficient diff table (the documentation artifact
-comparing the published coefficient variants with the derived ones).
+comparing the published coefficient variants with the derived ones) and a
+per-suite report.  Suites 6 and 9 share one static solve of the classical
+plate, held only while ``run_all`` runs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from . import oracles
+from . import __version__, oracles
 from .cosserat3d import (
     Strain3D,
     energy_densities_3d,
@@ -262,20 +267,33 @@ def suite_operator_residual(seed: int = 4, n_materials: int = 5) -> SuiteResult:
 # 6. classical limit (static + dispersion)
 # ---------------------------------------------------------------------------
 
-def _classical_model(nx: int = 65, ny: int = 65, p_load: float = 1.0):
+def _classical_model():
+    """The clamped 65^2 plate with N -> 0 under a unit pressure."""
     mat = _classical_material()
     cfg = ModelConfig(
-        material=mat, h=0.1, a=1.0, b=1.0, nx=nx, ny=ny,
+        material=mat, h=0.1, a=1.0, b=1.0, nx=65, ny=65,
         bc={e: "clamped" for e in ("left", "right", "bottom", "top")},
-        loads=LoadFunctions(p=ConstantLoad(p_load)),
+        loads=LoadFunctions(p=ConstantLoad(1.0)),
     )
     return assemble(cfg)
+
+
+@functools.lru_cache(maxsize=1)
+def _classical_solution():
+    """The static solution of ``_classical_model()``, shared by suites 6
+    and 9.  Only the (read-only) kinematic arrays are kept, not the model
+    and its static factor; ``run_all`` clears the memo before its first
+    suite and when it ends."""
+    kin, _ = static_solve(_classical_model())
+    for f in fields(kin):
+        getattr(kin, f.name).flags.writeable = False
+    return kin
 
 
 def suite_classical_limit(seed: int = 5) -> SuiteResult:
     t0 = time.perf_counter()
     model = _classical_model()
-    kin, diag = static_solve(model)
+    kin = _classical_solution()
     ic = (model.nx - 1) // 2
     w_center = float(np.asarray(kin.w)[ic, ic])
 
@@ -421,9 +439,8 @@ def suite_energy_conservation(seed: int = 7, n_steps: int = 10_000) -> SuiteResu
 
 def suite_hpr_stationarity(seed: int = 8, n_perturbations: int = 20) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    model = _classical_model(nx=65, ny=65)
-    kin, _ = static_solve(model)
-    eq = equilibrium_state(model, kin)
+    model = _classical_model()
+    eq = equilibrium_state(model, _classical_solution())
     F = HPRFunctional(model)
 
     eq_measures = [
@@ -529,16 +546,33 @@ def write_diff_table(path, tc=None, inertia=None) -> None:
 
 
 def run_all(seed: int = 0, out_dir=None, verbose: bool = True):
-    results = []
-    for suite in ALL_SUITES:
-        res = suite(seed=seed + len(results))
-        results.append(res)
-        if verbose:
-            print(res.line())
-    if out_dir is not None:
-        from pathlib import Path
+    """Run every suite, suite k with seed ``seed + k``.
 
+    With ``out_dir``, writes ``coefficient_diff.csv`` and
+    ``verify_report.json``: the package version, the seed and, per suite,
+    its name, pass flag, printed details and wall time (telemetry, so not
+    byte-reproducible).
+    """
+    results, report = [], []
+    _classical_solution.cache_clear()
+    try:
+        for suite in ALL_SUITES:
+            t0 = time.perf_counter()
+            res = suite(seed=seed + len(results))
+            report.append({"name": res.name, "passed": bool(res.passed),
+                           "details": res.details,
+                           "wall_s": time.perf_counter() - t0})
+            results.append(res)
+            if verbose:
+                print(res.line())
+    finally:
+        _classical_solution.cache_clear()
+    if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_diff_table(out / "coefficient_diff.csv")
+        with open(out / "verify_report.json", "w") as f:
+            json.dump({"version": __version__, "seed": seed,
+                       "suites": report}, f, indent=2)
+            f.write("\n")
     return results

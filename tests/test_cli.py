@@ -80,6 +80,25 @@ def test_static_outputs(config_file, tmp_path):
     assert "config_sha256" in summary and "center_w" in summary
 
 
+def test_static_summary_reports_backward_errors(config_file, tmp_path,
+                                               capsys):
+    """Both normwise backward errors sit beside the residuals; the printed
+    gate is still the max relative residual."""
+    out = tmp_path / "static"
+    assert run(["static", "--config", config_file, "--out", str(out)]) == 0
+    residuals = json.loads((out / "static_summary.json").read_text())[
+        "residuals"]
+    assert sorted(residuals) == [
+        "extensional_backward_error", "extensional_residual",
+        "extensional_rhs_scale", "flexural_backward_error",
+        "flexural_residual", "flexural_rhs_scale"]
+    for name in ("flexural", "extensional"):
+        assert 0.0 <= residuals[f"{name}_backward_error"] < 1e-14
+    resid = max(residuals[f"{n}_residual"] / residuals[f"{n}_rhs_scale"]
+                for n in ("flexural", "extensional"))
+    assert f"max relative residual {resid:.3e}" in capsys.readouterr().out
+
+
 def test_static_deterministic(config_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(["static", "--config", config_file, "--out", str(out1)]) == 0

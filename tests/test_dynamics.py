@@ -586,7 +586,49 @@ class TestStaticFactor:
             assert logged < 1e-14
 
 
+    @pytest.mark.parametrize("bc", [CANTILEVER, CLAMPED_WITH_DATA],
+                             ids=["cantilever", "clamped-data"])
+    def test_backward_error_in_diagnostics(self, bc, monkeypatch):
+        """diag carries each subsystem's normwise backward error
+        ||r|| / (||A_FF|| ||x|| + ||b||), infinity norms, of the refined
+        solution; ||A_FF|| is taken once, when the factor is built."""
+        model = make_model(nx=11, ny=11, bc=bc, loads=STATIC_LOADS)
+        kin, diag = static_solve(model)
+        monkeypatch.setattr(dynamics, "_abs_matvec", None)  # not per solve
+        for d, key, h, name in (
+                (model.flex_d, "flex_data", kin.flexural(), "flexural"),
+                (model.ext_d, "ext_data", kin.extensional(), "extensional")):
+            f = d.static_factor
+            rhs = dynamics._static_rhs(d, key)
+            x = h.ravel()[f.free]
+            b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
+            dense = f.A_FF.toarray()
+            norm = np.max(np.sum(np.abs(dense), axis=1))
+            assert f.norm == pytest.approx(norm, rel=1e-14)
+            want = np.max(np.abs(b - f.A_FF @ x)) / (
+                norm * np.max(np.abs(x)) + np.max(np.abs(b)))
+            assert diag[f"{name}_backward_error"] == pytest.approx(want,
+                                                                   rel=1e-12)
+            assert diag[f"{name}_backward_error"] < 1e-14
+            # a repeat solve on the cached factor reports the same number
+            assert static_solve(model)[1] == diag
+
+
 class TestSimulate:
+    def test_stack_is_built_before_stable_dt(self, monkeypatch):
+        """stable_dt only reads the interior stack: the kernel builds it
+        first, so stable_dt's time is the bound alone."""
+        seen = []
+
+        def checking_stable_dt(model):
+            seen.append("interior_stack" in vars(model))
+            return stable_dt(model)
+
+        monkeypatch.setattr(dynamics, "stable_dt", checking_stable_dt)
+        model = make_model()
+        traj = simulate(model, t_final=10 * stable_dt(make_model()))
+        assert seen == [True] and traj.n_steps == 10
+
     @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_bad_dt(self, dt):
         """dt = -0.1 used to run one step of dt = 1.0 and only warn."""
