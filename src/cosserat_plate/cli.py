@@ -224,14 +224,21 @@ def _cmd_validate(cfg, args, out: Path, cfg_hash: str) -> int:
     return 2
 
 
-def _cmd_constants(cfg, args, out: Path, cfg_hash: str) -> int:
+def _operators(cfg: dict, paper_literal: bool = False):
+    """The technical constants, the inertia and the flexural and
+    extensional operators of the configured material and thickness."""
     mat = _material_from_config(cfg)
     h = checked_number("'geometry.h'", cfg.get("geometry", {}).get("h", 0.1))
     mode = cfg.get("mode", {})
     tc = technical_constants(mat, h, mode.get("shear_correction", "standard"))
     inertia = inertia_constants(mat, h)
-    flex = build_flexural(tc, inertia)
-    ext = build_extensional(tc, inertia)
+    return (tc, inertia,
+            build_flexural(tc, inertia, paper_literal=paper_literal),
+            build_extensional(tc, inertia, paper_literal=paper_literal))
+
+
+def _cmd_constants(cfg, args, out: Path, cfg_hash: str) -> int:
+    tc, inertia, flex, ext = _operators(cfg)
     print(f"E        = {tc.E:.10g}")
     print(f"nu       = {tc.nu:.10g}")
     print(f"G        = {tc.G:.10g}")
@@ -309,13 +316,7 @@ def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
 
 
 def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
-    mat = _material_from_config(cfg)
-    h = checked_number("'geometry.h'", cfg.get("geometry", {}).get("h", 0.1))
-    mode = cfg.get("mode", {})
-    tc = technical_constants(mat, h, mode.get("shear_correction", "standard"))
-    inertia = inertia_constants(mat, h)
-    flex = build_flexural(tc, inertia, paper_literal=args.paper_literal_operators)
-    ext = build_extensional(tc, inertia, paper_literal=args.paper_literal_operators)
+    _, _, flex, ext = _operators(cfg, args.paper_literal_operators)
     dcfg = cfg.get("dispersion", {})
     directions = dcfg.get("directions", [[1, 0], [0, 1], [1, 1]])
     with_modes = dcfg.get("modes", False)

@@ -65,19 +65,21 @@ matvec,
 
 and the end-of-step acceleration, with its half kick dt/2 * a, is the next
 step's start ("first same as last").  The interior rows are split by column
-into the interior block and Dirichlet and traction boundary blocks; each
-subsystem's Dirichlet lift (boundary block times the time-independent
-data) and its load terms are built once per model (``_forcing``).  Load
-envelope sums, traction solves and energy and work dot products are formed
-per subsystem on its slice, so the kernel's arithmetic is that of two
-separate subsystems.  Traction
-boundary values are quasi-static: inside every acceleration the boundary
-block is solved from the traction rows for the current u (one sparse
-factorization, reused).  Traction boundary velocities, from the
-time-differentiated constraint, feed nothing back into the interior update
+into the interior block and Dirichlet and traction boundary blocks.  The
+stack also holds, per subsystem (``_Part``), everything else the kernel
+needs that does not depend on time: the Dirichlet data g and its lift A_ID
+g, the load terms and, with traction edges, the traction closure
+(``_TractionClosure``), the one place that knows the quasi-static traction
+boundary.  Inside every acceleration the closure solves the traction rows
+for the boundary values at the current u, on a factor of A_TT built with
+the stack, so static solves never build it.  The boundary velocities, from
+the time-differentiated rows, feed nothing back into the interior update
 and are solved only when a ``DiscreteState`` is built, at snapshots and at
-the end of a run.  ``stable_dt`` bounds the largest frequency of both
-subsystems by one Gershgorin row-sum pass over the same stack.
+the end of a run.  Load envelope sums, traction solves and energy and work
+dot products are formed per subsystem on its slice, so the kernel's
+arithmetic is that of two separate subsystems.  ``stable_dt`` bounds the
+largest frequency of both subsystems by one Gershgorin row-sum pass over
+the same stack and keeps the bound there.
 
 Energy bookkeeping uses the discrete quadratic forms of the scheme itself:
 kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - A_ID g) over the
@@ -88,7 +90,8 @@ with the load work.  With clamped edges the semi-discrete energy less that
 work is exactly conserved, so the measured drift isolates the
 time-integration error and scales as dt^2.
 ``simulate`` checks that the energy is finite and within budget every
-``GUARD_EVERY`` steps, whatever the snapshot cadence.
+``GUARD_EVERY`` steps, whatever the snapshot cadence, and a failed check
+names the interior dof with the largest energy density.
 """
 
 from __future__ import annotations
@@ -345,7 +348,6 @@ class DiscreteModel:
     bc: dict
     flex_d: "_Discretization"
     ext_d: "_Discretization"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nx(self) -> int:
@@ -369,8 +371,8 @@ class DiscreteModel:
 
     @cached_property
     def interior_stack(self) -> "_InteriorStack":
-        """Both subsystems' interior rows, stacked for the explicit kernel,
-        built on first use: static solves never need them."""
+        """What the explicit kernel needs that does not depend on time,
+        built on first use: static solves never need it."""
         return _InteriorStack(self)
 
 
@@ -453,12 +455,27 @@ def _abs_matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
                          shape=A.shape) @ x
 
 
+# Per subsystem: the ``EdgeBC`` attribute that holds its edge data, its
+# field names and the rigid null space that makes its static problem
+# singular without a displacement edge.
+_SUBSYSTEMS = {
+    "flexural": ("flex_data", FLEXURAL_FIELDS,
+                 "uniform transverse translation W and the two rigid "
+                 "tilt/microrotation pairs (Psi_a = theta, W = -theta x_a, "
+                 "Omega_a'^0 = -theta)"),
+    "extensional": ("ext_data", EXTENSIONAL_FIELDS,
+                    "uniform in-plane translations U1, U2 (and Omega3_0 as "
+                    "N -> 0)"),
+}
+
+
 class _Discretization:
     """Sparse rows of one subsystem plus the index bookkeeping."""
 
     def __init__(self, config, bc, op, tn, trac_load_part, X, Y, dx, dy,
                  name):
         self.name = name
+        self.edge_key, self.fields, self.null_space = _SUBSYSTEMS[name]
         self.op = op
         self.tn = tn
         self.trac_load_part = trac_load_part
@@ -477,7 +494,6 @@ class _Discretization:
             self._stencil_rows(self.trac_nodes, *self._traction_table())))
         self.A = sp.coo_matrix((vals, (rows, cols)),
                                shape=(self.ndof, self.ndof)).tocsr()
-        self._factorize_traction()
         self.mass_interior = np.repeat(
             op.mass, self.interior_nodes.size
         ).astype(float)
@@ -582,20 +598,6 @@ class _Discretization:
         repeat static solves never refactor and dynamic runs never pay."""
         return _StaticFactor(self)
 
-    def _factorize_traction(self):
-        if self.trac_dofs.size == 0:
-            self.trac_lu = None
-            return
-        T = self.A[self.trac_dofs]
-        self.A_TI = T[:, self.interior_dofs]
-        self.A_TD = T[:, self.dirich_dofs]
-        try:
-            self.trac_lu = spla.splu(T[:, self.trac_dofs].tocsc())
-        except RuntimeError as exc:
-            raise SingularSystemError(
-                f"{self.name} traction boundary block is singular: {exc}"
-            ) from exc
-
     # -- load / data vectors -------------------------------------------------
 
     @cached_property
@@ -634,31 +636,31 @@ class _Discretization:
         presets, F, _ = self.load_terms
         return _envelope_sum(presets, F, t)
 
-    def dirichlet_values(self, edge_data_key):
+    def dirichlet_values(self):
         """Prescribed field values on the displacement boundary dofs."""
         ii, jj = self._dir_ij
         data = np.zeros((self.nf, ii.size))
-        for mask, vals in self._edge_data("clamped", ii, jj, edge_data_key):
+        for mask, vals in self._edge_data("clamped", ii, jj):
             data[:, mask] = vals
         return data.ravel()
 
-    def traction_values(self, edge_data_key):
+    def traction_values(self):
         """Prescribed boundary resultants on the traction dofs; at a
         traction-traction corner each edge's data is weighted for the
         averaged normal."""
         ti, tj = self._trac_ij
         out = np.zeros((self.nf, ti.size))
-        for mask, vals in self._edge_data("traction", ti, tj, edge_data_key):
+        for mask, vals in self._edge_data("traction", ti, tj):
             out[:, mask] += self.trac_weight[ti[mask], tj[mask]] * vals
         return out.ravel()
 
-    def _edge_data(self, kind, ii, jj, edge_data_key):
+    def _edge_data(self, kind, ii, jj):
         """(mask, values) over the nodes ii, jj of every ``kind`` edge with
-        data under ``edge_data_key``."""
+        data for this subsystem."""
         x, y = self.X[ii, jj], self.Y[ii, jj]
         for name, (axis, index, _) in EDGE_TABLE.items():
             ebc = self.bc[name]
-            fdata = getattr(ebc, edge_data_key)
+            fdata = getattr(ebc, self.edge_key)
             if ebc.kind != kind or fdata is None:
                 continue
             mask = (ii, jj)[axis] == range((self.nx, self.ny)[axis])[index]
@@ -790,34 +792,26 @@ class _StaticFactor:
         return h
 
 
-def _static_rhs(d: _Discretization, data_key, extra_F=None):
+def _static_rhs(d: _Discretization, extra_F=None):
     rhs = np.zeros(d.ndof)
     presets, F, T = d.load_terms
     rhs[d.interior_dofs] = _envelope_sum(presets, F, 0.0)
     if extra_F is not None:
         flat = np.asarray(extra_F, dtype=float).reshape(d.nf, -1)
         rhs[d.interior_dofs] += flat[:, d.interior_nodes].ravel()
-    rhs[d.dirich_dofs] = d.dirichlet_values(data_key)
-    rhs[d.trac_dofs] = d.traction_values(data_key)
+    rhs[d.dirich_dofs] = d.dirichlet_values()
+    rhs[d.trac_dofs] = d.traction_values()
     rhs[d.trac_dofs] += _envelope_sum(presets, T, 0.0)
     return rhs
 
 
-_FLEX_NULL = (
-    "uniform transverse translation W and the two rigid tilt/microrotation "
-    "pairs (Psi_a = theta, W = -theta x_a, Omega_a'^0 = -theta)"
-)
-_EXT_NULL = "uniform in-plane translations U1, U2 (and Omega3_0 as N -> 0)"
-
-
-def _solve_subsystem(d: _Discretization, data_key, null_desc,
-                     extra_F=None):
+def _solve_subsystem(d: _Discretization, extra_F=None):
     if not d.has_dirichlet:
         raise SingularSystemError(
             f"{d.name} system has traction data on every edge; the rigid "
-            f"null space ({null_desc}) makes the static problem singular"
+            f"null space ({d.null_space}) makes the static problem singular"
         )
-    rhs = _static_rhs(d, data_key, extra_F)
+    rhs = _static_rhs(d, extra_F)
     h = d.static_factor.solve(rhs)
     if not np.all(np.isfinite(h)):
         raise SingularSystemError(f"{d.name} static solve produced non-finite values")
@@ -833,10 +827,8 @@ def static_solve(model: DiscreteModel, extra_flex_F=None, extra_ext_F=None):
     rigid modes are reported by name.  ``extra_*_F`` adds a manufactured
     interior forcing (per-field grids) to the load vector.
     """
-    hf, rf, sf, bf = _solve_subsystem(model.flex_d, "flex_data", _FLEX_NULL,
-                                      extra_flex_F)
-    he, re_, se, be = _solve_subsystem(model.ext_d, "ext_data", _EXT_NULL,
-                                       extra_ext_F)
+    hf, rf, sf, bf = _solve_subsystem(model.flex_d, extra_flex_F)
+    he, re_, se, be = _solve_subsystem(model.ext_d, extra_ext_F)
     shape = (model.nx, model.ny)
     flex_fields = hf.reshape(6, *shape)
     ext_fields = he.reshape(3, *shape)
@@ -890,44 +882,100 @@ def stable_dt(model: DiscreteModel) -> float:
     M^-1/2, which is similar to M^-1 B, so omega_max^2 <= G whether B is
     symmetric or not.  The quasi-static traction term A_IT A_TT^-1 A_TI is
     not in B; the tests pin the bound for traction plates.  The row that
-    sets G is logged at DEBUG level; the result is cached on the model.
+    sets G is logged at DEBUG level; the result is kept on the stack.
     """
-    if "stable_dt" not in model._cache:
-        stack = model.interior_stack
+    stack = model.interior_stack
+    if stack.dt is None:
         r = stack.mass ** -0.5
         rows = _abs_matvec(stack.B, r) * r
         i = int(np.argmax(rows))
         G = float(rows[i])
-        dt = model._cache["stable_dt"] = 0.9 * 2.0 / math.sqrt(max(G, 1e-300))
-        if _log.isEnabledFor(logging.DEBUG):
-            k = int(i >= stack.slices[1].start)
-            d = stack.ds[k]
-            f, node = divmod(int(d.interior_dofs[i - stack.slices[k].start]),
-                             d.nx * d.ny)
-            _log.debug("stable_dt: G=%.6e from the %s row of %s at node "
-                       "(%d, %d), dt=%.6e", G, d.name, (FLEXURAL_FIELDS,
-                       EXTENSIONAL_FIELDS)[k][f], *divmod(node, d.ny), dt)
-    return model._cache["stable_dt"]
+        stack.dt = 0.9 * 2.0 / math.sqrt(max(G, 1e-300))
+        _log.debug("stable_dt: G=%.6e from the %s row of %s at node "
+                   "(%d, %d), dt=%.6e", G, *stack.locate(i), stack.dt)
+    return stack.dt
+
+
+class _TractionClosure:
+    """The quasi-static traction boundary Gamma_sigma of one subsystem.
+
+    The traction rows A_TI u + A_TT h_T + ``lift`` = f* give the boundary
+    values h_T, with ``lift`` the rows' Dirichlet block times g (None when
+    g is zero) and f* the prescribed traction ``data`` plus the traction
+    load part; h_T enters the interior rows through the column block A_IT.
+    A_TT is factored once, when the closure is built.
+    """
+
+    def __init__(self, d: _Discretization, A_IT: sp.csr_matrix, g):
+        T = d.A[d.trac_dofs]
+        self.A_IT = A_IT
+        self.A_TI = T[:, d.interior_dofs]
+        self.lift = None if g is None else T[:, d.dirich_dofs] @ g
+        self.data = d.traction_values()
+        try:
+            self.lu = spla.splu(T[:, d.trac_dofs].tocsc())
+        except RuntimeError as exc:
+            raise SingularSystemError(
+                f"{d.name} traction boundary block is singular: {exc}"
+            ) from exc
+
+    def values(self, u: np.ndarray, load: np.ndarray) -> np.ndarray:
+        """h_T for interior values u and traction load part ``load``."""
+        rest = self.A_TI @ u
+        if self.lift is not None:
+            rest += self.lift
+        return self.lu.solve(self.data + load - rest)
+
+    def rates(self, w: np.ndarray, load_rate: np.ndarray) -> np.ndarray:
+        """The rate of h_T, from the time-differentiated traction rows."""
+        return self.lu.solve(load_rate - self.A_TI @ w)
+
+
+class _Part:
+    """What drives one subsystem in the explicit kernel: its
+    discretization ``d``, its slice ``s`` of the stacked vectors, its
+    Dirichlet column block A_ID with the data ``g`` and the lift A_ID g
+    (None when g is zero), its load terms (``presets``, ``F``, ``T``) and
+    its traction closure (None without traction dofs).  None of it depends
+    on time; the loads enter through F and T weighted by their
+    envelopes."""
+
+    def __init__(self, d: _Discretization, s: slice, A_ID, A_IT):
+        self.d, self.s, self.A_ID = d, s, A_ID
+        self.presets, self.F, self.T = d.load_terms
+        self.g = d.dirichlet_values()
+        lifted = bool(np.any(self.g))
+        self.lift = A_ID @ self.g if lifted else None
+        self.closure = (_TractionClosure(d, A_IT, self.g if lifted else None)
+                        if d.trac_dofs.size else None)
+
+    def force(self, t: float) -> np.ndarray:
+        """The interior force at time t that the strain form leaves out:
+        the Dirichlet lift A_ID g minus the load vector."""
+        f = -_envelope_sum(self.presets, self.F, t)
+        if self.lift is not None:
+            f += self.lift
+        return f
 
 
 class _InteriorStack:
-    """The interior rows of both subsystems, stacked flexural first.
+    """The interior rows of both subsystems, stacked flexural first, with
+    everything the explicit kernel needs that does not depend on time.
 
     ``B`` is the block diagonal of the two interior blocks A_II in CSR form,
     each row's entries in their order in A, so ``B @ u`` forms every row sum
-    exactly as ``A_II @ u`` does.  ``mass`` stacks the interior masses,
-    ``slices`` holds each subsystem's range of the stacked vectors and
-    ``boundary`` its Dirichlet and traction column blocks (A_ID, A_IT).
-    Built once per model, on first use (``DiscreteModel.interior_stack``);
-    no per-subsystem A_II is kept beside it.
+    exactly as ``A_II @ u`` does.  ``mass`` stacks the interior masses and
+    ``parts`` holds one ``_Part`` per subsystem; ``dt`` keeps the
+    ``stable_dt`` bound once computed.  Built once per model, on first use
+    (``DiscreteModel.interior_stack``); no per-subsystem A_II is kept
+    beside it.
     """
 
     def __init__(self, model: DiscreteModel):
-        self.ds = (model.flex_d, model.ext_d)
+        ds = (model.flex_d, model.ext_d)
         # the columns are sliced first: their blocks are small
-        self.boundary = [(d.A[:, d.dirich_dofs][d.interior_dofs],
-                          d.A[:, d.trac_dofs][d.interior_dofs])
-                         for d in self.ds]
+        boundary = [(d.A[:, d.dirich_dofs][d.interior_dofs],
+                     d.A[:, d.trac_dofs][d.interior_dofs]) for d in ds]
         # B's rows are A's interior rows restricted to the interior columns,
         # their entries taken straight from A's arrays in their order there:
         # building each A_II first would double the memory the stack needs
@@ -936,12 +984,12 @@ class _InteriorStack:
         counts = np.concatenate([
             np.diff(d.A.indptr)[d.interior_dofs] - np.diff(A_ID.indptr)
             - np.diff(A_IT.indptr)
-            for d, (A_ID, A_IT) in zip(self.ds, self.boundary)])
+            for d, (A_ID, A_IT) in zip(ds, boundary)])
         indptr = np.concatenate([[0], np.cumsum(counts)])
         data = np.empty(indptr[-1])
         indices = np.empty(indptr[-1], dtype=np.int32)
         n = nnz = 0
-        for d in self.ds:
+        for d in ds:
             interior = np.zeros(d.ndof, dtype=bool)
             interior[d.interior_dofs] = True
             keep = (np.repeat(interior, np.diff(d.A.indptr))
@@ -953,73 +1001,36 @@ class _InteriorStack:
             n += d.interior_dofs.size
             nnz = end
         self.B = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        self.mass = np.concatenate([d.mass_interior for d in self.ds])
-        ends = np.cumsum([0] + [d.interior_dofs.size for d in self.ds])
-        self.slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        self.mass = np.concatenate([d.mass_interior for d in ds])
+        ends = np.cumsum([0] + [d.interior_dofs.size for d in ds])
+        self.parts = [_Part(d, slice(lo, hi), *blocks) for d, lo, hi, blocks
+                      in zip(ds, ends[:-1], ends[1:], boundary)]
+        self.loaded = [p for p in self.parts if p.presets]
+        self.dt = None
 
     def apply(self, hs) -> np.ndarray:
         """Stacked interior rows of L h for the full-grid flat vectors
         ``hs`` (flexural, extensional)."""
-        Lh = self.B @ np.concatenate(
-            [h[d.interior_dofs] for d, h in zip(self.ds, hs)])
-        for d, h, s, (A_ID, A_IT) in zip(self.ds, hs, self.slices,
-                                         self.boundary):
-            if d.dirich_dofs.size:
-                Lh[s] += A_ID @ h[d.dirich_dofs]
-            if d.trac_dofs.size:
-                Lh[s] += A_IT @ h[d.trac_dofs]
+        Lh = self.B @ self.interior(hs)
+        for p, h in zip(self.parts, hs):
+            if p.d.dirich_dofs.size:
+                Lh[p.s] += p.A_ID @ h[p.d.dirich_dofs]
+            if p.closure is not None:
+                Lh[p.s] += p.closure.A_IT @ h[p.d.trac_dofs]
         return Lh
 
+    def interior(self, hs) -> np.ndarray:
+        """Stacked interior values of the full-grid flat vectors ``hs``."""
+        return np.concatenate([h[p.d.interior_dofs]
+                               for p, h in zip(self.parts, hs)])
 
-@dataclass(frozen=True)
-class _Forcing:
-    """What drives one subsystem in the explicit kernel, with its index
-    ``k`` and slice ``s`` of the stacked vectors and its traction column
-    block.  The Dirichlet data ``g``, its lifts into the interior and
-    traction rows (None when g is zero) and the prescribed traction data
-    do not depend on time; the loads enter through the load terms ``F`` and
-    ``T`` of ``presets``, weighted by their envelopes."""
-
-    d: _Discretization
-    k: int
-    s: slice
-    A_IT: sp.csr_matrix
-    presets: tuple
-    F: np.ndarray
-    T: np.ndarray
-    g: np.ndarray
-    lift: np.ndarray | None
-    trac_lift: np.ndarray | None
-    trac_data: np.ndarray | None
-
-    def force(self, t: float) -> np.ndarray:
-        """The interior force at time t that the strain form leaves out:
-        the Dirichlet lift A_ID g minus the load vector."""
-        f = -_envelope_sum(self.presets, self.F, t)
-        if self.lift is not None:
-            f += self.lift
-        return f
-
-
-def _forcing(model: DiscreteModel) -> tuple:
-    """Both subsystems' ``_Forcing``, built once per model."""
-    if "forcing" not in model._cache:
-        stack = model.interior_stack
-        parts = []
-        for k, (d, data_key) in enumerate(((model.flex_d, "flex_data"),
-                                           (model.ext_d, "ext_data"))):
-            presets, F, T = d.load_terms
-            A_ID, A_IT = stack.boundary[k]
-            g = d.dirichlet_values(data_key)
-            lifted = bool(np.any(g))
-            traction = d.trac_lu is not None
-            parts.append(_Forcing(
-                d=d, k=k, s=stack.slices[k], A_IT=A_IT, presets=presets,
-                F=F, T=T, g=g, lift=A_ID @ g if lifted else None,
-                trac_lift=d.A_TD @ g if traction and lifted else None,
-                trac_data=d.traction_values(data_key) if traction else None))
-        model._cache["forcing"] = tuple(parts)
-    return model._cache["forcing"]
+    def locate(self, i: int) -> tuple:
+        """The subsystem name, the field name and the node indices i, j of
+        stacked interior dof i."""
+        p = self.parts[int(i >= self.parts[1].s.start)]
+        d = p.d
+        f, node = divmod(int(d.interior_dofs[i - p.s.start]), d.nx * d.ny)
+        return (d.name, d.fields[f], *divmod(node, d.ny))
 
 
 class _Kernel:
@@ -1028,19 +1039,14 @@ class _Kernel:
     ``u``, ``w`` and ``a`` stack the positions, velocities and
     accelerations on the interior dofs of both subsystems, flexural first.
     ``Lu`` keeps the interior rows of L h of the last acceleration
-    evaluated and ``hT`` each subsystem's traction boundary values.  One
-    stacked matvec serves both subsystems; load sums, traction solves and
-    energy terms are formed per subsystem on its slice.
+    evaluated and ``hT`` each subsystem's traction boundary values.  What
+    does not depend on time is read from the model's ``_InteriorStack``:
+    one stacked matvec serves both subsystems; load sums, traction solves
+    and energy terms are formed per subsystem on its slice.
     """
 
     def __init__(self, model: DiscreteModel):
         self.stack = model.interior_stack
-        self.B, self.mass = self.stack.B, self.stack.mass
-        self.parts = _forcing(model)
-        self.lifted = [p for p in self.parts if p.lift is not None]
-        self.loaded = [p for p in self.parts if p.presets]
-        self.traction = [p for p in self.parts if p.d.trac_lu is not None]
-        self.hT = [None] * len(self.parts)
         self.matvecs = 0
 
     def start(self, state: DiscreteState) -> "_Kernel":
@@ -1051,11 +1057,9 @@ class _Kernel:
               for h in (state.flex, state.ext)]
         vs = [np.asarray(v, dtype=float).reshape(-1)
               for v in (state.flex_vel, state.ext_vel)]
-        self.u = np.concatenate([h[p.d.interior_dofs]
-                                 for p, h in zip(self.parts, hs)])
-        self.w = np.concatenate([v[p.d.interior_dofs]
-                                 for p, v in zip(self.parts, vs)])
-        self.hT = [h[p.d.trac_dofs] for p, h in zip(self.parts, hs)]
+        self.u = self.stack.interior(hs)
+        self.w = self.stack.interior(vs)
+        self.hT = [h[p.d.trac_dofs] for p, h in zip(self.stack.parts, hs)]
         self.matvecs += 1
         self.a = self._acceleration_from(self.stack.apply(hs), state.time)
         self.kick_dt = None
@@ -1065,29 +1069,26 @@ class _Kernel:
         """M^-1 (L h - F) on the stacked interior rows at time t, where h is
         u on the interior, g on Gamma_u and the traction solve on
         Gamma_sigma."""
-        Lu = self.B @ u
+        Lu = self.stack.B @ u
         self.matvecs += 1
-        for p in self.lifted:
-            Lu[p.s] += p.lift
-        for p in self.traction:
-            d = p.d
-            rest = d.A_TI @ u[p.s]
-            if p.trac_lift is not None:
-                rest += p.trac_lift
-            fstar = p.trac_data + _envelope_sum(p.presets, p.T, t)
-            self.hT[p.k] = d.trac_lu.solve(fstar - rest)
-            Lu[p.s] += p.A_IT @ self.hT[p.k]
+        for k, p in enumerate(self.stack.parts):
+            if p.lift is not None:
+                Lu[p.s] += p.lift
+            if p.closure is not None:
+                self.hT[k] = p.closure.values(
+                    u[p.s], _envelope_sum(p.presets, p.T, t))
+                Lu[p.s] += p.closure.A_IT @ self.hT[k]
         return self._acceleration_from(Lu, t)
 
     def _acceleration_from(self, Lu: np.ndarray, t: float) -> np.ndarray:
         """M^-1 (L h - F) from the interior rows of L h, kept in ``Lu``."""
         self.Lu = Lu
-        if not self.loaded:
-            return Lu / self.mass
+        if not self.stack.loaded:
+            return Lu / self.stack.mass
         a = Lu.copy()
-        for p in self.loaded:
+        for p in self.stack.loaded:
             a[p.s] -= _envelope_sum(p.presets, p.F, t)
-        a /= self.mass
+        a /= self.stack.mass
         return a
 
     def advance(self, t0: float, dt: float) -> float:
@@ -1110,12 +1111,12 @@ class _Kernel:
     def energies(self, dA: float):
         """Kinetic and interior strain energy, the strain from the L h of
         the last acceleration less the Dirichlet lift, which is a force
-        (``_Forcing.force``): -0.5 u.A_II u with clamped edges."""
+        (``_Part.force``): -0.5 u.A_II u with clamped edges."""
         ke = 0.0
         ue = 0.0
-        for p in self.parts:
+        for p in self.stack.parts:
             u, w = self.u[p.s], self.w[p.s]
-            ke += 0.5 * float(w @ (self.mass[p.s] * w)) * dA
+            ke += 0.5 * float(w @ (self.stack.mass[p.s] * w)) * dA
             uLu = float(u @ self.Lu[p.s])
             if p.lift is not None:
                 uLu -= float(u @ p.lift)
@@ -1123,21 +1124,31 @@ class _Kernel:
             # the quasi-static traction boundary's own strain is excluded
         return ke, ue
 
+    def hottest(self) -> str:
+        """Where the energy density of ``energies`` is largest in absolute
+        value (a NaN counts as largest): the subsystem, field and node."""
+        density = self.w * (self.stack.mass * self.w) - self.u * self.Lu
+        for p in self.stack.parts:
+            if p.lift is not None:
+                density[p.s] += self.u[p.s] * p.lift
+        i = int(np.argmax(np.abs(density)))
+        return "{} field {} at node ({}, {})".format(*self.stack.locate(i))
+
     def grid_state(self, t: float, warn: bool) -> DiscreteState:
         """The full-grid state at time t; the traction boundary velocities
         are solved from the time-differentiated constraint."""
         fields = []
-        for p in self.parts:
+        for p, hT in zip(self.stack.parts, self.hT):
             d = p.d
             h = np.zeros(d.ndof)
             v = np.zeros(d.ndof)
             h[d.interior_dofs] = self.u[p.s]
             v[d.interior_dofs] = self.w[p.s]
             h[d.dirich_dofs] = p.g
-            if d.trac_lu is not None:
-                h[d.trac_dofs] = self.hT[p.k]
-                rate = _envelope_sum(p.presets, p.T, t, part=1)
-                v[d.trac_dofs] = d.trac_lu.solve(rate - d.A_TI @ self.w[p.s])
+            if p.closure is not None:
+                h[d.trac_dofs] = hT
+                v[d.trac_dofs] = p.closure.rates(
+                    self.w[p.s], _envelope_sum(p.presets, p.T, t, part=1))
             shape = (d.nf, d.nx, d.ny)
             fields += [h.reshape(shape), v.reshape(shape)]
         flex, flex_vel, ext, ext_vel = fields
@@ -1217,7 +1228,8 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     warn = state.stability_warning or dt > bound * (1.0 + 1e-12)
     kernel.start(state)
     # subsystems on which a force does work: loads or a Dirichlet lift
-    worked = [p for p in kernel.parts if p.presets or p.lift is not None]
+    worked = [p for p in kernel.stack.parts
+              if p.presets or p.lift is not None]
     dA = model.cell_area
 
     energy = EnergyLog()
@@ -1257,8 +1269,9 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
                 raise InstabilityError(
                     f"energy grew to {ke + ue:.3e} at step {k} of {n_steps}, "
                     f"t={t:.3e} (initial {e0:.3e}, external work "
-                    f"{w_ext:.3e}); dt={dt:.3e} vs stability bound {bound:.3e}"
-                )
+                    f"{w_ext:.3e}); dt={dt:.3e} vs stability bound "
+                    f"{bound:.3e}; largest energy density in the "
+                    f"{kernel.hottest()}")
     _log.debug("simulate: %d steps, %d matvecs, %d guard checks, "
                "%d snapshots, dt=%.6e, stability bound=%.6e", n_steps,
                kernel.matvecs, checks, len(states) - 1, dt, bound)

@@ -136,10 +136,9 @@ class HPRFunctional:
               for block in (u.flexural(), u.extensional())]
         Lh = stack.apply(hs)
         total = 0.0
-        for d, s, h, f in zip(stack.ds, stack.slices, hs,
-                              (self._f_flex, self._f_ext)):
-            hI = h[d.interior_dofs]
-            total += (-0.5 * float(hI @ Lh[s]) + float(f @ hI))
+        for p, h, f in zip(stack.parts, hs, (self._f_flex, self._f_ext)):
+            hI = h[p.d.interior_dofs]
+            total += (-0.5 * float(hI @ Lh[p.s]) + float(f @ hI))
         return total * model.cell_area
 
     def _stress_part(self, state: HPRState) -> float:
@@ -221,11 +220,16 @@ class HPRFunctional:
         """
         floor = 1e-300
         u_ref = self.reference_energy(state)
-        curv = abs(self.second_difference(state, d))
+        # each of the five points is evaluated once; the differences are
+        # those of second_difference and directional_derivative
+        v0 = self.value(state)
+        vp, vm = self.value(state + d), self.value(state - d)
+        curv = abs(vp + vm - 2.0 * v0)
         if curv > floor and u_ref > floor:
             d = d.scaled(float(np.sqrt(u_ref / curv)))
-            curv = abs(self.second_difference(state, d))
-        num = abs(self.directional_derivative(state, d))
+            vp, vm = self.value(state + d), self.value(state - d)
+            curv = abs(vp + vm - 2.0 * v0)
+        num = abs(0.5 * (vp - vm))
         return num / np.sqrt(max(curv, floor) * max(u_ref, floor))
 
 

@@ -388,7 +388,7 @@ def lowest_flexural_mode(model):
     import scipy.sparse as sp
 
     stack = model.interior_stack
-    s = stack.slices[0]
+    s = stack.parts[0].s
     K = (-stack.B[s, s]).tocsc()
     M = sp.diags(stack.mass[s])
     w2, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM")

@@ -1,13 +1,49 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from cosserat_plate import dynamics, verification
 from cosserat_plate.material import MaterialParams
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def verify_run(tmp_path_factory):
+    """One ``run_all(seed=0)`` per test session, which gives suite k its
+    default seed k: its results, its printed lines, its output directory
+    and the subsystem names of every static factor built for the 65^2
+    classical plate."""
+    out = tmp_path_factory.mktemp("verify")
+    factors = []
+    assemble = verification.assemble
+    classical = verification._classical_material()
+
+    def marking_assemble(cfg):
+        model = assemble(cfg)
+        if cfg.material == classical:
+            model.flex_d.classical = model.ext_d.classical = True
+        return model
+
+    class CountingFactor(dynamics._StaticFactor):
+        def __init__(self, d):
+            if getattr(d, "classical", False):
+                factors.append((d.name, d.nx, d.ny))
+            super().__init__(d)
+
+    printed = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "assemble", marking_assemble)
+        mp.setattr(dynamics, "_StaticFactor", CountingFactor)
+        with contextlib.redirect_stdout(printed):
+            results = verification.run_all(seed=0, out_dir=out)
+    return results, printed.getvalue().splitlines(), out, factors
 
 
 def admissible_materials(with_inertia: bool = True):

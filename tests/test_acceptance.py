@@ -1,6 +1,9 @@
-"""Acceptance gate: one test per criterion, each delegating to the
-verification suite that implements it at its fixed tolerance and printing
-one pass/fail line (run pytest with -s to see them)."""
+"""Acceptance gate: one test per criterion, each reading the result of
+the verification suite that implements it at its fixed tolerance from the
+session's one ``run_all`` (the ``verify_run`` fixture) and printing one
+pass/fail line (run pytest with -s to see them)."""
+
+import inspect
 
 import pytest
 
@@ -21,8 +24,11 @@ CRITERIA = (
 
 
 @pytest.mark.parametrize("label,suite", CRITERIA, ids=[c[0] for c in CRITERIA])
-def test_acceptance(label, suite):
-    result = suite()
+def test_acceptance(label, suite, verify_run):
+    k = V.ALL_SUITES.index(suite)
+    # run_all gives suite k the seed k, its default: the standalone result
+    assert inspect.signature(suite).parameters["seed"].default == k
+    result = verify_run[0][k]
     print(f"{label} {result.line()}")
     assert result.passed, result.details
 

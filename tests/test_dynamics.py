@@ -209,22 +209,25 @@ def omega_max_sq(model):
     M^-1/2 (-A_II) M^-1/2 is symmetric and eigsh takes its largest
     eigenvalue; with them L u = A_II u - A_IT A_TT^-1 A_TI u is not, and
     ARPACK's eigs takes the largest |eigenvalue| through the traction
-    solve."""
+    solve, on an A_TT factored here from the rows of A."""
     w2 = []
     for d in (model.flex_d, model.ext_d):
         A_int = d.A[d.interior_dofs]
         A_II = A_int[:, d.interior_dofs]
         m = d.mass_interior
-        if d.trac_lu is None:
+        if d.trac_dofs.size == 0:
             r = sp.diags(m ** -0.5)
             lam = spla.eigsh(-(r @ A_II @ r), k=1, which="LA",
                              return_eigenvectors=False)
         else:
             A_IT = A_int[:, d.trac_dofs]
+            A_T = d.A[d.trac_dofs]
+            A_TI = A_T[:, d.interior_dofs]
+            lu = spla.splu(A_T[:, d.trac_dofs].tocsc())
 
-            def matvec(u, d=d, A_II=A_II, A_IT=A_IT, m=m):
+            def matvec(u, A_II=A_II, A_IT=A_IT, A_TI=A_TI, lu=lu, m=m):
                 u = np.ravel(u)
-                return (A_II @ u - A_IT @ d.trac_lu.solve(d.A_TI @ u)) / m
+                return (A_II @ u - A_IT @ lu.solve(A_TI @ u)) / m
 
             op = spla.LinearOperator(A_II.shape, matvec=matvec)
             lam = spla.eigs(op, k=1, which="LM", return_eigenvectors=False)
@@ -500,9 +503,9 @@ class TestStaticFactor:
     def test_matches_full_matrix_spsolve(self, bc, nx, ny):
         model = make_model(nx=nx, ny=ny, bc=bc, loads=STATIC_LOADS)
         kin, _ = static_solve(model)
-        for d, key, h in ((model.flex_d, "flex_data", kin.flexural()),
-                          (model.ext_d, "ext_data", kin.extensional())):
-            rhs = dynamics._static_rhs(d, key)
+        for d, h in ((model.flex_d, kin.flexural()),
+                     (model.ext_d, kin.extensional())):
+            rhs = dynamics._static_rhs(d)
             ref = spla.spsolve(d.A.tocsc(), rhs)
             assert np.max(np.abs(h.ravel() - ref)) <= \
                 1e-9 * np.max(np.abs(ref)), d.name
@@ -527,6 +530,21 @@ class TestStaticFactor:
         kin2, _ = static_solve(model)
         assert len(calls) == 2
         assert np.array_equal(kin1.as_array(), kin2.as_array())
+
+    def test_static_solve_factors_no_traction_block(self, monkeypatch):
+        """A static cantilever solve factors A_FF once per subsystem and
+        nothing else; assembly used to factor each traction block A_TT as
+        well, which only the explicit kernel reads."""
+        calls = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.spla, "splu", counting_splu)
+        static_solve(make_model(bc=CANTILEVER, loads=STATIC_LOADS))
+        assert len(calls) == 2
 
     def test_cantilever_residual_below_1e_10(self):
         """Threshold pivoting plus two refinement steps keep the cantilever
@@ -571,12 +589,11 @@ class TestStaticFactor:
                    for ln in solves)
         # the normwise backward error ||r|| / (||A_FF|| ||x|| + ||b||) in
         # the infinity norm, recomputed from the dense A_FF
-        for d, key, ln in zip((model.flex_d, model.ext_d),
-                              ("flex_data", "ext_data"), solves):
+        for d, ln in zip((model.flex_d, model.ext_d), solves):
             assert ln.startswith(d.name)
             logged = float(re.search(r", backward error (\S+)$", ln)[1])
             f = d.static_factor
-            rhs = dynamics._static_rhs(d, key)
+            rhs = dynamics._static_rhs(d)
             x = f.solve(rhs)[f.free]
             b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
             norm = np.max(np.sum(np.abs(f.A_FF.toarray()), axis=1))
@@ -595,11 +612,10 @@ class TestStaticFactor:
         model = make_model(nx=11, ny=11, bc=bc, loads=STATIC_LOADS)
         kin, diag = static_solve(model)
         monkeypatch.setattr(dynamics, "_abs_matvec", None)  # not per solve
-        for d, key, h, name in (
-                (model.flex_d, "flex_data", kin.flexural(), "flexural"),
-                (model.ext_d, "ext_data", kin.extensional(), "extensional")):
+        for d, h, name in ((model.flex_d, kin.flexural(), "flexural"),
+                           (model.ext_d, kin.extensional(), "extensional")):
             f = d.static_factor
-            rhs = dynamics._static_rhs(d, key)
+            rhs = dynamics._static_rhs(d)
             x = h.ravel()[f.free]
             b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
             dense = f.A_FF.toarray()
@@ -628,6 +644,21 @@ class TestSimulate:
         model = make_model()
         traj = simulate(model, t_final=10 * stable_dt(make_model()))
         assert seen == [True] and traj.n_steps == 10
+
+    def test_singular_traction_block_raises_at_first_explicit_use(
+            self, monkeypatch):
+        """The traction block A_TT is factored when the kernel first needs
+        it, no longer at assembly; a failed factorization still names the
+        subsystem."""
+        def failing_splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(dynamics.spla, "splu", failing_splu)
+        model = make_model(bc=CANTILEVER)
+        with pytest.raises(SingularSystemError,
+                           match="flexural traction boundary block is "
+                                 "singular: Factor is exactly singular"):
+            simulate(model, t_final=1.0)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_bad_dt(self, dt):
@@ -709,6 +740,36 @@ class TestSimulate:
         with pytest.raises(InstabilityError, match="stability bound"):
             simulate(model, t_final=400 * dt, dt=2.05 * dt, snapshot_every=5,
                      initial=s)
+
+    def test_instability_names_subsystem_field_and_node(self):
+        """The message names the interior dof with the largest energy
+        density at the failing check, here recomputed from the ``step()``
+        loop's state at that step."""
+        model = make_model(nx=17, ny=17)
+        dt = 1.5 * stable_dt(model)
+        s = kicked_state(model)
+        with pytest.raises(InstabilityError) as exc:
+            simulate(model, t_final=512 * dt, dt=dt, initial=s)
+        msg = str(exc.value)
+        m = re.search(r"at step (\d+) of 512, .* largest energy density in "
+                      r"the (flexural|extensional) field (\w+) at node "
+                      r"\((\d+), (\d+)\)$", msg)
+        assert m, msg
+        for _ in range(int(m[1])):
+            s = step(s, model, dt)
+        density, where = [], []
+        for d, h, v in ((model.flex_d, s.flex, s.flex_vel),
+                        (model.ext_d, s.ext, s.ext_vel)):
+            h, v = h.ravel(), v.ravel()
+            u, w = h[d.interior_dofs], v[d.interior_dofs]
+            Lh = d.A[d.interior_dofs] @ h
+            density.append(w * (d.mass_interior * w) - u * Lh)
+            names = FLEXURAL_FIELDS if d.nf == 6 else EXTENSIONAL_FIELDS
+            f, node = np.divmod(d.interior_dofs, d.nx * d.ny)
+            where += [(d.name, names[fk], str(nk // d.ny), str(nk % d.ny))
+                      for fk, nk in zip(f, node)]
+        hottest = int(np.argmax(np.abs(np.concatenate(density))))
+        assert where[hottest] == m.groups()[1:], msg
 
     def test_drift_richardson(self):
         model = make_model(nx=9, ny=9)
@@ -862,9 +923,8 @@ class TestKernel:
         # per subsystem: the interior rows of A, the lift A_ID g and the
         # energies and midpoint load work recomputed from grid states
         subs = [(d, d.A[d.interior_dofs],
-                 d.dirichlet_values(key).reshape(d.nf, -1))
-                for d, key in ((model.flex_d, "flex_data"),
-                               (model.ext_d, "ext_data"))]
+                 d.dirichlet_values().reshape(d.nf, -1))
+                for d in (model.flex_d, model.ext_d)]
         dA = model.cell_area
 
         def grid(s):

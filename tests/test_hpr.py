@@ -173,3 +173,29 @@ def test_boundary_part_integrates_unit_data_over_the_edge_length(n):
     got = HPRFunctional(model)._boundary_part(
         HPRState(u=u, s=zero_state(model).s))
     assert got == 1.0
+
+
+def test_stationarity_evaluates_each_point_once(monkeypatch):
+    """The measure needs Theta at five points, the state and the state
+    plus and minus d before and after d is rescaled; it used to evaluate
+    Theta eight times.  It equals the measure formed from
+    ``second_difference`` and ``directional_derivative``."""
+    model = make_model(p_load=1.0)
+    kin, _ = static_solve(model)
+    eq = equilibrium_state(model, kin)
+    F = HPRFunctional(model)
+    d = random_admissible_perturbation(model, np.random.default_rng(4))
+    u_ref = F.reference_energy(eq)
+    scaled = d.scaled(float(np.sqrt(u_ref / abs(F.second_difference(eq, d)))))
+    want = abs(F.directional_derivative(eq, scaled)) / np.sqrt(
+        abs(F.second_difference(eq, scaled)) * u_ref)
+    calls = []
+    value = HPRFunctional.value
+
+    def counted(self, state):
+        calls.append(state)
+        return value(self, state)
+
+    monkeypatch.setattr(HPRFunctional, "value", counted)
+    assert F.stationarity_measure(eq, d) == want
+    assert len(calls) == 5

@@ -1,9 +1,7 @@
 """The verification runner: the classical plate shared by suites 6 and 9,
 the memo's lifetime and ``verify_report.json``."""
 
-import contextlib
 import gc
-import io
 import json
 import re
 import weakref
@@ -11,40 +9,9 @@ import weakref
 import numpy as np
 import pytest
 
-from cosserat_plate import __version__, dynamics, verification
+from cosserat_plate import __version__, verification
 from cosserat_plate.plate_fields import PlateKinematics
 from cosserat_plate.verification import SuiteResult
-
-
-@pytest.fixture(scope="module")
-def verify_run(tmp_path_factory):
-    """One ``run_all(seed=0)`` with its printed lines, its output directory
-    and the subsystem names of every static factor built for the 65^2
-    classical plate."""
-    out = tmp_path_factory.mktemp("verify")
-    factors = []
-    assemble = verification.assemble
-    classical = verification._classical_material()
-
-    def marking_assemble(cfg):
-        model = assemble(cfg)
-        if cfg.material == classical:
-            model.flex_d.classical = model.ext_d.classical = True
-        return model
-
-    class CountingFactor(dynamics._StaticFactor):
-        def __init__(self, d):
-            if getattr(d, "classical", False):
-                factors.append((d.name, d.nx, d.ny))
-            super().__init__(d)
-
-    printed = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verification, "assemble", marking_assemble)
-        mp.setattr(dynamics, "_StaticFactor", CountingFactor)
-        with contextlib.redirect_stdout(printed):
-            results = verification.run_all(seed=0, out_dir=out)
-    return results, printed.getvalue().splitlines(), out, factors
 
 
 def test_classical_plate_is_factored_once(verify_run):
