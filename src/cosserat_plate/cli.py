@@ -44,6 +44,7 @@ from .dynamics import (
     simulate,
     stable_dt,
     static_solve,
+    worst_static_row,
 )
 from .material import (
     MaterialError,
@@ -273,7 +274,13 @@ def _cmd_static(cfg, args, out: Path, cfg_hash: str) -> int:
                 diag["extensional_residual"] / max(diag["extensional_rhs_scale"], 1e-300))
     print(f"static solve done; max relative residual {resid:.3e}")
     print(f"wrote {out / 'static_snapshot.csv'}")
-    return 0 if resid <= 1e-9 else 1
+    if resid <= 1e-9:
+        return 0
+    name, field, i, j, r = worst_static_row(model, kin)
+    print(f"solver failure: static relative residual {r:.3e} exceeds 1e-9; "
+          f"worst in the {name} {field} row at node ({i}, {j})",
+          file=sys.stderr)
+    return 1
 
 
 def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:

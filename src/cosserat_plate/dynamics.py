@@ -71,15 +71,22 @@ needs that does not depend on time: the Dirichlet data g and its lift A_ID
 g, the load terms and, with traction edges, the traction closure
 (``_TractionClosure``), the one place that knows the quasi-static traction
 boundary.  Inside every acceleration the closure solves the traction rows
-for the boundary values at the current u, on a factor of A_TT built with
-the stack, so static solves never build it.  The boundary velocities, from
-the time-differentiated rows, feed nothing back into the interior update
-and are solved only when a ``DiscreteState`` is built, at snapshots and at
-the end of a run.  Load envelope sums, traction solves and energy and work
-dot products are formed per subsystem on its slice, so the kernel's
-arithmetic is that of two separate subsystems.  ``stable_dt`` bounds the
-largest frequency of both subsystems by one Gershgorin row-sum pass over
-the same stack and keeps the bound there.
+for the boundary values at the current u, on a factor of A_TT built at its
+first solve, so static solves and the HPR functional never build it.  The
+boundary velocities, from the time-differentiated rows, feed nothing back
+into the interior update and are solved only when a ``DiscreteState`` is
+built, at snapshots and at the end of a run.  Load envelope sums, traction
+solves and energy and work dot products are formed per subsystem on its
+slice, so the kernel's arithmetic is that of two separate subsystems.
+``stable_dt`` bounds the largest frequency of both subsystems by one
+Gershgorin row-sum pass over the same stack and keeps the bound there.
+
+The two subsystems never couple, so the kernel steps only what moves.  A
+subsystem whose fields and velocities start at zero on the whole grid, with
+no load, no Dirichlet lift and no traction edge, stays exactly +0 for the
+whole run; the matvec then runs on the rows of the other subsystem only
+and the vector updates on its slice.  dt, the energies and the order of
+every floating-point operation are those of stepping both.
 
 Energy bookkeeping uses the discrete quadratic forms of the scheme itself:
 kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - A_ID g) over the
@@ -271,7 +278,11 @@ class LoadFunctions:
 
 def _envelope_sum(presets, rows: np.ndarray, t: float, part: int = 0):
     """sum_k e_k(t) rows[k], with e_k the value (``part`` 0) or the rate
-    (``part`` 1) of preset k's time envelope."""
+    (``part`` 1) of preset k's time envelope.  One preset's sum is the
+    scaled row e rows[0] + 0.0, bit for bit the matmul's zero-started sum:
+    the + 0.0 turns a -0 product into +0 as that sum does."""
+    if len(presets) == 1:
+        return presets[0].envelope(t)[part] * rows[0] + 0.0
     return np.array([f.envelope(t)[part] for f in presets]) @ rows
 
 
@@ -527,6 +538,11 @@ class _Discretization:
         self.interior_nodes, _, self.interior_dofs = self._nodes_of(0)
         self.dirich_nodes, self._dir_ij, self.dirich_dofs = self._nodes_of(1)
         self.trac_nodes, self._trac_ij, self.trac_dofs = self._nodes_of(2)
+
+    def locate(self, dof: int) -> tuple:
+        """The field name and the node indices i, j of grid dof ``dof``."""
+        f, node = divmod(int(dof), self.nx * self.ny)
+        return (self.fields[f], *divmod(node, self.ny))
 
     def _nodes_of(self, tag):
         """Node indices i * ny + j, their (i, j) and their dofs (field by
@@ -844,6 +860,22 @@ def static_solve(model: DiscreteModel, extra_flex_F=None, extra_ext_F=None):
     return kin, diag
 
 
+def worst_static_row(model: DiscreteModel, kin: PlateKinematics) -> tuple:
+    """The row of either static system that ``kin`` satisfies worst, as
+    (subsystem, field, i, j, relative residual): the row with the largest
+    |A h - b| / max|b|, b the right-hand side ``static_solve`` builds
+    without extra forcing."""
+    worst = None
+    for d, h in ((model.flex_d, kin.flexural()),
+                 (model.ext_d, kin.extensional())):
+        rhs = _static_rhs(d)
+        r = np.abs(d.A @ np.ravel(h) - rhs) / max(np.max(np.abs(rhs)), 1e-300)
+        k = int(np.argmax(r))
+        if worst is None or r[k] > worst[-1]:
+            worst = (d.name, *d.locate(k), float(r[k]))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # time integration
 # ---------------------------------------------------------------------------
@@ -903,20 +935,27 @@ class _TractionClosure:
     values h_T, with ``lift`` the rows' Dirichlet block times g (None when
     g is zero) and f* the prescribed traction ``data`` plus the traction
     load part; h_T enters the interior rows through the column block A_IT.
-    A_TT is factored once, when the closure is built.
+    A_TT is factored once, on the first ``values`` or ``rates`` call, so a
+    caller that only applies the interior rows (``HPRFunctional``) never
+    factors it.
     """
 
     def __init__(self, d: _Discretization, A_IT: sp.csr_matrix, g):
         T = d.A[d.trac_dofs]
+        self.name = d.name
         self.A_IT = A_IT
         self.A_TI = T[:, d.interior_dofs]
+        self.A_TT = T[:, d.trac_dofs]
         self.lift = None if g is None else T[:, d.dirich_dofs] @ g
         self.data = d.traction_values()
+
+    @cached_property
+    def lu(self):
         try:
-            self.lu = spla.splu(T[:, d.trac_dofs].tocsc())
+            return spla.splu(self.A_TT.tocsc())
         except RuntimeError as exc:
             raise SingularSystemError(
-                f"{d.name} traction boundary block is singular: {exc}"
+                f"{self.name} traction boundary block is singular: {exc}"
             ) from exc
 
     def values(self, u: np.ndarray, load: np.ndarray) -> np.ndarray:
@@ -935,10 +974,10 @@ class _Part:
     """What drives one subsystem in the explicit kernel: its
     discretization ``d``, its slice ``s`` of the stacked vectors, its
     Dirichlet column block A_ID with the data ``g`` and the lift A_ID g
-    (None when g is zero), its load terms (``presets``, ``F``, ``T``) and
-    its traction closure (None without traction dofs).  None of it depends
-    on time; the loads enter through F and T weighted by their
-    envelopes."""
+    (None when g is zero), its load terms (``presets``, ``F``, ``T``), its
+    traction closure (None without traction dofs) and whether any of these
+    can move it from rest (``driven``).  None of it depends on time; the
+    loads enter through F and T weighted by their envelopes."""
 
     def __init__(self, d: _Discretization, s: slice, A_ID, A_IT):
         self.d, self.s, self.A_ID = d, s, A_ID
@@ -948,6 +987,8 @@ class _Part:
         self.lift = A_ID @ self.g if lifted else None
         self.closure = (_TractionClosure(d, A_IT, self.g if lifted else None)
                         if d.trac_dofs.size else None)
+        # a load, a lift or a traction boundary moves a subsystem from rest
+        self.driven = bool(self.presets or lifted or self.closure)
 
     def force(self, t: float) -> np.ndarray:
         """The interior force at time t that the strain form leaves out:
@@ -1007,6 +1048,7 @@ class _InteriorStack:
                       in zip(ds, ends[:-1], ends[1:], boundary)]
         self.loaded = [p for p in self.parts if p.presets]
         self.dt = None
+        self._rows = {}
 
     def apply(self, hs) -> np.ndarray:
         """Stacked interior rows of L h for the full-grid flat vectors
@@ -1019,6 +1061,20 @@ class _InteriorStack:
                 Lh[p.s] += p.closure.A_IT @ h[p.d.trac_dofs]
         return Lh
 
+    def rows(self, live: slice) -> sp.csr_matrix:
+        """B's rows ``live`` over all its columns, built once per range.
+        Their data and column indices are slices of B's arrays, which scipy
+        keeps as views when they hold at least half of B, as the flexural
+        rows do, and copies otherwise."""
+        key = (live.start, live.stop)
+        if key not in self._rows:
+            ptr = self.B.indptr[live.start:live.stop + 1]
+            span = slice(ptr[0], ptr[-1])
+            self._rows[key] = sp.csr_matrix(
+                (self.B.data[span], self.B.indices[span], ptr - ptr[0]),
+                shape=(live.stop - live.start, self.B.shape[1]))
+        return self._rows[key]
+
     def interior(self, hs) -> np.ndarray:
         """Stacked interior values of the full-grid flat vectors ``hs``."""
         return np.concatenate([h[p.d.interior_dofs]
@@ -1028,9 +1084,7 @@ class _InteriorStack:
         """The subsystem name, the field name and the node indices i, j of
         stacked interior dof i."""
         p = self.parts[int(i >= self.parts[1].s.start)]
-        d = p.d
-        f, node = divmod(int(d.interior_dofs[i - p.s.start]), d.nx * d.ny)
-        return (d.name, d.fields[f], *divmod(node, d.ny))
+        return (p.d.name, *p.d.locate(p.d.interior_dofs[i - p.s.start]))
 
 
 class _Kernel:
@@ -1040,9 +1094,19 @@ class _Kernel:
     accelerations on the interior dofs of both subsystems, flexural first.
     ``Lu`` keeps the interior rows of L h of the last acceleration
     evaluated and ``hT`` each subsystem's traction boundary values.  What
-    does not depend on time is read from the model's ``_InteriorStack``:
-    one stacked matvec serves both subsystems; load sums, traction solves
-    and energy terms are formed per subsystem on its slice.
+    does not depend on time is read from the model's ``_InteriorStack``;
+    load sums, traction solves and energy terms are formed per subsystem
+    on its slice.
+
+    Only what moves is stepped.  A part is at rest when its fields and
+    velocities are zero on the whole grid at the start and nothing drives
+    it (``_Part.driven``); B is block diagonal, so its u, w, a and Lu stay
+    exactly +0 for the whole run.  The other parts are live.  A step's
+    matvec runs on B's rows over the range of the stack the live parts
+    span (``_InteriorStack.rows``), and its vector updates on the views
+    ``_u``, ``_w``, ``_a`` and ``_Lu`` of that range; with every part live
+    the range is the whole stack.  Energies, snapshots and ``hottest`` read
+    the full vectors.
     """
 
     def __init__(self, model: DiscreteModel):
@@ -1052,44 +1116,61 @@ class _Kernel:
     def start(self, state: DiscreteState) -> "_Kernel":
         """Take u and w from a grid state and a(t) from its fields with
         their boundary values as given; every later acceleration re-imposes
-        g and re-solves the traction block."""
+        g and re-solves the traction block.  An at-rest part's u and w are
+        set to +0, as a step would make of a -0."""
+        stack = self.stack
         hs = [np.asarray(h, dtype=float).reshape(-1)
               for h in (state.flex, state.ext)]
         vs = [np.asarray(v, dtype=float).reshape(-1)
               for v in (state.flex_vel, state.ext_vel)]
-        self.u = self.stack.interior(hs)
-        self.w = self.stack.interior(vs)
-        self.hT = [h[p.d.trac_dofs] for p, h in zip(self.stack.parts, hs)]
+        self.u = stack.interior(hs)
+        self.w = stack.interior(vs)
+        self.hT = [h[p.d.trac_dofs] for p, h in zip(stack.parts, hs)]
+        moves = [p.driven or bool(np.any(h) or np.any(v))
+                 for p, h, v in zip(stack.parts, hs, vs)]
+        live = [p for p, m in zip(stack.parts, moves) if m]
+        rest = [p for p, m in zip(stack.parts, moves) if not m]
+        for p in rest:
+            self.u[p.s] = self.w[p.s] = 0.0
+        s = slice(min((p.s.start for p in live), default=0),
+                  max((p.s.stop for p in live), default=0))
+        self.rows = stack.rows(s)
         self.matvecs += 1
-        self.a = self._acceleration_from(self.stack.apply(hs), state.time)
+        self.Lu = stack.apply(hs)
+        self.a = np.zeros(self.u.size)
+        self._u, self._w, self._a, self._Lu, self._m = (
+            x[s] for x in (self.u, self.w, self.a, self.Lu, stack.mass))
+        self._kick = np.empty(s.stop - s.start)
+        self._du = np.empty(s.stop - s.start)
+        self._acceleration_from_Lu(state.time)
         self.kick_dt = None
+        _log.debug("kernel: stepping %s (%d of %d interior dofs)%s",
+                   ", ".join(p.d.name for p in live) or "nothing",
+                   s.stop - s.start, self.u.size,
+                   f"; {', '.join(p.d.name for p in rest)} at rest"
+                   if rest else "")
         return self
 
-    def acceleration(self, u: np.ndarray, t: float) -> np.ndarray:
-        """M^-1 (L h - F) on the stacked interior rows at time t, where h is
-        u on the interior, g on Gamma_u and the traction solve on
-        Gamma_sigma."""
-        Lu = self.stack.B @ u
+    def _acceleration(self, t: float) -> None:
+        """M^-1 (L h - F) on the live range at time t, where h is u on the
+        interior, g on Gamma_u and the traction solve on Gamma_sigma."""
+        self._Lu[...] = self.rows @ self.u
         self.matvecs += 1
         for k, p in enumerate(self.stack.parts):
             if p.lift is not None:
-                Lu[p.s] += p.lift
+                self.Lu[p.s] += p.lift
             if p.closure is not None:
                 self.hT[k] = p.closure.values(
-                    u[p.s], _envelope_sum(p.presets, p.T, t))
-                Lu[p.s] += p.closure.A_IT @ self.hT[k]
-        return self._acceleration_from(Lu, t)
+                    self.u[p.s], _envelope_sum(p.presets, p.T, t))
+                self.Lu[p.s] += p.closure.A_IT @ self.hT[k]
+        self._acceleration_from_Lu(t)
 
-    def _acceleration_from(self, Lu: np.ndarray, t: float) -> np.ndarray:
-        """M^-1 (L h - F) from the interior rows of L h, kept in ``Lu``."""
-        self.Lu = Lu
-        if not self.stack.loaded:
-            return Lu / self.stack.mass
-        a = Lu.copy()
+    def _acceleration_from_Lu(self, t: float) -> None:
+        """M^-1 (L h - F) on the live range from the L h kept in ``Lu``."""
+        np.copyto(self._a, self._Lu)
         for p in self.stack.loaded:
-            a[p.s] -= _envelope_sum(p.presets, p.F, t)
-        a /= self.stack.mass
-        return a
+            self.a[p.s] -= _envelope_sum(p.presets, p.F, t)
+        self._a /= self._m
 
     def advance(self, t0: float, dt: float) -> float:
         """One leapfrog step from t0; returns t0 + dt.  The kernel enters
@@ -1099,13 +1180,14 @@ class _Kernel:
         half = 0.5 * dt
         t1 = t0 + dt
         if self.kick_dt != dt:
-            self.kick = half * self.a
-        self.w += self.kick
-        self.u += dt * self.w
-        self.a = self.acceleration(self.u, t1)
-        self.kick = half * self.a
+            np.multiply(self._a, half, out=self._kick)
+        self._w += self._kick
+        np.multiply(self._w, dt, out=self._du)
+        self._u += self._du
+        self._acceleration(t1)
+        np.multiply(self._a, half, out=self._kick)
         self.kick_dt = dt
-        self.w += self.kick
+        self._w += self._kick
         return t1
 
     def energies(self, dA: float):
@@ -1242,15 +1324,21 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     times = [t]
     checks = 0
 
+    # one buffer per worked part: its velocity at a step's start, then the
+    # step's midpoint velocity
+    w_mid = [np.empty(p.s.stop - p.s.start) for p in worked]
+
     for k in range(1, n_steps + 1):
-        w_prev = [kernel.w[p.s].copy() for p in worked]
+        for p, buf in zip(worked, w_mid):
+            np.copyto(buf, kernel.w[p.s])
         t_mid = t + 0.5 * dt
         t = kernel.advance(t, dt)
         # midpoint power of the applied force, A_ID g - F in the convention
         # A_II u + A_ID g - F = M udd
-        for p, w0 in zip(worked, w_prev):
-            w_ext += dt * float(p.force(t_mid)
-                                @ (0.5 * (w0 + kernel.w[p.s]))) * dA
+        for p, buf in zip(worked, w_mid):
+            buf += kernel.w[p.s]
+            buf *= 0.5
+            w_ext += dt * float(p.force(t_mid) @ buf) * dA
 
         record = bool(snapshot_every) and k % snapshot_every == 0
         if k == n_steps or record:

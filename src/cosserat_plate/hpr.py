@@ -210,19 +210,20 @@ class HPRFunctional:
         u_ref += abs(self._displacement_part(state.u))
         return u_ref
 
-    def stationarity_measure(self, state: HPRState, d: HPRState) -> float:
+    def stationarity_measure(self, state: HPRState, d: HPRState, *,
+                             base: tuple | None = None) -> float:
         """Dimensionless |dTheta[d]| / sqrt(d2Theta[d,d] * U_ref).
 
         Invariant under rescaling of both the state and the perturbation.
         The perturbation is first rescaled so its quadratic energy matches
         the state's reference energy, which keeps the central difference
         well conditioned when the two scales differ by many orders.
+        ``base`` is (Theta(state), U_ref(state)) when already known.
         """
         floor = 1e-300
-        u_ref = self.reference_energy(state)
         # each of the five points is evaluated once; the differences are
         # those of second_difference and directional_derivative
-        v0 = self.value(state)
+        v0, u_ref = base or (self.value(state), self.reference_energy(state))
         vp, vm = self.value(state + d), self.value(state - d)
         curv = abs(vp + vm - 2.0 * v0)
         if curv > floor and u_ref > floor:
@@ -231,6 +232,14 @@ class HPRFunctional:
             curv = abs(vp + vm - 2.0 * v0)
         num = abs(0.5 * (vp - vm))
         return num / np.sqrt(max(curv, floor) * max(u_ref, floor))
+
+    def stationarity_measures(self, state: HPRState, perturbations) -> list:
+        """``stationarity_measure`` of one state along each of the
+        perturbations, an iterable consumed one at a time, with Theta(state)
+        and U_ref(state) evaluated once."""
+        base = (self.value(state), self.reference_energy(state))
+        return [self.stationarity_measure(state, d, base=base)
+                for d in perturbations]
 
 
 def hpr_functional(model: DiscreteModel, state: HPRState, t: float = 0.0) -> float:

@@ -443,10 +443,9 @@ def suite_hpr_stationarity(seed: int = 8, n_perturbations: int = 20) -> SuiteRes
     eq = equilibrium_state(model, _classical_solution())
     F = HPRFunctional(model)
 
-    eq_measures = [
-        F.stationarity_measure(eq, random_admissible_perturbation(model, rng))
-        for _ in range(n_perturbations)
-    ]
+    eq_measures = F.stationarity_measures(
+        eq, (random_admissible_perturbation(model, rng)
+             for _ in range(n_perturbations)))
     worst_eq = max(eq_measures)
 
     bad = random_admissible_perturbation(model, rng)

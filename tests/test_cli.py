@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -487,3 +488,30 @@ def test_config_hash_stable():
     h1 = config_hash({"b": 1, "a": 2})
     h2 = config_hash({"a": 2, "b": 1})
     assert h1 == h2 and len(h1) == 16
+
+
+def test_static_failure_names_the_worst_row(config_file, tmp_path,
+                                            monkeypatch, capsys):
+    """Above the 1e-9 residual gate, ``static`` exits 1 naming the
+    subsystem, field and node of the worst residual row.  The solve is
+    made to answer a right-hand side with the flexural w row of node
+    (3, 2) moved, so that row alone is left unsatisfied."""
+    from cosserat_plate import dynamics
+
+    solve = dynamics._StaticFactor.solve
+
+    def off_in_one_row(self, rhs):
+        if self.name == "flexural":
+            rhs = rhs.copy()
+            rhs[2 * 7 * 7 + 3 * 7 + 2] += 1e-6 * np.max(np.abs(rhs))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(dynamics._StaticFactor, "solve", off_in_one_row)
+    out = tmp_path / "static"
+    assert run(["static", "--config", config_file, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        r"solver failure: static relative residual 1\.0\d\de-06 exceeds "
+        r"1e-9; worst in the flexural w row at node \(3, 2\)\n",
+        captured.err), captured.err
+    assert "max relative residual 1.0" in captured.out

@@ -1014,6 +1014,126 @@ class TestKernel:
         assert re.search(r"t=\S+ .*dt=\S+ vs stability bound", msg)
 
 
+def pulse_loads():
+    return LoadFunctions(p=GaussianPulseLoad(1.0, center=(0.45, 0.55),
+                                             width=0.1, t0=0.05, tau=0.02))
+
+
+def with_fields(s, **arrays):
+    return dataclasses.replace(s, **arrays)
+
+
+def kernel_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("kernel:")]
+
+
+class TestAtRest:
+    """A subsystem at rest on the whole grid that nothing drives stays
+    exactly +0, so the kernel steps only the live part of the stack."""
+
+    def test_flexural_run_does_not_see_an_extensional_kick(self):
+        """The blocks do not couple: with the extensional part at rest, the
+        flexural states and the load work are bitwise those of the same
+        run with the extensional part kicked (and stepped)."""
+        model = make_model(nx=17, ny=17, loads=pulse_loads())
+        dt = stable_dt(model)
+        rest = DiscreteState.zero(model)
+        ev = rest.ext_vel.copy()
+        ev[0, 1:-1, 1:-1] = 1e-3 * kicked_state(model).flex_vel[2, 1:-1, 1:-1]
+        kicked = with_fields(rest, ext_vel=ev)
+        runs = [simulate(model, t_final=60 * dt, dt=dt, snapshot_every=15,
+                         initial=s) for s in (rest, kicked)]
+        assert np.any(runs[1].states[-1].ext) and \
+            not np.any(runs[0].states[-1].ext)
+        for a, b in zip(runs[0].states, runs[1].states):
+            assert a.flex.tobytes() == b.flex.tobytes()
+            assert a.flex_vel.tobytes() == b.flex_vel.tobytes()
+        e0, e1 = (r.energy.as_arrays() for r in runs)
+        assert e0["external_work"].tobytes() == e1["external_work"].tobytes()
+        # the at-rest run's energy is the kicked run's flexural energy
+        stack = model.interior_stack
+        f = stack.parts[0]
+        for k, s in enumerate(runs[1].states):
+            w = s.flex_vel.ravel()[f.d.interior_dofs]
+            ke = 0.0 + 0.5 * float(w @ (stack.mass[f.s] * w)) * \
+                model.cell_area
+            assert e0["kinetic"][k] == ke
+
+    def test_at_rest_part_stays_positive_zero(self):
+        """No sign bit survives in the at-rest part, neither through
+        ``simulate`` nor through ``step()``, even from a -0 start, which a
+        stepped part turns into +0 at its first step."""
+        model = make_model(nx=17, ny=17, loads=pulse_loads())
+        dt = stable_dt(model)
+        s0 = DiscreteState.zero(model)
+        s0 = with_fields(s0, ext=np.full_like(s0.ext, -0.0),
+                         ext_vel=np.full_like(s0.ext_vel, -0.0))
+        traj = simulate(model, t_final=30 * dt, dt=dt, snapshot_every=10,
+                        initial=s0)
+        stepped = step_loop(model, s0, dt, 30, 10)
+        for s in traj.states[1:] + stepped[1:]:
+            assert np.any(s.flex)
+            for x in (s.ext, s.ext_vel):
+                assert not np.any(x) and not np.any(np.signbit(x))
+
+    @pytest.mark.parametrize("case,live", [
+        ("nothing", ()),
+        ("load", ("extensional",)),
+        ("lift", ("extensional",)),
+        ("traction", ("flexural", "extensional")),
+        ("initial", ("flexural",)),
+    ])
+    def test_what_makes_a_part_live(self, case, live, caplog):
+        """A load, a Dirichlet lift, a traction edge or a nonzero initial
+        state each makes its part live; the kernel's DEBUG line names what
+        it steps, and a live part moves while an at-rest one stays 0."""
+        def ext_data(x, y):
+            return np.stack([0.01 + 0 * x, 0 * x, 0 * x])
+
+        kwargs = {
+            "load": dict(loads=LoadFunctions(
+                sigma0=SinusoidalLoad(0.5, kx=1, ky=2, omega=3.0))),
+            "lift": dict(bc=dict(ALL_CLAMPED, left=EdgeBC(
+                kind="clamped", ext_data=ext_data))),
+            "traction": dict(bc=dict(ALL_CLAMPED, right="traction")),
+        }.get(case, {})
+        model = make_model(nx=9, ny=9, **kwargs)
+        s0 = DiscreteState.zero(model)
+        if case == "initial":
+            s0 = with_fields(s0, flex_vel=kicked_state(model).flex_vel)
+        if case == "nothing":  # a signed zero is no motion
+            s0 = with_fields(s0, flex=np.full_like(s0.flex, -0.0))
+        dt = stable_dt(model)
+        with caplog.at_level(logging.DEBUG, logger=dynamics.__name__):
+            s = step_loop(model, s0, dt, 5, 5)[-1]
+        n = {p.d.name: p.s.stop - p.s.start
+             for p in model.interior_stack.parts}
+        rest = [name for name in n if name not in live]
+        want = (f"kernel: stepping {', '.join(live) or 'nothing'} "
+                f"({sum(n[name] for name in live)} of {sum(n.values())} "
+                f"interior dofs)"
+                + (f"; {', '.join(rest)} at rest" if rest else ""))
+        assert kernel_lines(caplog) == [want] * 5
+        moved = {"flexural": s.flex_vel, "extensional": s.ext_vel}
+        for name in n:
+            if name in live and case != "traction":
+                assert np.any(moved[name]), name
+            elif name not in live:
+                assert not np.any(moved[name]) and \
+                    not np.any(np.signbit(moved[name])), name
+
+    def test_simulate_logs_what_it_steps(self, caplog):
+        """One line per run, beside the ``simulate:`` line."""
+        model = make_model(nx=17, ny=17, loads=pulse_loads())
+        dt = stable_dt(model)
+        with caplog.at_level(logging.DEBUG, logger=dynamics.__name__):
+            simulate(model, t_final=20 * dt, dt=dt)
+        assert kernel_lines(caplog) == [
+            "kernel: stepping flexural (1350 of 2025 interior dofs); "
+            "extensional at rest"]
+
+
 def per_node_traction_load_rows(d, tc, loads):
     """Oracle: the load part of the traction rows assembled node by node."""
     out = np.zeros((d.nf, d.trac_nodes.size))
@@ -1062,6 +1182,38 @@ class TestTractionLoadPart:
                     want = e @ rows
                     got = dynamics._envelope_sum(presets, T, t, part=part)
                     assert got.tobytes() == want.tobytes()
+
+    def test_one_preset_sum_is_bitwise_the_matmul(self):
+        """A one-preset envelope sum scales the preset's row instead of a
+        1 x n matmul; the interior rows F hold -0 entries, and a negative
+        envelope value or rate turns +0 entries into -0 products, which the
+        matmul's zero-started sum and the scaled row's + 0.0 both make +0.
+        Each preset alone and all together, on F and T of both
+        subsystems, at envelope values and rates of both signs."""
+        loads = LoadFunctions(
+            p=SinusoidalLoad(-0.7, kx=2, ky=1, omega=3.0),
+            sigma0=SinusoidalLoad(0.4, omega=3.0),
+            t=GaussianPulseLoad(0.3, center=(0.6, 0.4), width=0.2,
+                                t0=0.1, tau=0.05))
+        model = make_model(nx=9, ny=9, loads=loads,
+                           bc={"left": "clamped", "right": "traction",
+                               "bottom": "traction", "top": "traction"})
+        negative_zeros = 0
+        for d in (model.flex_d, model.ext_d):
+            presets, F, T = d.load_terms
+            negative_zeros += np.count_nonzero((F == 0.0) & np.signbit(F))
+            for rows in (F, T):
+                groups = [presets[k:k + 1] for k in range(len(presets))]
+                for k, group in enumerate(groups + [presets]):
+                    block = rows[k:k + 1] if k < len(groups) else rows
+                    for t in (0.0, 0.13, 1.0):
+                        for part in (0, 1):
+                            e = np.array([f.envelope(t)[part] for f in group])
+                            want = e @ block
+                            got = dynamics._envelope_sum(group, block, t,
+                                                         part=part)
+                            assert got.tobytes() == want.tobytes()
+        assert negative_zeros > 0
 
 
 def sampled_load_rhs(d, loads, t):

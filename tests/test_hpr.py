@@ -199,3 +199,52 @@ def test_stationarity_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(HPRFunctional, "value", counted)
     assert F.stationarity_measure(eq, d) == want
     assert len(calls) == 5
+
+
+def test_measures_share_the_state_value_and_reference_energy(monkeypatch):
+    """``stationarity_measures`` evaluates Theta(state) and U_ref(state)
+    once for all perturbations and returns, bit for bit, the measures of
+    ``stationarity_measure`` along each."""
+    model = make_model(p_load=1.0)
+    kin, _ = static_solve(model)
+    eq = equilibrium_state(model, kin)
+    F = HPRFunctional(model)
+    rng = np.random.default_rng(5)
+    ds = [random_admissible_perturbation(model, rng) for _ in range(3)]
+    want = [F.stationarity_measure(eq, d) for d in ds]
+    calls = {"value": 0, "reference_energy": 0}
+    for name in calls:
+        method = getattr(HPRFunctional, name)
+
+        def counted(self, state, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, state)
+
+        monkeypatch.setattr(HPRFunctional, name, counted)
+    assert F.stationarity_measures(eq, iter(ds)) == want
+    assert calls == {"value": 1 + 4 * len(ds), "reference_energy": 1}
+
+
+def test_value_factors_no_traction_block(monkeypatch):
+    """Theta applies the interior rows only: on a cantilever it used to
+    factor each subsystem's traction block A_TT through the kernel's
+    traction closure, which it never solves."""
+    from cosserat_plate import dynamics
+
+    mat = material_from_technical(E=1.0, nu=0.3, N=0.35, l_t=0.05, l_b=0.06,
+                                  Psi=0.9, rho=1.0, J=(0.2, 0.2, 0.2))
+    bc = {"left": "clamped", "right": "traction", "bottom": "traction",
+          "top": "traction"}
+    model = assemble(ModelConfig(material=mat, h=0.1, a=1.0, b=1.0, nx=33,
+                                 ny=33, bc=bc))
+    calls = []
+    splu = dynamics.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics.spla, "splu", counting_splu)
+    state = random_admissible_perturbation(model, np.random.default_rng(2))
+    assert np.isfinite(HPRFunctional(model).value(state))
+    assert calls == []

@@ -96,3 +96,26 @@ def test_report_round_trips_every_printed_line(verify_run):
     assert all(isinstance(s["wall_s"], float) and s["wall_s"] > 0.0
                for s in suites)
     assert (out / "coefficient_diff.csv").exists()
+
+
+def test_hpr_suite_evaluates_the_equilibrium_state_once(monkeypatch):
+    """Suite 9 measures 20 perturbations of one equilibrium state, whose
+    Theta and reference energy it used to recompute for each (125 and 25
+    calls per run); the five non-equilibrium measures are unchanged."""
+    from cosserat_plate.hpr import HPRFunctional
+
+    calls = {"value": 0, "reference_energy": 0}
+    for name in calls:
+        method = getattr(HPRFunctional, name)
+
+        def counted(self, state, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, state)
+
+        monkeypatch.setattr(HPRFunctional, name, counted)
+    verification._classical_solution.cache_clear()
+    try:
+        assert verification.suite_hpr_stationarity().passed
+    finally:
+        verification._classical_solution.cache_clear()
+    assert calls == {"value": 106, "reference_energy": 6}
