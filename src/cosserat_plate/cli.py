@@ -29,6 +29,7 @@ from .dispersion import (
     wavevector_magnitudes,
 )
 from .dynamics import (
+    EDGES,
     ConfigError,
     ConstantLoad,
     DiscreteState,
@@ -68,7 +69,7 @@ _SECTION_KEYS = {
     "material": None,  # a file path, or the moduli (_MATERIAL_KEYS)
     "geometry": {"a", "b", "h"},
     "grid": {"nx", "ny"},
-    "bc": {"left", "right", "bottom", "top"},
+    "bc": set(EDGES),
     "loads": {"p", "sigma0", "v", "t"},
     "time": {"t_final", "dt", "snapshot_every"},
     "initial": {"field", "kind", "amplitude", "center", "width"},
@@ -156,7 +157,7 @@ def _model_from_config(cfg: dict, paper_literal: bool = False):
     loads_cfg = cfg.get("loads", {})
     loads = LoadFunctions(**{name: _load_preset(name, loads_cfg.get(name))
                              for name in ("p", "sigma0", "v", "t")})
-    bc = cfg.get("bc", {e: "clamped" for e in ("left", "right", "bottom", "top")})
+    bc = cfg.get("bc", {e: "clamped" for e in EDGES})
     mode = cfg.get("mode", {})
     mc = ModelConfig(
         material=mat,

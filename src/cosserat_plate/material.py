@@ -133,8 +133,8 @@ def validate_elastic(p: MaterialParams) -> ValidationReport:
     return ValidationReport(elastic)
 
 
-def require_admissible(p: MaterialParams, with_inertia: bool = False) -> None:
-    report = validate_parameters(p) if with_inertia else validate_elastic(p)
+def require_admissible(p: MaterialParams) -> None:
+    report = validate_elastic(p)
     if not report.admissible:
         raise MaterialError(
             "inadmissible material parameters: " + ", ".join(report.violations)

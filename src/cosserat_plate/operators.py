@@ -300,7 +300,6 @@ def build_flexural(tc: TechnicalConstants, inertia: InertiaSet,
         k["k8"], k["k9"], k["k10"], k["k11"], k["k12"], k["k13"], k["k14"],
         literal_pattern=True,
     )
-    _check_scaling_consistency(tc, coeffs, "flexural")
     return FlexuralOperator(
         coeffs=coeffs, coeffs_literal=lit, k=k, K=K,
         mass=inertia.flexural_mass(), tc=tc, paper_literal=paper_literal,
@@ -350,7 +349,6 @@ def build_extensional(tc: TechnicalConstants, inertia: InertiaSet,
     C[2, 0] = _entry(x2=t["C_A"])
     C[2, 1] = _entry(x1=-t["C_A"])
     C[2, 2] = _entry(const=-2.0 * t["C_A"], x11=t["C_M"], x22=t["C_M"])
-    _check_scaling_consistency(tc, C, "extensional")
 
     kap = literal_extensional_table(tc)
     Gh = tc.G * tc.h
@@ -441,57 +439,6 @@ def build_traction(tc: TechnicalConstants) -> TractionOperator:
 # ---------------------------------------------------------------------------
 # verification hooks
 # ---------------------------------------------------------------------------
-
-# Power of the length scale carried by each coefficient (the pressure scale
-# enters every coefficient linearly).  Fixed by the units of the balance
-# rows, the column fields and the derivative order of each entry.
-_FLEX_LENGTH_POWER = {
-    "K1": 3, "K2": 3, "K3": 1, "K4": 1, "K5": 5, "K6": 3, "K7": 3,
-    "K8": 3, "K9": 1, "K10": 3, "K11": 1, "K12": 3, "K13": 1, "K14": 3,
-}
-_EXT_LENGTH_POWER = {"C_E": 1, "C_G": 1, "C_G2": 1, "C_A": 1, "C_M": 3}
-
-
-def _check_scaling_consistency(tc: TechnicalConstants, coeffs: np.ndarray,
-                               tag: str) -> None:
-    """Dimensional-consistency guard, run at build time.
-
-    Under the input rescaling (moduli -> sp * moduli, couple moduli ->
-    sp*sL^2 * couple moduli, lengths -> sL * lengths) every coefficient of
-    the table must pick up exactly sp * sL**power.  A mismatch flags a
-    malformed coefficient formula.
-    """
-    from .material import MaterialParams, technical_constants
-
-    sp, sL = 3.0, 0.5
-    m = tc.material
-    scaled = MaterialParams(
-        lam=sp * m.lam, mu=sp * m.mu, alpha=sp * m.alpha,
-        beta=sp * sL**2 * m.beta, gamma=sp * sL**2 * m.gamma,
-        epsilon=sp * sL**2 * m.epsilon, rho=max(m.rho, 1.0), J=(1.0, 1.0, 1.0),
-    )
-    tc2 = technical_constants(
-        scaled, sL * tc.h,
-        shear_correction="standard" if tc.kappa1_sq == 5.0 / 6.0 else "mindlin",
-    )
-    tables = {
-        "flexural": (derived_flexural_table, _FLEX_LENGTH_POWER),
-        "extensional": (derived_extensional_table, _EXT_LENGTH_POWER),
-    }
-    build, powers = tables[tag]
-    T1, T2 = build(tc), build(tc2)
-    scale = max(abs(v) for v in T1.values())
-    for name, power in powers.items():
-        if abs(T1[name]) <= 1e-12 * scale:
-            continue  # coefficient degenerates for this parameter set
-        expected = sp * sL**power
-        ratio = T2[name] / T1[name]
-        if abs(ratio / expected - 1.0) > 1e-10:
-            raise MaterialError(
-                f"dimensional inconsistency in {tag} coefficient {name}:"
-                f" scaling ratio {ratio}, expected {expected}"
-            )
-
 
 def operator_residual_oracle(op, tc: TechnicalConstants, rng=None,
                              degree: int = 3) -> float:

@@ -32,8 +32,10 @@ from .cosserat3d import (
 )
 from .dispersion import cutoff_frequencies, wave_eigensystem
 from .dynamics import (
+    EDGES,
     ConstantLoad,
     DiscreteState,
+    EdgeBC,
     LoadFunctions,
     ModelConfig,
     assemble,
@@ -272,7 +274,7 @@ def _classical_model():
     mat = _classical_material()
     cfg = ModelConfig(
         material=mat, h=0.1, a=1.0, b=1.0, nx=65, ny=65,
-        bc={e: "clamped" for e in ("left", "right", "bottom", "top")},
+        bc={e: "clamped" for e in EDGES},
         loads=LoadFunctions(p=ConstantLoad(1.0)),
     )
     return assemble(cfg)
@@ -347,18 +349,16 @@ def suite_convergence(seed: int = 6) -> SuiteResult:
 
     errs = []
     for n in (17, 33, 65):
-        from .dynamics import EdgeBC
-
         # data callables bound per grid below
         def make_bc(flex_data, ext_data):
             return {
                 e: EdgeBC(kind="clamped", flex_data=flex_data, ext_data=ext_data)
-                for e in ("left", "right", "bottom", "top")
+                for e in EDGES
             }
 
         cfg = ModelConfig(
             material=mat, h=0.1, a=1.0, b=1.0, nx=n, ny=n,
-            bc={e: "clamped" for e in ("left", "right", "bottom", "top")},
+            bc={e: "clamped" for e in EDGES},
         )
         model = assemble(cfg)
         (f_flex, f_ext, flex_data, ext_data,
@@ -402,7 +402,7 @@ def suite_energy_conservation(seed: int = 7, n_steps: int = 10_000) -> SuiteResu
     )
     cfg = ModelConfig(
         material=mat, h=0.1, a=1.0, b=1.0, nx=17, ny=17,
-        bc={e: "clamped" for e in ("left", "right", "bottom", "top")},
+        bc={e: "clamped" for e in EDGES},
     )
     model = assemble(cfg)
     _, mode = lowest_flexural_mode(model)

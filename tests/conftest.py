@@ -40,7 +40,8 @@ def verify_run(tmp_path_factory):
     printed = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "assemble", marking_assemble)
-        mp.setattr(dynamics, "_StaticFactor", CountingFactor)
+        # the name ``_Discretization.static_factor`` looks up
+        mp.setattr(dynamics.static, "_StaticFactor", CountingFactor)
         with contextlib.redirect_stdout(printed):
             results = verification.run_all(seed=0, out_dir=out)
     return results, printed.getvalue().splitlines(), out, factors

@@ -100,6 +100,22 @@ def test_static_summary_reports_backward_errors(config_file, tmp_path,
     assert f"max relative residual {resid:.3e}" in capsys.readouterr().out
 
 
+def test_alpha_close_to_mu_runs(tmp_path, capsys):
+    """A material with alpha ~ mu (N = 0.7071067, where K11 and C_G2
+    cancel to roundoff) passes validate, and constants, a clamped 9^2
+    static solve and dispersion all run on it."""
+    p = material_from_technical(E=1.0, nu=0.3, N=0.7071067, l_t=0.05,
+                                l_b=0.06, Psi=0.8, rho=1.0, J=(0.1,) * 3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"material": dataclasses.asdict(p),
+                               "grid": {"nx": 9, "ny": 9},
+                               "dispersion": {"n": 5}}))
+    for command in ("validate", "constants", "static", "dispersion"):
+        code = run([command, "--config", str(cfg),
+                    "--out", str(tmp_path / command)])
+        assert code == 0, (command, capsys.readouterr().err)
+
+
 def test_static_deterministic(config_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(["static", "--config", config_file, "--out", str(out1)]) == 0

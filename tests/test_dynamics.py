@@ -1,6 +1,10 @@
 import dataclasses
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -611,7 +615,8 @@ class TestStaticFactor:
         solution; ||A_FF|| is taken once, when the factor is built."""
         model = make_model(nx=11, ny=11, bc=bc, loads=STATIC_LOADS)
         kin, diag = static_solve(model)
-        monkeypatch.setattr(dynamics, "_abs_matvec", None)  # not per solve
+        # |A_FF| is not formed per solve
+        monkeypatch.setattr(dynamics.static, "_abs_matvec", None)
         for d, h, name in ((model.flex_d, kin.flexural(), "flexural"),
                            (model.ext_d, kin.extensional(), "extensional")):
             f = d.static_factor
@@ -640,7 +645,8 @@ class TestSimulate:
             seen.append("interior_stack" in vars(model))
             return stable_dt(model)
 
-        monkeypatch.setattr(dynamics, "stable_dt", checking_stable_dt)
+        monkeypatch.setattr(dynamics.explicit, "stable_dt",
+                            checking_stable_dt)
         model = make_model()
         traj = simulate(model, t_final=10 * stable_dt(make_model()))
         assert seen == [True] and traj.n_steps == 10
@@ -1288,3 +1294,31 @@ class TestLoadTerms:
             sigma0=GaussianPulseLoad(1.0), v=SinusoidalLoad(0.2)))
         assert model.flex_d.load_terms[0] == ()
         assert len(model.ext_d.load_terms[0]) == 2
+
+
+# The names perfbench's tracer wraps, by the module that defines them.
+TRACED = {"assemble": "discretization", "static_solve": "static",
+          "stable_dt": "explicit", "simulate": "explicit", "step": "explicit"}
+
+
+@pytest.mark.parametrize("first", ["discretization", "static", "explicit"])
+def test_package_imports_from_any_module_and_reexports_the_traced_names(
+        first):
+    """Each module of the package imports first in a fresh interpreter (no
+    import cycle), and ``dynamics.<f>`` is the very function its home
+    module defines (no copy), so one traced wrapper serves every caller."""
+    code = f"""
+import importlib
+importlib.import_module("cosserat_plate.dynamics.{first}")
+from cosserat_plate import dynamics
+for name, home in {TRACED!r}.items():
+    module = importlib.import_module("cosserat_plate.dynamics." + home)
+    f = getattr(module, name)
+    assert getattr(dynamics, name) is f, name
+    assert f.__module__ == module.__name__, name
+"""
+    src = str(Path(dynamics.__file__).parents[2])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr

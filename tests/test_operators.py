@@ -6,6 +6,7 @@ import pytest
 from conftest import random_material
 from cosserat_plate.material import (
     MaterialError,
+    MaterialParams,
     material_from_technical,
     technical_constants,
 )
@@ -14,6 +15,8 @@ from cosserat_plate.operators import (
     build_flexural,
     build_traction,
     coefficient_diff_table,
+    derived_extensional_table,
+    derived_flexural_table,
     operator_residual_oracle,
 )
 from cosserat_plate.plate_fields import LoadSet, inertia_constants
@@ -107,6 +110,65 @@ class TestExtensionalTable:
         assert kap["kappa3"] == pytest.approx(kap["kappa1"] - 1.0, rel=1e-12)
         assert abs(kap["kappa3"]) == pytest.approx(abs(1.0 - kap["kappa1"]),
                                                    rel=1e-12)
+
+
+# Power of the length scale carried by each derived coefficient (the
+# pressure scale enters every coefficient linearly).  Fixed by the units of
+# the balance rows, the column fields and the derivative order of each entry.
+FLEX_LENGTH_POWER = {
+    "K1": 3, "K2": 3, "K3": 1, "K4": 1, "K5": 5, "K6": 3, "K7": 3,
+    "K8": 3, "K9": 1, "K10": 3, "K11": 1, "K12": 3, "K13": 1, "K14": 3,
+}
+EXT_LENGTH_POWER = {"C_E": 1, "C_G": 1, "C_G2": 1, "C_A": 1, "C_M": 3}
+
+# Fixed generic materials: every derived coefficient is well away from
+# zero, so no ratio below rests on a cancellation (alpha = mu zeroes K11
+# and C_G2).
+GENERIC = (
+    MaterialParams(lam=1.3, mu=0.8, alpha=0.35, beta=0.02, gamma=0.045,
+                   epsilon=0.03, rho=1.0, J=(1.0, 1.0, 1.0)),
+    MaterialParams(lam=-0.2, mu=2.1, alpha=3.4, beta=0.6, gamma=0.9,
+                   epsilon=1.7, rho=1.0, J=(1.0, 1.0, 1.0)),
+)
+
+
+class TestDimensions:
+    @pytest.mark.parametrize("shear", ["standard", "mindlin"])
+    @pytest.mark.parametrize("table, powers", [
+        (derived_flexural_table, FLEX_LENGTH_POWER),
+        (derived_extensional_table, EXT_LENGTH_POWER),
+    ], ids=["flexural", "extensional"])
+    @pytest.mark.parametrize("m", GENERIC, ids=["alpha<mu", "alpha>mu"])
+    def test_coefficients_scale_with_their_units(self, m, table, powers,
+                                                 shear):
+        """Moduli -> sp * moduli, couple moduli -> sp sL^2 * couple moduli
+        and lengths -> sL * lengths multiply every derived coefficient by
+        exactly sp * sL**power; a mismatch flags a malformed formula."""
+        sp, sL, h = 3.0, 0.5, 0.2
+        scaled = MaterialParams(
+            lam=sp * m.lam, mu=sp * m.mu, alpha=sp * m.alpha,
+            beta=sp * sL**2 * m.beta, gamma=sp * sL**2 * m.gamma,
+            epsilon=sp * sL**2 * m.epsilon, rho=m.rho, J=m.J)
+        T1 = table(technical_constants(m, h, shear))
+        T2 = table(technical_constants(scaled, sL * h, shear))
+        assert set(T1) == set(powers)
+        for name, power in powers.items():
+            assert abs(T1[name]) > 1e-6, name
+            assert T2[name] == pytest.approx(sp * sL**power * T1[name],
+                                             rel=1e-10), name
+
+    @pytest.mark.parametrize("N", [0.7071067, 0.707106781])
+    def test_builders_accept_alpha_close_to_mu(self, N):
+        """N^2 near 1/2 makes alpha ~ mu: K11 and C_G2, which carry alpha
+        - mu, shrink to ~1e-7 of their neighbours and lose most of their
+        digits, yet the material is admissible and both builders accept
+        it."""
+        p = material_from_technical(E=1.0, nu=0.3, N=N, l_t=0.05, l_b=0.06,
+                                    Psi=0.8, rho=1.0, J=(0.1, 0.1, 0.1))
+        _, _, flex, ext = make_ops(p, 0.1)
+        assert abs(flex.K["K11"]) < 1e-6 * abs(flex.K["K3"])
+        assert np.all(np.isfinite(flex.coeffs))
+        assert np.all(np.isfinite(ext.coeffs))
 
 
 class TestOperatorStructure:
