@@ -7,6 +7,13 @@ the flexural/extensional governing operators (`operators`), plane-wave
 dispersion (`dispersion`), finite-difference statics and explicit dynamics
 (`dynamics`), the mixed variational diagnostic (`hpr`) and the verification
 suites (`verification`).
+
+The names of the SciPy-free layers load eagerly.  Those of `dynamics` and
+`hpr`, and the two modules themselves, resolve on first access (PEP 562):
+their static and explicit solvers import SciPy, which alone takes about
+half of a fresh `import cosserat_plate`, and plane-wave dispersion, the
+material checks and the derived constants never need it.  A resolved name
+is bound here, so it is the very object its home module defines.
 """
 
 from .material import (
@@ -64,31 +71,49 @@ from .dispersion import (
     cutoff_frequencies,
     dispersion_curves,
 )
-from .dynamics import (
-    ConfigError,
-    ConstantLoad,
-    DiscreteModel,
-    DiscreteState,
-    EdgeBC,
-    EnergyLog,
-    GaussianPulseLoad,
-    InstabilityError,
-    LoadFunctions,
-    ModelConfig,
-    SingularSystemError,
-    SinusoidalLoad,
-    assemble,
-    simulate,
-    stable_dt,
-    static_solve,
-    step,
-)
-from .hpr import (
-    HPRFunctional,
-    HPRState,
-    equilibrium_state,
-    hpr_functional,
-    random_admissible_perturbation,
-)
+
+# lazy name -> (module, attribute); attribute None is the module itself
+_LAZY = {
+    "dynamics": (".dynamics", None),
+    "hpr": (".hpr", None),
+    **{name: (".dynamics", name) for name in (
+        "ConfigError", "ConstantLoad", "DiscreteModel", "DiscreteState",
+        "EdgeBC", "EnergyLog", "GaussianPulseLoad", "InstabilityError",
+        "LoadFunctions", "ModelConfig", "SingularSystemError",
+        "SinusoidalLoad", "assemble", "simulate", "stable_dt",
+        "static_solve", "step")},
+    **{name: (".hpr", name) for name in (
+        "HPRFunctional", "HPRState", "equilibrium_state", "hpr_functional",
+        "random_admissible_perturbation")},
+}
+
+
+def _resolve_lazily(namespace: dict, table: dict):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the module whose
+    globals are ``namespace`` and whose lazy names ``table`` maps to
+    (module, attribute), attribute None meaning the module itself.  A
+    resolved name is bound in ``namespace``."""
+    import importlib
+
+    def __getattr__(name):
+        try:
+            module, attr = table[name]
+        except KeyError:
+            raise AttributeError(f"module {namespace['__name__']!r} has no "
+                                 f"attribute {name!r}") from None
+        value = importlib.import_module(module, namespace["__name__"])
+        if attr is not None:
+            value = getattr(value, attr)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *table})
+
+    return __getattr__, __dir__
+
+
+__all__ = [name for name in (*globals(), *_LAZY) if not name.startswith("_")]
+__getattr__, __dir__ = _resolve_lazily(globals(), _LAZY)
 
 __version__ = "0.1.0"

@@ -7,6 +7,10 @@ and identical config + seed gives byte-identical files.
 
 Exit codes: 0 success, 1 runtime/solver/verification failure, 2
 configuration or validation failure.
+
+The names that import SciPy (the static and explicit solvers and the
+verification suites) are imported inside the commands that use them, so
+``validate``, ``constants``, ``dispersion`` and ``sweep`` never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io_utils, verification
+from . import io_utils
 from .dispersion import (
     NonConservativeSymbolError,
     cutoff_frequencies,
@@ -32,7 +36,6 @@ from .dynamics import (
     EDGES,
     ConfigError,
     ConstantLoad,
-    DiscreteState,
     GaussianPulseLoad,
     InstabilityError,
     LoadFunctions,
@@ -42,10 +45,6 @@ from .dynamics import (
     assemble,
     checked_number,
     checked_pair,
-    simulate,
-    stable_dt,
-    static_solve,
-    worst_static_row,
 )
 from .material import (
     MaterialError,
@@ -174,7 +173,9 @@ def _model_from_config(cfg: dict, paper_literal: bool = False):
     return assemble(mc)
 
 
-def _initial_state(cfg: dict, model) -> DiscreteState:
+def _initial_state(cfg: dict, model):
+    from .dynamics import DiscreteState
+
     spec = cfg.get("initial")
     state = DiscreteState.zero(model)
     if not spec:
@@ -261,6 +262,8 @@ def _cmd_constants(cfg, args, out: Path, cfg_hash: str) -> int:
 
 
 def _cmd_static(cfg, args, out: Path, cfg_hash: str) -> int:
+    from .dynamics import static_solve, worst_static_row
+
     model = _model_from_config(cfg, args.paper_literal_operators)
     kin, diag = static_solve(model)
     io_utils.write_snapshot(out / "static_snapshot.csv", cfg_hash, model,
@@ -285,6 +288,8 @@ def _cmd_static(cfg, args, out: Path, cfg_hash: str) -> int:
 
 
 def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
+    from .dynamics import simulate, stable_dt
+
     model = _model_from_config(cfg, args.paper_literal_operators)
     tcfg = cfg.get("time", {})
     t_final = checked_number("'time.t_final'", tcfg.get("t_final", 1.0))
@@ -371,6 +376,8 @@ def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
 
 
 def _cmd_verify(cfg, args, out: Path, cfg_hash: str) -> int:
+    from . import verification
+
     results = verification.run_all(seed=args.seed, out_dir=out, verbose=True)
     n_fail = sum(1 for r in results if not r.passed)
     print(f"verify: {len(results) - n_fail}/{len(results)} suites passed; "

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..material import (MaterialParams, TechnicalConstants,
                         technical_constants, validate_parameters)
@@ -282,11 +281,6 @@ class DiscreteModel:
     def cell_area(self) -> float:
         return self.dx * self.dy
 
-    @property
-    def interior_unknown_count(self) -> int:
-        """Unknowns carried by interior balance rows (9 fields per node)."""
-        return (self.nx - 2) * (self.ny - 2) * 9
-
     def sample_loads(self, t: float) -> LoadSet:
         return self.config.loads.sample(self.X, self.Y, t)
 
@@ -368,9 +362,11 @@ def _d1_slots(i: np.ndarray, n: int, d: float):
     return _D1_OFFSETS[side].T, (_D1_WEIGHTS / d)[side].T
 
 
-def _abs_matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """|A| x, copying only A's data: ``abs(A)`` would sort a non-canonical
-    A in place and change the order in which ``A @ x`` sums a row."""
+def _abs_matvec(A, x: np.ndarray) -> np.ndarray:
+    """|A| x of a CSR matrix A, copying only A's data: ``abs(A)`` would sort
+    a non-canonical A in place and change the order in which ``A @ x`` sums
+    a row."""
+    import scipy.sparse as sp
     return sp.csr_matrix((np.abs(A.data), A.indices, A.indptr),
                          shape=A.shape) @ x
 
@@ -412,6 +408,7 @@ class _Discretization:
             self._stencil_rows(self.interior_nodes, *self._interior_table()),
             self._stencil_rows(self.dirich_nodes, *self._dirichlet_table()),
             self._stencil_rows(self.trac_nodes, *self._traction_table())))
+        import scipy.sparse as sp
         self.A = sp.coo_matrix((vals, (rows, cols)),
                                shape=(self.ndof, self.ndof)).tocsr()
         self.mass_interior = np.repeat(

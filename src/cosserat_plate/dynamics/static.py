@@ -4,9 +4,11 @@
 free (interior and traction) dofs and factored (``_StaticFactor``).  The
 factor is built on the first static solve and cached on the
 discretization, so later solves on one model only run the triangular
-solves.  Factor fill, free-dof count and residuals are logged at DEBUG
-level; the normwise backward error of each solve is logged too and
-returned in ``static_solve``'s diagnostics.
+solves.  A subsystem whose right-hand side is all zero (no load, no
+boundary data, no extra forcing) is never factored: its solution is +0.
+Factor fill, free-dof count and residuals are logged at DEBUG level; the
+normwise backward error of each solve is logged too and returned in
+``static_solve``'s diagnostics.
 """
 
 from __future__ import annotations
@@ -172,6 +174,9 @@ def _solve_subsystem(d: _Discretization, extra_F=None):
             f"null space ({d.null_space}) makes the static problem singular"
         )
     rhs = _static_rhs(d, extra_F)
+    if not np.any(rhs):
+        # nothing loads this subsystem: h = +0, and nothing to factor
+        return np.zeros(d.ndof), 0.0, 1.0e-300, 0.0
     h = d.static_factor.solve(rhs)
     if not np.all(np.isfinite(h)):
         raise SingularSystemError(f"{d.name} static solve produced non-finite values")

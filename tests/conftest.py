@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,17 @@ from hypothesis import strategies as st
 
 from cosserat_plate import dynamics, verification
 from cosserat_plate.material import MaterialParams
+
+SRC = Path(verification.__file__).parents[1]
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports the package from
+    this checkout; fail with its stderr if it raises."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture

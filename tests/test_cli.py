@@ -18,6 +18,7 @@ from cosserat_plate.material import (
 )
 from cosserat_plate.operators import build_extensional, build_flexural
 from cosserat_plate.plate_fields import inertia_constants
+from conftest import run_fresh
 
 
 @pytest.fixture
@@ -98,6 +99,36 @@ def test_static_summary_reports_backward_errors(config_file, tmp_path,
     resid = max(residuals[f"{n}_residual"] / residuals[f"{n}_rhs_scale"]
                 for n in ("flexural", "extensional"))
     assert f"max relative residual {resid:.3e}" in capsys.readouterr().out
+
+
+def test_pressure_only_static_factors_the_flexural_block_alone(
+        config_file, tmp_path, monkeypatch):
+    """Pressure loads the flexural subsystem alone, so the extensional
+    right-hand side is zero: that block is not factored, and u1, u2 and
+    omega3_0 are written as 0.  Factoring it gave -0 at every free node."""
+    from cosserat_plate import dynamics
+
+    calls = []
+    splu = dynamics.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics.spla, "splu", counting_splu)
+    path = _edited_config(config_file, tmp_path,
+                          lambda c: c.update(grid={"nx": 9, "ny": 9}))
+    out = tmp_path / "static"
+    assert run(["static", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    rows = (out / "static_snapshot.csv").read_text().splitlines()[2:]
+    assert len(rows) == 9 * 9
+    assert not any(v == "-0" for row in rows for v in row.split(","))
+    residuals = json.loads((out / "static_summary.json").read_text())[
+        "residuals"]
+    assert (residuals["extensional_residual"],
+            residuals["extensional_rhs_scale"],
+            residuals["extensional_backward_error"]) == (0.0, 1e-300, 0.0)
 
 
 def test_alpha_close_to_mu_runs(tmp_path, capsys):
@@ -369,6 +400,28 @@ def test_sweep_output(config_file, tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[1].startswith("N,l_t,l_b,Psi,quantity")
     assert len(lines) > 10
+
+
+def test_plane_wave_and_material_commands_never_load_scipy(config_file,
+                                                          tmp_path):
+    """``validate``, ``constants``, ``dispersion`` (with mode shapes) and
+    ``sweep`` need only numpy: in a fresh interpreter they run without
+    importing any SciPy module, which alone takes about half of the CLI's
+    start-up."""
+    path = _edited_config(config_file, tmp_path, lambda c: c.update(
+        dispersion={"n": 4, "modes": True},
+        sweep={"N": [0.2, 0.5], "l_t": [0.05]}))
+    run_fresh(f"""
+import sys
+from cosserat_plate.cli import run
+for command in ("validate", "constants", "dispersion", "sweep"):
+    assert run([command, "--config", {path!r},
+                "--out", {str(tmp_path / "out")!r}]) == 0, command
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+""")
+    assert (tmp_path / "out" / "dispersion_modes.json").is_file()
+    assert (tmp_path / "out" / "sweep.csv").is_file()
 
 
 def per_material_sweep(path, cfg_hash, sweep):

@@ -1,16 +1,12 @@
 import dataclasses
 import logging
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_material
+from conftest import SRC, random_material, run_fresh
 import scipy.sparse.linalg as spla
 
 from cosserat_plate import dynamics, oracles
@@ -59,10 +55,6 @@ def make_model(nx=9, ny=9, bc=None, loads=None, a=1.0, b=1.0, h=0.1,
 
 
 class TestAssemble:
-    def test_interior_unknown_count(self):
-        model = make_model(nx=5, ny=5)
-        assert model.interior_unknown_count == (5 - 2) ** 2 * 9 == 81
-
     def test_rejects_small_grid(self):
         with pytest.raises(ConfigError, match="nx,ny >= 5"):
             make_model(nx=3, ny=7)
@@ -1307,7 +1299,7 @@ def test_package_imports_from_any_module_and_reexports_the_traced_names(
     """Each module of the package imports first in a fresh interpreter (no
     import cycle), and ``dynamics.<f>`` is the very function its home
     module defines (no copy), so one traced wrapper serves every caller."""
-    code = f"""
+    run_fresh(f"""
 import importlib
 importlib.import_module("cosserat_plate.dynamics.{first}")
 from cosserat_plate import dynamics
@@ -1316,9 +1308,35 @@ for name, home in {TRACED!r}.items():
     f = getattr(module, name)
     assert getattr(dynamics, name) is f, name
     assert f.__module__ == module.__name__, name
-"""
-    src = str(Path(dynamics.__file__).parents[2])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert done.returncode == 0, done.stderr
+""")
+
+
+def test_lazy_names_are_their_home_objects():
+    """Every name that ``cosserat_plate`` and ``cosserat_plate.dynamics``
+    resolve on first access, ``dynamics.spla`` among them, is the very
+    object of its home module, and ``dir`` lists it.  Importing the package
+    loads neither ``dynamics`` nor SciPy, and README's quick-start import
+    works from a fresh interpreter."""
+    readme = (SRC.parent / "README.md").read_text()
+    quick_start = re.search(r"^from cosserat_plate import \(.*?\)$", readme,
+                            re.S | re.M).group(0)
+    run_fresh(f"""
+import importlib
+import sys
+import cosserat_plate
+assert "cosserat_plate.dynamics" not in sys.modules
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+from cosserat_plate import dynamics
+for package in (cosserat_plate, dynamics):
+    for name, (module, attr) in package._LAZY.items():
+        value = getattr(package, name)
+        home = importlib.import_module(module, package.__name__)
+        assert value is (home if attr is None else getattr(home, attr)), name
+        assert name in dir(package), name
+        assert name.startswith("_") or name in package.__all__, name
+import scipy.sparse.linalg
+assert dynamics.spla is scipy.sparse.linalg
+assert cosserat_plate.simulate is dynamics.explicit.simulate
+assert cosserat_plate.HPRFunctional is cosserat_plate.hpr.HPRFunctional
+{quick_start}
+""")

@@ -16,9 +16,11 @@ from cosserat_plate.verification import SuiteResult
 
 def test_classical_plate_is_factored_once(verify_run):
     """Suites 6 and 9 share one static solve; each used to factor its own
-    copy of the plate."""
+    copy of the plate.  Only its flexural block is factored: the plate is
+    loaded by pressure alone, so the extensional right-hand side is zero
+    and its solution is +0 without a factorization."""
     _, _, _, factors = verify_run
-    assert factors == [("flexural", 65, 65), ("extensional", 65, 65)]
+    assert factors == [("flexural", 65, 65)]
 
 
 def _without_wall_time(line):
