@@ -19,6 +19,7 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -198,17 +199,10 @@ def _initial_state(cfg: dict, model):
         -0.5 * ((model.X - cx) ** 2 + (model.Y - cy) ** 2) / width**2
     )
     prof[0, :] = prof[-1, :] = prof[:, 0] = prof[:, -1] = 0.0
-    flex = state.flex.copy()
-    ext = state.ext.copy()
-    flex_vel = state.flex_vel.copy()
-    ext_vel = state.ext_vel.copy()
-    target = flex_vel if kind == "velocity" else flex
-    target_ext = ext_vel if kind == "velocity" else ext
-    if idx < 6:
-        target[idx] = prof
-    else:
-        target_ext[idx - 6] = prof
-    return DiscreteState(flex=flex, ext=ext, flex_vel=flex_vel, ext_vel=ext_vel)
+    part = ("flex" if idx < 6 else "ext") + ("_vel" if kind == "velocity" else "")
+    block = getattr(state, part).copy()
+    block[idx % 6] = prof
+    return replace(state, **{part: block})
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +442,14 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, as NumPy's generators take for a seed."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cosserat-plate",
@@ -459,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON run configuration")
     ap.add_argument("--out", type=str, default="out",
                     help="output directory (default ./out)")
-    ap.add_argument("--seed", type=int, default=0,
+    ap.add_argument("--seed", type=_seed, default=0,
                     help="seed for randomized verification suites")
     ap.add_argument("--paper-literal-operators", action="store_true",
                     help="build operators from the literal published "

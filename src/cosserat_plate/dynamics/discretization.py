@@ -19,8 +19,10 @@ weights (num * c) / den do not depend on the node and are broadcast over
 the interior nodes.  Displacement rows are the identity; their data is
 re-imposed exactly every step.  Traction rows n . T(d/dx) H = F* take 7
 slots per node: the value, three d/dx and three d/dy slots, one-sided
-across the edge and central along it.  They are weighted by the
-normal-contracted traction coefficients.  The formulation is ghost-free.
+across the edge and central along it.  They are weighted by the traction
+coefficients, which ``operators.build_traction`` reads off the stiffness
+form, contracted with the node's normal; ``operators.traction_load_part``
+gives their load part.  The formulation is ghost-free.
 Within a row the entries run over column field, then slot, which fixes
 the order in which the CSR conversion sums duplicates.
 
@@ -45,8 +47,8 @@ import numpy as np
 from ..material import (MaterialParams, TechnicalConstants,
                         technical_constants, validate_parameters)
 from ..operators import (ExtensionalOperator, FlexuralOperator,
-                         TractionOperator, build_extensional, build_flexural,
-                         build_traction)
+                         build_extensional, build_flexural, build_traction,
+                         traction_load_part)
 from ..plate_fields import (EXTENSIONAL_FIELDS, FLEXURAL_FIELDS, InertiaSet,
                             LoadSet, inertia_constants)
 
@@ -87,10 +89,11 @@ def edge_line(name: str) -> tuple:
 def checked_number(where: str, value, *, integer: bool = False,
                    positive: bool = False):
     """``value`` as a finite float (an int with ``integer``, one > 0 with
-    ``positive``); anything else, and a bool where an int is wanted, is a
-    ConfigError naming ``where``."""
-    if integer and isinstance(value, bool):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    ``positive``); anything else, a bool among them, is a ConfigError
+    naming ``where``."""
+    if isinstance(value, bool):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError):
@@ -260,7 +263,6 @@ class DiscreteModel:
     inertia: InertiaSet
     flex: FlexuralOperator
     ext: ExtensionalOperator
-    traction: TractionOperator
     X: np.ndarray                  # (nx, ny) node coordinates
     Y: np.ndarray
     dx: float
@@ -318,14 +320,14 @@ def assemble(config: ModelConfig) -> DiscreteModel:
     dx = x[1] - x[0]
     dy = y[1] - y[0]
 
-    flex_d = _Discretization(config, bc, flex, trac.flex, trac.flex_load_part,
+    flex_d = _Discretization(config, bc, flex, trac.flex, trac.flex_loads,
                              X, Y, dx, dy, "flexural")
-    ext_d = _Discretization(config, bc, ext, trac.ext, trac.ext_load_part,
+    ext_d = _Discretization(config, bc, ext, trac.ext, trac.ext_loads,
                             X, Y, dx, dy, "extensional")
 
     return DiscreteModel(
         config=config, tc=tc, inertia=inertia, flex=flex, ext=ext,
-        traction=trac, X=X, Y=Y, dx=dx, dy=dy, bc=bc,
+        X=X, Y=Y, dx=dx, dy=dy, bc=bc,
         flex_d=flex_d, ext_d=ext_d,
     )
 
@@ -388,13 +390,11 @@ _SUBSYSTEMS = {
 class _Discretization:
     """Sparse rows of one subsystem plus the index bookkeeping."""
 
-    def __init__(self, config, bc, op, tn, trac_load_part, X, Y, dx, dy,
-                 name):
+    def __init__(self, config, bc, op, tn, tn_loads, X, Y, dx, dy, name):
         self.name = name
         self.edge_key, self.fields, self.null_space = _SUBSYSTEMS[name]
         self.op = op
-        self.tn = tn
-        self.trac_load_part = trac_load_part
+        self.tn, self.tn_loads = tn, tn_loads  # traction row coefficients
         self.nf = op.active_coeffs.shape[0]
         self.nx, self.ny = config.nx, config.ny
         self.dx, self.dy = dx, dy
@@ -545,7 +545,8 @@ class _Discretization:
             Fk = np.concatenate([np.ravel(r)[self.interior_nodes] for r in
                                  self.op.load_vector(loads, grad1, grad2)])
             Tk = -np.concatenate([np.ravel(r)[self.trac_nodes] for r in
-                                  self.trac_load_part(loads, normal)])
+                                  traction_load_part(self.tn_loads, loads,
+                                                     normal)])
             if np.any(Fk) or np.any(Tk):
                 presets.append(f)
                 F.append(Fk)

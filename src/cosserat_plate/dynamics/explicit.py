@@ -61,7 +61,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..plate_fields import PlateKinematics
-from .discretization import (DiscreteModel, InstabilityError,
+from .discretization import (ConfigError, DiscreteModel, InstabilityError,
                              SingularSystemError, _abs_matvec,
                              _Discretization, _envelope_sum, checked_number)
 
@@ -487,6 +487,9 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     (of the loads and of the Dirichlet lift).
     """
     t_final = checked_number("t_final", t_final, positive=True)
+    every = checked_number("snapshot_every", snapshot_every, integer=True)
+    if every < 0:
+        raise ConfigError(f"snapshot_every must not be negative, got {every}")
     # the kernel builds the interior stack, which stable_dt then only reads
     kernel = _Kernel(model)
     bound = stable_dt(model)
@@ -528,7 +531,7 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
             buf *= 0.5
             w_ext += dt * float(p.force(t_mid) @ buf) * dA
 
-        record = bool(snapshot_every) and k % snapshot_every == 0
+        record = bool(every) and k % every == 0
         if k == n_steps or record:
             ke, ue = kernel.energies(dA)
             energy.append(t, ke, ue, w_ext)

@@ -56,18 +56,21 @@ class MaterialParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MaterialParams":
-        lam = d["lambda"] if "lambda" in d else d["lam"]
+        """From a dict of the moduli; a bool, or a J of other than three
+        numbers, is a MaterialError."""
+        def number(key, value):
+            if isinstance(value, bool):
+                raise MaterialError(f"{key} must be a number, got {value!r}")
+            return float(value)
+
         J = d.get("J", (0.0, 0.0, 0.0))
-        return cls(
-            lam=float(lam),
-            mu=float(d["mu"]),
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-            gamma=float(d["gamma"]),
-            epsilon=float(d["epsilon"]),
-            rho=float(d.get("rho", 0.0)),
-            J=(float(J[0]), float(J[1]), float(J[2])),
-        )
+        if isinstance(J, str) or len(J) != 3:
+            raise MaterialError(f"J must hold 3 numbers, got {J!r}")
+        return cls(number("lambda", d["lambda"] if "lambda" in d else d["lam"]),
+                   *[number(k, d[k]) for k in
+                     ("mu", "alpha", "beta", "gamma", "epsilon")],
+                   rho=number("rho", d.get("rho", 0.0)),
+                   J=tuple(number("J", j) for j in J))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "MaterialParams":

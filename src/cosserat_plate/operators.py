@@ -19,6 +19,11 @@ odd-order ones antisymmetric.  The "literal" table reproduces a published
 variant of the same system, which carries an extra overall (1 - N^2) row
 scaling and a handful of sign slips; it is retained behind a flag purely to
 generate the coefficient diff report.
+
+The traction rows of the boundary Gamma_sigma, n . (resultants) =
+prescribed, and their load parts are not tabulated: ``build_traction``
+reads them off the stiffness form ``stress_from_kinematics``, pairing each
+row with the resultants listed in ``TRACTION_RESULTANTS``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .material import MaterialError, TechnicalConstants
-from .plate_fields import InertiaSet
+from .plate_constitutive import stress_from_kinematics
+from .plate_fields import (EXTENSIONAL_FIELDS, FLEXURAL_FIELDS,
+                           KINEMATIC_FIELDS, STRESS_FIELDS, InertiaSet,
+                           LoadSet, PlateKinematics)
 from .poly2d import Poly2D, apply_symbol_monomials
 
 MONOMIALS = ("1", "xi1", "xi2", "xi1^2", "xi1*xi2", "xi2^2")
@@ -141,15 +149,18 @@ class ExtensionalOperator(_SymbolMethods):
 class TractionOperator:
     """Boundary resultant-traction rows: T(d/dx; n) H = F*.
 
-    Rows give n . (gradient part of the resultants); F* is the prescribed
-    boundary resultant minus the load part, so the equation is exactly
-    "resultant traction = prescribed".  Entry (r, c) is stored as a (2, 6)
-    block: normal components times symbol monomials.
+    Row r gives n_a R_ar, the gradient part of its ``TRACTION_RESULTANTS``
+    pair; F* is the prescribed boundary resultant minus the load part, so
+    the equation is exactly "resultant traction = prescribed".  Entry (r, c)
+    is stored as a (2, 6) block: normal components times symbol monomials;
+    ``*_loads[r, a, l]`` is the coefficient of load l in R_ar.  All are read
+    off the stiffness form by ``build_traction``.
     """
 
     flex: np.ndarray                   # (6, 6, 2, 6)
     ext: np.ndarray                    # (3, 3, 2, 6)
-    tc: TechnicalConstants
+    flex_loads: np.ndarray             # (6, 2, 4)
+    ext_loads: np.ndarray              # (3, 2, 4)
 
     def flex_symbol(self, xi1, xi2, n) -> np.ndarray:
         return np.einsum("rcab,a,b->rc", self.flex, np.asarray(n, dtype=float),
@@ -157,16 +168,21 @@ class TractionOperator:
 
     def flex_load_part(self, loads, n):
         """n . (load part of the flexural resultants), rows 1..6."""
-        tc = self.tc
-        c_p = tc.nu * tc.h**2 / (10.0 * (1.0 - tc.nu)) * np.asarray(loads.p)
-        c_t = 0.5 * tc.kappa2_sq * tc.h * (1.0 - tc.Psi) * np.asarray(loads.t)
-        zero = np.zeros_like(c_p)
-        return [n[0] * c_p, n[1] * c_p, zero, zero, n[0] * c_t, n[1] * c_t]
+        return traction_load_part(self.flex_loads, loads, n)
 
     def ext_load_part(self, loads, n):
-        tc = self.tc
-        c_s = tc.h * tc.nu / (1.0 - tc.nu) * np.asarray(loads.sigma0)
-        return [n[0] * c_s, n[1] * c_s, np.zeros_like(c_s)]
+        return traction_load_part(self.ext_loads, loads, n)
+
+
+def traction_load_part(P: np.ndarray, loads, n) -> list:
+    """n . (load part of the resultants), with P[r, a, l] the coefficient
+    of load l (p, sigma0, v, t) in R_ar: row r sums n_a (P[r, a, l] load_l)
+    over its nonzero coefficients only, from the first term; +0 without."""
+    load = list(vars(loads).values())
+    zero = np.zeros(np.broadcast_shapes(*map(np.shape, load + list(n))))
+    terms = [[n[a] * (Pr[a, l] * load[l]) for a, l in zip(*np.nonzero(Pr))]
+             for Pr in P]
+    return [sum(t[1:], t[0]) if t else zero for t in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +308,8 @@ def build_flexural(tc: TechnicalConstants, inertia: InertiaSet,
         raise MaterialError("flexural inertia must be positive and finite")
     K = derived_flexural_table(tc)
     k = literal_flexural_table(tc)
-    coeffs = _flexural_coeffs_from(
-        *[K[f"K{i}"] for i in range(1, 15)], literal_pattern=False
-    )
-    lit = _flexural_coeffs_from(
-        k["k1"], k["k2"], k["k3"], k["k4"], k["k5"], k["k6"], k["k7"],
-        k["k8"], k["k9"], k["k10"], k["k11"], k["k12"], k["k13"], k["k14"],
-        literal_pattern=True,
-    )
+    coeffs = _flexural_coeffs_from(*K.values(), literal_pattern=False)
+    lit = _flexural_coeffs_from(*k.values(), literal_pattern=True)
     return FlexuralOperator(
         coeffs=coeffs, coeffs_literal=lit, k=k, K=K,
         mass=inertia.flexural_mass(), tc=tc, paper_literal=paper_literal,
@@ -369,71 +379,34 @@ def build_extensional(tc: TechnicalConstants, inertia: InertiaSet,
     )
 
 
+# Traction row r of each subsystem is n_a R_ar: the normal contraction of
+# the pair (R_1r, R_2r) of resultants.
+TRACTION_RESULTANTS = {
+    "flex": (("M11", "M21"), ("M12", "M22"), ("Q1_s", "Q2_s"),
+             ("S1_s", "S2_s"), ("R11", "R21"), ("R12", "R22")),
+    "ext": (("N11", "N21"), ("N12", "N22"), ("M1_s", "M2_s")),
+}
+
+
 def build_traction(tc: TechnicalConstants) -> TractionOperator:
-    """Resultant-traction rows from the constitutive stiffness form."""
-    h = tc.h
-    mu, alpha = tc.mu, tc.alpha
-    gam, eps = tc.gamma, tc.epsilon
-    D, nu = tc.D, tc.nu
-    cq = tc.kappa1_sq * h
-    cr = tc.kappa2_sq * h
-    cm = h**3 / 12.0
-    cS = h**3 * gam * eps / (3.0 * (gam + eps))
-    cM = 4.0 * h * gam * eps / (gam + eps)
-    CE = tc.E * h / (1.0 - nu**2)
-
-    F = np.zeros((6, 6, 2, 6))
-    # row 1: M_a1 n_a
-    F[0, 0, 0] = _entry(x1=D)
-    F[0, 1, 0] = _entry(x2=D * nu)
-    F[0, 0, 1] = _entry(x2=cm * (mu + alpha))
-    F[0, 1, 1] = _entry(x1=cm * (mu - alpha))
-    F[0, 3, 1] = _entry(const=-2.0 * cm * alpha)
-    # row 2: M_a2 n_a
-    F[1, 1, 0] = _entry(x1=cm * (mu + alpha))
-    F[1, 0, 0] = _entry(x2=cm * (mu - alpha))
-    F[1, 3, 0] = _entry(const=2.0 * cm * alpha)
-    F[1, 1, 1] = _entry(x2=D)
-    F[1, 0, 1] = _entry(x1=D * nu)
-    # row 3: Q*_a n_a
-    F[2, 0, 0] = _entry(const=cq * (mu - alpha))
-    F[2, 2, 0] = _entry(x1=cq * (mu + alpha))
-    F[2, 5, 0] = _entry(const=-2.0 * cq * alpha)
-    F[2, 1, 1] = _entry(const=cq * (mu - alpha))
-    F[2, 2, 1] = _entry(x2=cq * (mu + alpha))
-    F[2, 4, 1] = _entry(const=2.0 * cq * alpha)
-    # row 4: S*_a n_a
-    F[3, 3, 0] = _entry(x1=cS)
-    F[3, 3, 1] = _entry(x2=cS)
-    # row 5: R_a1 n_a
-    F[4, 4, 0] = _entry(x1=cr * gam * (2.0 - tc.Psi))
-    F[4, 5, 0] = _entry(x2=cr * gam * (1.0 - tc.Psi))
-    F[4, 4, 1] = _entry(x2=0.5 * cr * (gam + eps))
-    F[4, 5, 1] = _entry(x1=0.5 * cr * (gam - eps))
-    # row 6: R_a2 n_a
-    F[5, 5, 0] = _entry(x1=0.5 * cr * (gam + eps))
-    F[5, 4, 0] = _entry(x2=0.5 * cr * (gam - eps))
-    F[5, 5, 1] = _entry(x2=cr * gam * (2.0 - tc.Psi))
-    F[5, 4, 1] = _entry(x1=cr * gam * (1.0 - tc.Psi))
-
-    E = np.zeros((3, 3, 2, 6))
-    # row 1: N_a1 n_a
-    E[0, 0, 0] = _entry(x1=CE)
-    E[0, 1, 0] = _entry(x2=CE * nu)
-    E[0, 0, 1] = _entry(x2=h * (mu + alpha))
-    E[0, 1, 1] = _entry(x1=h * (mu - alpha))
-    E[0, 2, 1] = _entry(const=-2.0 * h * alpha)
-    # row 2: N_a2 n_a
-    E[1, 1, 0] = _entry(x1=h * (mu + alpha))
-    E[1, 0, 0] = _entry(x2=h * (mu - alpha))
-    E[1, 2, 0] = _entry(const=2.0 * h * alpha)
-    E[1, 1, 1] = _entry(x2=CE)
-    E[1, 0, 1] = _entry(x1=CE * nu)
-    # row 3: M*_a n_a
-    E[2, 2, 0] = _entry(x1=cM)
-    E[2, 2, 1] = _entry(x2=cM)
-
-    return TractionOperator(flex=F, ext=E, tc=tc)
+    """Traction rows and load parts read off the stiffness form.  It is
+    linear, so one call on unit columns gives each resultant's coefficients:
+    one column per kinematic field and slot (value, d/dx1, d/dx2, the
+    monomials 1, xi1, xi2) and one per load."""
+    nk = len(KINEMATIC_FIELDS)
+    unit = np.eye(3 * nk + 4)
+    u, d1, d2 = (PlateKinematics(*unit[k * nk:(k + 1) * nk]) for k in range(3))
+    s = stress_from_kinematics(u, d1, d2, tc, LoadSet(*unit[3 * nk:])).as_array()
+    out = {}
+    for name, fields in (("flex", FLEXURAL_FIELDS), ("ext", EXTENSIONAL_FIELDS)):
+        R = s[[[STRESS_FIELDS.index(f) for f in pair]
+               for pair in TRACTION_RESULTANTS[name]]]   # (nf, 2, 3 nk + 4)
+        nf, cols = len(fields), [KINEMATIC_FIELDS.index(f) for f in fields]
+        out[name] = np.zeros((nf, nf, 2, 6))
+        out[name][..., :3] = np.moveaxis(
+            R[..., :3 * nk].reshape(nf, 2, 3, nk)[..., cols], 3, 1)
+        out[name + "_loads"] = R[..., 3 * nk:]
+    return TractionOperator(**out)
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +422,15 @@ def operator_residual_oracle(op, tc: TechnicalConstants, rng=None,
     Returns the residual normalized by the largest row magnitude; the
     derived table should sit at rounding level, the literal table does not.
     """
-    from .plate_constitutive import stress_from_kinematics
-
     rng = np.random.default_rng(rng)
     nfield = op.active_coeffs.shape[0]
     polys = [Poly2D.random(rng, degree) for _ in range(nfield)]
 
     lhs = op.apply_to_polynomials(polys)
 
-    if nfield == 6:
-        u = _poly_kinematics(flexural=polys)
-    else:
-        u = _poly_kinematics(extensional=polys)
-    d1 = _poly_grad(u, 1)
-    d2 = _poly_grad(u, 2)
-    s = stress_from_kinematics(u, d1, d2, tc, loads=_poly_zero_loads())
+    u = _poly_kinematics(**{"flexural" if nfield == 6 else "extensional": polys})
+    s = stress_from_kinematics(u, _poly_grad(u, 1), _poly_grad(u, 2), tc,
+                               loads=_poly_zero_loads())
 
     if nfield == 6:
         rhs = [
@@ -487,34 +454,19 @@ def operator_residual_oracle(op, tc: TechnicalConstants, rng=None,
 
 
 def _poly_kinematics(flexural=None, extensional=None):
-    from .plate_fields import PlateKinematics
-
-    kw = {n: Poly2D.zero() for n in (
-        "psi1", "psi2", "w", "omega3", "omega1_0", "omega2_0",
-        "u1", "u2", "omega3_0")}
-    if flexural is not None:
-        for name, p in zip(
-            ("psi1", "psi2", "w", "omega3", "omega1_0", "omega2_0"), flexural
-        ):
-            kw[name] = p
-    if extensional is not None:
-        for name, p in zip(("u1", "u2", "omega3_0"), extensional):
-            kw[name] = p
+    kw = {n: Poly2D.zero() for n in KINEMATIC_FIELDS}
+    kw.update(zip(FLEXURAL_FIELDS, flexural or ()))
+    kw.update(zip(EXTENSIONAL_FIELDS, extensional or ()))
     return PlateKinematics(**kw)
 
 
 def _poly_grad(u, axis: int):
-    from .plate_fields import PlateKinematics, KINEMATIC_FIELDS
-
-    deriv = (lambda p: p.dx1()) if axis == 1 else (lambda p: p.dx2())
-    return PlateKinematics(**{n: deriv(getattr(u, n)) for n in KINEMATIC_FIELDS})
+    return PlateKinematics(**{n: getattr(getattr(u, n), f"dx{axis}")()
+                              for n in KINEMATIC_FIELDS})
 
 
 def _poly_zero_loads():
-    from .plate_fields import LoadSet
-
-    z = Poly2D.zero()
-    return LoadSet(p=z, sigma0=z, v=z, t=z)
+    return LoadSet(*[Poly2D.zero()] * 4)
 
 
 def coefficient_diff_table(tc: TechnicalConstants, inertia: InertiaSet):
@@ -522,7 +474,6 @@ def coefficient_diff_table(tc: TechnicalConstants, inertia: InertiaSet):
     the published coefficient tables with the derived ones."""
     flex = build_flexural(tc, inertia)
     ext = build_extensional(tc, inertia)
-    N2 = tc.N**2
     rows = []
 
     lit_expr = {
@@ -536,30 +487,19 @@ def coefficient_diff_table(tc: TechnicalConstants, inertia: InertiaSet):
         "K12": "D*N^2*(1-nu)", "K13": "5*G*h*N^2/3",
         "K14": "5*h*(1-N^2)*G*(lt^2*(2-Psi)-2*lb^2)/3",
     }
-    for i in range(1, 15):
-        lit = flex.k[f"k{i}"]
-        der = flex.K[f"K{i}"]
-        rows.append((f"k{i}", lit_expr[f"K{i}"], lit, der, abs(lit - der)))
+    for (name, lit), der, expr in zip(flex.k.items(), flex.K.values(),
+                                      lit_expr.values()):
+        rows.append((name, expr, lit, der, abs(lit - der)))
 
-    for xi in ((1.3, 0.7),):
-        Ld = flex.symbol(*xi)
-        Ll = _symbol_value(flex.coeffs_literal, *xi)
-        for r in range(6):
-            for c in range(6):
-                if not np.isclose(Ld[r, c], Ll[r, c], rtol=1e-12, atol=1e-300):
-                    rows.append(
-                        (f"L[{r+1},{c+1}]@xi={xi}", "printed pattern",
-                         Ll[r, c], Ld[r, c], abs(Ll[r, c] - Ld[r, c]))
-                    )
-        Ed = ext.symbol(*xi)
-        El = _symbol_value(ext.coeffs_literal, *xi)
-        for r in range(3):
-            for c in range(3):
-                if not np.isclose(Ed[r, c], El[r, c], rtol=1e-12, atol=1e-300):
-                    rows.append(
-                        (f"Lt[{r+1},{c+1}]@xi={xi}", "printed pattern (xGh)",
-                         El[r, c], Ed[r, c], abs(El[r, c] - Ed[r, c]))
-                    )
+    xi = (1.3, 0.7)
+    for name, op, expr in (("L", flex, "printed pattern"),
+                           ("Lt", ext, "printed pattern (xGh)")):
+        Ld = op.symbol(*xi)
+        Ll = _symbol_value(op.coeffs_literal, *xi)
+        off = ~np.isclose(Ld, Ll, rtol=1e-12, atol=1e-300)
+        for r, c in zip(*np.nonzero(off)):
+            rows.append((f"{name}[{r+1},{c+1}]@xi={xi}", expr, Ll[r, c],
+                         Ld[r, c], abs(Ll[r, c] - Ld[r, c])))
 
     kap = ext.kappa
     rows.append((

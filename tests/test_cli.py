@@ -258,11 +258,22 @@ def _sinusoidal(**kw):
      "'sweep.base.E'"),
     ("sweep", lambda c: c.update(sweep={"base": {"J": [1, 1]}}),
      "'sweep.base.J'"),
+    ("simulate", lambda c: c["time"].update(snapshot_every=-2),
+     "snapshot_every"),
+    ("simulate", lambda c: c["geometry"].update(a=True), "'geometry.a'"),
+    ("simulate", lambda c: c["time"].update(t_final=True), "'time.t_final'"),
+    ("simulate", lambda c: c["loads"]["p"].update(amplitude=True),
+     "amplitude"),
+    ("validate", lambda c: c["material"].update(rho=True), "rho"),
+    ("validate", lambda c: c["material"].update(J=[1, 1, 1, 1]), "J"),
+    ("simulate", lambda c: c["material"].update(J=[1, 1, 1, 1]), "J"),
 ], ids=["nx-text", "nx-fraction", "h-text", "material-text", "amplitude-text",
         "amplitude-nan", "width-zero", "tau-zero", "center-text",
         "kx-fraction", "ly-zero", "t_final-text", "dt-text", "dt-negative",
         "snapshot_every-fraction", "snapshot_every-bool", "initial-text", "sweep-N-text",
-        "sweep-E-text", "sweep-J-short"])
+        "sweep-E-text", "sweep-J-short", "snapshot_every-negative", "a-bool",
+        "t_final-bool", "amplitude-bool", "validate-rho-bool",
+        "validate-J-long", "simulate-J-long"])
 def test_malformed_number_is_config_error(config_file, tmp_path, capsys,
                                           command, edit, where):
     """Each used to end in a traceback, a misattributed solver failure or a
@@ -543,6 +554,15 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(verification, "run_all", fake_fail)
     assert run(["verify", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_seed_is_a_usage_error(tmp_path, capsys, seed):
+    """--seed -1 used to end in NumPy's traceback after the suites began."""
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--out", str(tmp_path / "v"), "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_diff_table_csv(tmp_path):

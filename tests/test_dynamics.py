@@ -670,6 +670,12 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="t_final must be"):
             simulate(make_model(), t_final=t_final)
 
+    @pytest.mark.parametrize("every", [-2, 2.5, True])
+    def test_rejects_bad_snapshot_every(self, every):
+        """snapshot_every = -2 used to record every second step."""
+        with pytest.raises(ConfigError, match="snapshot_every must"):
+            simulate(make_model(), t_final=0.1, snapshot_every=every)
+
     def test_zero_run_flat_energy(self):
         model = make_model()
         traj = simulate(model, t_final=0.1, snapshot_every=2)

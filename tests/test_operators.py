@@ -296,6 +296,45 @@ class TestTraction:
             assert val == pytest.approx(float(tr[r](x, y)), rel=1e-12,
                                         abs=1e-14), r
 
+    @pytest.mark.parametrize("shear_correction", ["standard", "mindlin"])
+    @pytest.mark.parametrize("subsystem", ["flexural", "extensional"])
+    def test_rows_and_load_part_match_resultants(self, rng, subsystem,
+                                                 shear_correction):
+        """Each subsystem's traction rows plus their load part equal
+        n . (resultants) of the stiffness form on random polynomial fields
+        under nonzero polynomial loads, for either shear correction."""
+        from cosserat_plate.operators import _poly_kinematics, _poly_grad
+        from cosserat_plate.plate_constitutive import stress_from_kinematics
+        from cosserat_plate.poly2d import Poly2D, apply_symbol_monomials
+
+        tc, _, _, _ = make_ops(random_material(rng), 0.21, shear_correction)
+        trac = build_traction(tc)
+        nf = 6 if subsystem == "flexural" else 3
+        polys = [Poly2D.random(rng, 2) for _ in range(nf)]
+        u = _poly_kinematics(**{subsystem: polys})
+        loads = LoadSet(**{k: Poly2D.random(rng, 2)
+                           for k in ("p", "sigma0", "v", "t")})
+        s = stress_from_kinematics(u, _poly_grad(u, 1), _poly_grad(u, 2), tc,
+                                   loads=loads)
+        if subsystem == "flexural":
+            pairs = [(s.M11, s.M21), (s.M12, s.M22), (s.Q1_s, s.Q2_s),
+                     (s.S1_s, s.S2_s), (s.R11, s.R21), (s.R12, s.R22)]
+            table, load_part = trac.flex, trac.flex_load_part
+        else:
+            pairs = [(s.N11, s.N21), (s.N12, s.N22), (s.M1_s, s.M2_s)]
+            table, load_part = trac.ext, trac.ext_load_part
+        n = np.array([-0.6, 0.8])
+        x, y = 0.3, 0.7
+        lp = load_part(LoadSet(**{k: f(x, y) for k, f in vars(loads).items()}),
+                       n)
+        assert any(v != 0.0 for v in lp)
+        for r, (R1, R2) in enumerate(pairs):
+            val = lp[r] + sum(apply_symbol_monomials(
+                np.einsum("ab,a->b", table[r, c], n), polys[c])(x, y)
+                for c in range(nf))
+            assert val == pytest.approx(float((R1 * n[0] + R2 * n[1])(x, y)),
+                                        rel=1e-12, abs=1e-14), r
+
 
 def test_diff_table_contents(rng):
     p = random_material(rng)
