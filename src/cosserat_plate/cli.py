@@ -128,7 +128,7 @@ def _load_preset(name, spec):
     if not isinstance(spec, dict):
         raise ConfigError(f"a load must be a JSON object, got {spec!r}")
     preset = spec.get("preset", "constant")
-    if preset not in _LOAD_KEYS:
+    if not isinstance(preset, str) or preset not in _LOAD_KEYS:
         raise ConfigError(f"unknown load preset {preset!r}")
     _check_keys(f"{preset} load", spec, _LOAD_KEYS[preset])
     try:
@@ -284,14 +284,18 @@ def _cmd_static(cfg, args, out: Path, cfg_hash: str) -> int:
 def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
     from .dynamics import simulate, stable_dt
 
-    model = _model_from_config(cfg, args.paper_literal_operators)
     tcfg = cfg.get("time", {})
-    t_final = checked_number("'time.t_final'", tcfg.get("t_final", 1.0))
+    t_final = checked_number("'time.t_final'", tcfg.get("t_final", 1.0),
+                             positive=True)
     dt = tcfg.get("dt")
     if dt is not None:
         dt = checked_number("'time.dt'", dt, positive=True)
     every = checked_number("'time.snapshot_every'",
                            tcfg.get("snapshot_every", 0), integer=True)
+    if every < 0:
+        raise ConfigError(f"'time.snapshot_every' must not be negative, "
+                          f"got {every}")
+    model = _model_from_config(cfg, args.paper_literal_operators)
     state0 = _initial_state(cfg, model)
     traj = simulate(model, t_final=t_final, dt=dt, snapshot_every=every,
                     initial=state0)

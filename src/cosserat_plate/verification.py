@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -33,6 +34,7 @@ from .cosserat3d import (
 from .dispersion import cutoff_frequencies, wave_eigensystem
 from .dynamics import (
     EDGES,
+    ConfigError,
     ConstantLoad,
     DiscreteState,
     EdgeBC,
@@ -550,8 +552,12 @@ def run_all(seed: int = 0, out_dir=None, verbose: bool = True):
     With ``out_dir``, writes ``coefficient_diff.csv`` and
     ``verify_report.json``: the package version, the seed and, per suite,
     its name, pass flag, printed details and wall time (telemetry, so not
-    byte-reproducible).
+    byte-reproducible).  A seed that is not a non-negative integer is a
+    ConfigError.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     results, report = [], []
     _classical_solution.cache_clear()
     try:

@@ -289,6 +289,40 @@ def test_malformed_number_is_config_error(config_file, tmp_path, capsys,
     assert "configuration error" in err and where in err
 
 
+@pytest.mark.parametrize("preset", [[], {}, 1, None])
+def test_non_string_load_preset_is_config_error(config_file, tmp_path,
+                                                capsys, preset):
+    """"preset": [] used to end in an unhashable-type TypeError."""
+    path = _edited_config(config_file, tmp_path,
+                          lambda c: c["loads"]["p"].update(preset=preset))
+    assert run(["static", "--config", path,
+                "--out", str(tmp_path / "o")]) == 2
+    assert "unknown load preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("time", [
+    {"t_final": 0}, {"t_final": -1.0}, {"t_final": "x"}, {"dt": -0.1},
+    {"dt": 0}, {"snapshot_every": 2.5}, {"snapshot_every": -2},
+    {"snapshot_every": True},
+], ids=["t_final-zero", "t_final-negative", "t_final-text", "dt-negative",
+        "dt-zero", "snapshot_every-fraction", "snapshot_every-negative",
+        "snapshot_every-bool"])
+def test_simulate_checks_time_before_assembling(config_file, tmp_path,
+                                                capsys, monkeypatch, time):
+    """A bad 'time' entry used to be refused only after the model was
+    assembled, which takes about half a second at 129^2."""
+    def no_assemble(config):
+        raise AssertionError("assembled before checking 'time'")
+
+    monkeypatch.setattr(cli, "assemble", no_assemble)
+    path = _edited_config(config_file, tmp_path,
+                          lambda c: c["time"].update(time))
+    assert run(["simulate", "--config", path,
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"'time.{next(iter(time))}'" in err
+
+
 @pytest.mark.parametrize("kind", ["velocty", "Displacement", 1])
 def test_unknown_initial_kind_is_config_error(config_file, tmp_path, capsys,
                                               kind):

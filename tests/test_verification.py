@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cosserat_plate import __version__, verification
+from cosserat_plate.dynamics import ConfigError
 from cosserat_plate.plate_fields import PlateKinematics
 from cosserat_plate.verification import SuiteResult
 
@@ -121,3 +122,17 @@ def test_hpr_suite_evaluates_the_equilibrium_state_once(monkeypatch):
     finally:
         verification._classical_solution.cache_clear()
     assert calls == {"value": 106, "reference_energy": 6}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+def test_bad_seed_is_a_config_error(monkeypatch, seed):
+    """run_all(seed=-1) used to end in NumPy's bare ValueError from the
+    first suite that drew a random number."""
+    def suite(seed):
+        np.random.default_rng(seed)
+        return SuiteResult("drawn", True, "ok")
+
+    monkeypatch.setattr(verification, "ALL_SUITES", (suite,))
+    with pytest.raises(ConfigError,
+                       match="seed must be a non-negative integer"):
+        verification.run_all(seed=seed, verbose=False)
