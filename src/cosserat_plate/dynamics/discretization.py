@@ -293,6 +293,14 @@ class DiscreteModel:
         from .explicit import _InteriorStack
         return _InteriorStack(self)
 
+    @cached_property
+    def coordinate_text(self) -> list[str]:
+        """Each node's "x1,x2" as snapshots write it (``%.17g``), in the
+        order of ``X.ravel()``: formatted once per model and reused by every
+        snapshot written from it."""
+        return ["%.17g,%.17g" % xy for xy in zip(self.X.ravel().tolist(),
+                                                 self.Y.ravel().tolist())]
+
 
 def assemble(config: ModelConfig) -> DiscreteModel:
     """Validate the configuration and build the discrete model."""

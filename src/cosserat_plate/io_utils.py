@@ -3,9 +3,17 @@
 Every file starts with (or embeds) the package version and a SHA-256 hash
 of the canonicalized run configuration, so outputs are traceable and two
 runs with identical config and seed produce byte-identical files.  No
-timestamps are written.  The one exception is telemetry:
-``verify_report.json``, written by ``verification.run_all``, records each
-suite's wall time and is outside the byte-identity guarantee.
+timestamps are written.
+
+CSV numbers are written as ``%.17g`` through %-templates, a chunk of rows
+at a time, and a number known to repeat is formatted once: a snapshot
+reuses its model's coordinate text and writes a field that is constant
+over the grid as a literal of its row template, and the dispersion and
+sweep tables format each magnitude or material point once for all the
+rows it leads.
+
+The one exception to byte identity is telemetry: ``verify_report.json``,
+written by ``verification.run_all``, records each suite's wall time.
 """
 
 from __future__ import annotations
@@ -52,16 +60,26 @@ def write_csv(path, cfg_hash: str, columns: list[str], rows) -> None:
 
 def write_snapshot(path, cfg_hash: str, model, state=None,
                    kinematics=None) -> None:
-    """One row per grid node: x1, x2, then the nine kinematic fields."""
+    """One row per grid node: x1, x2, then the nine kinematic fields.
+
+    The coordinates are the model's ``coordinate_text``, formatted once per
+    model.  A field that holds one float64 bit pattern on every node (the
+    fields of a subsystem at rest, say) is written as that value's text in
+    the row template, formatted once; bits, not ==, decide, so +0 and -0
+    keep their own spellings."""
     kin = kinematics if kinematics is not None else state.kinematics()
-    X, Y = model.X, model.Y
-    fields = [np.broadcast_to(np.asarray(getattr(kin, n), dtype=float),
-                              X.shape) for n in KINEMATIC_FIELDS]
-    table = np.stack([X, Y, *fields]).reshape(2 + len(fields), -1).T
+    fields = np.stack([np.broadcast_to(np.asarray(getattr(kin, n), dtype=float),
+                                       model.X.shape) for n in KINEMATIC_FIELDS])
+    fields = fields.reshape(len(KINEMATIC_FIELDS), -1)
+    bits = fields.view(np.int64)
+    constant = np.all(bits == bits[:, :1], axis=1)
     # "%.17g" % x formats a float exactly as _fmt does
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    line = "".join("," + (_fmt(f[0]) if c else "%.17g")
+                   for f, c in zip(fields, constant)) + "\n"
     _write_lines(path, cfg_hash, ["x1", "x2", *KINEMATIC_FIELDS],
-                 _formatted(table, line))
+                 _formatted(fields[~constant].T, [line],
+                            keys=model.coordinate_text,
+                            width=2 + len(KINEMATIC_FIELDS)))
 
 
 def write_energy_log(path, cfg_hash: str, energy) -> None:
@@ -74,20 +92,15 @@ def write_energy_log(path, cfg_hash: str, energy) -> None:
 def write_dispersion(path, cfg_hash: str, results) -> None:
     """results: list of (direction_label, k_mags (n,), flexural (n, nf),
     extensional (n, ne)); per magnitude, one row per flexural then per
-    extensional branch."""
+    extensional branch.  Each magnitude is formatted once for its rows."""
     def lines():
         for label, mags, flex, ext in results:
-            label = label.replace("%", "%%")
-            row = "".join(f"{label},%.17g,{b},%.17g,{sub}\n"
-                          for sub, n in (("flexural", flex.shape[1]),
-                                         ("extensional", ext.shape[1]))
-                          for b in range(n))
-            # (k, omega) per branch, in the order of the template's slots
-            omega = np.hstack([flex, ext])
-            values = np.empty((len(mags), 2 * omega.shape[1]))
-            values[:, 0::2] = np.asarray(mags)[:, None]
-            values[:, 1::2] = omega
-            yield from _formatted(values, row)
+            branches = [f",{b},%.17g,{sub}\n"
+                        for sub, n in (("flexural", flex.shape[1]),
+                                       ("extensional", ext.shape[1]))
+                        for b in range(n)]
+            keys = [f"{label},{_fmt(k)}" for k in np.asarray(mags).tolist()]
+            yield from _formatted(np.hstack([flex, ext]), branches, keys=keys)
 
     _write_lines(path, cfg_hash,
                  ["direction", "xi_mag", "branch", "omega", "subsystem"],
@@ -98,35 +111,57 @@ def write_sweep(path, cfg_hash: str, points, quantities) -> None:
     """One row per material point, quantity and branch: the point's
     (N, l_t, l_b, Psi), the quantity's label, the branch and its value.
     ``quantities`` is a list of (label, values (len(points), branches)),
-    empty when there are no points."""
+    empty when there are no points.  Each point is formatted once for its
+    rows."""
     lines = ()
     if quantities:
-        # one template per point: every quantity's branches in turn
-        row = "".join(f"%.17g,%.17g,%.17g,%.17g,{label.replace('%', '%%')},"
-                      f"{_fmt(b)},%.17g\n"
-                      for label, values in quantities
-                      for b in range(values.shape[1]))
-        values = np.hstack([values for _, values in quantities])
-        table = np.empty(values.shape + (5,))
-        table[:, :, :4] = np.reshape(points, (-1, 1, 4))
-        table[:, :, 4] = values
-        lines = _formatted(table.reshape(len(table), -1), row)
+        # per point, every quantity's branches in turn
+        branches = [f",{label.replace('%', '%%')},{b},%.17g\n"
+                    for label, values in quantities
+                    for b in range(values.shape[1])]
+        keys = [",".join(map(_fmt, p))
+                for p in np.reshape(points, (-1, 4)).tolist()]
+        lines = _formatted(np.hstack([values for _, values in quantities]),
+                           branches, keys=keys)
     _write_lines(path, cfg_hash,
                  ["N", "l_t", "l_b", "Psi", "quantity", "branch", "value"],
                  lines)
 
 
-def _formatted(rows: np.ndarray, row_template: str, sep: str = ""):
+def _formatted(rows: np.ndarray, row_template, sep: str = "", keys=None,
+               width: int | None = None):
     """The rows of the 2-D float array ``rows``, each through the
     %-template ``row_template`` and joined by ``sep``, as a stream of
-    strings of at most ``_CHUNK_VALUES`` values each (or one row)."""
-    k = max(1, _CHUNK_VALUES // max(rows.shape[1], 1))
+    strings of at most ``_CHUNK_VALUES`` values each (or one row), a row
+    counting ``width`` values (default: the values it is given).
+
+    With ``keys``, text formatted once per row, ``row_template`` is a list
+    of line templates instead: row i is each line led by ``keys[i]``, the
+    row's floats split evenly among the lines.  So a node's coordinates, a
+    wavevector magnitude or a material point is formatted once for all the
+    lines it leads.  A key fills a %s slot and needs no escaping."""
+    n = rows.shape[1]
+    if keys is not None:
+        # a row's values: each line's key, then the line's share of floats
+        step = 1 + n // len(row_template)
+        n = step * len(row_template)
+        value_at = [i for i in range(n) if i % step]
+        row_template = "".join("%s" + line for line in row_template)
+    k = max(1, _CHUNK_VALUES // max(width or n, 1))
     full = sep.join([row_template] * k)
     for start in range(0, len(rows), k):
         block = rows[start:start + k]
         template = (full if len(block) == k
                     else sep.join([row_template] * len(block)))
-        yield (sep if start else "") + template % tuple(block.ravel().tolist())
+        if keys is None:
+            values = block.ravel().tolist()
+        else:
+            values = [None] * (len(block) * n)
+            for i in range(0, n, step):
+                values[i::n] = keys[start:start + k]
+            for i, column in zip(value_at, block.T):
+                values[i::n] = column.tolist()
+        yield (sep if start else "") + template % tuple(values)
 
 
 def write_summary(path, cfg_hash: str, payload: dict) -> None:
