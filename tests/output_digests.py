@@ -34,7 +34,8 @@ _PLATE = {"material": _MATERIAL, "geometry": {"a": 1.0, "b": 0.8, "h": 0.1},
 
 # Every command but verify, both subsystems, all four loads, clamped and
 # traction edges, the t = 0 snapshot of a displacement kick and of a
-# velocity kick, a run whose extensional subsystem stays at rest, and the
+# velocity kick, a run whose extensional subsystem stays at rest, a run on
+# which no force does work (no loads, no lift, no traction edge), and the
 # mode shapes.
 JOBS = {
     "static-clamped": ("static", dict(_PLATE, bc=_CLAMPED, loads={
@@ -65,6 +66,10 @@ JOBS = {
         time={"t_final": 0.5, "snapshot_every": 8},
         initial={"field": "u1", "kind": "velocity", "amplitude": 0.5,
                  "center": [0.5, 0.4], "width": 0.15})),
+    "simulate-clamped-unforced": ("simulate", dict(
+        _PLATE, bc=_CLAMPED, time={"t_final": 2.0, "snapshot_every": 25},
+        initial={"field": "w", "kind": "velocity", "amplitude": 0.3,
+                 "center": [0.45, 0.35], "width": 0.2})),
     "dispersion-modes": ("dispersion", {
         "material": _MATERIAL, "geometry": {"h": 0.1},
         "dispersion": {"directions": [[1, 0], [1, -1]], "k_min": 0.1,
