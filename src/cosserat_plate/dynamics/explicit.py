@@ -19,15 +19,23 @@ matvec,
     w += dt/2 * a,
 
 and the end-of-step acceleration, with its half kick dt/2 * a, is the next
-step's start ("first same as last").  Per subsystem (``_Part``) the stack
-also holds the Dirichlet lift, the load terms and, with traction edges,
-the quasi-static traction closure (``_TractionClosure``), which solves the
-traction rows for the boundary values inside every acceleration.  The
-boundary velocities feed nothing back into the interior update and are
-solved only when a ``DiscreteState`` is built, at snapshots and at the end
-of a run.  Load envelope sums, traction solves and energy and work dot
-products are formed per subsystem on its slice, so the kernel's arithmetic
-is that of two separate subsystems.
+step's start ("first same as last").  At 17^2 a step's Python calls cost
+as much as its arithmetic, so it makes the fewest calls that keep that
+arithmetic: in-place ufuncs; Lu = B u by SciPy's CSR kernel, that of
+``B @ u``, straight into the zero-filled ``Lu`` (``_csr_matvec_into``); the
+lift and traction terms only where a part has them; one ``np.divide`` into
+``a`` when nothing is loaded, else a subtraction of each loaded part's
+load vector straight into ``a`` and an in-place divide.
+
+Per subsystem (``_Part``) the stack also holds the Dirichlet lift, the
+load terms and, with traction edges, the quasi-static traction closure
+(``_TractionClosure``), which solves the traction rows for the boundary
+values inside every acceleration.  The boundary velocities feed nothing
+back into the interior update and are solved only when a ``DiscreteState``
+is built, at snapshots and at the end of a run.  Load envelope sums,
+traction solves and energy and work dot products are formed per subsystem
+on its slice, so the kernel's arithmetic is that of two separate
+subsystems.
 ``stable_dt`` bounds the largest frequency of both subsystems by one
 Gershgorin row-sum pass over the same stack and keeps the bound there.
 
@@ -59,6 +67,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from ..plate_fields import PlateKinematics
 from .discretization import (ConfigError, DiscreteModel, InstabilityError,
@@ -114,6 +123,14 @@ def stable_dt(model: DiscreteModel) -> float:
         _log.debug("stable_dt: G=%.6e from the %s row of %s at node "
                    "(%d, %d), dt=%.6e", G, *stack.locate(i), stack.dt)
     return stack.dt
+
+
+def _csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = A @ x`` without a temporary: ``A @ x`` runs SciPy's CSR
+    kernel on a zero-filled result, and so does this on ``out``, so every
+    row sum is formed in the same order, bit for bit."""
+    out.fill(0.0)
+    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
 
 
 class _TractionClosure:
@@ -328,6 +345,12 @@ class _Kernel:
         self.a = np.zeros(self.u.size)
         self._u, self._w, self._a, self._Lu, self._m = (
             x[s] for x in (self.u, self.w, self.a, self.Lu, stack.mass))
+        # what the matvec leaves out: the lift and traction terms, and the
+        # load vector of a loaded part, whose acceleration is Lu - F
+        self._bounded = [(k, p) for k, p in enumerate(stack.parts)
+                         if p.lift is not None or p.closure is not None]
+        self._forced = ([(self.Lu[p.s], self.a[p.s], p) for p in live]
+                        if stack.loaded else None)
         self._kick = np.empty(s.stop - s.start)
         self._du = np.empty(s.stop - s.start)
         self._acceleration_from_Lu(state.time)
@@ -342,9 +365,9 @@ class _Kernel:
     def _acceleration(self, t: float) -> None:
         """M^-1 (L h - F) on the live range at time t, where h is u on the
         interior, g on Gamma_u and the traction solve on Gamma_sigma."""
-        self._Lu[...] = self.rows @ self.u
+        _csr_matvec_into(self.rows, self.u, self._Lu)
         self.matvecs += 1
-        for k, p in enumerate(self.stack.parts):
+        for k, p in self._bounded:
             if p.lift is not None:
                 self.Lu[p.s] += p.lift
             if p.closure is not None:
@@ -355,9 +378,14 @@ class _Kernel:
 
     def _acceleration_from_Lu(self, t: float) -> None:
         """M^-1 (L h - F) on the live range from the L h kept in ``Lu``."""
-        np.copyto(self._a, self._Lu)
-        for p in self.stack.loaded:
-            self.a[p.s] -= _envelope_sum(p.presets, p.F, t)
+        if self._forced is None:
+            np.divide(self._Lu, self._m, out=self._a)
+            return
+        for Lu, a, p in self._forced:
+            if p.presets:
+                np.subtract(Lu, _envelope_sum(p.presets, p.F, t), out=a)
+            else:
+                np.copyto(a, Lu)
         self._a /= self._m
 
     def advance(self, t0: float, dt: float) -> float:
@@ -520,16 +548,19 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     w_mid = [np.empty(p.s.stop - p.s.start) for p in worked]
 
     for k in range(1, n_steps + 1):
-        for p, buf in zip(worked, w_mid):
-            np.copyto(buf, kernel.w[p.s])
-        t_mid = t + 0.5 * dt
-        t = kernel.advance(t, dt)
-        # midpoint power of the applied force, A_ID g - F in the convention
-        # A_II u + A_ID g - F = M udd
-        for p, buf in zip(worked, w_mid):
-            buf += kernel.w[p.s]
-            buf *= 0.5
-            w_ext += dt * float(p.force(t_mid) @ buf) * dA
+        if not worked:
+            t = kernel.advance(t, dt)
+        else:
+            for p, buf in zip(worked, w_mid):
+                np.copyto(buf, kernel.w[p.s])
+            t_mid = t + 0.5 * dt
+            t = kernel.advance(t, dt)
+            # midpoint power of the applied force, A_ID g - F in the
+            # convention A_II u + A_ID g - F = M udd
+            for p, buf in zip(worked, w_mid):
+                buf += kernel.w[p.s]
+                buf *= 0.5
+                w_ext += dt * float(p.force(t_mid) @ buf) * dA
 
         record = bool(every) and k % every == 0
         if k == n_steps or record:

@@ -99,14 +99,15 @@ def equilibrium_state(model: DiscreteModel, u: PlateKinematics) -> HPRState:
 
 
 def _grid_gradients(model: DiscreteModel, u: PlateKinematics):
-    g1, g2 = {}, {}
-    for n in KINEMATIC_FIELDS:
-        f = np.asarray(getattr(u, n), dtype=float)
-        if f.ndim == 0:
-            f = np.full((model.nx, model.ny), float(f))
-        gx, gy = np.gradient(f, model.dx, model.dy, edge_order=2)
-        g1[n], g2[n] = gx, gy
-    return PlateKinematics(**g1), PlateKinematics(**g2)
+    """d/dx1 and d/dx2 of every kinematic field, a constant one included,
+    by one ``np.gradient`` call over the stacked fields: its differences
+    are elementwise, so each field's are those of a call on it alone."""
+    f = np.stack([np.broadcast_to(np.asarray(getattr(u, n), dtype=float),
+                                  (model.nx, model.ny))
+                  for n in KINEMATIC_FIELDS])
+    g1, g2 = np.gradient(f, model.dx, model.dy, axis=(1, 2), edge_order=2)
+    return (PlateKinematics(**dict(zip(KINEMATIC_FIELDS, g1))),
+            PlateKinematics(**dict(zip(KINEMATIC_FIELDS, g2))))
 
 
 class HPRFunctional:
@@ -260,13 +261,15 @@ def random_admissible_perturbation(model: DiscreteModel, rng,
     b = float(model.Y[0, -1])
     xs, ys = X / a, Y / b
     env = (xs * (1.0 - xs) * ys * (1.0 - ys)) ** 2 * 256.0 if interior_only else 1.0
+    xp = [xs**i for i in range(3)]
+    yp = [ys**j for j in range(3)]
 
     def rand_field():
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
         f = np.zeros_like(X)
         for i in range(3):
             for j in range(3):
-                f += c[i, j] * xs**i * ys**j
+                f += c[i, j] * xp[i] * yp[j]
         return env * f
 
     u = PlateKinematics(**{n: rand_field() for n in KINEMATIC_FIELDS})

@@ -1027,6 +1027,147 @@ def with_fields(s, **arrays):
     return dataclasses.replace(s, **arrays)
 
 
+def bits(a):
+    """The float64 bit patterns of ``a``: equal only if bitwise equal,
+    signed zeros included."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def reference_leapfrog(model, s0, dt, n_steps, every):
+    """``simulate``'s scheme written out on the whole stack with ``B @ u``,
+    ``np.copyto`` and ``/=``: the interior u and w at t0 and every
+    ``every`` steps and the final step, and the energy log's columns t,
+    kinetic, strain, external work and total."""
+    stack = model.interior_stack
+    m, dA = stack.mass, model.cell_area
+    hs = [h.ravel() for h in (s0.flex, s0.ext)]
+    u = stack.interior(hs)
+    w = stack.interior([v.ravel() for v in (s0.flex_vel, s0.ext_vel)])
+    worked = [p for p in stack.parts if p.presets or p.lift is not None]
+
+    def acceleration(Lu, t):
+        a = np.empty_like(Lu)
+        np.copyto(a, Lu)
+        for p in stack.loaded:
+            a[p.s] -= dynamics._envelope_sum(p.presets, p.F, t)
+        a /= m
+        return a
+
+    def energies(Lu):
+        ke = ue = 0.0
+        for p in stack.parts:
+            ke += 0.5 * float(w[p.s] @ (m[p.s] * w[p.s])) * dA
+            uLu = float(u[p.s] @ Lu[p.s])
+            if p.lift is not None:
+                uLu -= float(u[p.s] @ p.lift)
+            ue += -0.5 * uLu * dA
+        return ke, ue
+
+    t, work = s0.time, 0.0
+    Lu = stack.apply(hs)
+    a = acceleration(Lu, t)
+    states, log = [(u.copy(), w.copy())], [(t, *energies(Lu), work)]
+    for k in range(1, n_steps + 1):
+        w_mid = [w[p.s].copy() for p in worked]
+        t_mid = t + 0.5 * dt
+        w += a * (0.5 * dt)
+        u += w * dt
+        t = t + dt
+        Lu = stack.B @ u
+        for p in stack.parts:
+            if p.lift is not None:
+                Lu[p.s] += p.lift
+            if p.closure is not None:
+                hT = p.closure.values(
+                    u[p.s], dynamics._envelope_sum(p.presets, p.T, t))
+                Lu[p.s] += p.closure.A_IT @ hT
+        a = acceleration(Lu, t)
+        w += a * (0.5 * dt)
+        for p, buf in zip(worked, w_mid):
+            buf += w[p.s]
+            buf *= 0.5
+            work += dt * float(p.force(t_mid) @ buf) * dA
+        if k % every == 0 or k == n_steps:
+            states.append((u.copy(), w.copy()))
+            log.append((t, *energies(Lu), work))
+    log = np.array(log)
+    return states, [log[:, 0], log[:, 1], log[:, 2], log[:, 3],
+                    log[:, 1] + log[:, 2]]
+
+
+def w_kick(model):
+    """A velocity kick in w alone: the extensional subsystem stays at
+    rest unless something drives it."""
+    s = DiscreteState.zero(model)
+    fv = s.flex_vel.copy()
+    fv[2] = kicked_state(model).flex_vel[2]
+    return with_fields(s, flex_vel=fv)
+
+
+def one_sided_ext_lift():
+    def ext_data(x, y):
+        return np.stack([0.01 + 0 * x, -0.02 + 0 * x, 0 * x])
+    return dict(ALL_CLAMPED, left=EdgeBC(kind="clamped", ext_data=ext_data))
+
+
+class TestKernelArithmetic:
+    """The kernel forms each step with SciPy's CSR kernel in place, one
+    divide when nothing is loaded and a subtract into ``a`` when something
+    is; ``simulate``'s states and energy log are bitwise those of the same
+    scheme written out with ``B @ u``, ``np.copyto`` and ``/=``."""
+
+    @pytest.mark.parametrize("bc,loads,kick", [
+        (ALL_CLAMPED, None, w_kick),
+        (ALL_CLAMPED, pulse_loads, kicked_state),
+        (one_sided_ext_lift(), None, w_kick),
+        ({"left": "clamped", "right": "traction", "bottom": "clamped",
+          "top": "traction"}, None, kicked_state),
+    ], ids=["unforced", "loaded", "lifted", "right-top-traction"])
+    def test_simulate_equals_reference_leapfrog(self, caplog, bc, loads,
+                                                kick):
+        model = make_model(nx=17, ny=13, bc=bc,
+                           loads=loads() if loads else None)
+        dt = stable_dt(model)
+        s0 = kick(model)
+        with caplog.at_level(logging.DEBUG, logger="cosserat_plate.dynamics"):
+            traj = simulate(model, t_final=60 * dt, dt=dt, snapshot_every=25,
+                            initial=s0)
+        assert "60 steps, 61 matvecs," in caplog.text
+        states, log = reference_leapfrog(model, s0, traj.dt, traj.n_steps, 25)
+        stack = model.interior_stack
+        assert len(traj.states) == len(states) == 4
+        for got, (u, w) in zip(traj.states, states):
+            assert np.array_equal(bits(stack.interior(
+                [got.flex.ravel(), got.ext.ravel()])), bits(u))
+            assert np.array_equal(bits(stack.interior(
+                [got.flex_vel.ravel(), got.ext_vel.ravel()])), bits(w))
+        e = traj.energy.as_arrays()
+        for name, want in zip(("t", "kinetic", "strain", "external_work",
+                               "total"), log):
+            assert np.array_equal(bits(e[name]), bits(want)), name
+
+    def test_csr_matvec_into_equals_matmul(self):
+        """On B, on the rows of a live range and on a matrix with -0
+        entries and empty rows, over a NaN-filled ``out`` view whose
+        neighbours stay untouched."""
+        from cosserat_plate.dynamics.explicit import _csr_matvec_into
+
+        stack = make_model(nx=17, ny=13).interior_stack
+        x = np.random.default_rng(2).standard_normal(stack.B.shape[1])
+        x[::7] = -0.0
+        signed = sp.csr_matrix(
+            (np.array([-0.0, 1.5, -2.0, 0.0, -0.0, 3.0]),
+             np.array([0, 2, 1, 3, 0, 3], dtype=np.int32),
+             np.array([0, 2, 2, 4, 4, 6], dtype=np.int32)), shape=(5, 4))
+        xs = np.array([2.0, 0.0, -0.0, 1.0])
+        for A, v in ((stack.B, x), (stack.rows(stack.parts[0].s), x),
+                     (stack.rows(stack.parts[1].s), x), (signed, xs)):
+            out = np.full(A.shape[0] + 4, np.nan)
+            _csr_matvec_into(A, v, out[2:-2])
+            assert np.array_equal(bits(out[2:-2]), bits(A @ v))
+            assert np.isnan(out[:2]).all() and np.isnan(out[-2:]).all()
+
+
 def kernel_lines(caplog):
     return [r.getMessage() for r in caplog.records
             if r.getMessage().startswith("kernel:")]

@@ -248,3 +248,61 @@ def test_value_factors_no_traction_block(monkeypatch):
     state = random_admissible_perturbation(model, np.random.default_rng(2))
     assert np.isfinite(HPRFunctional(model).value(state))
     assert calls == []
+
+
+def bits(a):
+    """The float64 bit patterns of ``a``: equal only if bitwise equal,
+    signed zeros included."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def test_grid_gradients_equal_per_field_gradients():
+    """One ``np.gradient`` call over the stacked fields gives each field the
+    differences of a call on it alone, a constant field included."""
+    from cosserat_plate.hpr import _grid_gradients
+
+    model = make_model(nx=13, ny=11)
+    rng = np.random.default_rng(4)
+    values = {n: rng.standard_normal((model.nx, model.ny))
+              for n in KINEMATIC_FIELDS}
+    values["omega3"] = -0.0
+    values["u2"] = 2.5
+    g1, g2 = _grid_gradients(model, PlateKinematics(**values))
+    for n, f in values.items():
+        f = np.broadcast_to(np.asarray(f, dtype=float), (model.nx, model.ny))
+        gx, gy = np.gradient(f, model.dx, model.dy, edge_order=2)
+        assert np.array_equal(bits(getattr(g1, n)), bits(gx)), n
+        assert np.array_equal(bits(getattr(g2, n)), bits(gy)), n
+
+
+def per_field_perturbation(model, rng, interior_only=True):
+    """``random_admissible_perturbation`` with the monomials recomputed for
+    every coefficient of every field."""
+    X, Y = model.X, model.Y
+    xs, ys = X / float(X[-1, 0]), Y / float(Y[0, -1])
+    env = ((xs * (1.0 - xs) * ys * (1.0 - ys)) ** 2 * 256.0
+           if interior_only else 1.0)
+
+    def rand_field():
+        c = rng.uniform(-1.0, 1.0, size=(3, 3))
+        f = np.zeros_like(X)
+        for i in range(3):
+            for j in range(3):
+                f += c[i, j] * xs**i * ys**j
+        return env * f
+
+    return ({n: rand_field() for n in KINEMATIC_FIELDS},
+            {n: rand_field() for n in STRESS_FIELDS})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("interior_only", [True, False])
+def test_perturbation_equals_per_field_monomials(interior_only, seed):
+    model = make_model(nx=13, ny=9)
+    d = random_admissible_perturbation(model, np.random.default_rng(seed),
+                                       interior_only)
+    u, s = per_field_perturbation(model, np.random.default_rng(seed),
+                                  interior_only)
+    for fields, want in ((d.u, u), (d.s, s)):
+        for n, f in want.items():
+            assert np.array_equal(bits(getattr(fields, n)), bits(f)), n
