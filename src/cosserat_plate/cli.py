@@ -174,13 +174,13 @@ def _model_from_config(cfg: dict, paper_literal: bool = False):
     return assemble(mc)
 
 
-def _initial_state(cfg: dict, model):
-    from .dynamics import DiscreteState
-
+def _initial_spec(cfg: dict):
+    """The checked ``initial`` section as (field index, kind, amplitude,
+    center x, center y, width), None without one; it needs no model, so a
+    bad entry is refused before the model is assembled."""
     spec = cfg.get("initial")
-    state = DiscreteState.zero(model)
     if not spec:
-        return state
+        return None
     from .plate_fields import KINEMATIC_FIELDS
 
     field = spec.get("field", "w")
@@ -195,6 +195,18 @@ def _initial_state(cfg: dict, model):
     cx, cy = checked_pair("'initial.center'", spec.get("center", (0.5, 0.5)))
     width = checked_number("'initial.width'", spec.get("width", 0.15),
                            positive=True)
+    return idx, kind, amp, cx, cy, width
+
+
+def _initial_state(spec, model):
+    """The grid state at t = 0: at rest, or the Gaussian kick of the
+    checked ``initial`` section ``spec`` (``_initial_spec``)."""
+    from .dynamics import DiscreteState
+
+    state = DiscreteState.zero(model)
+    if spec is None:
+        return state
+    idx, kind, amp, cx, cy, width = spec
     prof = amp * np.exp(
         -0.5 * ((model.X - cx) ** 2 + (model.Y - cy) ** 2) / width**2
     )
@@ -295,8 +307,9 @@ def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
     if every < 0:
         raise ConfigError(f"'time.snapshot_every' must not be negative, "
                           f"got {every}")
+    initial = _initial_spec(cfg)
     model = _model_from_config(cfg, args.paper_literal_operators)
-    state0 = _initial_state(cfg, model)
+    state0 = _initial_state(initial, model)
     traj = simulate(model, t_final=t_final, dt=dt, snapshot_every=every,
                     initial=state0)
     io_utils.write_energy_log(out / "energy_log.csv", cfg_hash, traj.energy)
