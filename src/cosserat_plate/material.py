@@ -20,10 +20,8 @@ The compliance-form ("reciprocal") moduli invert the constitutive map.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 
 class MaterialError(ValueError):
@@ -71,13 +69,6 @@ class MaterialParams:
                      ("mu", "alpha", "beta", "gamma", "epsilon")],
                    rho=number("rho", d.get("rho", 0.0)),
                    J=tuple(number("J", j) for j in J))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "MaterialParams":
-        """Load from a JSON object with keys lambda, mu, alpha, beta, gamma,
-        epsilon, rho, J (array of 3).  SI units assumed."""
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
     def to_dict(self) -> dict:
         return {

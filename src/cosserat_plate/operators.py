@@ -162,17 +162,6 @@ class TractionOperator:
     flex_loads: np.ndarray             # (6, 2, 4)
     ext_loads: np.ndarray              # (3, 2, 4)
 
-    def flex_symbol(self, xi1, xi2, n) -> np.ndarray:
-        return np.einsum("rcab,a,b->rc", self.flex, np.asarray(n, dtype=float),
-                         monomial_basis(xi1, xi2))
-
-    def flex_load_part(self, loads, n):
-        """n . (load part of the flexural resultants), rows 1..6."""
-        return traction_load_part(self.flex_loads, loads, n)
-
-    def ext_load_part(self, loads, n):
-        return traction_load_part(self.ext_loads, loads, n)
-
 
 def traction_load_part(P: np.ndarray, loads, n) -> list:
     """n . (load part of the resultants), with P[r, a, l] the coefficient

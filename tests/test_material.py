@@ -147,5 +147,5 @@ def test_material_from_technical_inverts():
 def test_material_json_roundtrip(tmp_path):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps(ONES.to_dict()))
-    loaded = MaterialParams.from_json(path)
+    loaded = MaterialParams.from_dict(json.loads(path.read_text()))
     assert loaded == ONES

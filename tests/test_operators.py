@@ -17,7 +17,9 @@ from cosserat_plate.operators import (
     coefficient_diff_table,
     derived_extensional_table,
     derived_flexural_table,
+    monomial_basis,
     operator_residual_oracle,
+    traction_load_part,
 )
 from cosserat_plate.plate_fields import LoadSet, inertia_constants
 
@@ -248,23 +250,29 @@ class TestResidualOracle:
         assert operator_residual_oracle(lit, tc, rng=5) > 1e-3
 
 
+def flex_traction_symbol(trac, xi1, xi2, n):
+    """The flexural traction rows' symbol at (xi1, xi2) on normal n."""
+    return np.einsum("rcab,a,b->rc", trac.flex, np.asarray(n, dtype=float),
+                     monomial_basis(xi1, xi2))
+
+
 class TestTraction:
     def test_t11_example(self, micropolar):
         tc, _, _, _ = micropolar
         trac = build_traction(tc)
-        T = trac.flex_symbol(1.0, 0.0, (1.0, 0.0))
+        T = flex_traction_symbol(trac, 1.0, 0.0, (1.0, 0.0))
         assert T[0, 0] == pytest.approx(tc.D)
 
     def test_zero_data_zero_fstar(self, micropolar):
         tc, _, _, _ = micropolar
         trac = build_traction(tc)
-        lp = trac.flex_load_part(LoadSet.zero(), (1.0, 0.0))
+        lp = traction_load_part(trac.flex_loads, LoadSet.zero(), (1.0, 0.0))
         assert all(np.all(np.asarray(x) == 0.0) for x in lp)
 
     def test_w_coupling_vanishes_at_n0(self, classical):
         tc, _, _, _ = classical
         trac = build_traction(tc)
-        T = trac.flex_symbol(1.0, 1.0, (0.6, 0.8))
+        T = flex_traction_symbol(trac, 1.0, 1.0, (0.6, 0.8))
         scale = np.max(np.abs(T))
         # micropolar boundary couplings (Q* rows to Omega^0) vanish with N
         assert abs(T[2, 4]) < 1e-12 * scale
@@ -319,14 +327,14 @@ class TestTraction:
         if subsystem == "flexural":
             pairs = [(s.M11, s.M21), (s.M12, s.M22), (s.Q1_s, s.Q2_s),
                      (s.S1_s, s.S2_s), (s.R11, s.R21), (s.R12, s.R22)]
-            table, load_part = trac.flex, trac.flex_load_part
+            table, P = trac.flex, trac.flex_loads
         else:
             pairs = [(s.N11, s.N21), (s.N12, s.N22), (s.M1_s, s.M2_s)]
-            table, load_part = trac.ext, trac.ext_load_part
+            table, P = trac.ext, trac.ext_loads
         n = np.array([-0.6, 0.8])
         x, y = 0.3, 0.7
-        lp = load_part(LoadSet(**{k: f(x, y) for k, f in vars(loads).items()}),
-                       n)
+        lp = traction_load_part(
+            P, LoadSet(**{k: f(x, y) for k, f in vars(loads).items()}), n)
         assert any(v != 0.0 for v in lp)
         for r, (R1, R2) in enumerate(pairs):
             val = lp[r] + sum(apply_symbol_monomials(
