@@ -16,6 +16,8 @@ import scipy.sparse.linalg as spla
 
 from .material import MaterialParams
 from .plate_fields import (
+    EXTENSIONAL_FIELDS,
+    FLEXURAL_FIELDS,
     KINEMATIC_FIELDS,
     PlateKinematics,
     PlateStress,
@@ -317,25 +319,25 @@ def manufactured_fields(rng, degree: int = 3):
     return {n: Poly2D.random(rng, degree) for n in KINEMATIC_FIELDS}
 
 
+def manufactured_boundary_data(polys):
+    """Clamped edge data (flex_data, ext_data) equal to the given
+    polynomial kinematics; it needs no model."""
+    def data(names):
+        return lambda x, y: np.stack([polys[n](x, y) for n in names])
+    return data(FLEXURAL_FIELDS), data(EXTENSIONAL_FIELDS)
+
+
 def manufactured_static_problem(model, polys):
     """Interior forcing and clamped boundary data realizing the given
     polynomial kinematics as the exact solution of the static systems."""
-    flex_names = ("psi1", "psi2", "w", "omega3", "omega1_0", "omega2_0")
-    ext_names = ("u1", "u2", "omega3_0")
-    flex_polys = [polys[n] for n in flex_names]
-    ext_polys = [polys[n] for n in ext_names]
+    flex_polys = [polys[n] for n in FLEXURAL_FIELDS]
+    ext_polys = [polys[n] for n in EXTENSIONAL_FIELDS]
     F_flex = model.flex.apply_to_polynomials(flex_polys)
     F_ext = model.ext.apply_to_polynomials(ext_polys)
     X, Y = model.X, model.Y
     f_flex = np.stack([f(X, Y) for f in F_flex])
     f_ext = np.stack([f(X, Y) for f in F_ext])
-
-    def flex_data(x, y):
-        return np.stack([p(x, y) for p in flex_polys])
-
-    def ext_data(x, y):
-        return np.stack([p(x, y) for p in ext_polys])
-
     exact_flex = np.stack([p(X, Y) for p in flex_polys])
     exact_ext = np.stack([p(X, Y) for p in ext_polys])
-    return f_flex, f_ext, flex_data, ext_data, exact_flex, exact_ext
+    return (f_flex, f_ext, *manufactured_boundary_data(polys),
+            exact_flex, exact_ext)
