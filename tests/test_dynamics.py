@@ -1091,8 +1091,7 @@ def reference_leapfrog(model, s0, dt, n_steps, every):
             states.append((u.copy(), w.copy()))
             log.append((t, *energies(Lu), work))
     log = np.array(log)
-    return states, [log[:, 0], log[:, 1], log[:, 2], log[:, 3],
-                    log[:, 1] + log[:, 2]]
+    return states, [*log.T, log[:, 1] + log[:, 2]]
 
 
 def w_kick(model):
