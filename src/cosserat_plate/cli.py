@@ -343,6 +343,9 @@ def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
     _, _, flex, ext = _operators(cfg, args.paper_literal_operators)
     dcfg = cfg.get("dispersion", {})
     directions = dcfg.get("directions", [[1, 0], [0, 1], [1, 1]])
+    if not isinstance(directions, list):
+        raise ConfigError(f"'dispersion.directions' must be a list of "
+                          f"[x, y] pairs, got {directions!r}")
     with_modes = dcfg.get("modes", False)
     if not isinstance(with_modes, bool):
         raise ConfigError(f"'dispersion.modes' must be true or false, "
@@ -405,13 +408,18 @@ def _numbers(where: str, values) -> tuple:
 def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
     sw = cfg.get("sweep", {})
     base = sw.get("base", {})
-    E = checked_number("'sweep.base.E'", base.get("E", 1.0))
+    # shared by every point: a bad one would make every point inadmissible
+    E = checked_number("'sweep.base.E'", base.get("E", 1.0), positive=True)
     nu = checked_number("'sweep.base.nu'", base.get("nu", 0.3))
-    rho = checked_number("'sweep.base.rho'", base.get("rho", 1.0))
-    h = checked_number("'sweep.base.h'", base.get("h", 0.1))
+    if not -1.0 < nu < 0.5:
+        raise ConfigError(f"'sweep.base.nu' must lie in (-1, 0.5), got {nu}")
+    rho = checked_number("'sweep.base.rho'", base.get("rho", 1.0),
+                         positive=True)
+    h = checked_number("'sweep.base.h'", base.get("h", 0.1), positive=True)
     J = _numbers("'sweep.base.J'", base.get("J", (1.0, 1.0, 1.0)))
-    if len(J) != 3:
-        raise ConfigError(f"'sweep.base.J' must hold 3 numbers, got {J}")
+    if len(J) != 3 or not min(J) > 0.0:
+        raise ConfigError(f"'sweep.base.J' must hold 3 positive numbers, "
+                          f"got {J}")
     k_mag = checked_number("'sweep.xi_mag'", sw.get("xi_mag", 1.0))
     Ns = _numbers("'sweep.N'", sw.get("N", [0.1, 0.3, 0.5, 0.7]))
     lts = _numbers("'sweep.l_t'", sw.get("l_t", [0.05]))

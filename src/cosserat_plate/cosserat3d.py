@@ -9,8 +9,11 @@ stress are generally asymmetric:
             + beta*tr(chi)*1
 
 and the inverse map has the same form with the reciprocal moduli.  This
-layer is the ground truth against which the plate-level algebra is checked;
-all functions broadcast over leading batch axes.
+layer is the ground truth against which the plate-level algebra is checked.
+All functions broadcast over leading batch axes, and so do the moduli: a
+``MaterialParams`` or ``ReciprocalParams`` whose fields are arrays of the
+batch shape (one material per tensor) maps a stack of materials at once,
+with the same arithmetic, and so the same bits, as one call per material.
 """
 
 from __future__ import annotations
@@ -44,9 +47,12 @@ class Stress3D:
     mu_c: np.ndarray
 
 
-def _isotropic_map(t: np.ndarray, sym_c: float, skw_c: float, tr_c: float) -> np.ndarray:
-    """(a+b)*t + (a-b)*t^T + c*tr(t)*1 with a+b=sym_c, a-b=skw_c, c=tr_c."""
+def _isotropic_map(t: np.ndarray, sym_c, skw_c, tr_c) -> np.ndarray:
+    """(a+b)*t + (a-b)*t^T + c*tr(t)*1 with a+b=sym_c, a-b=skw_c, c=tr_c;
+    the coefficients are numbers or arrays of t's batch shape."""
     t = np.asarray(t, dtype=float)
+    sym_c, skw_c, tr_c = (np.asarray(c)[..., None, None]
+                          for c in (sym_c, skw_c, tr_c))
     tT = np.swapaxes(t, -1, -2)
     trace = np.trace(t, axis1=-2, axis2=-1)[..., None, None]
     return sym_c * t + skw_c * tT + tr_c * trace * _EYE
@@ -67,7 +73,7 @@ def strain_from_stress_3d(t: Stress3D, r: ReciprocalParams) -> Strain3D:
     return Strain3D(gamma=gamma, chi=chi)
 
 
-def _quadratic_density(t: np.ndarray, sym_c: float, skw_c: float, tr_c: float) -> np.ndarray:
+def _quadratic_density(t: np.ndarray, sym_c, skw_c, tr_c) -> np.ndarray:
     """0.5*[sym_c*t:t + skw_c*t:t^T + tr_c*tr(t)^2]."""
     t = np.asarray(t, dtype=float)
     tt = np.sum(t * t, axis=(-2, -1))

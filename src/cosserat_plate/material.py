@@ -98,7 +98,9 @@ def validate_parameters(p: MaterialParams) -> ValidationReport:
     """Check the positivity conditions of the stored energy plus rho>0, Ji>0.
 
     Never raises; NaN inputs are reported as violations (``NaN > 0`` is
-    false).  An empty report means the material is admissible.
+    false).  An empty report means the material is admissible.  Moduli may
+    be arrays, one entry per material of a batch; a condition then holds
+    only if it holds for every entry.
     """
     checks = [
         ("mu>0", p.mu),
@@ -114,8 +116,17 @@ def validate_parameters(p: MaterialParams) -> ValidationReport:
         ("J2>0", p.J[1]),
         ("J3>0", p.J[2]),
     ]
-    violations = tuple(name for name, value in checks if not value > 0.0)
+    violations = tuple(name for name, value in checks if not _positive(value))
     return ValidationReport(violations)
+
+
+def _positive(value) -> bool:
+    """value > 0, for a number or for every entry of an array."""
+    positive = value > 0.0
+    try:
+        return bool(positive)
+    except ValueError:  # an array of several entries has no single truth
+        return bool(positive.all())
 
 
 def validate_elastic(p: MaterialParams) -> ValidationReport:

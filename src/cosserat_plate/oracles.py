@@ -176,77 +176,63 @@ def mindlin_assemble(D: float, nu: float, S: float, a: float, b: float,
     """Collocated FD matrix of the classical Mindlin plate, clamped edges.
 
     Fields (psi1, psi2, w); S = kappa G h.  Written directly from the
-    textbook equations as an independent check on the micropolar pipeline.
+    textbook equations as an independent check on the micropolar pipeline:
+    each interior row is the list of its stencil terms below, emitted for
+    all interior nodes at once; each boundary row is the identity.
     """
     dx = a / (nx - 1)
     dy = b / (ny - 1)
     nn = nx * ny
     ndof = 3 * nn
 
-    def node(i, j):
-        return i * ny + j
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, w):
-        rows.append(r)
-        cols.append(c)
-        vals.append(w)
-
     def lap_terms(cxx, cyy):
         return [((1, 0), cxx / dx**2), ((-1, 0), cxx / dx**2),
                 ((0, 0), -2.0 * cxx / dx**2 - 2.0 * cyy / dy**2),
                 ((0, 1), cyy / dy**2), ((0, -1), cyy / dy**2)]
 
-    cross = [((1, 1), 1.0), ((-1, -1), 1.0), ((1, -1), -1.0), ((-1, 1), -1.0)]
-    for i in range(nx):
-        for j in range(ny):
-            nij = node(i, j)
-            boundary = i in (0, nx - 1) or j in (0, ny - 1)
-            if boundary:
-                for f in range(3):
-                    add(f * nn + nij, f * nn + nij, 1.0)
-                continue
-            # psi1 row
-            r = 0 * nn + nij
-            for (di, dj), w in lap_terms(D, D * (1 - nu) / 2):
-                add(r, 0 * nn + node(i + di, j + dj), w)
-            for (di, dj), w in cross:
-                add(r, 1 * nn + node(i + di, j + dj),
-                    w * D * (1 + nu) / 2 / (4 * dx * dy))
-            add(r, 0 * nn + nij, -S)
-            add(r, 2 * nn + node(i + 1, j), -S / (2 * dx))
-            add(r, 2 * nn + node(i - 1, j), S / (2 * dx))
-            # psi2 row
-            r = 1 * nn + nij
-            for (di, dj), w in lap_terms(D * (1 - nu) / 2, D):
-                add(r, 1 * nn + node(i + di, j + dj), w)
-            for (di, dj), w in cross:
-                add(r, 0 * nn + node(i + di, j + dj),
-                    w * D * (1 + nu) / 2 / (4 * dx * dy))
-            add(r, 1 * nn + nij, -S)
-            add(r, 2 * nn + node(i, j + 1), -S / (2 * dy))
-            add(r, 2 * nn + node(i, j - 1), S / (2 * dy))
-            # w row
-            r = 2 * nn + nij
-            for (di, dj), w in lap_terms(S, S):
-                add(r, 2 * nn + node(i + di, j + dj), w)
-            add(r, 0 * nn + node(i + 1, j), S / (2 * dx))
-            add(r, 0 * nn + node(i - 1, j), -S / (2 * dx))
-            add(r, 1 * nn + node(i, j + 1), S / (2 * dy))
-            add(r, 1 * nn + node(i, j - 1), -S / (2 * dy))
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+    cross = [((di, dj), w * D * (1 + nu) / 2 / (4 * dx * dy))
+             for (di, dj), w in (((1, 1), 1.0), ((-1, -1), 1.0),
+                                 ((1, -1), -1.0), ((-1, 1), -1.0))]
+
+    # (row field, column field, [((di, dj), weight), ...]), in row order
+    stencil = [
+        (0, 0, lap_terms(D, D * (1 - nu) / 2)),
+        (0, 1, cross),
+        (0, 0, [((0, 0), -S)]),
+        (0, 2, [((1, 0), -S / (2 * dx)), ((-1, 0), S / (2 * dx))]),
+        (1, 1, lap_terms(D * (1 - nu) / 2, D)),
+        (1, 0, cross),
+        (1, 1, [((0, 0), -S)]),
+        (1, 2, [((0, 1), -S / (2 * dy)), ((0, -1), S / (2 * dy))]),
+        (2, 2, lap_terms(S, S)),
+        (2, 0, [((1, 0), S / (2 * dx)), ((-1, 0), -S / (2 * dx))]),
+        (2, 1, [((0, 1), S / (2 * dy)), ((0, -1), -S / (2 * dy))]),
+    ]
+    node = np.arange(nn).reshape(nx, ny)
+    inner = node[1:-1, 1:-1].ravel()
+    edge = np.setdiff1d(node, inner)
+    rows, cols, vals = [], [], []
+    for f in range(3):
+        rows.append(f * nn + edge)
+        cols.append(f * nn + edge)
+        vals.append(np.ones(edge.size))
+    for rf, cf, terms in stencil:
+        for (di, dj), w in terms:
+            rows.append(rf * nn + inner)
+            cols.append(cf * nn + inner + di * ny + dj)
+            vals.append(np.full(inner.size, w))
+    A = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(ndof, ndof)).tocsr()
     return A, nn
 
 
 def mindlin_static_center_deflection(D, nu, S, p, a, b, nx, ny):
     """Clamped square under uniform load p; returns the center deflection."""
     A, nn = mindlin_assemble(D, nu, S, a, b, nx, ny)
-    rhs = np.zeros(3 * nn)
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            rhs[2 * nn + i * ny + j] = -p
-    sol = spla.spsolve(A.tocsc(), rhs)
+    rhs = np.zeros((3, nx, ny))
+    rhs[2, 1:-1, 1:-1] = -p
+    sol = spla.spsolve(A.tocsc(), rhs.ravel())
     w = sol[2 * nn:].reshape(nx, ny)
     return w[(nx - 1) // 2, (ny - 1) // 2], w
 
@@ -278,11 +264,7 @@ def mindlin_verlet_trajectory(D, nu, S, I, rho_h, a, b, nx, ny, v0_w,
     comparison with the micropolar solver at N ~ 0.
     """
     A, nn = mindlin_assemble(D, nu, S, a, b, nx, ny)
-    interior = []
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            interior.append(i * ny + j)
-    interior = np.asarray(interior)
+    interior = np.arange(nn).reshape(nx, ny)[1:-1, 1:-1].ravel()
     idofs = np.concatenate([f * nn + interior for f in range(3)])
     mass = np.concatenate([
         np.full(interior.size, I), np.full(interior.size, I),

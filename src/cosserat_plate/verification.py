@@ -7,7 +7,9 @@ contract of the package.  ``run_all`` executes everything and optionally
 writes the operator coefficient diff table (the documentation artifact
 comparing the published coefficient variants with the derived ones) and a
 per-suite report.  Suites 6 and 9 share one static solve of the classical
-plate, held only while ``run_all`` runs.
+plate, held only while ``run_all`` runs.  Suites 1, 2 and 10 draw their
+samples one at a time and then evaluate them as one batch, which gives
+each sample the bits of a call on it alone.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ import scipy.sparse.linalg as spla
 from . import __version__, oracles
 from .cosserat3d import (
     Strain3D,
-    energy_densities_3d,
+    strain_energy_density,
     strain_from_stress_3d,
     stress_from_strain_3d,
 )
-from .dispersion import cutoff_frequencies, wave_eigensystem
+from .dispersion import (
+    cutoff_frequencies,
+    solve_wave_matrices,
+    wave_eigensystem,
+)
 from .dynamics import (
     EDGES,
     ConfigError,
@@ -62,6 +68,7 @@ from .operators import (
     build_flexural,
     coefficient_diff_table,
     operator_residual_oracle,
+    wave_matrices,
 )
 from .plate_constitutive import (
     internal_work_density,
@@ -112,27 +119,52 @@ def _classical_material(N: float = 1e-8) -> MaterialParams:
 # 1. 3D constitutive round trip
 # ---------------------------------------------------------------------------
 
+def _draw_3d_sample(rng):
+    """One admissible material and one 3D strain (gamma, chi), drawn in
+    this order."""
+    return (random_admissible_material(rng), rng.standard_normal((3, 3)),
+            rng.standard_normal((3, 3)))
+
+
+def _stacked_3d_samples(samples):
+    """The samples as one batch for the 3D maps: a MaterialParams whose
+    moduli are arrays (one entry per sample) and a Strain3D of (n, 3, 3)
+    stacks.  Each sample's arithmetic is that of a call on it alone."""
+    mats, gammas, chis = zip(*samples)
+    p = MaterialParams(*(np.array([getattr(m, f) for m in mats])
+                         for f in ("lam", "mu", "alpha", "beta", "gamma",
+                                   "epsilon")))
+    return p, Strain3D(gamma=np.stack(gammas), chi=np.stack(chis))
+
+
+def _relative_errors(new, old):
+    """Per sample, the largest |new - old| over a pair of tensor stacks,
+    relative to the largest |old|."""
+    def largest(t):
+        return np.max(np.abs(t), axis=(-2, -1))
+
+    return (np.maximum(largest(new[0] - old[0]), largest(new[1] - old[1]))
+            / np.maximum(largest(old[0]), largest(old[1])))
+
+
+def _roundtrip_3d_error(rng, n: int) -> float:
+    """The worst relative error of strain -> stress -> strain and of
+    stress -> strain -> stress over n drawn samples, mapped as one batch."""
+    p, s = _stacked_3d_samples([_draw_3d_sample(rng) for _ in range(n)])
+    r = reciprocal_constants(p)
+    t = stress_from_strain_3d(s, p)
+    s2 = strain_from_stress_3d(t, r)
+    t2 = stress_from_strain_3d(s2, p)
+    return max(float(np.max(_relative_errors((s2.gamma, s2.chi),
+                                             (s.gamma, s.chi)))),
+               float(np.max(_relative_errors((t2.sigma, t2.mu_c),
+                                             (t.sigma, t.mu_c)))))
+
+
 def suite_roundtrip_3d(seed: int = 0, n: int = 1000) -> SuiteResult:
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(n):
-        p = random_admissible_material(rng)
-        r = reciprocal_constants(p)
-        s = Strain3D(gamma=rng.standard_normal((3, 3)),
-                     chi=rng.standard_normal((3, 3)))
-        t = stress_from_strain_3d(s, p)
-        s2 = strain_from_stress_3d(t, r)
-        scale = max(np.max(np.abs(s.gamma)), np.max(np.abs(s.chi)))
-        err = max(np.max(np.abs(s2.gamma - s.gamma)),
-                  np.max(np.abs(s2.chi - s.chi))) / scale
-        worst = max(worst, err)
-        # reverse direction
-        t2 = stress_from_strain_3d(strain_from_stress_3d(t, r), p)
-        scale_t = max(np.max(np.abs(t.sigma)), np.max(np.abs(t.mu_c)))
-        err_t = max(np.max(np.abs(t2.sigma - t.sigma)),
-                    np.max(np.abs(t2.mu_c - t.mu_c))) / scale_t
-        worst = max(worst, err_t)
+    worst = _roundtrip_3d_error(rng, n)
     wall = time.perf_counter() - t0
     ok = worst <= 1e-12 and wall < 1.0
     return SuiteResult(
@@ -145,22 +177,26 @@ def suite_roundtrip_3d(seed: int = 0, n: int = 1000) -> SuiteResult:
 # 2. energy positivity
 # ---------------------------------------------------------------------------
 
-def suite_energy_positivity(seed: int = 1, n: int = 1000) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    min_w = np.inf
+def _energy_minima(rng, n: int) -> tuple[float, float]:
+    """(min W, min plate Phi) over n drawn samples: per sample a material
+    and 3D strain, then a plate stress; W is evaluated as one batch."""
+    samples = []
     min_phi = np.inf
     h = 0.2
     for _ in range(n):
-        p = random_admissible_material(rng)
-        s = Strain3D(gamma=rng.standard_normal((3, 3)),
-                     chi=rng.standard_normal((3, 3)))
-        w, _, _ = energy_densities_3d(s, p)
-        min_w = min(min_w, float(w))
-        tc = technical_constants(p, h)
+        samples.append(_draw_3d_sample(rng))
+        tc = technical_constants(samples[-1][0], h)
         sv = PlateStress(*rng.standard_normal(20))
         phi = plate_energy_density(sv, tc)
         min_phi = min(min_phi, float(phi))
+    p, s = _stacked_3d_samples(samples)
+    return float(np.min(strain_energy_density(s, p))), min_phi
+
+
+def suite_energy_positivity(seed: int = 1, n: int = 1000) -> SuiteResult:
+    rng = np.random.default_rng(seed)
+    t0 = time.perf_counter()
+    min_w, min_phi = _energy_minima(rng, n)
     wall = time.perf_counter() - t0
     ok = min_w > 0.0 and min_phi > 0.0 and wall < 1.0
     return SuiteResult(
@@ -462,10 +498,12 @@ def suite_hpr_stationarity(seed: int = 8, n_perturbations: int = 20) -> SuiteRes
 # 10. dispersion sanity
 # ---------------------------------------------------------------------------
 
-def suite_dispersion_sanity(seed: int = 9, n_materials: int = 200,
-                            n_wavevectors: int = 50) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    min_w2 = np.inf
+def _dispersion_min_w2(rng, n_materials: int, n_wavevectors: int) -> float:
+    """The least w^2 over n_wavevectors drawn wavevectors for each of
+    n_materials drawn materials, both subsystems; the A(k) of all materials
+    are solved in one stacked call per subsystem."""
+    stacks = ([], [])
+    xi = []
     for _ in range(n_materials):
         p = random_admissible_material(rng)
         h = rng.uniform(0.05, 0.5)
@@ -473,10 +511,25 @@ def suite_dispersion_sanity(seed: int = 9, n_materials: int = 200,
         inertia = inertia_constants(p, h)
         flex = build_flexural(tc, inertia)
         ext = build_extensional(tc, inertia)
-        ks = rng.uniform(-30.0, 30.0, size=(n_wavevectors, 2))
-        for op in (flex, ext):
-            w2, _ = wave_eigensystem(op, ks)
-            min_w2 = min(min_w2, float(np.min(w2)))
+        xi.append(rng.uniform(-30.0, 30.0, size=(n_wavevectors, 2)))
+        for op, stack in zip((flex, ext), stacks):
+            stack.append((wave_matrices(op.active_coeffs, xi[-1]), op.mass))
+    xi = np.concatenate(xi)
+    min_w2 = np.inf
+    for stack in stacks:
+        A, mass = zip(*stack)
+        w2, _ = solve_wave_matrices(
+            np.concatenate(A), np.repeat(mass, n_wavevectors, axis=0), False,
+            lambda i: f"material {i // n_wavevectors}, "
+                      f"k=({xi[i, 0]}, {xi[i, 1]})")
+        min_w2 = min(min_w2, float(np.min(w2)))
+    return min_w2
+
+
+def suite_dispersion_sanity(seed: int = 9, n_materials: int = 200,
+                            n_wavevectors: int = 50) -> SuiteResult:
+    rng = np.random.default_rng(seed)
+    min_w2 = _dispersion_min_w2(rng, n_materials, n_wavevectors)
 
     # zero-mode bookkeeping of the classical block at N -> 0
     p0 = _classical_material()

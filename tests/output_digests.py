@@ -1,5 +1,7 @@
 """Reference SHA-256 digests of every file that a fixed set of small CLI
-jobs writes, kept in ``tests/data/output_digests.json`` and checked by
+jobs writes, and the ten printed lines of ``verify`` at seed 0 with their
+wall times masked (with the digest of its ``coefficient_diff.csv``), kept
+in ``tests/data/output_digests.json`` and checked by
 ``tests/test_output_digests.py``.
 
 Regenerate the file only when a change moves outputs on purpose, and name
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -122,9 +125,26 @@ def run_job(command: str, config: dict, work: Path) -> dict:
             for p in sorted(out.iterdir())}
 
 
+def masked_verify_lines(lines) -> list:
+    """``verify``'s printed lines with each wall time (``0.03s``) masked,
+    so that what is left depends only on the computed numbers."""
+    return [re.sub(r"\d+\.\d+s", "<wall>s", line) for line in lines]
+
+
+def verify_record(lines, out: Path) -> dict:
+    """What the tests compare of a ``run_all(seed=0, out_dir=out)`` that
+    printed ``lines``."""
+    diff = (out / "coefficient_diff.csv").read_bytes()
+    return {"lines": masked_verify_lines(lines),
+            "digests": {"coefficient_diff.csv":
+                        hashlib.sha256(diff).hexdigest()}}
+
+
 def main() -> None:
     import contextlib
     import io
+
+    from cosserat_plate import verification
 
     jobs = {}
     for name, (command, config) in JOBS.items():
@@ -133,11 +153,16 @@ def main() -> None:
             digests = run_job(command, config, Path(tmp))
         jobs[name] = {"command": command, "config": config,
                       "digests": digests}
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()) as printed:
+        verification.run_all(seed=0, out_dir=tmp)
+        verify = verify_record(printed.getvalue().splitlines(), Path(tmp))
     DIGESTS.write_text(json.dumps(
-        {"environment": environment_stamp(), "jobs": jobs},
+        {"environment": environment_stamp(), "jobs": jobs, "verify": verify},
         indent=1, sort_keys=True) + "\n")
     print(f"wrote {sum(len(j['digests']) for j in jobs.values())} digests "
-          f"of {len(jobs)} jobs to {DIGESTS}", file=sys.stderr)
+          f"of {len(jobs)} jobs and {len(verify['lines'])} verify lines to "
+          f"{DIGESTS}", file=sys.stderr)
 
 
 if __name__ == "__main__":

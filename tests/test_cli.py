@@ -196,6 +196,7 @@ def test_unknown_section_key_is_config_error(config_file, tmp_path, capsys,
     {"dispersion": {"directions": [[1, 0, 0]]}},
     {"dispersion": {"directions": [1, 0]}},
     {"dispersion": {"directions": []}},
+    {"dispersion": {"directions": None}},
     {"dispersion": {"k_min": -1}},
     {"dispersion": {"k_min": 0}},
     {"dispersion": {"k_min": 10, "k_max": 1}},
@@ -208,14 +209,14 @@ def test_unknown_section_key_is_config_error(config_file, tmp_path, capsys,
     {"sweep": {"xi_mag": float("nan")}},
     {"sweep": {"xi_mag": float("inf")}},
 ], ids=["zero-direction", "nan-direction", "three-components", "not-pairs",
-        "no-directions", "negative-k_min", "zero-k_min", "k_min-above-k_max",
+        "no-directions", "null-directions", "negative-k_min", "zero-k_min", "k_min-above-k_max",
         "infinite-k_max", "n-zero", "n-fraction", "n-bool", "modes-text",
         "modes-int", "nan-xi_mag", "infinite-xi_mag"])
 def test_bad_plane_wave_input_is_config_error(config_file, tmp_path, capsys,
                                               section):
-    """A zero direction or a negative k_min used to end in a traceback; a
-    fractional or boolean n was truncated, and "modes": "false" wrote the
-    mode file."""
+    """A zero direction, a negative k_min or null directions used to end in
+    a traceback; a fractional or boolean n was truncated, and "modes":
+    "false" wrote the mode file."""
     command = next(iter(section))
     path = _edited_config(config_file, tmp_path, lambda c: c.update(section))
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -258,6 +259,16 @@ def _sinusoidal(**kw):
      "'sweep.base.E'"),
     ("sweep", lambda c: c.update(sweep={"base": {"J": [1, 1]}}),
      "'sweep.base.J'"),
+    ("sweep", lambda c: c.update(sweep={"base": {"nu": -1}}),
+     "'sweep.base.nu'"),
+    ("sweep", lambda c: c.update(sweep={"base": {"nu": 0.5}}),
+     "'sweep.base.nu'"),
+    ("sweep", lambda c: c.update(sweep={"base": {"E": 0}}),
+     "'sweep.base.E'"),
+    ("sweep", lambda c: c.update(sweep={"base": {"h": -0.1}}),
+     "'sweep.base.h'"),
+    ("sweep", lambda c: c.update(sweep={"base": {"J": [0, 1, 1]}}),
+     "'sweep.base.J'"),
     ("simulate", lambda c: c["time"].update(snapshot_every=-2),
      "snapshot_every"),
     ("simulate", lambda c: c["geometry"].update(a=True), "'geometry.a'"),
@@ -271,13 +282,16 @@ def _sinusoidal(**kw):
         "amplitude-nan", "width-zero", "tau-zero", "center-text",
         "kx-fraction", "ly-zero", "t_final-text", "dt-text", "dt-negative",
         "snapshot_every-fraction", "snapshot_every-bool", "initial-text", "sweep-N-text",
-        "sweep-E-text", "sweep-J-short", "snapshot_every-negative", "a-bool",
+        "sweep-E-text", "sweep-J-short", "sweep-nu-minus-one",
+        "sweep-nu-half", "sweep-E-zero", "sweep-h-negative", "sweep-J-zero",
+        "snapshot_every-negative", "a-bool",
         "t_final-bool", "amplitude-bool", "validate-rho-bool",
         "validate-J-long", "simulate-J-long"])
 def test_malformed_number_is_config_error(config_file, tmp_path, capsys,
                                           command, edit, where):
-    """Each used to end in a traceback, a misattributed solver failure or a
-    silently truncated value."""
+    """Each used to end in a traceback, a misattributed solver failure, a
+    silently truncated value or, for a sweep base constant that no point
+    can be admissible with, in a sweep that skips every point."""
     cfg = json.loads(Path(config_file).read_text())
     cfg["material"] = json.loads(Path(cfg["material"]).read_text())
     edit(cfg)

@@ -9,9 +9,31 @@ import weakref
 import numpy as np
 import pytest
 
-from cosserat_plate import __version__, verification
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from cosserat_plate import __version__, oracles, verification
+from cosserat_plate.cosserat3d import (
+    Strain3D,
+    energy_densities_3d,
+    strain_from_stress_3d,
+    stress_from_strain_3d,
+)
+from cosserat_plate.dispersion import wave_eigensystem
 from cosserat_plate.dynamics import ConfigError
-from cosserat_plate.plate_fields import PlateKinematics
+from cosserat_plate.material import (
+    MaterialError,
+    MaterialParams,
+    reciprocal_constants,
+    technical_constants,
+)
+from cosserat_plate.operators import build_extensional, build_flexural
+from cosserat_plate.plate_constitutive import plate_energy_density
+from cosserat_plate.plate_fields import (
+    PlateKinematics,
+    PlateStress,
+    inertia_constants,
+)
 from cosserat_plate.verification import SuiteResult
 
 
@@ -136,3 +158,207 @@ def test_bad_seed_is_a_config_error(monkeypatch, seed):
     with pytest.raises(ConfigError,
                        match="seed must be a non-negative integer"):
         verification.run_all(seed=seed, verbose=False)
+
+
+# ---------------------------------------------------------------------------
+# Suites 1, 2 and 10 and the Mindlin oracle work on whole batches.  The
+# per-sample loops they replaced are kept here as references, and the
+# batched results must equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+def roundtrip_3d_per_sample(rng, n):
+    worst = 0.0
+    for _ in range(n):
+        p = verification.random_admissible_material(rng)
+        r = reciprocal_constants(p)
+        s = Strain3D(gamma=rng.standard_normal((3, 3)),
+                     chi=rng.standard_normal((3, 3)))
+        t = stress_from_strain_3d(s, p)
+        s2 = strain_from_stress_3d(t, r)
+        scale = max(np.max(np.abs(s.gamma)), np.max(np.abs(s.chi)))
+        err = max(np.max(np.abs(s2.gamma - s.gamma)),
+                  np.max(np.abs(s2.chi - s.chi))) / scale
+        worst = max(worst, err)
+        t2 = stress_from_strain_3d(strain_from_stress_3d(t, r), p)
+        scale_t = max(np.max(np.abs(t.sigma)), np.max(np.abs(t.mu_c)))
+        err_t = max(np.max(np.abs(t2.sigma - t.sigma)),
+                    np.max(np.abs(t2.mu_c - t.mu_c))) / scale_t
+        worst = max(worst, err_t)
+    return worst
+
+
+def energy_minima_per_sample(rng, n):
+    min_w = min_phi = np.inf
+    for _ in range(n):
+        p = verification.random_admissible_material(rng)
+        s = Strain3D(gamma=rng.standard_normal((3, 3)),
+                     chi=rng.standard_normal((3, 3)))
+        w, _, _ = energy_densities_3d(s, p)
+        min_w = min(min_w, float(w))
+        tc = technical_constants(p, 0.2)
+        phi = plate_energy_density(PlateStress(*rng.standard_normal(20)), tc)
+        min_phi = min(min_phi, float(phi))
+    return min_w, min_phi
+
+
+def dispersion_min_w2_per_material(rng, n_materials, n_wavevectors):
+    min_w2 = np.inf
+    for _ in range(n_materials):
+        p = verification.random_admissible_material(rng)
+        h = rng.uniform(0.05, 0.5)
+        tc = technical_constants(p, h)
+        inertia = inertia_constants(p, h)
+        ops = (build_flexural(tc, inertia), build_extensional(tc, inertia))
+        ks = rng.uniform(-30.0, 30.0, size=(n_wavevectors, 2))
+        for op in ops:
+            w2, _ = wave_eigensystem(op, ks)
+            min_w2 = min(min_w2, float(np.min(w2)))
+    return min_w2
+
+
+def _same_draws(batched, reference, seed, *sizes):
+    """Both results from generators seeded alike, which must also end in
+    the same state (the same draws were taken)."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = batched(rng, *sizes), reference(ref_rng, *sizes)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got, want
+
+
+@pytest.mark.parametrize("seed,n", [(0, 1000), (5, 1), (6, 4)])
+def test_roundtrip_batch_equals_per_sample_loop(seed, n):
+    got, want = _same_draws(verification._roundtrip_3d_error,
+                            roundtrip_3d_per_sample, seed, n)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed,n", [(1, 1000), (5, 1), (6, 4)])
+def test_energy_batch_equals_per_sample_loop(seed, n):
+    got, want = _same_draws(verification._energy_minima,
+                            energy_minima_per_sample, seed, n)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed,n_materials,n_wavevectors",
+                         [(9, 200, 50), (5, 1, 1), (6, 3, 7)])
+def test_dispersion_batch_equals_per_material_calls(seed, n_materials,
+                                                    n_wavevectors):
+    got, want = _same_draws(verification._dispersion_min_w2,
+                            dispersion_min_w2_per_material, seed,
+                            n_materials, n_wavevectors)
+    assert got == want
+
+
+def test_stacked_3d_maps_equal_one_call_per_material(rng):
+    """The batched maps and densities give each sample the bits of a call
+    on that sample alone."""
+    samples = [verification._draw_3d_sample(rng) for _ in range(5)]
+    p, s = verification._stacked_3d_samples(samples)
+    t = stress_from_strain_3d(s, p)
+    back = strain_from_stress_3d(t, reciprocal_constants(p))
+    densities = energy_densities_3d(s, p)
+    for k, (mat, gamma, chi) in enumerate(samples):
+        one = Strain3D(gamma=gamma, chi=chi)
+        t1 = stress_from_strain_3d(one, mat)
+        back1 = strain_from_stress_3d(t1, reciprocal_constants(mat))
+        for a, b in ((t.sigma[k], t1.sigma), (t.mu_c[k], t1.mu_c),
+                     (back.gamma[k], back1.gamma), (back.chi[k], back1.chi)):
+            assert a.tobytes() == b.tobytes()
+        assert [d[k] for d in densities] == \
+            [float(d) for d in energy_densities_3d(one, mat)]
+
+
+def test_batched_maps_check_every_material():
+    p = MaterialParams(lam=np.array([1.0, 1.0]), mu=np.array([1.0, 1.0]),
+                       alpha=np.array([1.0, -1.0]), beta=np.ones(2),
+                       gamma=np.ones(2), epsilon=np.ones(2))
+    s = Strain3D(gamma=np.zeros((2, 3, 3)), chi=np.zeros((2, 3, 3)))
+    with pytest.raises(MaterialError, match="alpha>0"):
+        stress_from_strain_3d(s, p)
+
+
+def mindlin_assemble_per_entry(D, nu, S, a, b, nx, ny):
+    """The textbook assembler, one ``add`` per matrix entry."""
+    dx = a / (nx - 1)
+    dy = b / (ny - 1)
+    nn = nx * ny
+
+    def node(i, j):
+        return i * ny + j
+
+    rows, cols, vals = [], [], []
+
+    def add(r, c, w):
+        rows.append(r)
+        cols.append(c)
+        vals.append(w)
+
+    def lap_terms(cxx, cyy):
+        return [((1, 0), cxx / dx**2), ((-1, 0), cxx / dx**2),
+                ((0, 0), -2.0 * cxx / dx**2 - 2.0 * cyy / dy**2),
+                ((0, 1), cyy / dy**2), ((0, -1), cyy / dy**2)]
+
+    cross = [((1, 1), 1.0), ((-1, -1), 1.0), ((1, -1), -1.0), ((-1, 1), -1.0)]
+    for i in range(nx):
+        for j in range(ny):
+            nij = node(i, j)
+            if i in (0, nx - 1) or j in (0, ny - 1):
+                for f in range(3):
+                    add(f * nn + nij, f * nn + nij, 1.0)
+                continue
+            r = 0 * nn + nij
+            for (di, dj), w in lap_terms(D, D * (1 - nu) / 2):
+                add(r, 0 * nn + node(i + di, j + dj), w)
+            for (di, dj), w in cross:
+                add(r, 1 * nn + node(i + di, j + dj),
+                    w * D * (1 + nu) / 2 / (4 * dx * dy))
+            add(r, 0 * nn + nij, -S)
+            add(r, 2 * nn + node(i + 1, j), -S / (2 * dx))
+            add(r, 2 * nn + node(i - 1, j), S / (2 * dx))
+            r = 1 * nn + nij
+            for (di, dj), w in lap_terms(D * (1 - nu) / 2, D):
+                add(r, 1 * nn + node(i + di, j + dj), w)
+            for (di, dj), w in cross:
+                add(r, 0 * nn + node(i + di, j + dj),
+                    w * D * (1 + nu) / 2 / (4 * dx * dy))
+            add(r, 1 * nn + nij, -S)
+            add(r, 2 * nn + node(i, j + 1), -S / (2 * dy))
+            add(r, 2 * nn + node(i, j - 1), S / (2 * dy))
+            r = 2 * nn + nij
+            for (di, dj), w in lap_terms(S, S):
+                add(r, 2 * nn + node(i + di, j + dj), w)
+            add(r, 0 * nn + node(i + 1, j), S / (2 * dx))
+            add(r, 0 * nn + node(i - 1, j), -S / (2 * dx))
+            add(r, 1 * nn + node(i, j + 1), S / (2 * dy))
+            add(r, 1 * nn + node(i, j - 1), -S / (2 * dy))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(3 * nn, 3 * nn)).tocsr()
+
+
+MINDLIN = dict(D=0.7, nu=0.3, S=2.5, a=1.0, b=1.3)
+
+
+@pytest.mark.parametrize("nx,ny", [(5, 5), (9, 11), (17, 13)])
+def test_mindlin_matrix_equals_per_entry_assembly(nx, ny):
+    A, nn = oracles.mindlin_assemble(nx=nx, ny=ny, **MINDLIN)
+    ref = mindlin_assemble_per_entry(nx=nx, ny=ny, **MINDLIN)
+    assert nn == nx * ny
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(A, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_mindlin_deflection_loads_every_interior_node():
+    """The right-hand side is -p on the w row of each interior node, and
+    zero elsewhere, as the per-node loop set it."""
+    nx, ny = 9, 7
+    nn = nx * ny
+    rhs = np.zeros(3 * nn)
+    for i in range(1, nx - 1):
+        for j in range(1, ny - 1):
+            rhs[2 * nn + i * ny + j] = -1.5
+    A = mindlin_assemble_per_entry(nx=nx, ny=ny, **MINDLIN)
+    want = spla.spsolve(A.tocsc(), rhs)[2 * nn:].reshape(nx, ny)
+    center, w = oracles.mindlin_static_center_deflection(
+        MINDLIN["D"], MINDLIN["nu"], MINDLIN["S"], 1.5, MINDLIN["a"],
+        MINDLIN["b"], nx, ny)
+    assert w.tobytes() == want.tobytes() and center == want[4, 3]
