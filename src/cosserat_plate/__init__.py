@@ -58,8 +58,11 @@ from .operators import (
     ExtensionalOperator,
     FlexuralOperator,
     TractionOperator,
+    apply_to_polynomials,
     build_extensional,
+    build_extensional_stack,
     build_flexural,
+    build_flexural_stack,
     build_traction,
     coefficient_diff_table,
     operator_residual_oracle,

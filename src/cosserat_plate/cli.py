@@ -27,6 +27,7 @@ import numpy as np
 from . import io_utils
 from .dispersion import (
     NonConservativeSymbolError,
+    NonFiniteSymbolError,
     cutoff_frequencies,
     default_wavevectors,
     dispersion_curves,
@@ -54,7 +55,12 @@ from .material import (
     technical_constants,
     validate_parameters,
 )
-from .operators import build_extensional, build_flexural
+from .operators import (
+    build_extensional,
+    build_extensional_stack,
+    build_flexural,
+    build_flexural_stack,
+)
 from .plate_fields import inertia_constants
 
 
@@ -421,11 +427,17 @@ def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
         raise ConfigError(f"'sweep.base.J' must hold 3 positive numbers, "
                           f"got {J}")
     k_mag = checked_number("'sweep.xi_mag'", sw.get("xi_mag", 1.0))
+    # the inertia depends on rho, J and h alone, so every point shares it
+    try:
+        inertia = inertia_constants(
+            MaterialParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, rho=rho, J=J), h)
+    except OverflowError:
+        raise ConfigError(f"'sweep.base.h' = {h} overflows h**3") from None
     Ns = _numbers("'sweep.N'", sw.get("N", [0.1, 0.3, 0.5, 0.7]))
     lts = _numbers("'sweep.l_t'", sw.get("l_t", [0.05]))
     lbs = _numbers("'sweep.l_b'", sw.get("l_b", [0.05]))
     psis = _numbers("'sweep.Psi'", sw.get("Psi", [1.0]))
-    points, flexes, exts = [], [], []
+    points, tcs = [], []
     for point in itertools.product(Ns, lts, lbs, psis):
         Nval, lt, lb, psi = point
         try:
@@ -435,18 +447,26 @@ def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
         except MaterialError as exc:
             print(f"skip N={Nval} l_t={lt} l_b={lb} Psi={psi}: {exc}")
             continue
-        inertia = inertia_constants(mat, h)
+        except OverflowError:
+            raise ConfigError(f"'sweep' point N={Nval} l_t={lt} l_b={lb} "
+                              f"Psi={psi}: l_t or l_b overflows its "
+                              f"square") from None
         points.append(point)
-        flexes.append(build_flexural(tc, inertia))
-        exts.append(build_extensional(tc, inertia))
+        tcs.append(tc)
     quantities = []
     if points:
-        names = ["N={} l_t={} l_b={} Psi={}".format(*p) for p in points]
-        cut_f = stacked_frequencies(flexes, (0.0, 0.0), True, names)
-        cut_e = stacked_frequencies(exts, (0.0, 0.0), True, names)
-        omega_f = stacked_frequencies(flexes, (k_mag, 0.0), False, names)
+        inertias = [inertia] * len(tcs)
+        flex = build_flexural_stack(tcs, inertias)
+        ext = build_extensional_stack(tcs, inertias)
+
+        def where(i):
+            return "N={} l_t={} l_b={} Psi={}".format(*points[i])
+
+        cut_f = stacked_frequencies(*flex, (0.0, 0.0), True, where)
+        cut_e = stacked_frequencies(*ext, (0.0, 0.0), True, where)
+        omega_f = stacked_frequencies(*flex, (k_mag, 0.0), False, where)
         # solved for its checks only, as dispersion_curves does
-        stacked_frequencies(exts, (k_mag, 0.0), False, names)
+        stacked_frequencies(*ext, (k_mag, 0.0), False, where)
         quantities = [("flexural_cutoff", cut_f),
                       ("extensional_cutoff", cut_e),
                       (f"flexural_omega@k={k_mag}", omega_f)]
@@ -508,7 +528,8 @@ def run(argv=None) -> int:
     try:
         _check_config_keys(cfg)
         return _COMMANDS[args.command](cfg, args, out, cfg_hash)
-    except (ConfigError, MaterialError, KeyError) as exc:
+    except (ConfigError, MaterialError, NonFiniteSymbolError,
+            KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (SingularSystemError, InstabilityError,

@@ -7,14 +7,19 @@ becomes the generalized Hermitian-definite eigenproblem
 
 with M the diagonal inertia.  ``solve_wave_matrices`` solves it for a
 whole stack of matrices A, each with its own M, as M^-1/2 A M^-1/2 in one
-numpy call, and returns M-normalised modes.  Two callers build the stack:
-``wave_eigensystem`` from one operator at many wavevectors (the dispersion
-curves and the cutoffs), and ``stacked_frequencies`` from many operators,
-one per material, at one wavevector (the parameter sweep).  For admissible
-materials A(k) is positive semidefinite, so all branches are real; a
-non-Hermitian A(k) or a significantly negative eigenvalue signals a broken
-(non-conservative) operator table and raises, naming the first offending
-wavevector or material.
+numpy call, and returns M-normalised modes.  Three callers build the
+stack: ``wave_eigensystem`` from one operator at many wavevectors (the
+dispersion curves and the cutoffs); ``stacked_frequencies`` from the
+coefficient and mass stacks of many materials (``build_flexural_stack``,
+``build_extensional_stack``) at one wavevector (the parameter sweep); and
+the verification suite on dispersion positivity, from the same stacks at
+each material's own wavevectors.  For admissible materials A(k) is
+positive semidefinite, so all branches are real; a non-Hermitian A(k) or a
+significantly negative eigenvalue signals a broken (non-conservative)
+operator table and raises, naming the first offending wavevector or
+material.  A scaled matrix with an entry that is not finite, from an input
+too large (or an inertia too small) for double precision, raises
+``NonFiniteSymbolError`` the same way instead of reaching LAPACK.
 
 Phase rule: the first component of a mode within a relative 1e-8 of its
 largest in magnitude is made real and positive, so that components equal
@@ -37,6 +42,10 @@ PHASE_TIE = 1e-8
 
 class NonConservativeSymbolError(RuntimeError):
     """The plane-wave matrix produced an eigenvalue below tolerance."""
+
+
+class NonFiniteSymbolError(ValueError):
+    """A plane-wave matrix, scaled by its inertia, is not finite."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,13 @@ def solve_wave_matrices(A, mass, with_modes: bool, where):
     ``eigvalsh`` otherwise (the two can differ in the last bits).
     ``where(i)`` names row i in the errors it raises.
     """
+    msqrt = 1.0 / np.sqrt(mass)
+    B = msqrt[:, :, None] * A * msqrt[:, None, :]
+    finite = np.all(np.isfinite(B), axis=(1, 2))
+    if not np.all(finite):
+        raise NonFiniteSymbolError(
+            f"wave matrix not finite at {where(np.argmin(finite))}: an input"
+            f" lies outside the range of double precision")
     scale = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1.0)
     asym = np.max(np.abs(A - np.conj(np.swapaxes(A, 1, 2))), axis=(1, 2))
     if np.any(asym > 1e-12 * scale):
@@ -76,8 +92,6 @@ def solve_wave_matrices(A, mass, with_modes: bool, where):
         raise NonConservativeSymbolError(
             f"wave matrix not Hermitian at {where(i)}:"
             f" asymmetry {asym[i]:.3e} (operator table inconsistent)")
-    msqrt = 1.0 / np.sqrt(mass)
-    B = msqrt[:, :, None] * A * msqrt[:, None, :]
     if with_modes:
         w2, vecs = np.linalg.eigh(B)
         modes = _fix_phase(msqrt[:, :, None] * vecs)
@@ -91,18 +105,19 @@ def solve_wave_matrices(A, mass, with_modes: bool, where):
     return w2, modes
 
 
-def stacked_frequencies(ops, xi, with_modes: bool, names) -> np.ndarray:
-    """Angular frequencies (p, m) of p operators of one subsystem, one per
-    material, at the one wavevector ``xi``, in one stacked eigensolve.
+def stacked_frequencies(coeffs, mass, xi, with_modes: bool,
+                        where) -> np.ndarray:
+    """Angular frequencies (p, m) of the p operators of one subsystem whose
+    coefficient tables and inertias are stacked in ``coeffs`` (p, m, m, 6)
+    and ``mass`` (p, m), at the one wavevector ``xi``, in one eigensolve.
 
     ``with_modes`` solves as ``cutoff_frequencies`` does, otherwise as
-    ``dispersion_curves`` does; errors name operator i by ``names[i]``.
+    ``dispersion_curves`` does; errors name operator i by ``where(i)``.
     """
     xi = np.asarray(xi, dtype=float)
-    A = wave_matrices(np.stack([op.active_coeffs for op in ops]), [xi])[:, 0]
     w2, _ = solve_wave_matrices(
-        A, np.stack([op.mass for op in ops]), with_modes,
-        lambda i: f"{names[i]}, k=({xi[0]}, {xi[1]})")
+        wave_matrices(coeffs, [xi])[:, 0], mass, with_modes,
+        lambda i: f"{where(i)}, k=({xi[0]}, {xi[1]})")
     return np.sqrt(np.clip(w2, 0.0, None))
 
 

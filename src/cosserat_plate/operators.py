@@ -20,6 +20,16 @@ variant of the same system, which carries an extra overall (1 - N^2) row
 scaling and a handful of sign slips; it is retained behind a flag purely to
 generate the coefficient diff report.
 
+The coefficient assembly takes each table value as a number or as an array
+over a leading material axis, so one call builds the tables of many
+materials (``build_flexural_stack``, ``build_extensional_stack``) and
+``build_flexural``/``build_extensional`` are the same code for one.  The
+tables themselves are computed one material at a time from Python floats
+and only then stacked: NumPy's array ``**`` can differ from Python's float
+``**`` in the last bit, so computing them on arrays would move the bits of
+every coefficient.  The placement of the values, and the few products and
+sums of the extensional block, round the same on arrays as on floats.
+
 The traction rows of the boundary Gamma_sigma, n . (resultants) =
 prescribed, and their load parts are not tabulated: ``build_traction``
 reads them off the stiffness form ``stress_from_kinematics``, pairing each
@@ -54,15 +64,30 @@ def _symbol_value(coeffs: np.ndarray, xi1, xi2):
 
 def wave_matrices(coeffs: np.ndarray, xi) -> np.ndarray:
     """A(k) = -L(i k) at every row k of ``xi`` (n, 2): shape (n, m, m), or
-    (..., n, m, m) for a stack of tables ``coeffs`` (..., m, m, 6).
+    (..., n, m, m) for a stack of tables ``coeffs`` (..., m, m, 6), whose
+    wavevectors are either shared, ``xi`` (n, 2), or each table's own,
+    ``xi`` (..., n, 2).
 
     For a conservative table each A(k) is Hermitian.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    real = monomial_basis(xi[:, 0], xi[:, 1])
+    real = monomial_basis(xi[..., 0], xi[..., 1])
     # at (i k1, i k2) the first-degree monomials gain i, the second-degree -1
     basis = np.concatenate([real[:1], 1j * real[1:3], -real[3:]])
-    return -np.einsum("...rcm,mk->...krc", coeffs, basis)
+    return -np.einsum("...rcm,m...k->...krc", coeffs, basis)
+
+
+def apply_to_polynomials(coeffs: np.ndarray, fields) -> list[Poly2D]:
+    """L(d/dx) of the coefficient table ``coeffs`` (m, m, 6) applied exactly
+    to one Poly2D per field."""
+    n = coeffs.shape[0]
+    return [
+        sum(
+            (apply_symbol_monomials(coeffs[r, c], fields[c]) for c in range(n)),
+            Poly2D.zero(),
+        )
+        for r in range(n)
+    ]
 
 
 class _SymbolMethods:
@@ -77,18 +102,6 @@ class _SymbolMethods:
 
     def wave_matrix(self, k1: float, k2: float) -> np.ndarray:
         return wave_matrices(self.active_coeffs, [[k1, k2]])[0]
-
-    def apply_to_polynomials(self, fields) -> list[Poly2D]:
-        """L(d/dx) applied exactly to one Poly2D per field."""
-        C = self.active_coeffs
-        n = C.shape[0]
-        return [
-            sum(
-                (apply_symbol_monomials(C[r, c], fields[c]) for c in range(n)),
-                Poly2D.zero(),
-            )
-            for r in range(n)
-        ]
 
 
 @dataclass(frozen=True)
@@ -227,82 +240,105 @@ def literal_flexural_table(tc: TechnicalConstants) -> dict:
     }
 
 
-def _entry(const=0.0, x1=0.0, x2=0.0, x11=0.0, x12=0.0, x22=0.0):
-    return np.array([const, x1, x2, x11, x12, x22])
+_SLOT = {"const": 0, "x1": 1, "x2": 2, "x11": 3, "x12": 4, "x22": 5}
+
+
+def _set(C: np.ndarray, r: int, c: int, **terms) -> None:
+    """Write entry (r, c) of every table in the stack C (..., m, m, 6): each
+    keyword of ``_SLOT`` gives its monomial's coefficient, a number or an
+    array over the stack's leading axes; the other monomials keep theirs."""
+    for name, value in terms.items():
+        C[..., r, c, _SLOT[name]] = value
 
 
 def _flexural_coeffs_from(K1, K2, K3, K4, K5, K6, K7, K8, K9, K10, K11, K12, K13, K14,
                           literal_pattern: bool) -> np.ndarray:
-    """Assemble the 6x6 entry tensor.
+    """Assemble the 6x6 entry tensor: (6, 6, 6) from numbers, (p, 6, 6, 6)
+    from arrays of p values.
 
     ``literal_pattern`` reproduces the published sparsity/sign pattern
     (symmetric (2,4)/(4,2) pair, antisymmetric zero-order couplings,
     negated last diagonal); otherwise the conservative derived pattern is
     used.
     """
-    C = np.zeros((6, 6, 6))
-    C[0, 0] = _entry(const=-K3, x11=K1, x22=K2)
-    C[1, 1] = _entry(const=-K3, x11=K2, x22=K1)
-    C[0, 1] = _entry(x12=K10)
-    C[1, 0] = _entry(x12=K10)
-    C[0, 2] = _entry(x1=K11)
-    C[1, 2] = _entry(x2=K11)
-    C[2, 0] = _entry(x1=-K11)
-    C[2, 1] = _entry(x2=-K11)
-    C[2, 2] = _entry(x11=K4, x22=K4)
-    C[3, 3] = _entry(const=-K6, x11=K5, x22=K5)
-    C[4, 4] = _entry(const=-K9, x11=K7, x22=K8)
+    C = np.zeros(np.shape(K1) + (6, 6, 6))
+    _set(C, 0, 0, const=-K3, x11=K1, x22=K2)
+    _set(C, 1, 1, const=-K3, x11=K2, x22=K1)
+    _set(C, 0, 1, x12=K10)
+    _set(C, 1, 0, x12=K10)
+    _set(C, 0, 2, x1=K11)
+    _set(C, 1, 2, x2=K11)
+    _set(C, 2, 0, x1=-K11)
+    _set(C, 2, 1, x2=-K11)
+    _set(C, 2, 2, x11=K4, x22=K4)
+    _set(C, 3, 3, const=-K6, x11=K5, x22=K5)
+    _set(C, 4, 4, const=-K9, x11=K7, x22=K8)
 
     if literal_pattern:
-        C[0, 3] = _entry(x2=K12)
-        C[1, 3] = _entry(x1=K12)
-        C[3, 0] = _entry(x2=-K12)
-        C[3, 1] = _entry(x1=K12)
-        C[0, 5] = _entry(const=K13)
-        C[1, 4] = _entry(const=-K13)
-        C[4, 1] = _entry(const=K13)
-        C[5, 0] = _entry(const=K13)
-        C[2, 4] = _entry(x2=-K13)
-        C[2, 5] = _entry(x1=K13)
-        C[4, 2] = _entry(x2=K13)
-        C[5, 2] = _entry(x1=K13)
-        C[4, 5] = _entry(x12=K14)
-        C[5, 4] = _entry(x12=-K14)
-        C[5, 5] = -_entry(const=-K9, x11=K8, x22=K7)
+        _set(C, 0, 3, x2=K12)
+        _set(C, 1, 3, x1=K12)
+        _set(C, 3, 0, x2=-K12)
+        _set(C, 3, 1, x1=K12)
+        _set(C, 0, 5, const=K13)
+        _set(C, 1, 4, const=-K13)
+        _set(C, 4, 1, const=K13)
+        _set(C, 5, 0, const=K13)
+        _set(C, 2, 4, x2=-K13)
+        _set(C, 2, 5, x1=K13)
+        _set(C, 4, 2, x2=K13)
+        _set(C, 5, 2, x1=K13)
+        _set(C, 4, 5, x12=K14)
+        _set(C, 5, 4, x12=-K14)
+        # the negation of the whole entry (const -K9, x11 K8, x22 K7), so
+        # its zero monomials are -0
+        C[..., 5, 5, :] = -0.0
+        _set(C, 5, 5, const=K9, x11=-K8, x22=-K7)
     else:
-        C[0, 3] = _entry(x2=-K12)
-        C[1, 3] = _entry(x1=K12)
-        C[3, 0] = _entry(x2=K12)
-        C[3, 1] = _entry(x1=-K12)
-        C[0, 5] = _entry(const=-K13)
-        C[1, 4] = _entry(const=K13)
-        C[4, 1] = _entry(const=K13)
-        C[5, 0] = _entry(const=-K13)
-        C[2, 4] = _entry(x2=K13)
-        C[2, 5] = _entry(x1=-K13)
-        C[4, 2] = _entry(x2=-K13)
-        C[5, 2] = _entry(x1=K13)
-        C[4, 5] = _entry(x12=K14)
-        C[5, 4] = _entry(x12=K14)
-        C[5, 5] = _entry(const=-K9, x11=K8, x22=K7)
+        _set(C, 0, 3, x2=-K12)
+        _set(C, 1, 3, x1=K12)
+        _set(C, 3, 0, x2=K12)
+        _set(C, 3, 1, x1=-K12)
+        _set(C, 0, 5, const=-K13)
+        _set(C, 1, 4, const=K13)
+        _set(C, 4, 1, const=K13)
+        _set(C, 5, 0, const=-K13)
+        _set(C, 2, 4, x2=K13)
+        _set(C, 2, 5, x1=-K13)
+        _set(C, 4, 2, x2=-K13)
+        _set(C, 5, 2, x1=K13)
+        _set(C, 4, 5, x12=K14)
+        _set(C, 5, 4, x12=K14)
+        _set(C, 5, 5, const=-K9, x11=K8, x22=K7)
     return C
+
+
+def _checked_mass(mass: np.ndarray, subsystem: str) -> np.ndarray:
+    if not (np.all(np.isfinite(mass)) and np.all(mass > 0.0)):
+        raise MaterialError(f"{subsystem} inertia must be positive and finite")
+    return mass
 
 
 def build_flexural(tc: TechnicalConstants, inertia: InertiaSet,
                    paper_literal: bool = False) -> FlexuralOperator:
     """Assemble the flexural operator for the given constants and inertia."""
-    if not np.all(np.isfinite(inertia.flexural_mass())) or np.any(
-        inertia.flexural_mass() <= 0.0
-    ):
-        raise MaterialError("flexural inertia must be positive and finite")
+    mass = _checked_mass(inertia.flexural_mass(), "flexural")
     K = derived_flexural_table(tc)
     k = literal_flexural_table(tc)
     coeffs = _flexural_coeffs_from(*K.values(), literal_pattern=False)
     lit = _flexural_coeffs_from(*k.values(), literal_pattern=True)
     return FlexuralOperator(
         coeffs=coeffs, coeffs_literal=lit, k=k, K=K,
-        mass=inertia.flexural_mass(), tc=tc, paper_literal=paper_literal,
+        mass=mass, tc=tc, paper_literal=paper_literal,
     )
+
+
+def build_flexural_stack(tcs, inertias) -> tuple[np.ndarray, np.ndarray]:
+    """The derived coefficients (p, 6, 6, 6) and masses (p, 6) that
+    ``build_flexural`` gives each of p >= 1 materials, in one assembly."""
+    mass = _checked_mass(np.array([i.flexural_mass() for i in inertias]),
+                         "flexural")
+    table = np.array([list(derived_flexural_table(tc).values()) for tc in tcs])
+    return _flexural_coeffs_from(*table.T, literal_pattern=False), mass
 
 
 def derived_extensional_table(tc: TechnicalConstants) -> dict:
@@ -332,40 +368,53 @@ def literal_extensional_table(tc: TechnicalConstants) -> dict:
     }
 
 
+def _extensional_coeffs_from(nu, C_E, C_G, C_G2, C_A, C_M) -> np.ndarray:
+    """Assemble the derived 3x3 entry tensor: (3, 3, 6) from numbers,
+    (p, 3, 3, 6) from arrays of p values."""
+    C = np.zeros(np.shape(C_E) + (3, 3, 6))
+    _set(C, 0, 0, x11=C_E, x22=C_G)
+    _set(C, 1, 1, x11=C_G, x22=C_E)
+    cross = nu * C_E + C_G2
+    _set(C, 0, 1, x12=cross)
+    _set(C, 1, 0, x12=cross)
+    _set(C, 0, 2, x2=-C_A)
+    _set(C, 1, 2, x1=C_A)
+    _set(C, 2, 0, x2=C_A)
+    _set(C, 2, 1, x1=-C_A)
+    _set(C, 2, 2, const=-2.0 * C_A, x11=C_M, x22=C_M)
+    return C
+
+
 def build_extensional(tc: TechnicalConstants, inertia: InertiaSet,
                       paper_literal: bool = False) -> ExtensionalOperator:
-    if np.any(inertia.extensional_mass() <= 0.0):
-        raise MaterialError("extensional inertia must be positive and finite")
-    t = derived_extensional_table(tc)
-    C = np.zeros((3, 3, 6))
-    C[0, 0] = _entry(x11=t["C_E"], x22=t["C_G"])
-    C[1, 1] = _entry(x11=t["C_G"], x22=t["C_E"])
-    cross = tc.nu * t["C_E"] + t["C_G2"]
-    C[0, 1] = _entry(x12=cross)
-    C[1, 0] = _entry(x12=cross)
-    C[0, 2] = _entry(x2=-t["C_A"])
-    C[1, 2] = _entry(x1=t["C_A"])
-    C[2, 0] = _entry(x2=t["C_A"])
-    C[2, 1] = _entry(x1=-t["C_A"])
-    C[2, 2] = _entry(const=-2.0 * t["C_A"], x11=t["C_M"], x22=t["C_M"])
+    mass = _checked_mass(inertia.extensional_mass(), "extensional")
+    C = _extensional_coeffs_from(tc.nu, *derived_extensional_table(tc).values())
 
     kap = literal_extensional_table(tc)
-    Gh = tc.G * tc.h
     L = np.zeros((3, 3, 6))
-    L[0, 0] = Gh * _entry(x11=kap["kappa1"], x22=kap["kappa2"])
-    L[1, 1] = Gh * _entry(x11=kap["kappa2"], x22=kap["kappa1"])
-    L[0, 1] = Gh * _entry(x12=kap["kappa3"])
-    L[1, 0] = Gh * _entry(x12=kap["kappa3"])
-    L[0, 2] = Gh * _entry(x2=2.0 * kap["kappa4"])
-    L[1, 2] = Gh * _entry(x1=2.0 * kap["kappa4"])
-    L[2, 0] = Gh * _entry(x2=-kap["kappa4"])
-    L[2, 1] = Gh * _entry(x1=kap["kappa4"])
-    L[2, 2] = Gh * _entry(const=-kap["kappa2"], x11=kap["kappa5"], x22=kap["kappa5"])
-
+    _set(L, 0, 0, x11=kap["kappa1"], x22=kap["kappa2"])
+    _set(L, 1, 1, x11=kap["kappa2"], x22=kap["kappa1"])
+    _set(L, 0, 1, x12=kap["kappa3"])
+    _set(L, 1, 0, x12=kap["kappa3"])
+    _set(L, 0, 2, x2=2.0 * kap["kappa4"])
+    _set(L, 1, 2, x1=2.0 * kap["kappa4"])
+    _set(L, 2, 0, x2=-kap["kappa4"])
+    _set(L, 2, 1, x1=kap["kappa4"])
+    _set(L, 2, 2, const=-kap["kappa2"], x11=kap["kappa5"], x22=kap["kappa5"])
     return ExtensionalOperator(
-        coeffs=C, coeffs_literal=L, kappa=kap,
-        mass=inertia.extensional_mass(), tc=tc, paper_literal=paper_literal,
+        coeffs=C, coeffs_literal=tc.G * tc.h * L, kappa=kap,
+        mass=mass, tc=tc, paper_literal=paper_literal,
     )
+
+
+def build_extensional_stack(tcs, inertias) -> tuple[np.ndarray, np.ndarray]:
+    """The derived coefficients (p, 3, 3, 6) and masses (p, 3) that
+    ``build_extensional`` gives each of p >= 1 materials, in one assembly."""
+    mass = _checked_mass(np.array([i.extensional_mass() for i in inertias]),
+                         "extensional")
+    table = np.array([(tc.nu, *derived_extensional_table(tc).values())
+                      for tc in tcs])
+    return _extensional_coeffs_from(*table.T), mass
 
 
 # Traction row r of each subsystem is n_a R_ar: the normal contraction of
@@ -402,20 +451,21 @@ def build_traction(tc: TechnicalConstants) -> TractionOperator:
 # verification hooks
 # ---------------------------------------------------------------------------
 
-def operator_residual_oracle(op, tc: TechnicalConstants, rng=None,
-                             degree: int = 3) -> float:
-    """Max-norm residual between the assembled operator and the exact
-    composition of the balance laws with the constitutive stiffness form,
-    evaluated on random polynomial fields via exact polynomial calculus.
+def operator_residual_oracle(coeffs: np.ndarray, tc: TechnicalConstants,
+                             rng=None, degree: int = 3) -> float:
+    """Max-norm residual between the assembled coefficient table ``coeffs``
+    (6, 6, 6) or (3, 3, 6) and the exact composition of the balance laws
+    with the constitutive stiffness form, evaluated on random polynomial
+    fields via exact polynomial calculus.
 
     Returns the residual normalized by the largest row magnitude; the
     derived table should sit at rounding level, the literal table does not.
     """
     rng = np.random.default_rng(rng)
-    nfield = op.active_coeffs.shape[0]
+    nfield = coeffs.shape[0]
     polys = [Poly2D.random(rng, degree) for _ in range(nfield)]
 
-    lhs = op.apply_to_polynomials(polys)
+    lhs = apply_to_polynomials(coeffs, polys)
 
     u = _poly_kinematics(**{"flexural" if nfield == 6 else "extensional": polys})
     s = stress_from_kinematics(u, _poly_grad(u, 1), _poly_grad(u, 2), tc,

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .material import MaterialParams
+from .operators import apply_to_polynomials
 from .plate_fields import (
     EXTENSIONAL_FIELDS,
     FLEXURAL_FIELDS,
@@ -314,8 +315,8 @@ def manufactured_static_problem(model, polys):
     polynomial kinematics as the exact solution of the static systems."""
     flex_polys = [polys[n] for n in FLEXURAL_FIELDS]
     ext_polys = [polys[n] for n in EXTENSIONAL_FIELDS]
-    F_flex = model.flex.apply_to_polynomials(flex_polys)
-    F_ext = model.ext.apply_to_polynomials(ext_polys)
+    F_flex = apply_to_polynomials(model.flex.active_coeffs, flex_polys)
+    F_ext = apply_to_polynomials(model.ext.active_coeffs, ext_polys)
     X, Y = model.X, model.Y
     f_flex = np.stack([f(X, Y) for f in F_flex])
     f_ext = np.stack([f(X, Y) for f in F_ext])

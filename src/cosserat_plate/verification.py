@@ -64,8 +64,9 @@ from .material import (
     technical_constants,
 )
 from .operators import (
-    build_extensional,
+    build_extensional_stack,
     build_flexural,
+    build_flexural_stack,
     coefficient_diff_table,
     operator_residual_oracle,
     wave_matrices,
@@ -276,21 +277,26 @@ def suite_thickness_roundtrip(seed: int = 3, n: int = 100) -> SuiteResult:
 
 def suite_operator_residual(seed: int = 4, n_materials: int = 5) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    tcs, inertias, seeds = [], [], []
     for k in range(n_materials):
         p = random_admissible_material(rng)
         h = rng.uniform(0.05, 0.5)
-        tc = technical_constants(p, h)
-        inertia = inertia_constants(p, h)
-        flex = build_flexural(tc, inertia)
-        ext = build_extensional(tc, inertia)
-        worst = max(worst, operator_residual_oracle(flex, tc, rng=int(rng.integers(2**31))))
-        worst = max(worst, operator_residual_oracle(ext, tc, rng=int(rng.integers(2**31))))
+        tcs.append(technical_constants(p, h))
+        inertias.append(inertia_constants(p, h))
+        seeds.append([int(rng.integers(2**31)) for _ in range(2)])
+    # the stacks the sweep solves, one oracle call per table
+    flex, _ = build_flexural_stack(tcs, inertias)
+    ext, _ = build_extensional_stack(tcs, inertias)
+    worst = 0.0
+    for C_f, C_e, tc, (seed_f, seed_e) in zip(flex, ext, tcs, seeds):
+        worst = max(worst, operator_residual_oracle(C_f, tc, rng=seed_f))
+        worst = max(worst, operator_residual_oracle(C_e, tc, rng=seed_e))
     # classical subsystem at N -> 0
     p0 = _classical_material()
     tc0 = technical_constants(p0, 0.1)
     i0 = inertia_constants(p0, 0.1)
-    worst = max(worst, operator_residual_oracle(build_flexural(tc0, i0), tc0, rng=7))
+    worst = max(worst, operator_residual_oracle(build_flexural(tc0, i0).coeffs,
+                                                tc0, rng=7))
 
     # the literal tables must be available and the diff table emittable
     rows = coefficient_diff_table(tc0, i0)
@@ -500,28 +506,27 @@ def suite_hpr_stationarity(seed: int = 8, n_perturbations: int = 20) -> SuiteRes
 
 def _dispersion_min_w2(rng, n_materials: int, n_wavevectors: int) -> float:
     """The least w^2 over n_wavevectors drawn wavevectors for each of
-    n_materials drawn materials, both subsystems; the A(k) of all materials
-    are solved in one stacked call per subsystem."""
-    stacks = ([], [])
-    xi = []
+    n_materials drawn materials, both subsystems; the materials' tables and
+    their A(k) are built as one stack and solved in one call per
+    subsystem."""
+    tcs, inertias, xi = [], [], []
     for _ in range(n_materials):
         p = random_admissible_material(rng)
         h = rng.uniform(0.05, 0.5)
-        tc = technical_constants(p, h)
-        inertia = inertia_constants(p, h)
-        flex = build_flexural(tc, inertia)
-        ext = build_extensional(tc, inertia)
+        tcs.append(technical_constants(p, h))
+        inertias.append(inertia_constants(p, h))
         xi.append(rng.uniform(-30.0, 30.0, size=(n_wavevectors, 2)))
-        for op, stack in zip((flex, ext), stacks):
-            stack.append((wave_matrices(op.active_coeffs, xi[-1]), op.mass))
-    xi = np.concatenate(xi)
+    xi = np.stack(xi)
+    flat = xi.reshape(-1, 2)
     min_w2 = np.inf
-    for stack in stacks:
-        A, mass = zip(*stack)
+    for build in (build_flexural_stack, build_extensional_stack):
+        coeffs, mass = build(tcs, inertias)
+        A = wave_matrices(coeffs, xi)
         w2, _ = solve_wave_matrices(
-            np.concatenate(A), np.repeat(mass, n_wavevectors, axis=0), False,
+            A.reshape(-1, *A.shape[2:]), np.repeat(mass, n_wavevectors, axis=0),
+            False,
             lambda i: f"material {i // n_wavevectors}, "
-                      f"k=({xi[i, 0]}, {xi[i, 1]})")
+                      f"k=({flat[i, 0]}, {flat[i, 1]})")
         min_w2 = min(min_w2, float(np.min(w2)))
     return min_w2
 

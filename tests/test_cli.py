@@ -16,7 +16,11 @@ from cosserat_plate.material import (
     material_from_technical,
     technical_constants,
 )
-from cosserat_plate.operators import build_extensional, build_flexural
+from cosserat_plate.operators import (
+    build_extensional,
+    build_flexural,
+    build_flexural_stack,
+)
 from cosserat_plate.plate_fields import inertia_constants
 from conftest import run_fresh
 
@@ -278,6 +282,17 @@ def _sinusoidal(**kw):
     ("validate", lambda c: c["material"].update(rho=True), "rho"),
     ("validate", lambda c: c["material"].update(J=[1, 1, 1, 1]), "J"),
     ("simulate", lambda c: c["material"].update(J=[1, 1, 1, 1]), "J"),
+    ("sweep", lambda c: c.update(sweep={"xi_mag": 1e308}),
+     "N=0.1 l_t=0.05 l_b=0.05 Psi=1.0, k=(1e+308, 0.0)"),
+    ("sweep", lambda c: c.update(sweep={"base": {"E": 1e308}}),
+     "N=0.1 l_t=0.05 l_b=0.05 Psi=1.0, k=(0.0, 0.0)"),
+    ("sweep", lambda c: c.update(sweep={"base": {"h": 1e308}}),
+     "'sweep.base.h'"),
+    ("sweep", lambda c: c.update(sweep={"l_t": [0.05, 1e308]}),
+     "l_t=1e+308"),
+    ("sweep", lambda c: c.update(sweep={"l_b": [1e308]}), "l_b=1e+308"),
+    ("dispersion", lambda c: c.update(dispersion={"k_max": 1e160}), "k=("),
+    ("dispersion", lambda c: c["material"].update(mu=1e308), "k=("),
 ], ids=["nx-text", "nx-fraction", "h-text", "material-text", "amplitude-text",
         "amplitude-nan", "width-zero", "tau-zero", "center-text",
         "kx-fraction", "ly-zero", "t_final-text", "dt-text", "dt-negative",
@@ -286,12 +301,16 @@ def _sinusoidal(**kw):
         "sweep-nu-half", "sweep-E-zero", "sweep-h-negative", "sweep-J-zero",
         "snapshot_every-negative", "a-bool",
         "t_final-bool", "amplitude-bool", "validate-rho-bool",
-        "validate-J-long", "simulate-J-long"])
+        "validate-J-long", "simulate-J-long", "sweep-xi_mag-huge",
+        "sweep-E-huge", "sweep-h-huge", "sweep-l_t-huge", "sweep-l_b-huge",
+        "dispersion-k_max-huge", "dispersion-mu-huge"])
 def test_malformed_number_is_config_error(config_file, tmp_path, capsys,
                                           command, edit, where):
     """Each used to end in a traceback, a misattributed solver failure, a
     silently truncated value or, for a sweep base constant that no point
-    can be admissible with, in a sweep that skips every point."""
+    can be admissible with, in a sweep that skips every point.  A finite
+    value too large for double precision names the key, the sweep point
+    or the wavevector where it overflowed."""
     cfg = json.loads(Path(config_file).read_text())
     cfg["material"] = json.loads(Path(cfg["material"]).read_text())
     edit(cfg)
@@ -569,15 +588,14 @@ def test_sweep_bytes_equal_per_material_oracle(tmp_path, capsys, grid,
 def test_sweep_non_conservative_table_names_material(tmp_path, capsys,
                                                      monkeypatch, entry,
                                                      message):
-    def broken_at_n03(tc, inertia):
-        op = build_flexural(tc, inertia)
-        if abs(tc.N - 0.3) > 1e-9:
-            return op
-        coeffs = op.coeffs.copy()
-        coeffs[entry] *= -1.0
-        return dataclasses.replace(op, coeffs=coeffs)
+    def broken_at_n03(tcs, inertias):
+        coeffs, mass = build_flexural_stack(tcs, inertias)
+        for k, tc in enumerate(tcs):
+            if abs(tc.N - 0.3) <= 1e-9:
+                coeffs[(k, *entry)] *= -1.0
+        return coeffs, mass
 
-    monkeypatch.setattr(cli, "build_flexural", broken_at_n03)
+    monkeypatch.setattr(cli, "build_flexural_stack", broken_at_n03)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"sweep": {
         "N": [0.1, 0.3, 0.5], "l_t": [0.05], "l_b": [0.06], "Psi": [0.8],
@@ -587,6 +605,26 @@ def test_sweep_non_conservative_table_names_material(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "solver failure" in err and message in err
     assert "N=0.3 l_t=0.05 l_b=0.06 Psi=0.8" in err
+
+
+@pytest.mark.parametrize("grid", [
+    {"N": [0.3]},
+    {"N": [0.1, 0.2, 0.3, 0.5], "l_t": [0.03, 0.05], "Psi": [0.8, 1.2]},
+], ids=["one-point", "sixteen-points"])
+def test_sweep_builds_one_stack_per_subsystem(tmp_path, monkeypatch, grid):
+    """The sweep assembles all of its materials at once, so a return to a
+    build per material fails."""
+    calls = []
+    for name in ("build_flexural_stack", "build_extensional_stack"):
+        def counting(tcs, inertias, build=getattr(cli, name), name=name):
+            calls.append(name)
+            return build(tcs, inertias)
+        monkeypatch.setattr(cli, name, counting)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": dict(grid, base=_SWEEP_BASE)}))
+    assert run(["sweep", "--config", str(path),
+                "--out", str(tmp_path / "o")]) == 0
+    assert sorted(calls) == ["build_extensional_stack", "build_flexural_stack"]
 
 
 def test_paper_literal_flag_changes_solution(config_file, tmp_path):

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_material
+from conftest import admissible_materials, random_material
 from cosserat_plate.material import (
     MaterialError,
     MaterialParams,
@@ -11,8 +13,12 @@ from cosserat_plate.material import (
     technical_constants,
 )
 from cosserat_plate.operators import (
+    _flexural_coeffs_from,
+    apply_to_polynomials,
     build_extensional,
+    build_extensional_stack,
     build_flexural,
+    build_flexural_stack,
     build_traction,
     coefficient_diff_table,
     derived_extensional_table,
@@ -20,6 +26,7 @@ from cosserat_plate.operators import (
     monomial_basis,
     operator_residual_oracle,
     traction_load_part,
+    wave_matrices,
 )
 from cosserat_plate.plate_fields import LoadSet, inertia_constants
 
@@ -50,6 +57,15 @@ class TestCoefficientTables:
         assert flex.k["k10"] == pytest.approx(expected)
         lit = dataclasses.replace(flex, paper_literal=True)
         assert lit.symbol(1.0, 1.0)[0, 1] == pytest.approx(expected)
+
+    def test_literal_last_diagonal_negates_the_derived_pattern(self,
+                                                               micropolar):
+        """The published (6,6) entry is the derived pattern's entry negated
+        as a whole, its zero monomials -0 included."""
+        _, _, flex, _ = micropolar
+        derived = _flexural_coeffs_from(*flex.k.values(), literal_pattern=False)
+        assert flex.coeffs_literal[5, 5].tobytes() == \
+            (-derived[5, 5]).tobytes()
 
     def test_l12_equals_k10_at_classical_limit(self, classical):
         _, _, flex, _ = classical
@@ -227,27 +243,26 @@ class TestResidualOracle:
         for _ in range(3):
             p = random_material(rng)
             tc, _, flex, ext = make_ops(p, rng.uniform(0.05, 0.5))
-            assert operator_residual_oracle(flex, tc, rng=1) <= 1e-10
-            assert operator_residual_oracle(ext, tc, rng=2) <= 1e-10
+            assert operator_residual_oracle(flex.coeffs, tc, rng=1) <= 1e-10
+            assert operator_residual_oracle(ext.coeffs, tc, rng=2) <= 1e-10
 
     def test_mindlin_correction_option(self, rng):
         p = random_material(rng)
         tc, _, flex, ext = make_ops(p, 0.2, shear_correction="mindlin")
-        assert operator_residual_oracle(flex, tc, rng=3) <= 1e-10
-        assert operator_residual_oracle(ext, tc, rng=4) <= 1e-10
+        assert operator_residual_oracle(flex.coeffs, tc, rng=3) <= 1e-10
+        assert operator_residual_oracle(ext.coeffs, tc, rng=4) <= 1e-10
 
     def test_zero_fields_zero_residual(self, micropolar):
         from cosserat_plate.poly2d import Poly2D
         from cosserat_plate.operators import _poly_kinematics
 
         tc, _, flex, _ = micropolar
-        out = flex.apply_to_polynomials([Poly2D.zero()] * 6)
+        out = apply_to_polynomials(flex.coeffs, [Poly2D.zero()] * 6)
         assert all(f.max_abs_coeff() == 0.0 for f in out)
 
     def test_literal_table_differs(self, micropolar):
         tc, _, flex, _ = micropolar
-        lit = dataclasses.replace(flex, paper_literal=True)
-        assert operator_residual_oracle(lit, tc, rng=5) > 1e-3
+        assert operator_residual_oracle(flex.coeffs_literal, tc, rng=5) > 1e-3
 
 
 def flex_traction_symbol(trac, xi1, xi2, n):
@@ -364,3 +379,46 @@ def test_inertia_guard():
     with pytest.raises(MaterialError):
         build_flexural(tc, InertiaSet(I_o=0.0, rho_o=1, I_o1=1, I_o2=1,
                                       J3_s=1, I_o3=1))
+    inertias = [inertia_constants(p, 0.3)] * 2
+    with pytest.raises(MaterialError):
+        build_extensional_stack(
+            [tc] * 3, inertias + [InertiaSet(I_o=1, rho_o=1, I_o1=1, I_o2=1,
+                                             J3_s=1, I_o3=float("inf"))])
+
+
+@pytest.mark.parametrize("size", [1, 6])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stacks_equal_one_build_per_material(size, data):
+    """Each material's slice of the stacks holds the bits of build_flexural
+    and build_extensional on that material alone."""
+    draws = data.draw(st.lists(
+        st.tuples(admissible_materials(), st.floats(0.01, 1.0)),
+        min_size=size, max_size=size))
+    tcs = [technical_constants(p, h) for p, h in draws]
+    inertias = [inertia_constants(p, h) for p, h in draws]
+    for stack, build in ((build_flexural_stack, build_flexural),
+                         (build_extensional_stack, build_extensional)):
+        coeffs, mass = stack(tcs, inertias)
+        for k, (tc, inertia) in enumerate(zip(tcs, inertias)):
+            op = build(tc, inertia)
+            assert coeffs[k].shape == op.coeffs.shape
+            assert np.array_equal(coeffs[k].view(np.int64),
+                                  op.coeffs.view(np.int64))
+            assert np.array_equal(mass[k].view(np.int64),
+                                  op.mass.view(np.int64))
+        assert len(coeffs) == len(mass) == size
+
+
+def test_wave_matrices_take_each_tables_own_wavevectors(rng):
+    """Wavevectors given per table of a stack give each table the bits of a
+    call on it alone."""
+    ps = [random_material(rng) for _ in range(4)]
+    tcs = [technical_constants(p, 0.2) for p in ps]
+    inertias = [inertia_constants(p, 0.2) for p in ps]
+    xi = rng.uniform(-30.0, 30.0, size=(4, 7, 2))
+    for build in (build_flexural_stack, build_extensional_stack):
+        coeffs, _ = build(tcs, inertias)
+        A = wave_matrices(coeffs, xi)
+        for k in range(4):
+            assert A[k].tobytes() == wave_matrices(coeffs[k], xi[k]).tobytes()
