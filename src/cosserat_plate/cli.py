@@ -8,6 +8,10 @@ and identical config + seed gives byte-identical files.
 Exit codes: 0 success, 1 runtime/solver/verification failure, 2
 configuration or validation failure.
 
+One table, ``_SCHEMA``, gives every config key its default and its check;
+``parse_config`` applies it before a command runs or creates --out, and
+the commands read only what it returns.
+
 The names that import SciPy (the static and explicit solvers and the
 verification suites) are imported inside the commands that use them, so
 ``validate``, ``constants``, ``dispersion`` and ``sweep`` never load it.
@@ -16,15 +20,17 @@ verification suites) are imported inside the commands that use them, so
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import io_utils
+from . import dynamics, io_utils
 from .dispersion import (
     NonConservativeSymbolError,
     NonFiniteSymbolError,
@@ -61,7 +67,7 @@ from .operators import (
     build_flexural,
     build_flexural_stack,
 )
-from .plate_fields import inertia_constants
+from .plate_fields import KINEMATIC_FIELDS, inertia_constants
 
 
 def _load_config(path: str) -> dict:
@@ -69,155 +75,303 @@ def _load_config(path: str) -> dict:
         return json.load(f)
 
 
-# Accepted keys of each config section (the README schema); a key outside
-# these is a typo that would otherwise fall back to a default silently.
-_SECTION_KEYS = {
-    "material": None,  # a file path, or the moduli (_MATERIAL_KEYS)
-    "geometry": {"a", "b", "h"},
-    "grid": {"nx", "ny"},
-    "bc": set(EDGES),
-    "loads": {"p", "sigma0", "v", "t"},
-    "time": {"t_final", "dt", "snapshot_every"},
-    "initial": {"field", "kind", "amplitude", "center", "width"},
-    "mode": {"shear_correction"},
-    "dispersion": {"directions", "k_min", "k_max", "n", "modes"},
-    "sweep": {"N", "l_t", "l_b", "Psi", "xi_mag", "base"},
+# ---------------------------------------------------------------------------
+# the config schema
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+class _Api(NamedTuple):
+    """A default that the API sets: that of parameter ``param`` (the key if
+    None) of ``owner``, read from its signature.  A string ``owner`` names
+    a ``dynamics`` attribute that loads SciPy, looked up only when used."""
+
+    owner: object
+    param: str | None = None
+
+    def value(self, key: str):
+        owner = (getattr(dynamics, self.owner) if isinstance(self.owner, str)
+                 else self.owner)
+        return inspect.signature(owner).parameters[self.param or key].default
+
+
+# A checker check(where, value) returns the parsed value or raises a
+# ConfigError naming ``where``; its docstring says what it accepts.
+def _number(accepts: str, ok=None, **kw):
+    """Numbers that checked_number takes with ``kw`` and for which ``ok``
+    holds without overflow."""
+    def check(where, value):
+        x = checked_number(where, value, **kw)
+        try:
+            good = ok is None or ok(x)
+        except OverflowError:
+            good = False
+        if not good:
+            raise ConfigError(f"{where}: expected {accepts}, got {value!r}")
+        return x
+    check.__doc__ = accepts
+    return check
+
+
+def _optional(check):
+    def optional(where, value):
+        return None if value is None else check(where, value)
+    optional.__doc__ = f"null or {check.__doc__}"
+    return optional
+
+
+def _choice(what: str, *names: str):
+    def check(where, value):
+        if not isinstance(value, str) or value not in names:
+            raise ConfigError(f"{where}: unknown {what} {value!r}; expected "
+                              f"one of {list(names)}")
+        return value
+    check.__doc__ = " or ".join(f'"{n}"' for n in names)
+    return check
+
+
+def _list(check, count: int | None = None):
+    size = f"{count} " if count else ""
+
+    def checks(where, value):
+        if (not isinstance(value, (list, tuple))
+                or count not in (None, len(value))):
+            raise ConfigError(f"{where}: expected {checks.__doc__}, "
+                              f"got {value!r}")
+        return tuple(check(where, v) for v in value)
+    checks.__doc__ = f"list of {size}{check.__doc__}s"
+    return checks
+
+
+def _flag(where, value):
+    """true or false"""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected {_flag.__doc__}, got {value!r}")
+    return value
+
+
+_FINITE = _number("finite number")
+_INTEGER = _number("integer", integer=True)
+_POSITIVE = _number("positive number", positive=True)
+_SQUARED = _number("positive number with a nonzero finite square",
+                   lambda x: x**2 > 0.0, positive=True)
+_CUBED = _number("positive number with a nonzero finite cube",
+                 lambda x: x**3 > 0.0, positive=True)
+
+
+_NUMBERS = _list(_FINITE)
+
+
+def _at_least(n: int):
+    return _number(f"integer >= {n}", lambda x: x >= n, integer=True)
+
+
+def _directions(where, value):
+    """non-empty list of [x, y], x^2 + y^2 nonzero and finite"""
+    pairs = ([checked_pair(where, d) for d in value]
+             if isinstance(value, (list, tuple)) else [])
+    if not pairs or not all(0.0 < x * x + y * y < np.inf for x, y in pairs):
+        raise ConfigError(f"{where}: expected {_directions.__doc__}, "
+                          f"got {value!r}")
+    return value  # as given, for the row labels
+
+
+_PRESETS = {"constant": ConstantLoad, "gaussian-pulse": GaussianPulseLoad,
+            "sinusoidal": SinusoidalLoad}
+
+
+def _load(where, spec):
+    """null or load object: the loads.* keys and its preset's"""
+    if spec is None:
+        return None
+    path = where.strip("'")
+    preset = _parse_section(path, spec, "loads.*", keys=("preset",))["preset"]
+    fields = _parse_section(path, spec, "loads.*", preset)
+    del fields["preset"]
+    return _PRESETS[preset](**fields)
+
+
+def _base(where, value):
+    """object of the sweep.base keys"""
+    return _parse_section("sweep.base", value, "sweep.base")
+
+
+def _api(owner, **checks):
+    return {key: (_Api(owner), check) for key, check in checks.items()}
+
+
+# The schema: section -> key -> (default, checker).  A default is a value,
+# _REQUIRED, or an _Api default read from the callable that the parsed
+# value is passed to.  A load takes the keys of ``loads.*`` and those of
+# the section its preset names.
+_SCHEMA = {
+    "material": {
+        **dict.fromkeys(("lambda", "mu", "alpha", "beta", "gamma", "epsilon"),
+                        (_REQUIRED, _FINITE)),
+        **_api(MaterialParams, rho=_FINITE, J=_list(_FINITE, 3))},
+    "geometry": {"a": (1.0, _POSITIVE), "b": (1.0, _POSITIVE),
+                 "h": (0.1, _CUBED)},
+    "grid": dict.fromkeys(("nx", "ny"), (33, _at_least(5))),
+    "bc": dict.fromkeys(EDGES, ("clamped",
+                                _choice("bc", "clamped", "traction"))),
+    "loads": dict.fromkeys(("p", "sigma0", "v", "t"), (None, _load)),
+    "loads.*": {"preset": ("constant", _choice("load preset", *_PRESETS)),
+                "amplitude": (0.0, _FINITE)},
+    "constant": {},
+    "gaussian-pulse": _api(GaussianPulseLoad, center=checked_pair,
+                           width=_SQUARED, t0=_FINITE,
+                           tau=_optional(_SQUARED)),
+    "sinusoidal": _api(SinusoidalLoad, kx=_INTEGER, ky=_INTEGER,
+                       omega=_FINITE, lx=_POSITIVE, ly=_POSITIVE),
+    "time": {"t_final": (1.0, _POSITIVE),
+             **_api("simulate", dt=_optional(_POSITIVE),
+                    snapshot_every=_at_least(0))},
+    "initial": {"field": ("w", _choice("initial field", *KINEMATIC_FIELDS)),
+                "kind": ("velocity", _choice("initial kind", "velocity",
+                                             "displacement")),
+                "amplitude": (1.0, _FINITE),
+                "center": ((0.5, 0.5), checked_pair),
+                "width": (0.15, _SQUARED)},
+    "mode": _api(technical_constants,
+                 shear_correction=_choice("shear_correction", "standard",
+                                          "mindlin")),
+    "dispersion": {
+        **_api(default_wavevectors, directions=_directions),
+        **_api(wavevector_magnitudes, k_min=_POSITIVE, k_max=_POSITIVE,
+               n=_at_least(1)),
+        "modes": (_Api(dispersion_curves, "with_modes"), _flag)},
+    "sweep": {"N": ((0.1, 0.3, 0.5, 0.7), _NUMBERS),
+              **dict.fromkeys(("l_t", "l_b"), ((0.05,), _NUMBERS)),
+              "Psi": ((1.0,), _NUMBERS), "xi_mag": (1.0, _FINITE),
+              "base": ({}, _base)},
+    # shared by every point: a bad one would make every point inadmissible
+    "sweep.base": {"E": (1.0, _POSITIVE),
+                   "nu": (0.3, _number("number in (-1, 0.5)",
+                                       lambda x: -1.0 < x < 0.5)),
+                   **_api(material_from_technical, rho=_POSITIVE,
+                          J=_list(_POSITIVE, 3)),
+                   "h": (0.1, _CUBED)},
 }
-_MATERIAL_KEYS = {"lambda", "lam", "mu", "alpha", "beta", "gamma", "epsilon",
-                  "rho", "J"}
-_SWEEP_BASE_KEYS = {"E", "nu", "rho", "J", "h"}
-_LOAD_KEYS = {
-    "constant": {"preset", "amplitude"},
-    "gaussian-pulse": {"preset", "amplitude", "center", "width", "t0", "tau"},
-    "sinusoidal": {"preset", "amplitude", "kx", "ky", "omega", "lx", "ly"},
+
+# The sections whose values each command reads, with the keys if not all.
+_PLANE_WAVE = {"material": None, "geometry": ("h",), "mode": None}
+_MODEL = dict.fromkeys(("material", "geometry", "grid", "bc", "loads", "mode"))
+_READS = {
+    "validate": {"material": None},
+    "constants": _PLANE_WAVE,
+    "static": _MODEL,
+    "simulate": {**_MODEL, "time": None, "initial": None},
+    "dispersion": {**_PLANE_WAVE, "dispersion": None},
+    "verify": {},
+    "sweep": {"sweep": None},
 }
 
 
-def _check_keys(where: str, section, allowed) -> None:
+def _check_keys(path: str, section, allowed) -> None:
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    unknown = sorted(set(section) - allowed)
+        raise ConfigError(f"'{path}' must be a JSON object, got {section!r}")
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; "
+        raise ConfigError(f"unknown key(s) {unknown} in '{path}'; "
                           f"expected some of {sorted(allowed)}")
 
 
-def _check_config_keys(cfg) -> None:
-    """Raise ConfigError on any key the config schema does not define."""
-    _check_keys("config", cfg, set(_SECTION_KEYS))
-    for name, allowed in _SECTION_KEYS.items():
-        section = cfg.get(name)
-        if section is not None and allowed is not None:
-            _check_keys(f"'{name}'", section, allowed)
-    if isinstance(cfg.get("material"), dict):
-        _check_keys("'material'", cfg["material"], _MATERIAL_KEYS)
-    if (cfg.get("sweep") or {}).get("base") is not None:
-        _check_keys("'sweep.base'", cfg["sweep"]["base"], _SWEEP_BASE_KEYS)
+def _parse_section(path: str, section, *names: str, keys=None) -> dict:
+    """The keys of the schema sections ``names`` of the JSON object
+    ``section`` at ``path``, each with its default where absent, and
+    checked; or only ``keys``, the others unchecked, if given."""
+    rows = {k: row for name in names for k, row in _SCHEMA[name].items()}
+    _check_keys(path, section, rows if keys is None else section)
+    parsed = {}
+    for key in keys or rows:
+        default, check = rows[key]
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"'{path}.{key}' is required")
+        if isinstance(value, _Api):
+            value = value.value(key)
+        parsed[key] = check(f"'{path}.{key}'", value)
+    return parsed
 
 
-def _material_from_config(cfg: dict) -> MaterialParams:
-    mat = cfg.get("material")
-    if mat is None:
+def _lam_as_lambda(material):
+    """The material object, with ``lam`` (the API's name) read as lambda."""
+    if isinstance(material, dict) and "lam" in material:
+        material = dict(material)
+        material.setdefault("lambda", material.pop("lam"))
+    return material
+
+
+def _parse_material(material) -> MaterialParams:
+    """The material: a JSON object of the material keys or a file of one."""
+    if material is None:
         raise ConfigError("config lacks a 'material' entry")
-    if isinstance(mat, str):
-        mat = _load_config(mat)
-        _check_keys("the material file", mat, _MATERIAL_KEYS)
     try:
-        return MaterialParams.from_dict(mat)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"'material': {exc}") from exc
+        if isinstance(material, str):
+            material = _load_config(material)
+        fields = _parse_section("material", _lam_as_lambda(material),
+                                "material")
+    except (OSError, ValueError) as exc:  # ConfigError among them
+        raise ConfigError(f"'material': {exc}") from None
+    return MaterialParams(lam=fields.pop("lambda"), **fields)
 
 
-def _load_preset(name, spec):
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ConfigError(f"a load must be a JSON object, got {spec!r}")
-    preset = spec.get("preset", "constant")
-    if not isinstance(preset, str) or preset not in _LOAD_KEYS:
-        raise ConfigError(f"unknown load preset {preset!r}")
-    _check_keys(f"{preset} load", spec, _LOAD_KEYS[preset])
-    try:
-        if preset == "constant":
-            return ConstantLoad(spec.get("amplitude", 0.0))
-        if preset == "gaussian-pulse":
-            return GaussianPulseLoad(
-                spec.get("amplitude", 0.0),
-                center=spec.get("center", (0.5, 0.5)),
-                width=spec.get("width", 0.1), t0=spec.get("t0", 0.0),
-                tau=spec.get("tau"),
-            )
-        return SinusoidalLoad(
-            spec.get("amplitude", 0.0), kx=spec.get("kx", 1),
-            ky=spec.get("ky", 1), omega=spec.get("omega", 0.0),
-            lx=spec.get("lx", 1.0), ly=spec.get("ly", 1.0),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"'loads.{name}' ({preset}): {exc}") from None
+def parse_config(cfg, command: str) -> dict:
+    """The config ``cfg`` parsed for ``command``, before any output or
+    numerics.  Every key name is checked against the schema, whichever
+    command reads it.  Then the sections that ``command`` reads, and no
+    others, get their defaults and have their values checked.  Each comes
+    back as a dict of its values, but the material as a MaterialParams, the
+    loads as a LoadFunctions and an empty ``initial`` as None (a plate at
+    rest); ``dispersion`` also holds its sampled "magnitudes", and the
+    config as given is under "config"."""
+    _check_keys("config", cfg, set().union(*_READS.values()))
+    sweep = cfg.get("sweep")
+    nested = {"sweep.base": sweep.get("base")} if isinstance(sweep, dict) else {}
+    for name, section in {**cfg, **nested}.items():
+        if isinstance(section, dict):
+            _check_keys(name, _lam_as_lambda(section) if name == "material"
+                        else section, _SCHEMA[name])
 
-
-def _model_from_config(cfg: dict, paper_literal: bool = False):
-    mat = _material_from_config(cfg)
-    geo = cfg.get("geometry", {})
-    grid = cfg.get("grid", {})
-    loads_cfg = cfg.get("loads", {})
-    loads = LoadFunctions(**{name: _load_preset(name, loads_cfg.get(name))
-                             for name in ("p", "sigma0", "v", "t")})
-    bc = cfg.get("bc", {e: "clamped" for e in EDGES})
-    mode = cfg.get("mode", {})
-    mc = ModelConfig(
-        material=mat,
-        h=checked_number("'geometry.h'", geo.get("h", 0.1)),
-        a=checked_number("'geometry.a'", geo.get("a", 1.0)),
-        b=checked_number("'geometry.b'", geo.get("b", 1.0)),
-        nx=checked_number("'grid.nx'", grid.get("nx", 33), integer=True),
-        ny=checked_number("'grid.ny'", grid.get("ny", 33), integer=True),
-        bc=bc,
-        loads=loads,
-        shear_correction=mode.get("shear_correction", "standard"),
-        paper_literal=paper_literal,
-    )
-    return assemble(mc)
-
-
-def _initial_spec(cfg: dict):
-    """The checked ``initial`` section as (field index, kind, amplitude,
-    center x, center y, width), None without one; it needs no model, so a
-    bad entry is refused before the model is assembled."""
-    spec = cfg.get("initial")
-    if not spec:
-        return None
-    from .plate_fields import KINEMATIC_FIELDS
-
-    field = spec.get("field", "w")
-    if field not in KINEMATIC_FIELDS:
-        raise ConfigError(f"unknown initial field {field!r}")
-    idx = KINEMATIC_FIELDS.index(field)
-    kind = spec.get("kind", "velocity")
-    if kind not in ("velocity", "displacement"):
-        raise ConfigError(f"unknown initial kind {kind!r}; expected "
-                          f"'velocity' or 'displacement'")
-    amp = checked_number("'initial.amplitude'", spec.get("amplitude", 1.0))
-    cx, cy = checked_pair("'initial.center'", spec.get("center", (0.5, 0.5)))
-    width = checked_number("'initial.width'", spec.get("width", 0.15),
-                           positive=True)
-    return idx, kind, amp, cx, cy, width
+    record = {"config": cfg}
+    for name, keys in _READS[command].items():
+        section = cfg.get(name)
+        if name == "material":
+            record[name] = _parse_material(section)
+        elif name == "initial" and not section:
+            record[name] = None  # a plate at rest
+        else:
+            record[name] = _parse_section(name, {} if section is None
+                                          else section, name, keys=keys)
+    if "loads" in record:
+        record["loads"] = LoadFunctions(**record["loads"])
+    if "dispersion" in record:
+        d = record["dispersion"]
+        try:
+            d["magnitudes"] = wavevector_magnitudes(d["k_min"], d["k_max"],
+                                                    d["n"])
+        except ValueError as exc:
+            raise ConfigError(f"'dispersion': {exc}") from None
+    return record
 
 
 def _initial_state(spec, model):
-    """The grid state at t = 0: at rest, or the Gaussian kick of the
-    checked ``initial`` section ``spec`` (``_initial_spec``)."""
+    """The grid state at t = 0: at rest, or the Gaussian kick of the parsed
+    ``initial`` section ``spec``."""
     from .dynamics import DiscreteState
 
     state = DiscreteState.zero(model)
     if spec is None:
         return state
-    idx, kind, amp, cx, cy, width = spec
-    prof = amp * np.exp(
-        -0.5 * ((model.X - cx) ** 2 + (model.Y - cy) ** 2) / width**2
+    idx = KINEMATIC_FIELDS.index(spec["field"])
+    cx, cy = spec["center"]
+    prof = spec["amplitude"] * np.exp(
+        -0.5 * ((model.X - cx) ** 2 + (model.Y - cy) ** 2) / spec["width"]**2
     )
     prof[0, :] = prof[-1, :] = prof[:, 0] = prof[:, -1] = 0.0
-    part = ("flex" if idx < 6 else "ext") + ("_vel" if kind == "velocity" else "")
+    part = ("flex" if idx < 6 else "ext") + (
+        "_vel" if spec["kind"] == "velocity" else "")
     block = getattr(state, part).copy()
     block[idx % 6] = prof
     return replace(state, **{part: block})
@@ -227,9 +381,8 @@ def _initial_state(spec, model):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(cfg, args, out: Path, cfg_hash: str) -> int:
-    mat = _material_from_config(cfg)
-    report = validate_parameters(mat)
+def _cmd_validate(parsed, args, out: Path, cfg_hash: str) -> int:
+    report = validate_parameters(parsed["material"])
     if report.admissible:
         print("material admissible: all parameter conditions hold")
         return 0
@@ -239,21 +392,26 @@ def _cmd_validate(cfg, args, out: Path, cfg_hash: str) -> int:
     return 2
 
 
-def _operators(cfg: dict, paper_literal: bool = False):
+def _operators(parsed: dict, paper_literal: bool = False):
     """The technical constants, the inertia and the flexural and
-    extensional operators of the configured material and thickness."""
-    mat = _material_from_config(cfg)
-    h = checked_number("'geometry.h'", cfg.get("geometry", {}).get("h", 0.1))
-    mode = cfg.get("mode", {})
-    tc = technical_constants(mat, h, mode.get("shear_correction", "standard"))
+    extensional operators of the parsed material and thickness."""
+    mat, h = parsed["material"], parsed["geometry"]["h"]
+    tc = technical_constants(mat, h, parsed["mode"]["shear_correction"])
     inertia = inertia_constants(mat, h)
     return (tc, inertia,
             build_flexural(tc, inertia, paper_literal=paper_literal),
             build_extensional(tc, inertia, paper_literal=paper_literal))
 
 
-def _cmd_constants(cfg, args, out: Path, cfg_hash: str) -> int:
-    tc, inertia, flex, ext = _operators(cfg)
+def _model(parsed: dict, paper_literal: bool):
+    return assemble(ModelConfig(
+        material=parsed["material"], **parsed["geometry"], **parsed["grid"],
+        bc=parsed["bc"], loads=parsed["loads"], **parsed["mode"],
+        paper_literal=paper_literal))
+
+
+def _cmd_constants(parsed, args, out: Path, cfg_hash: str) -> int:
+    tc, inertia, flex, ext = _operators(parsed)
     print(f"E        = {tc.E:.10g}")
     print(f"nu       = {tc.nu:.10g}")
     print(f"G        = {tc.G:.10g}")
@@ -273,15 +431,15 @@ def _cmd_constants(cfg, args, out: Path, cfg_hash: str) -> int:
     return 0
 
 
-def _cmd_static(cfg, args, out: Path, cfg_hash: str) -> int:
+def _cmd_static(parsed, args, out: Path, cfg_hash: str) -> int:
     from .dynamics import static_solve, worst_static_row
 
-    model = _model_from_config(cfg, args.paper_literal_operators)
+    model = _model(parsed, args.paper_literal_operators)
     kin, diag = static_solve(model)
     io_utils.write_snapshot(out / "static_snapshot.csv", cfg_hash, model,
                             kinematics=kin)
     io_utils.write_summary(out / "static_summary.json", cfg_hash, {
-        "config": cfg,
+        "config": parsed["config"],
         "residuals": diag,
         "center_w": float(np.asarray(kin.w)[(model.nx - 1) // 2,
                                             (model.ny - 1) // 2]),
@@ -299,25 +457,12 @@ def _cmd_static(cfg, args, out: Path, cfg_hash: str) -> int:
     return 1
 
 
-def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
+def _cmd_simulate(parsed, args, out: Path, cfg_hash: str) -> int:
     from .dynamics import simulate, stable_dt
 
-    tcfg = cfg.get("time", {})
-    t_final = checked_number("'time.t_final'", tcfg.get("t_final", 1.0),
-                             positive=True)
-    dt = tcfg.get("dt")
-    if dt is not None:
-        dt = checked_number("'time.dt'", dt, positive=True)
-    every = checked_number("'time.snapshot_every'",
-                           tcfg.get("snapshot_every", 0), integer=True)
-    if every < 0:
-        raise ConfigError(f"'time.snapshot_every' must not be negative, "
-                          f"got {every}")
-    initial = _initial_spec(cfg)
-    model = _model_from_config(cfg, args.paper_literal_operators)
-    state0 = _initial_state(initial, model)
-    traj = simulate(model, t_final=t_final, dt=dt, snapshot_every=every,
-                    initial=state0)
+    model = _model(parsed, args.paper_literal_operators)
+    traj = simulate(model, **parsed["time"],
+                    initial=_initial_state(parsed["initial"], model))
     io_utils.write_energy_log(out / "energy_log.csv", cfg_hash, traj.energy)
     for k, st in enumerate(traj.states):
         io_utils.write_snapshot(out / f"snapshot_{k:05d}.csv", cfg_hash,
@@ -330,7 +475,7 @@ def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
         model.bc[name].kind == "clamped" for name in model.bc
     )
     io_utils.write_summary(out / "run_summary.json", cfg_hash, {
-        "config": cfg,
+        "config": parsed["config"],
         "dt": traj.dt,
         "n_steps": traj.n_steps,
         "stable_dt": stable_dt(model),
@@ -345,26 +490,16 @@ def _cmd_simulate(cfg, args, out: Path, cfg_hash: str) -> int:
     return 0
 
 
-def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
-    _, _, flex, ext = _operators(cfg, args.paper_literal_operators)
-    dcfg = cfg.get("dispersion", {})
-    directions = dcfg.get("directions", [[1, 0], [0, 1], [1, 1]])
-    if not isinstance(directions, list):
-        raise ConfigError(f"'dispersion.directions' must be a list of "
-                          f"[x, y] pairs, got {directions!r}")
-    with_modes = dcfg.get("modes", False)
-    if not isinstance(with_modes, bool):
-        raise ConfigError(f"'dispersion.modes' must be true or false, "
-                          f"got {with_modes!r}")
-    sampling = (checked_number("'dispersion.k_min'", dcfg.get("k_min", 1e-2)),
-                checked_number("'dispersion.k_max'", dcfg.get("k_max", 1e2)),
-                checked_number("'dispersion.n'", dcfg.get("n", 60),
-                               integer=True))
-    try:
-        mags = wavevector_magnitudes(*sampling)
-        xi = default_wavevectors(directions, *sampling)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'dispersion': {exc}") from exc
+@np.errstate(over="ignore", invalid="ignore")
+def _cmd_dispersion(parsed, args, out: Path, cfg_hash: str) -> int:
+    """Overflow in the plane-wave arithmetic is not warned of: a wave
+    matrix that is not finite is refused before its eigensolve."""
+    _, _, flex, ext = _operators(parsed, args.paper_literal_operators)
+    sec = parsed["dispersion"]
+    directions, with_modes = sec["directions"], sec["modes"]
+    mags = sec["magnitudes"]
+    xi = default_wavevectors(directions, k_min=sec["k_min"],
+                             k_max=sec["k_max"], n=sec["n"])
     res = dispersion_curves(flex, ext, xi, with_modes=with_modes)
     results = []
     modes_payload = {}
@@ -382,7 +517,7 @@ def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
     cut_f = cutoff_frequencies(flex)
     cut_e = cutoff_frequencies(ext)
     io_utils.write_summary(out / "dispersion_summary.json", cfg_hash, {
-        "config": cfg,
+        "config": parsed["config"],
         "flexural_cutoffs": cut_f.frequencies,
         "flexural_zero_modes": list(cut_f.zero_mode_fields),
         "extensional_cutoffs": cut_e.frequencies,
@@ -395,7 +530,7 @@ def _cmd_dispersion(cfg, args, out: Path, cfg_hash: str) -> int:
     return 0
 
 
-def _cmd_verify(cfg, args, out: Path, cfg_hash: str) -> int:
+def _cmd_verify(parsed, args, out: Path, cfg_hash: str) -> int:
     from . import verification
 
     results = verification.run_all(seed=args.seed, out_dir=out, verbose=True)
@@ -405,40 +540,19 @@ def _cmd_verify(cfg, args, out: Path, cfg_hash: str) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def _numbers(where: str, values) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
-    return tuple(checked_number(where, v) for v in values)
-
-
-def _cmd_sweep(cfg, args, out: Path, cfg_hash: str) -> int:
-    sw = cfg.get("sweep", {})
-    base = sw.get("base", {})
-    # shared by every point: a bad one would make every point inadmissible
-    E = checked_number("'sweep.base.E'", base.get("E", 1.0), positive=True)
-    nu = checked_number("'sweep.base.nu'", base.get("nu", 0.3))
-    if not -1.0 < nu < 0.5:
-        raise ConfigError(f"'sweep.base.nu' must lie in (-1, 0.5), got {nu}")
-    rho = checked_number("'sweep.base.rho'", base.get("rho", 1.0),
-                         positive=True)
-    h = checked_number("'sweep.base.h'", base.get("h", 0.1), positive=True)
-    J = _numbers("'sweep.base.J'", base.get("J", (1.0, 1.0, 1.0)))
-    if len(J) != 3 or not min(J) > 0.0:
-        raise ConfigError(f"'sweep.base.J' must hold 3 positive numbers, "
-                          f"got {J}")
-    k_mag = checked_number("'sweep.xi_mag'", sw.get("xi_mag", 1.0))
+@np.errstate(over="ignore", invalid="ignore")
+def _cmd_sweep(parsed, args, out: Path, cfg_hash: str) -> int:
+    """Overflow in the plane-wave arithmetic is not warned of, as in
+    ``_cmd_dispersion``."""
+    sw = parsed["sweep"]
+    E, nu, rho, J, h = (sw["base"][k] for k in ("E", "nu", "rho", "J", "h"))
+    k_mag = sw["xi_mag"]
     # the inertia depends on rho, J and h alone, so every point shares it
-    try:
-        inertia = inertia_constants(
-            MaterialParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, rho=rho, J=J), h)
-    except OverflowError:
-        raise ConfigError(f"'sweep.base.h' = {h} overflows h**3") from None
-    Ns = _numbers("'sweep.N'", sw.get("N", [0.1, 0.3, 0.5, 0.7]))
-    lts = _numbers("'sweep.l_t'", sw.get("l_t", [0.05]))
-    lbs = _numbers("'sweep.l_b'", sw.get("l_b", [0.05]))
-    psis = _numbers("'sweep.Psi'", sw.get("Psi", [1.0]))
+    inertia = inertia_constants(
+        MaterialParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, rho=rho, J=J), h)
     points, tcs = [], []
-    for point in itertools.product(Ns, lts, lbs, psis):
+    for point in itertools.product(*(sw[k] for k in ("N", "l_t", "l_b",
+                                                     "Psi"))):
         Nval, lt, lb, psi = point
         try:
             mat = material_from_technical(E=E, nu=nu, N=Nval, l_t=lt, l_b=lb,
@@ -522,14 +636,13 @@ def run(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    if args.command != "validate" and args.command != "constants":
-        out.mkdir(parents=True, exist_ok=True)
     cfg_hash = io_utils.config_hash(cfg)
     try:
-        _check_config_keys(cfg)
-        return _COMMANDS[args.command](cfg, args, out, cfg_hash)
-    except (ConfigError, MaterialError, NonFiniteSymbolError,
-            KeyError) as exc:
+        parsed = parse_config(cfg, args.command)
+        if args.command not in ("validate", "constants"):
+            out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](parsed, args, out, cfg_hash)
+    except (ConfigError, MaterialError, NonFiniteSymbolError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (SingularSystemError, InstabilityError,

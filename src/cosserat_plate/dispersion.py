@@ -192,13 +192,11 @@ def wavevector_magnitudes(k_min: float = 1e-2, k_max: float = 1e2,
     ]))
 
 
-def default_wavevectors(directions=None, k_min: float = 1e-2,
-                        k_max: float = 1e2, n: int = 60) -> np.ndarray:
+def default_wavevectors(directions=((1, 0), (0, 1), (1, 1)),
+                        **sampling) -> np.ndarray:
     """Sample wavevectors along unit directions, log+linear spacing: the
-    ``wavevector_magnitudes`` along each direction in turn."""
-    if directions is None:
-        directions = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    mags = wavevector_magnitudes(k_min, k_max, n)
+    ``wavevector_magnitudes(**sampling)`` along each direction in turn."""
+    mags = wavevector_magnitudes(**sampling)
     out = []
     for d in directions:
         d = np.asarray(d, dtype=float)

@@ -110,6 +110,7 @@ def checked_number(where: str, value, *, integer: bool = False,
 
 
 def checked_pair(where: str, value) -> tuple[float, float]:
+    """[x, y], two finite numbers"""
     try:
         x, y = value
     except (TypeError, ValueError):
@@ -302,8 +303,11 @@ class DiscreteModel:
                                                  self.Y.ravel().tolist())]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble(config: ModelConfig) -> DiscreteModel:
-    """Validate the configuration and build the discrete model."""
+    """Validate the configuration and build the discrete model.  Overflow
+    is not warned of: a matrix with an entry that is not finite, from an
+    input too large for double precision, raises ConfigError."""
     report = validate_parameters(config.material)
     if not report.admissible:
         raise ConfigError(
@@ -311,6 +315,9 @@ def assemble(config: ModelConfig) -> DiscreteModel:
         )
     if config.nx < 5 or config.ny < 5:
         raise ConfigError(f"nx,ny >= 5 required, got {config.nx}x{config.ny}")
+    if 9 * config.nx * config.ny >= 2**31:  # the kernel's int32 columns
+        raise ConfigError(f"9 nx ny < 2^31 required, got "
+                          f"{config.nx:.6g}x{config.ny:.6g}")
     for name, val in (("a", config.a), ("b", config.b), ("h", config.h)):
         if not val > 0.0:
             raise ConfigError(f"geometry {name} must be positive, got {val}")
@@ -327,11 +334,18 @@ def assemble(config: ModelConfig) -> DiscreteModel:
     X, Y = np.meshgrid(x, y, indexing="ij")
     dx = x[1] - x[0]
     dy = y[1] - y[0]
+    if not max(dx, dy) ** 2 < np.inf:  # the stencils divide by it
+        raise ConfigError(f"geometry a = {config.a}, b = {config.b}: the "
+                          f"square of the grid spacing overflows")
 
     flex_d = _Discretization(config, bc, flex, trac.flex, trac.flex_loads,
                              X, Y, dx, dy, "flexural")
     ext_d = _Discretization(config, bc, ext, trac.ext, trac.ext_loads,
                             X, Y, dx, dy, "extensional")
+    for d in (flex_d, ext_d):
+        if not np.isfinite(d.A.data).all():
+            raise ConfigError(f"{d.name} matrix not finite: the moduli, h, a "
+                              f"or b lie outside the range of double precision")
 
     return DiscreteModel(
         config=config, tc=tc, inertia=inertia, flex=flex, ext=ext,

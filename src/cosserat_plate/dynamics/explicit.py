@@ -522,6 +522,8 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     kernel = _Kernel(model)
     bound = stable_dt(model)
     dt = bound if dt is None else checked_number("dt", dt, positive=True)
+    if not math.isfinite(t_final / dt):
+        raise ConfigError(f"t_final / dt = {t_final} / {dt} overflows")
     n_steps = max(1, math.ceil(t_final / dt))
     dt = t_final / n_steps
 

@@ -54,21 +54,10 @@ class MaterialParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MaterialParams":
-        """From a dict of the moduli; a bool, or a J of other than three
-        numbers, is a MaterialError."""
-        def number(key, value):
-            if isinstance(value, bool):
-                raise MaterialError(f"{key} must be a number, got {value!r}")
-            return float(value)
-
-        J = d.get("J", (0.0, 0.0, 0.0))
-        if isinstance(J, str) or len(J) != 3:
-            raise MaterialError(f"J must hold 3 numbers, got {J!r}")
-        return cls(number("lambda", d["lambda"] if "lambda" in d else d["lam"]),
-                   *[number(k, d[k]) for k in
-                     ("mu", "alpha", "beta", "gamma", "epsilon")],
-                   rho=number("rho", d.get("rho", 0.0)),
-                   J=tuple(number("J", j) for j in J))
+        """Inverse of ``to_dict``; the CLI's config schema checks a
+        material given in a config."""
+        d = {**d, "J": tuple(d["J"])}
+        return cls(lam=d.pop("lambda"), **d)
 
     def to_dict(self) -> dict:
         return {
@@ -222,6 +211,9 @@ def technical_constants(
     l_t = math.sqrt(p.gamma / p.mu)
     l_b = 0.5 * math.sqrt((p.gamma + p.epsilon) / p.mu)
     N = math.sqrt(p.alpha / (p.mu + p.alpha))
+    if not N < 1.0:  # TechnicalConstants.alpha divides by 1 - N^2
+        raise MaterialError(f"alpha = {p.alpha} against mu = {p.mu}: "
+                            f"N = sqrt(alpha / (mu + alpha)) rounds to 1")
     Psi = 2.0 * p.gamma / (p.beta + 2.0 * p.gamma)
     return TechnicalConstants(
         E=E, nu=nu, G=G, D=D, l_t=l_t, l_b=l_b, N=N, Psi=Psi,
@@ -277,6 +269,8 @@ def material_from_technical(
     """
     if not (0.0 <= N < 1.0):
         raise MaterialError(f"coupling number must satisfy 0 <= N < 1, got {N}")
+    if Psi == 0.0:
+        raise MaterialError(f"polar ratio Psi must be nonzero, got {Psi}")
     mu = E / (2.0 * (1.0 + nu))
     lam = 2.0 * mu * nu / (1.0 - 2.0 * nu)
     alpha = mu * N**2 / (1.0 - N**2)
