@@ -86,7 +86,7 @@ _LAZY = {
         "SinusoidalLoad", "assemble", "simulate", "stable_dt",
         "static_solve", "step")},
     **{name: (".hpr", name) for name in (
-        "HPRFunctional", "HPRState", "equilibrium_state", "hpr_functional",
+        "HPRFunctional", "HPRState", "equilibrium_state",
         "random_admissible_perturbation")},
 }
 

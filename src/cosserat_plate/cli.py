@@ -366,9 +366,18 @@ def _initial_state(spec, model):
         return state
     idx = KINEMATIC_FIELDS.index(spec["field"])
     cx, cy = spec["center"]
-    prof = spec["amplitude"] * np.exp(
-        -0.5 * ((model.X - cx) ** 2 + (model.Y - cy) ** 2) / spec["width"]**2
-    )
+    try:
+        # the kick's energy is quadratic in it: its square must be finite
+        with np.errstate(over="raise", invalid="raise"):
+            prof = spec["amplitude"] * np.exp(
+                -0.5 * ((model.X - cx) ** 2 + (model.Y - cy) ** 2)
+                / spec["width"]**2)
+            np.square(prof)
+    except FloatingPointError as exc:
+        raise ConfigError(f"'initial' kick overflows on the grid ({exc}): "
+                          f"one of 'initial.amplitude', 'initial.center', "
+                          f"'initial.width' lies outside the range of double "
+                          f"precision") from None
     prof[0, :] = prof[-1, :] = prof[:, 0] = prof[:, -1] = 0.0
     part = ("flex" if idx < 6 else "ext") + (
         "_vel" if spec["kind"] == "velocity" else "")
@@ -410,20 +419,26 @@ def _model(parsed: dict, paper_literal: bool):
         paper_literal=paper_literal))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_constants(parsed, args, out: Path, cfg_hash: str) -> int:
+    """Overflow in the derived constants is not warned of: a constant that
+    is not finite is refused before anything is printed."""
     tc, inertia, flex, ext = _operators(parsed)
-    print(f"E        = {tc.E:.10g}")
-    print(f"nu       = {tc.nu:.10g}")
-    print(f"G        = {tc.G:.10g}")
-    print(f"D        = {tc.D:.10g}")
-    print(f"l_t      = {tc.l_t:.10g}")
-    print(f"l_b      = {tc.l_b:.10g}")
-    print(f"N        = {tc.N:.10g}")
-    print(f"Psi      = {tc.Psi:.10g}")
-    print(f"kappa1^2 = {tc.kappa1_sq:.10g}")
-    print(f"kappa2^2 = {tc.kappa2_sq:.10g}")
-    print("inertia:", {k: getattr(inertia, k) for k in
-                       ("I_o", "rho_o", "I_o1", "I_o2", "J3_s", "I_o3")})
+    named = {"E": tc.E, "nu": tc.nu, "G": tc.G, "D": tc.D, "l_t": tc.l_t,
+             "l_b": tc.l_b, "N": tc.N, "Psi": tc.Psi,
+             "kappa1^2": tc.kappa1_sq, "kappa2^2": tc.kappa2_sq}
+    inertias = {k: getattr(inertia, k) for k in
+              ("I_o", "rho_o", "I_o1", "I_o2", "J3_s", "I_o3")}
+    for key, v in itertools.chain(named.items(), inertias.items(),
+                                  flex.k.items(), flex.K.items(),
+                                  ext.kappa.items()):
+        if not np.isfinite(v):
+            raise ConfigError(f"derived constant {key} = {v} is not finite: "
+                              f"the moduli or h lie outside the range of "
+                              f"double precision")
+    for key, v in named.items():
+        print(f"{key:<8} = {v:.10g}")
+    print("inertia:", inertias)
     print("flexural coefficient table (literal / derived):")
     for i in range(1, 15):
         print(f"  k{i:<3} = {flex.k[f'k{i}']:.10g}   K{i:<3} = {flex.K[f'K{i}']:.10g}")

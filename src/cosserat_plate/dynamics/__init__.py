@@ -29,7 +29,7 @@ _LAZY = {
         "GUARD_EVERY", "DiscreteState", "EnergyLog", "Trajectory",
         "simulate", "stable_dt", "step")},
     **{name: (".static", name) for name in (
-        "_nested_dissection", "_static_rhs", "_StaticFactor",
+        "_line_order", "_nested_dissection", "_static_rhs", "_StaticFactor",
         "static_solve", "worst_static_row")},
 }
 

@@ -538,7 +538,7 @@ class _Discretization:
 
     @cached_property
     def static_factor(self) -> "_StaticFactor":
-        """LU factor of the condensed static system, built on first use so
+        """Factor of the condensed static system, built on first use so
         repeat static solves never refactor and dynamic runs never pay."""
         from .static import _StaticFactor
         return _StaticFactor(self)
@@ -553,22 +553,35 @@ class _Discretization:
         normals), so the load vector at t is sum_k e_k(t) F[k].  A preset
         that leaves both zero, one that loads only the other subsystem, is
         dropped.  Built on first use: each spatial field is evaluated once
-        per model and subsystem."""
+        per model and subsystem.  A load whose field or load vectors
+        overflow is a ConfigError naming it."""
         zeros = LoadSet(*[np.zeros_like(self.X)] * 4)
         normal = (self.normal[:, :, 0], self.normal[:, :, 1])
         presets, F, T = [], [], []
         for name, f in vars(self.loads).items():
             if f is None:
                 continue
-            space = np.asarray(f.space(self.X, self.Y), dtype=float)
-            gx, gy = np.gradient(space, self.dx, self.dy, edge_order=2)
-            loads, grad1, grad2 = (replace(zeros, **{name: a})
-                                   for a in (space, gx, gy))
-            Fk = np.concatenate([np.ravel(r)[self.interior_nodes] for r in
-                                 self.op.load_vector(loads, grad1, grad2)])
-            Tk = -np.concatenate([np.ravel(r)[self.trac_nodes] for r in
-                                  traction_load_part(self.tn_loads, loads,
-                                                     normal)])
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    space = np.asarray(f.space(self.X, self.Y), dtype=float)
+                    gx, gy = np.gradient(space, self.dx, self.dy,
+                                         edge_order=2)
+                    loads, grad1, grad2 = (replace(zeros, **{name: a})
+                                           for a in (space, gx, gy))
+                    Fk = np.concatenate([
+                        np.ravel(r)[self.interior_nodes] for r in
+                        self.op.load_vector(loads, grad1, grad2)])
+                    Tk = -np.concatenate([
+                        np.ravel(r)[self.trac_nodes] for r in
+                        traction_load_part(self.tn_loads, loads, normal)])
+                if not (np.isfinite(Fk).all() and np.isfinite(Tk).all()):
+                    raise FloatingPointError("load vector not finite")
+            except FloatingPointError as exc:
+                keys = ", ".join(f"'loads.{name}.{k}'" for k in vars(f))
+                raise ConfigError(
+                    f"'loads.{name}' overflows on the grid ({exc}): one of "
+                    f"{keys} lies outside the range of double "
+                    f"precision") from None
             if np.any(Fk) or np.any(Tk):
                 presets.append(f)
                 F.append(Fk)

@@ -1,14 +1,16 @@
 """Static solves on the discretization.
 
 ``static_solve`` solves each subsystem's system A h = b condensed onto its
-free (interior and traction) dofs and factored (``_StaticFactor``).  The
-factor is built on the first static solve and cached on the
-discretization, so later solves on one model only run the triangular
-solves.  A subsystem whose right-hand side is all zero (no load, no
-boundary data, no extra forcing) is never factored: its solution is +0.
-Factor fill, free-dof count and residuals are logged at DEBUG level; the
-normwise backward error of each solve is logged too and returned in
-``static_solve``'s diagnostics.
+free (interior and traction) dofs and factored (``_StaticFactor``): by
+banded Cholesky when the condensed matrix is symmetric, as on clamped
+plates, and by SuperLU otherwise.  The factor is built on the first
+static solve and cached on the discretization, so later solves on one
+model only run the triangular solves.  A subsystem whose right-hand side
+is all zero (no load, no boundary data, no extra forcing) is never
+factored: its solution is +0.  The factor's kind and size, the free-dof
+count and residuals are logged at DEBUG level; the normwise backward
+error of each solve is logged too and returned in ``static_solve``'s
+diagnostics.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import ctypes
 import logging
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from ..plate_fields import PlateKinematics
@@ -66,16 +69,43 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     return np.concatenate(order)
 
 
+def _line_order(nx: int, ny: int) -> np.ndarray:
+    """Node indices i * ny + j of the nx x ny grid line by line, each line
+    along the shorter side, which gives a stencil matrix its narrowest
+    band: a node couples to the nodes of the next line at most one line
+    length plus one later."""
+    nodes = np.arange(nx * ny).reshape(nx, ny)
+    return (nodes if ny <= nx else nodes.T).ravel()
+
+
 class _StaticFactor:
     """The static system of one subsystem, condensed and factored.
 
     The identity Dirichlet rows and columns are removed, leaving the free
-    (interior and traction) dofs F and A_FF h_F = b_F - A_FD g.  F is
-    ordered by nested dissection of the node grid with all fields of a
-    node adjacent, and SuperLU factors A_FF in that order with threshold
-    pivoting that prefers the diagonal.  Each solve adds ``REFINE`` steps
-    of iterative refinement against A_FF, which recover the accuracy the
-    relaxed pivoting gives up.
+    (interior and traction) dofs F and A_FF h_F = b_F - A_FD g, with all
+    fields of a node adjacent.  Which factor A_FF gets depends on its
+    measured symmetry, not on the kind of its edges:
+
+    - **Symmetric** (max|A_FF - A_FF^T| <= ``SYMMETRY_TOL`` ||A_FF||): the
+      static equations are the stationarity conditions of the positive
+      definite plate energy, so -A_FF is symmetric positive definite, as
+      on every clamped plate (asymmetry 0 to 1.6e-19).  F is ordered line
+      by line, each line along the grid's shorter side, and -A_FF's lower
+      band is factored by LAPACK's banded Cholesky (pbtrf), which runs
+      dense kernels at several times SuperLU's rate.  A system whose band
+      could take more than ``BAND_MAX_BYTES`` goes to SuperLU instead:
+      band storage grows as n^3 and its work as n^4 on an n x n grid,
+      against n^2 log n and n^3 for nested dissection (George & Liu,
+      1981), so past about 129^2 the band loses on both.
+    - **Not symmetric**: traction rows (4-7% asymmetry) and the literal
+      coefficient tables (0.3-0.5% on a clamped plate).  F is ordered by
+      nested dissection of the node grid and SuperLU factors A_FF in that
+      order with threshold pivoting that prefers the diagonal.
+
+    Each solve adds ``REFINE`` steps of iterative refinement against A_FF,
+    which recover the accuracy the relaxed pivoting gives up.  A symmetric
+    A_FF that is not negative definite, like a singular one, raises
+    ``SingularSystemError``.
 
     ``PIVOT_THRESH`` lets SuperLU keep a diagonal pivot down to that
     fraction of its column's largest entry.  The cantilever's smallest
@@ -88,23 +118,28 @@ class _StaticFactor:
 
     REFINE = 2
     PIVOT_THRESH = 1.0e-3
+    SYMMETRY_TOL = 1.0e-12
+    # a 129^2 flexural band takes 0.56 GiB, a 257^2 one 4.5 GiB
+    BAND_MAX_BYTES = 2**30
 
     def __init__(self, d: _Discretization):
         self.name = d.name
-        nn = d.nx * d.ny
-        nodes = _nested_dissection(d.nx, d.ny)
-        nodes = nodes[d.kind.ravel()[nodes] != 1]  # drop Dirichlet nodes
-        self.free = (nodes[:, None] + nn * np.arange(d.nf)[None, :]).ravel()
         self.dirich = d.dirich_dofs
-        A_F = d.A[self.free]
-        self.A_FF = A_F[:, self.free]
-        self.A_FD = A_F[:, self.dirich]
-        del A_F
+        self.lu = self.cho = band = None
+        self._condense(d, _nested_dissection(d.nx, d.ny))
         # ||A_FF|| in the infinity norm, the largest |row| sum, for the
-        # backward error; its temporary |A_FF| is freed before SuperLU runs
+        # backward error; its temporary |A_FF| is freed before the factor
         self.norm = float(np.max(_abs_matvec(self.A_FF,
                                              np.ones(self.free.size))))
         self.backward_error = None
+        # a row of the line-ordered A_FF reaches at most one node past the
+        # next line: fewer than (min(nx, ny) + 2) nf subdiagonals
+        band_bytes = 8 * (min(d.nx, d.ny) + 2) * d.nf * self.free.size
+        if (band_bytes <= self.BAND_MAX_BYTES
+                and abs(self.A_FF - self.A_FF.T).max()
+                <= self.SYMMETRY_TOL * self.norm):
+            self._condense(d, _line_order(d.nx, d.ny))
+            band = self._lower_band()
         # SuperLU sizes its work arrays from a fill estimate and touches only
         # part of them.  On fresh pages the untouched part costs no memory;
         # on C-heap pages that earlier work touched and freed, which glibc
@@ -115,17 +150,62 @@ class _StaticFactor:
         # runs spread over 221-261 MiB; trimmed, over 224-228 MiB.
         _malloc_trim(0)
         try:
-            self.lu = spla.splu(self.A_FF.tocsc(), permc_spec="NATURAL",
-                                diag_pivot_thresh=self.PIVOT_THRESH,
-                                options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
+            if band is not None:
+                self.cho = sla.cholesky_banded(band, lower=True,
+                                               overwrite_ab=True,
+                                               check_finite=False)
+            else:
+                self.lu = spla.splu(self.A_FF.tocsc(), permc_spec="NATURAL",
+                                    diag_pivot_thresh=self.PIVOT_THRESH,
+                                    options=dict(SymmetricMode=True))
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SingularSystemError(
                 f"{d.name} static factorization failed: {exc}") from exc
         _malloc_trim(0)
-        if _log.isEnabledFor(logging.DEBUG):
+        if not _log.isEnabledFor(logging.DEBUG):
+            return
+        if band is not None:
+            _log.debug("%s static factor: %d free dofs, band Cholesky, "
+                       "half-bandwidth %d, band storage %.1f MiB", d.name,
+                       self.free.size, self.cho.shape[0] - 1,
+                       self.cho.nbytes / 2**20)
+        else:
             # lu.L and lu.U are copies of the factor: build them only here
-            _log.debug("%s static factor: %d free dofs, L+U nnz %d", d.name,
-                       self.free.size, self.lu.L.nnz + self.lu.U.nnz)
+            _log.debug("%s static factor: %d free dofs, SuperLU, L+U nnz %d",
+                       d.name, self.free.size, self.lu.L.nnz + self.lu.U.nnz)
+
+    def _condense(self, d: _Discretization, nodes: np.ndarray) -> None:
+        """The free dofs, node by node in the order ``nodes``, and A_FF and
+        A_FD in that order."""
+        nn = d.nx * d.ny
+        nodes = nodes[d.kind.ravel()[nodes] != 1]  # drop Dirichlet nodes
+        self.free = (nodes[:, None] + nn * np.arange(d.nf)[None, :]).ravel()
+        A_F = d.A[self.free]
+        self.A_FF = A_F[:, self.free]
+        self.A_FD = A_F[:, self.dirich]
+
+    def _lower_band(self) -> np.ndarray:
+        """-A_FF's lower band in LAPACK's band storage, ab[i - j, j] =
+        -A_FF[i, j] for 0 <= i - j <= kd.  The array is in Fortran order,
+        which pbtrf takes in place; f2py copies a C-order one."""
+        A, n = self.A_FF, self.free.size
+        # trimmed as before the factor: the freed temporaries of the
+        # symmetry check and the first condensation would otherwise stay
+        # resident under the band (1-3 MiB more peak RSS at 65^2)
+        _malloc_trim(0)
+        off = np.repeat(np.arange(n), np.diff(A.indptr)) - A.indices
+        kd = int(off.max())
+        lower = off >= 0
+        band = np.zeros((kd + 1, n), order="F")
+        # the flat index stays below 2^27 under BAND_MAX_BYTES
+        band.ravel(order="F")[(kd + 1) * A.indices[lower]
+                              + off[lower]] = -A.data[lower]
+        return band
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        if self.lu is not None:
+            return self.lu.solve(b)
+        return sla.cho_solve_banded((self.cho, True), -b, check_finite=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Full-grid h with A h = rhs, where rhs holds the Dirichlet data g
@@ -135,13 +215,13 @@ class _StaticFactor:
         g = rhs[self.dirich]
         b = rhs[self.free] - self.A_FD @ g
         scale = max(np.max(np.abs(b)), 1.0e-300)
-        x = self.lu.solve(b)
+        x = self._solve(b)
         resid = []
         for k in range(self.REFINE + 1):
             r = b - self.A_FF @ x
             resid.append(np.max(np.abs(r)))
             if k < self.REFINE:
-                x += self.lu.solve(r)
+                x += self._solve(r)
         self.backward_error = float(
             resid[-1] / (self.norm * np.max(np.abs(x)) + scale))
         _log.debug("%s static solve: %d free dofs, %d refinement steps, "

@@ -243,11 +243,6 @@ class HPRFunctional:
                 for d in perturbations]
 
 
-def hpr_functional(model: DiscreteModel, state: HPRState, t: float = 0.0) -> float:
-    """Value of Theta for a mixed state on a discrete model."""
-    return HPRFunctional(model, t).value(state)
-
-
 def random_admissible_perturbation(model: DiscreteModel, rng,
                                    interior_only: bool = True) -> HPRState:
     """Smooth random perturbation of all kinematic and resultant fields.

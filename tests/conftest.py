@@ -29,6 +29,28 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def count_static_factors(mp, record=lambda d: d.name) -> list:
+    """Make every static factor built while ``mp`` is active, band Cholesky
+    or SuperLU, append ``record`` of its discretization to the returned
+    list, before it factors.  ``mp`` patches the name that
+    ``_Discretization.static_factor`` looks up."""
+    built = []
+
+    class CountingFactor(dynamics._StaticFactor):
+        def __init__(self, d):
+            built.append(record(d))
+            super().__init__(d)
+
+    mp.setattr(dynamics.static, "_StaticFactor", CountingFactor)
+    return built
+
+
+@pytest.fixture
+def static_factors(monkeypatch):
+    """The subsystem names of the static factors a test builds, in order."""
+    return count_static_factors(monkeypatch)
+
+
 @pytest.fixture(scope="session")
 def verify_run(tmp_path_factory):
     """One ``run_all(seed=0)`` per test session, which gives suite k its
@@ -36,7 +58,6 @@ def verify_run(tmp_path_factory):
     and the subsystem names of every static factor built for the 65^2
     classical plate."""
     out = tmp_path_factory.mktemp("verify")
-    factors = []
     assemble = verification.assemble
     classical = verification._classical_material()
 
@@ -46,19 +67,14 @@ def verify_run(tmp_path_factory):
             model.flex_d.classical = model.ext_d.classical = True
         return model
 
-    class CountingFactor(dynamics._StaticFactor):
-        def __init__(self, d):
-            if getattr(d, "classical", False):
-                factors.append((d.name, d.nx, d.ny))
-            super().__init__(d)
-
     printed = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "assemble", marking_assemble)
-        # the name ``_Discretization.static_factor`` looks up
-        mp.setattr(dynamics.static, "_StaticFactor", CountingFactor)
+        built = count_static_factors(mp, lambda d: (
+            d.name, d.nx, d.ny, getattr(d, "classical", False)))
         with contextlib.redirect_stdout(printed):
             results = verification.run_all(seed=0, out_dir=out)
+    factors = [f[:3] for f in built if f[3]]
     return results, printed.getvalue().splitlines(), out, factors
 
 

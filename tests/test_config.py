@@ -140,6 +140,15 @@ def test_random_leaf_values_exit_cleanly(fuzz_dir, case, value):
     *[(c, ("loads", "t", k), 1e308, f"'loads.t.{k}'")
       for c in ("static", "simulate") for k in ("width", "tau")],
     ("simulate", ("initial", "width"), 1e308, "'initial.width'"),
+    *[(c, ("loads", *leaf), 1e308, f"'loads.{leaf[0]}.{leaf[1]}'")
+      for c in ("static", "simulate")
+      for leaf in (("p", "amplitude"), ("sigma0", "amplitude"),
+                   ("sigma0", "kx"), ("sigma0", "ky"), ("t", "amplitude"),
+                   ("t", "center", 0), ("t", "center", 1))],
+    *[("simulate", ("initial", *leaf), 1e308, f"'initial.{leaf[0]}'")
+      for leaf in (("amplitude",), ("center", 0), ("center", 1))],
+    *[("constants", ("material", k), 1e308, "derived constant E = inf")
+      for k in ("lambda", "mu")],
     ("simulate", ("time", "t_final"), 1e308, "t_final / dt = 1e+308"),
     ("dispersion", ("dispersion", "directions", 0, 0), 1e308,
      "'dispersion.directions'"),
@@ -148,7 +157,9 @@ def test_overflowing_input_is_named(tmp_path, capsys, command, path, value,
                                     named):
     """Each ended in an exception, or for static in a solver failure
     (exit 1) blamed on the factorisation; the huge direction normalised to
-    zero, silently."""
+    zero, silently.  A huge load value ended static and simulate in a
+    solver failure, or for a center ran on a load or kick that underflowed
+    to zero; constants printed inf and nan."""
     assert _run(tmp_path, _with(path, value), command) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err

@@ -11,9 +11,35 @@ from cosserat_plate.cosserat3d import (
     stress_from_strain_3d,
 )
 from cosserat_plate.material import MaterialParams, reciprocal_constants
-from cosserat_plate.oracles import constitutive_matrices
 
 ONES = MaterialParams(lam=1, mu=1, alpha=1, beta=1, gamma=1, epsilon=1)
+
+
+def constitutive_matrices(p: MaterialParams):
+    """(A_sigma, A_mu): 9x9 matrices acting on row-major flattened tensors.
+
+    Assembled index-by-index from the Kronecker-delta structure of the
+    isotropic law, independent of the tensor-expression implementation.
+    """
+    def assemble(c_sym, c_skw, c_tr):
+        A = np.zeros((9, 9))
+        for j in range(3):
+            for i in range(3):
+                for l in range(3):
+                    for k in range(3):
+                        val = 0.0
+                        if j == l and i == k:
+                            val += c_sym
+                        if j == k and i == l:
+                            val += c_skw
+                        if j == i and l == k:
+                            val += c_tr
+                        A[3 * j + i, 3 * l + k] = val
+        return A
+
+    A_sigma = assemble(p.mu + p.alpha, p.mu - p.alpha, p.lam)
+    A_mu = assemble(p.gamma + p.epsilon, p.gamma - p.epsilon, p.beta)
+    return A_sigma, A_mu
 
 
 def test_zero_maps_to_zero():

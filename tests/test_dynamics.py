@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import SRC, random_material, run_fresh
+from conftest import SRC, admissible_materials, random_material, run_fresh
+from hypothesis import given, settings
 import scipy.sparse.linalg as spla
 
 from cosserat_plate import dynamics, oracles
@@ -491,7 +492,8 @@ RIGHT_TOP_TRACTION = {
 
 
 class TestStaticFactor:
-    """The condensed, nested-dissection-ordered static factorization."""
+    """The condensed static factorization: band Cholesky of a symmetric
+    system, nested-dissection SuperLU of any other."""
 
     @pytest.mark.parametrize("nx,ny", [(17, 17), (13, 21), (21, 13)])
     @pytest.mark.parametrize("bc", [CLAMPED_WITH_DATA, RIGHT_TOP_TRACTION],
@@ -506,26 +508,86 @@ class TestStaticFactor:
             assert np.max(np.abs(h.ravel() - ref)) <= \
                 1e-9 * np.max(np.abs(ref)), d.name
 
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              database=None)
+    @given(admissible_materials())
+    def test_symmetric_system_takes_the_band_factor(self, material):
+        """On a clamped plate A_FF is symmetric: -A_FF is factored in band
+        storage, with lines along the shorter side (along the longer one
+        the half-bandwidth would be at least (max(nx, ny) - 1) nf), and the
+        solution keeps the full-matrix accuracy."""
+        for nx, ny in ((17, 17), (13, 21), (21, 13)):
+            model = make_model(nx=nx, ny=ny, bc=CLAMPED_WITH_DATA,
+                               material=material, loads=STATIC_LOADS)
+            kin, diag = static_solve(model)
+            for d, h in ((model.flex_d, kin.flexural()),
+                         (model.ext_d, kin.extensional())):
+                f = d.static_factor
+                assert f.lu is None and f.cho.flags.f_contiguous, d.name
+                assert f.cho.shape[0] - 1 < min(nx, ny) * d.nf, d.name
+                rhs = dynamics._static_rhs(d)
+                ref = spla.spsolve(d.A.tocsc(), rhs)
+                assert np.max(np.abs(h.ravel() - ref)) <= \
+                    1e-9 * np.max(np.abs(ref)), d.name
+                assert diag[f"{d.name}_backward_error"] < 1e-14
+
+    @pytest.mark.parametrize("bc,literal", [(CANTILEVER, False),
+                                            (None, True)],
+                             ids=["cantilever", "paper-literal"])
+    def test_nonsymmetric_system_takes_superlu(self, bc, literal):
+        """Traction rows and the literal coefficient tables make A_FF
+        nonsymmetric, clamped edges or not: SuperLU factors it."""
+        cfg = ModelConfig(material=micropolar_material(), h=0.1, a=1.0,
+                          b=1.0, nx=13, ny=13, bc=bc or dict(ALL_CLAMPED),
+                          loads=STATIC_LOADS, paper_literal=literal)
+        model = assemble(cfg)
+        for d in (model.flex_d, model.ext_d):
+            f = d.static_factor
+            assert f.cho is None and f.lu is not None, d.name
+
+    def test_band_above_its_bound_goes_to_superlu(self, monkeypatch):
+        model = make_model(nx=13, ny=13, loads=STATIC_LOADS)
+        band, _ = static_solve(model)
+        monkeypatch.setattr(dynamics._StaticFactor, "BAND_MAX_BYTES",
+                            model.ext_d.static_factor.cho.nbytes - 1)
+        model = make_model(nx=13, ny=13, loads=STATIC_LOADS)
+        lu, _ = static_solve(model)
+        assert model.flex_d.static_factor.lu is not None
+        assert model.ext_d.static_factor.lu is not None
+        assert np.max(np.abs(lu.as_array() - band.as_array())) <= \
+            1e-12 * np.max(np.abs(band.as_array()))
+
+    def test_indefinite_symmetric_system_names_the_subsystem(
+            self, monkeypatch):
+        """A symmetric A_FF whose negative is not positive definite fails
+        the band Cholesky as a singular system."""
+        model = make_model(loads=STATIC_LOADS)
+        monkeypatch.setattr(model.flex_d, "A", -model.flex_d.A)
+        with pytest.raises(SingularSystemError,
+                           match="flexural static factorization failed: "
+                                 ".*not positive definite"):
+            static_solve(model)
+
+    def test_line_order_runs_along_the_shorter_side(self):
+        assert np.array_equal(dynamics._line_order(3, 2),
+                              [0, 1, 2, 3, 4, 5])
+        assert np.array_equal(dynamics._line_order(2, 3),
+                              [0, 3, 1, 4, 2, 5])
+
     def test_nested_dissection_is_a_permutation(self):
         for nx, ny in ((5, 5), (13, 21), (21, 13), (65, 65)):
             order = dynamics._nested_dissection(nx, ny)
             assert np.array_equal(np.sort(order), np.arange(nx * ny))
 
-    def test_second_solve_does_not_refactor(self, monkeypatch):
-        model = make_model(bc=CANTILEVER, loads=STATIC_LOADS)
-        calls = []
-        splu = spla.splu
-
-        def counting_splu(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics.spla, "splu", counting_splu)
-        kin1, _ = static_solve(model)
-        assert len(calls) == 2  # one factor per subsystem
-        kin2, _ = static_solve(model)
-        assert len(calls) == 2
-        assert np.array_equal(kin1.as_array(), kin2.as_array())
+    def test_second_solve_does_not_refactor(self, static_factors):
+        for bc in (None, CANTILEVER):  # band Cholesky, SuperLU
+            static_factors.clear()
+            model = make_model(bc=bc, loads=STATIC_LOADS)
+            kin1, _ = static_solve(model)
+            assert len(static_factors) == 2  # one factor per subsystem
+            kin2, _ = static_solve(model)
+            assert len(static_factors) == 2
+            assert np.array_equal(kin1.as_array(), kin2.as_array())
 
     def test_static_solve_factors_no_traction_block(self, monkeypatch):
         """A static cantilever solve factors A_FF once per subsystem and
@@ -573,30 +635,40 @@ class TestStaticFactor:
 
     def test_logs_fill_and_refinement(self, caplog):
         caplog.set_level(logging.DEBUG, logger=dynamics.__name__)
-        model = make_model(bc=CANTILEVER, loads=STATIC_LOADS)
-        static_solve(model)
-        static_solve(model)
-        lines = [r.getMessage() for r in caplog.records]
-        factor = [ln for ln in lines if "static factor" in ln]
-        solves = [ln for ln in lines if "static solve" in ln]
-        assert len(factor) == 2 and len(solves) == 4
-        assert factor[0].startswith("flexural") and "L+U nnz" in factor[0]
-        assert all("2 refinement steps, relative residual" in ln
-                   for ln in solves)
-        # the normwise backward error ||r|| / (||A_FF|| ||x|| + ||b||) in
-        # the infinity norm, recomputed from the dense A_FF
-        for d, ln in zip((model.flex_d, model.ext_d), solves):
-            assert ln.startswith(d.name)
-            logged = float(re.search(r", backward error (\S+)$", ln)[1])
-            f = d.static_factor
-            rhs = dynamics._static_rhs(d)
-            x = f.solve(rhs)[f.free]
-            b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
-            norm = np.max(np.sum(np.abs(f.A_FF.toarray()), axis=1))
-            want = np.max(np.abs(b - f.A_FF @ x)) / (
-                norm * np.max(np.abs(x)) + np.max(np.abs(b)))
-            assert logged == pytest.approx(want, rel=1e-2)
-            assert logged < 1e-14
+        for bc in (CANTILEVER, None):  # SuperLU, band Cholesky
+            caplog.clear()
+            model = make_model(bc=bc, loads=STATIC_LOADS)
+            static_solve(model)
+            static_solve(model)
+            lines = [r.getMessage() for r in caplog.records]
+            factor = [ln for ln in lines if "static factor" in ln]
+            solves = [ln for ln in lines if "static solve" in ln]
+            assert len(factor) == 2 and len(solves) == 4
+            assert factor[0].startswith("flexural")
+            for d, ln in zip((model.flex_d, model.ext_d), factor):
+                f = d.static_factor
+                if bc is CANTILEVER:
+                    assert f"SuperLU, L+U nnz {f.lu.L.nnz + f.lu.U.nnz}" in ln
+                else:
+                    kd, mib = f.cho.shape[0] - 1, f.cho.nbytes / 2**20
+                    assert ln.endswith(f"band Cholesky, half-bandwidth {kd}, "
+                                       f"band storage {mib:.1f} MiB")
+            assert all("2 refinement steps, relative residual" in ln
+                       for ln in solves)
+            # the normwise backward error ||r|| / (||A_FF|| ||x|| + ||b||)
+            # in the infinity norm, recomputed from the dense A_FF
+            for d, ln in zip((model.flex_d, model.ext_d), solves):
+                assert ln.startswith(d.name)
+                logged = float(re.search(r", backward error (\S+)$", ln)[1])
+                f = d.static_factor
+                rhs = dynamics._static_rhs(d)
+                x = f.solve(rhs)[f.free]
+                b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
+                norm = np.max(np.sum(np.abs(f.A_FF.toarray()), axis=1))
+                want = np.max(np.abs(b - f.A_FF @ x)) / (
+                    norm * np.max(np.abs(x)) + np.max(np.abs(b)))
+                assert logged == pytest.approx(want, rel=1e-2)
+                assert logged < 1e-14
 
 
     @pytest.mark.parametrize("bc", [CANTILEVER, CLAMPED_WITH_DATA],
@@ -625,6 +697,41 @@ class TestStaticFactor:
             assert diag[f"{name}_backward_error"] < 1e-14
             # a repeat solve on the cached factor reports the same number
             assert static_solve(model)[1] == diag
+
+
+def mindlin_verlet_trajectory(D, nu, S, I, rho_h, a, b, nx, ny, v0_w,
+                              dt, n_steps):
+    """Free vibration of the classical plate with the same explicit scheme.
+
+    Initial condition: zero fields, w-velocity profile v0_w.  Returns the
+    (psi1, psi2, w) trajectory sampled every step, for trajectory-level
+    comparison with the micropolar solver at N ~ 0.
+    """
+    A, nn = oracles.mindlin_assemble(D, nu, S, a, b, nx, ny)
+    interior = np.arange(nn).reshape(nx, ny)[1:-1, 1:-1].ravel()
+    idofs = np.concatenate([f * nn + interior for f in range(3)])
+    mass = np.concatenate([
+        np.full(interior.size, I), np.full(interior.size, I),
+        np.full(interior.size, rho_h),
+    ])
+    A_int = A[idofs]
+
+    h = np.zeros(3 * nn)
+    v = np.zeros(3 * nn)
+    v[2 * nn + interior] = v0_w.reshape(nx, ny)[1:-1, 1:-1].ravel()
+
+    def accel(hv):
+        return (A_int @ hv) / mass
+
+    out = [h.copy()]
+    a0 = accel(h)
+    for _ in range(n_steps):
+        vi = v[idofs] + 0.5 * dt * a0
+        h[idofs] += dt * vi
+        a0 = accel(h)
+        v[idofs] = vi + 0.5 * dt * a0
+        out.append(h.copy())
+    return np.asarray(out), nn
 
 
 class TestSimulate:
@@ -702,7 +809,7 @@ class TestSimulate:
                         initial=s)
         tc = model.tc
         S = tc.kappa1_sq * tc.G * tc.h
-        hist, nn = oracles.mindlin_verlet_trajectory(
+        hist, nn = mindlin_verlet_trajectory(
             tc.D, tc.nu, S, model.inertia.I_o, model.inertia.rho_o,
             1.0, 1.0, model.nx, model.ny, v0, dt, n_steps,
         )

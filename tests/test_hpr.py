@@ -13,7 +13,6 @@ from cosserat_plate.hpr import (
     HPRFunctional,
     HPRState,
     equilibrium_state,
-    hpr_functional,
     random_admissible_perturbation,
 )
 from cosserat_plate.material import material_from_technical
@@ -40,6 +39,11 @@ def zero_state(model):
     z = {n: np.zeros((model.nx, model.ny)) for n in KINEMATIC_FIELDS}
     s = {n: np.zeros((model.nx, model.ny)) for n in STRESS_FIELDS}
     return HPRState(u=PlateKinematics(**z), s=PlateStress(**s))
+
+
+def hpr_functional(model, state: HPRState, t: float = 0.0) -> float:
+    """Value of Theta for a mixed state on a discrete model."""
+    return HPRFunctional(model, t).value(state)
 
 
 def test_zero_state_zero_loads_zero_value():

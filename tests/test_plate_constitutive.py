@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_material
+from quadrature_oracles import strain_profiles, work_density_quadrature
 from cosserat_plate.material import MaterialParams, technical_constants
-from cosserat_plate.oracles import (
-    strain_profiles,
-    work_density_quadrature,
-)
 from cosserat_plate.plate_constitutive import (
     internal_work_density,
     plate_energy_density,

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_material
-from cosserat_plate.material import MaterialParams
-from cosserat_plate.oracles import (
+from quadrature_oracles import (
     OMEGA3_INERTIA_QUADRATURE,
     kinetic_density_quadrature,
 )
+from cosserat_plate.material import MaterialParams
 from cosserat_plate.plate_fields import (
     InertiaSet,
     K4_STAR,
