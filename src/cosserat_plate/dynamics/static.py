@@ -15,6 +15,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import logging
 
@@ -35,6 +36,48 @@ try:
 except (AttributeError, OSError, TypeError):
     def _malloc_trim(pad: int) -> int:
         return 0
+
+
+def _blas_threads():
+    """The getter and setter of the thread count of the OpenBLAS that
+    ``scipy.linalg`` calls, looked up among the libraries its LAPACK
+    module links (scipy's wheels prefix the names with ``scipy_``); None
+    for any other BLAS."""
+    try:
+        lib = ctypes.CDLL(sla._flapack.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            return (getattr(lib, prefix + "_get_num_threads"),
+                    getattr(lib, prefix + "_set_num_threads"))
+        except AttributeError:
+            pass
+    return None
+
+
+_BLAS_THREADS = _blas_threads()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the thread count.
+
+    On a 2-vCPU VM a two-thread band Cholesky gains nothing, and the first
+    one in a process is now and then five times slower: a 65^2 flexural
+    factor took 1.03 s in one of six fresh processes, against 0.15-0.22 s
+    on one thread.  One thread also keeps the factor's rounding, and so
+    the printed residuals, the same on every host."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _BLAS_THREADS
+    n = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(n)
 
 
 def _nested_dissection(nx: int, ny: int) -> np.ndarray:
@@ -92,11 +135,12 @@ class _StaticFactor:
       on every clamped plate (asymmetry 0 to 1.6e-19).  F is ordered line
       by line, each line along the grid's shorter side, and -A_FF's lower
       band is factored by LAPACK's banded Cholesky (pbtrf), which runs
-      dense kernels at several times SuperLU's rate.  A system whose band
-      could take more than ``BAND_MAX_BYTES`` goes to SuperLU instead:
-      band storage grows as n^3 and its work as n^4 on an n x n grid,
-      against n^2 log n and n^3 for nested dissection (George & Liu,
-      1981), so past about 129^2 the band loses on both.
+      dense kernels at several times SuperLU's rate.  Its storage grows as
+      n^3 and its work as n^4 on an n x n grid, against n^2 log n and n^3
+      for nested dissection (George & Liu, 1981): it is faster at every
+      grid measured, up to 129^2, but from 97^2 on it takes more memory
+      (854 against 596 MiB peak RSS for a 129^2 solve).  The factor runs
+      on one BLAS thread (``_one_blas_thread``).
     - **Not symmetric**: traction rows (4-7% asymmetry) and the literal
       coefficient tables (0.3-0.5% on a clamped plate).  F is ordered by
       nested dissection of the node grid and SuperLU factors A_FF in that
@@ -119,27 +163,23 @@ class _StaticFactor:
     REFINE = 2
     PIVOT_THRESH = 1.0e-3
     SYMMETRY_TOL = 1.0e-12
-    # a 129^2 flexural band takes 0.56 GiB, a 257^2 one 4.5 GiB
-    BAND_MAX_BYTES = 2**30
 
     def __init__(self, d: _Discretization):
         self.name = d.name
         self.dirich = d.dirich_dofs
         self.lu = self.cho = band = None
-        self._condense(d, _nested_dissection(d.nx, d.ny))
+        self._condense(d, _line_order(d.nx, d.ny))
         # ||A_FF|| in the infinity norm, the largest |row| sum, for the
-        # backward error; its temporary |A_FF| is freed before the factor
+        # backward error; its temporary |A_FF| is freed before the factor.
+        # Neither it nor the symmetry check depends on the dof order.
         self.norm = float(np.max(_abs_matvec(self.A_FF,
                                              np.ones(self.free.size))))
         self.backward_error = None
-        # a row of the line-ordered A_FF reaches at most one node past the
-        # next line: fewer than (min(nx, ny) + 2) nf subdiagonals
-        band_bytes = 8 * (min(d.nx, d.ny) + 2) * d.nf * self.free.size
-        if (band_bytes <= self.BAND_MAX_BYTES
-                and abs(self.A_FF - self.A_FF.T).max()
+        if (abs(self.A_FF - self.A_FF.T).max()
                 <= self.SYMMETRY_TOL * self.norm):
-            self._condense(d, _line_order(d.nx, d.ny))
             band = self._lower_band()
+        else:
+            self._condense(d, _nested_dissection(d.nx, d.ny))
         # SuperLU sizes its work arrays from a fill estimate and touches only
         # part of them.  On fresh pages the untouched part costs no memory;
         # on C-heap pages that earlier work touched and freed, which glibc
@@ -151,9 +191,10 @@ class _StaticFactor:
         _malloc_trim(0)
         try:
             if band is not None:
-                self.cho = sla.cholesky_banded(band, lower=True,
-                                               overwrite_ab=True,
-                                               check_finite=False)
+                with _one_blas_thread():
+                    self.cho = sla.cholesky_banded(band, lower=True,
+                                                   overwrite_ab=True,
+                                                   check_finite=False)
             else:
                 self.lu = spla.splu(self.A_FF.tocsc(), permc_spec="NATURAL",
                                     diag_pivot_thresh=self.PIVOT_THRESH,
@@ -189,16 +230,16 @@ class _StaticFactor:
         -A_FF[i, j] for 0 <= i - j <= kd.  The array is in Fortran order,
         which pbtrf takes in place; f2py copies a C-order one."""
         A, n = self.A_FF, self.free.size
-        # trimmed as before the factor: the freed temporaries of the
-        # symmetry check and the first condensation would otherwise stay
-        # resident under the band (1-3 MiB more peak RSS at 65^2)
+        # trimmed as before the factor: the freed temporaries of the norm
+        # and the symmetry check would otherwise stay resident under the
+        # band (1-3 MiB more peak RSS at 65^2)
         _malloc_trim(0)
         off = np.repeat(np.arange(n), np.diff(A.indptr)) - A.indices
         kd = int(off.max())
         lower = off >= 0
         band = np.zeros((kd + 1, n), order="F")
-        # the flat index stays below 2^27 under BAND_MAX_BYTES
-        band.ravel(order="F")[(kd + 1) * A.indices[lower]
+        # the flat index passes 2^31 on grids past about 400^2
+        band.ravel(order="F")[(kd + 1) * A.indices[lower].astype(np.intp)
                               + off[lower]] = -A.data[lower]
         return band
 

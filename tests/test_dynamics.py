@@ -545,17 +545,32 @@ class TestStaticFactor:
             f = d.static_factor
             assert f.cho is None and f.lu is not None, d.name
 
-    def test_band_above_its_bound_goes_to_superlu(self, monkeypatch):
-        model = make_model(nx=13, ny=13, loads=STATIC_LOADS)
-        band, _ = static_solve(model)
-        monkeypatch.setattr(dynamics._StaticFactor, "BAND_MAX_BYTES",
-                            model.ext_d.static_factor.cho.nbytes - 1)
-        model = make_model(nx=13, ny=13, loads=STATIC_LOADS)
-        lu, _ = static_solve(model)
-        assert model.flex_d.static_factor.lu is not None
-        assert model.ext_d.static_factor.lu is not None
-        assert np.max(np.abs(lu.as_array() - band.as_array())) <= \
-            1e-12 * np.max(np.abs(band.as_array()))
+    @pytest.mark.skipif(dynamics.static._BLAS_THREADS is None,
+                        reason="scipy.linalg does not call OpenBLAS")
+    def test_band_factor_runs_on_one_blas_thread(self, monkeypatch):
+        """The band Cholesky runs on one BLAS thread and the thread count
+        is restored after it, also when it fails."""
+        get, set_ = dynamics.static._BLAS_THREADS
+        seen = []
+        cholesky_banded = dynamics.static.sla.cholesky_banded
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return cholesky_banded(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.static.sla, "cholesky_banded", recording)
+        before = get()
+        set_(2)
+        try:
+            static_solve(make_model(nx=13, ny=13, loads=STATIC_LOADS))
+            assert seen == [1, 1] and get() == 2
+            model = make_model(nx=13, ny=13, loads=STATIC_LOADS)
+            monkeypatch.setattr(model.flex_d, "A", -model.flex_d.A)
+            with pytest.raises(SingularSystemError):
+                static_solve(model)
+            assert get() == 2
+        finally:
+            set_(before)
 
     def test_indefinite_symmetric_system_names_the_subsystem(
             self, monkeypatch):
