@@ -313,15 +313,17 @@ def suite_operator_residual(seed: int = 4, n_materials: int = 5) -> SuiteResult:
 # 6. classical limit (static + dispersion)
 # ---------------------------------------------------------------------------
 
-def _classical_model():
+def _classical_config() -> ModelConfig:
     """The clamped 65^2 plate with N -> 0 under a unit pressure."""
-    mat = _classical_material()
-    cfg = ModelConfig(
-        material=mat, h=0.1, a=1.0, b=1.0, nx=65, ny=65,
+    return ModelConfig(
+        material=_classical_material(), h=0.1, a=1.0, b=1.0, nx=65, ny=65,
         bc={e: "clamped" for e in EDGES},
         loads=LoadFunctions(p=ConstantLoad(1.0)),
     )
-    return assemble(cfg)
+
+
+def _classical_model():
+    return assemble(_classical_config())
 
 
 @functools.lru_cache(maxsize=1)
@@ -338,22 +340,24 @@ def _classical_solution():
 
 def suite_classical_limit(seed: int = 5) -> SuiteResult:
     t0 = time.perf_counter()
-    model = _classical_model()
+    cfg = _classical_config()
     kin = _classical_solution()
-    ic = (model.nx - 1) // 2
+    ic = (cfg.nx - 1) // 2
     w_center = float(np.asarray(kin.w)[ic, ic])
 
-    tc = model.tc
+    # the constants and plane-wave operator that ``assemble`` builds, here
+    # without a grid: the one assembly is ``_classical_solution``'s
+    tc = technical_constants(cfg.material, cfg.h, cfg.shear_correction)
+    inertia = inertia_constants(cfg.material, cfg.h)
     S = tc.kappa1_sq * tc.G * tc.h
     w_ref, _ = oracles.mindlin_static_center_deflection(
-        tc.D, tc.nu, S, 1.0, 1.0, 1.0, model.nx, model.ny
+        tc.D, tc.nu, S, 1.0, 1.0, 1.0, cfg.nx, cfg.ny
     )
     static_err = abs(w_center - w_ref) / abs(w_ref)
 
-    inertia = model.inertia
     ks = (0.7, 1.3, 2.9, 6.1, 11.3, 23.7)
-    w2, vecs = wave_eigensystem(model.flex, [(k, 0.0) for k in ks],
-                                with_modes=True)
+    w2, vecs = wave_eigensystem(build_flexural(tc, inertia),
+                                [(k, 0.0) for k in ks], with_modes=True)
     support = np.sum(np.abs(vecs[:, :3, :]) ** 2, axis=1) / np.sum(
         np.abs(vecs) ** 2, axis=1
     )

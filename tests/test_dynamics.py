@@ -4,13 +4,14 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import SRC, admissible_materials, random_material, run_fresh
 from hypothesis import given, settings
 import scipy.sparse.linalg as spla
 
-from cosserat_plate import dynamics, oracles
+from cosserat_plate import _blas, dynamics, oracles
 from cosserat_plate.dynamics import (
     GUARD_EVERY,
     ConfigError,
@@ -545,30 +546,39 @@ class TestStaticFactor:
             f = d.static_factor
             assert f.cho is None and f.lu is not None, d.name
 
-    @pytest.mark.skipif(dynamics.static._BLAS_THREADS is None,
+    @pytest.mark.skipif(_blas._BLAS_THREADS is None,
                         reason="scipy.linalg does not call OpenBLAS")
     def test_band_factor_runs_on_one_blas_thread(self, monkeypatch):
-        """The band Cholesky runs on one BLAS thread and the thread count
-        is restored after it, also when it fails."""
-        get, set_ = dynamics.static._BLAS_THREADS
+        """The band Cholesky of the static factor and of the Mindlin
+        oracle runs on one BLAS thread and the thread count is restored
+        after it, also when the factor fails."""
+        get, set_ = _blas._BLAS_THREADS
         seen = []
-        cholesky_banded = dynamics.static.sla.cholesky_banded
 
-        def recording(*args, **kwargs):
-            seen.append(get())
-            return cholesky_banded(*args, **kwargs)
+        def recording(name):
+            call = getattr(sla, name)
 
-        monkeypatch.setattr(dynamics.static.sla, "cholesky_banded", recording)
+            def record(*args, **kwargs):
+                seen.append((name, get()))
+                return call(*args, **kwargs)
+            monkeypatch.setattr(sla, name, record)
+
+        recording("cholesky_banded")
+        recording("solveh_banded")
         before = get()
         set_(2)
         try:
             static_solve(make_model(nx=13, ny=13, loads=STATIC_LOADS))
-            assert seen == [1, 1] and get() == 2
+            assert seen == [("cholesky_banded", 1)] * 2 and get() == 2
             model = make_model(nx=13, ny=13, loads=STATIC_LOADS)
             monkeypatch.setattr(model.flex_d, "A", -model.flex_d.A)
             with pytest.raises(SingularSystemError):
                 static_solve(model)
             assert get() == 2
+            seen.clear()
+            oracles.mindlin_static_center_deflection(0.7, 0.3, 2.5, 1.0,
+                                                     1.0, 1.0, 9, 9)
+            assert seen == [("solveh_banded", 1)] and get() == 2
         finally:
             set_(before)
 
@@ -620,7 +630,7 @@ class TestStaticFactor:
         assert len(calls) == 2
 
     def test_cantilever_residual_below_1e_10(self):
-        """Threshold pivoting plus two refinement steps keep the cantilever
+        """Threshold pivoting plus one refinement step keep the cantilever
         flexural residual an order below the full-matrix spsolve, which
         leaves 1.9e-10 here."""
         mat = material_from_technical(E=1.0, nu=0.3, N=0.39, l_t=0.05,
@@ -668,8 +678,9 @@ class TestStaticFactor:
                     kd, mib = f.cho.shape[0] - 1, f.cho.nbytes / 2**20
                     assert ln.endswith(f"band Cholesky, half-bandwidth {kd}, "
                                        f"band storage {mib:.1f} MiB")
-            assert all("2 refinement steps, relative residual" in ln
-                       for ln in solves)
+            assert [int(re.search(r"(\d+) refinement step\(s\), relative "
+                                  r"residual", ln)[1]) for ln in solves] == \
+                [dynamics._StaticFactor.REFINE] * 4
             # the normwise backward error ||r|| / (||A_FF|| ||x|| + ||b||)
             # in the infinity norm, recomputed from the dense A_FF
             for d, ln in zip((model.flex_d, model.ext_d), solves):
