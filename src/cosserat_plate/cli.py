@@ -37,7 +37,7 @@ from .dispersion import (
     cutoff_frequencies,
     default_wavevectors,
     dispersion_curves,
-    stacked_frequencies,
+    wave_eigensystem,
     wavevector_magnitudes,
 )
 from .dynamics import (
@@ -588,14 +588,18 @@ def _cmd_sweep(parsed, args, out: Path, cfg_hash: str) -> int:
         flex = build_flexural_stack(tcs, inertias)
         ext = build_extensional_stack(tcs, inertias)
 
-        def where(i):
-            return "N={} l_t={} l_b={} Psi={}".format(*points[i])
+        # with_modes as cutoff_frequencies solves, else as dispersion_curves
+        def omega(stack, k, with_modes):
+            w2, _ = wave_eigensystem(
+                *stack, [k], with_modes,
+                lambda i: "N={} l_t={} l_b={} Psi={}".format(*points[i]))
+            return np.sqrt(np.clip(w2[:, 0], 0.0, None))
 
-        cut_f = stacked_frequencies(*flex, (0.0, 0.0), True, where)
-        cut_e = stacked_frequencies(*ext, (0.0, 0.0), True, where)
-        omega_f = stacked_frequencies(*flex, (k_mag, 0.0), False, where)
+        cut_f = omega(flex, (0.0, 0.0), True)
+        cut_e = omega(ext, (0.0, 0.0), True)
+        omega_f = omega(flex, (k_mag, 0.0), False)
         # solved for its checks only, as dispersion_curves does
-        stacked_frequencies(*ext, (k_mag, 0.0), False, where)
+        omega(ext, (k_mag, 0.0), False)
         quantities = [("flexural_cutoff", cut_f),
                       ("extensional_cutoff", cut_e),
                       (f"flexural_omega@k={k_mag}", omega_f)]

@@ -5,21 +5,20 @@ becomes the generalized Hermitian-definite eigenproblem
 
     A(k) v = w^2 M v,      A(k) = -L(i k),
 
-with M the diagonal inertia.  ``solve_wave_matrices`` solves it for a
-whole stack of matrices A, each with its own M, as M^-1/2 A M^-1/2 in one
-numpy call, and returns M-normalised modes.  Three callers build the
-stack: ``wave_eigensystem`` from one operator at many wavevectors (the
-dispersion curves and the cutoffs); ``stacked_frequencies`` from the
-coefficient and mass stacks of many materials (``build_flexural_stack``,
-``build_extensional_stack``) at one wavevector (the parameter sweep); and
-the verification suite on dispersion positivity, from the same stacks at
-each material's own wavevectors.  For admissible materials A(k) is
-positive semidefinite, so all branches are real; a non-Hermitian A(k) or a
-significantly negative eigenvalue signals a broken (non-conservative)
-operator table and raises, naming the first offending wavevector or
-material.  A scaled matrix with an entry that is not finite, from an input
-too large (or an inertia too small) for double precision, raises
-``NonFiniteSymbolError`` the same way instead of reaching LAPACK.
+with M the diagonal inertia.  ``wave_eigensystem`` is the one solver of
+it: it takes a stack of coefficient tables and their inertias (one
+operator's, or many materials' from ``build_flexural_stack`` and
+``build_extensional_stack``), with wavevectors shared by every table or
+one set per table, and solves M^-1/2 A M^-1/2 for the whole stack in one
+numpy call, returning M-normalised modes.  The dispersion curves, the
+cutoffs, the parameter sweep and the verification suites all call it.  For
+admissible materials A(k) is positive semidefinite, so all branches are
+real; a non-Hermitian A(k) or a significantly negative eigenvalue signals a
+broken (non-conservative) operator table and raises, naming the first
+offending table and wavevector.  A scaled matrix with an entry that is not
+finite, from an input too large (or an inertia too small) for double
+precision, raises ``NonFiniteSymbolError`` the same way instead of
+reaching LAPACK.
 
 Phase rule: the first component of a mode within a relative 1e-8 of its
 largest in magnitude is made real and positive, so that components equal
@@ -35,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import wave_matrices
+from .plate_fields import EXTENSIONAL_FIELDS, FLEXURAL_FIELDS
 
 NEGATIVE_TOL = -1e-10
+ZERO_MODE_TOL = 1e-9   # a zero mode's w^2 against A(0)'s largest term / M
 PHASE_TIE = 1e-8
 
 
@@ -57,68 +58,58 @@ class DispersionResult:
     extensional_modes: np.ndarray | None = None  # (n, 3, 3)
 
 
-def wave_eigensystem(op, xi, with_modes: bool = False):
-    """Squared frequencies (n, m), ascending and unclipped, and the
-    M-normalised, phase-fixed modes (n, m, m; one per column) or None,
-    at each row of the (n, 2) array ``xi`` of finite wavevectors [1/m].
+def wave_eigensystem(coeffs, mass, xi, with_modes: bool = False,
+                     where=None):
+    """Squared frequencies (..., n, m), ascending and unclipped, and the
+    M-normalised, phase-fixed modes (..., n, m, m; one per column) or None,
+    of the coefficient tables ``coeffs`` (..., m, m, 6) with their diagonal
+    inertias ``mass`` (..., m) at the finite wavevectors ``xi`` [1/m]:
+    (n, 2), shared by every table, or (..., n, 2), one set per table.
+
+    A v = w^2 M v is solved through M^-1/2 A M^-1/2, with ``eigh`` when
+    ``with_modes`` and ``eigvalsh`` otherwise (the two can differ in the
+    last bits).  The errors it raises name the wavevector, "k=(k1, k2)",
+    after ``where(i)`` when given, which names table i of the flattened
+    stack.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if not np.all(np.isfinite(xi)):
         raise ValueError("wavevectors must be finite")
-    A = wave_matrices(op.active_coeffs, xi)
-    return solve_wave_matrices(A, np.broadcast_to(op.mass, A.shape[:2]),
-                               with_modes,
-                               lambda i: f"k=({xi[i, 0]}, {xi[i, 1]})")
+    A = wave_matrices(coeffs, xi)
+    flat_xi = np.broadcast_to(xi, A.shape[:-2] + (2,)).reshape(-1, 2)
 
+    def at(i):  # row i of the flattened (..., n) stack of matrices
+        k = f"k=({flat_xi[i, 0]}, {flat_xi[i, 1]})"
+        return k if where is None else f"{where(i // xi.shape[-2])}, {k}"
 
-def solve_wave_matrices(A, mass, with_modes: bool, where):
-    """``wave_eigensystem`` for a stack of plane-wave matrices A (n, m, m)
-    with one diagonal inertia per row, ``mass`` (n, m): A v = w^2 M v
-    through M^-1/2 A M^-1/2, with ``eigh`` when ``with_modes`` and
-    ``eigvalsh`` otherwise (the two can differ in the last bits).
-    ``where(i)`` names row i in the errors it raises.
-    """
+    mass = np.asarray(mass)[..., None, :]
     msqrt = 1.0 / np.sqrt(mass)
-    B = msqrt[:, :, None] * A * msqrt[:, None, :]
-    finite = np.all(np.isfinite(B), axis=(1, 2))
+    B = msqrt[..., :, None] * A * msqrt[..., None, :]
+    finite = np.all(np.isfinite(B), axis=(-2, -1)).ravel()
     if not np.all(finite):
         raise NonFiniteSymbolError(
-            f"wave matrix not finite at {where(np.argmin(finite))}: an input"
+            f"wave matrix not finite at {at(np.argmin(finite))}: an input"
             f" lies outside the range of double precision")
-    scale = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1.0)
-    asym = np.max(np.abs(A - np.conj(np.swapaxes(A, 1, 2))), axis=(1, 2))
-    if np.any(asym > 1e-12 * scale):
-        i = np.argmax(asym > 1e-12 * scale)
+    scale = np.maximum(np.max(np.abs(A), axis=(-2, -1)), 1.0)
+    asym = np.max(np.abs(A - np.conj(np.swapaxes(A, -2, -1))), axis=(-2, -1))
+    skew = (asym > 1e-12 * scale).ravel()
+    if np.any(skew):
+        i = np.argmax(skew)
         raise NonConservativeSymbolError(
-            f"wave matrix not Hermitian at {where(i)}:"
-            f" asymmetry {asym[i]:.3e} (operator table inconsistent)")
+            f"wave matrix not Hermitian at {at(i)}:"
+            f" asymmetry {asym.flat[i]:.3e} (operator table inconsistent)")
     if with_modes:
         w2, vecs = np.linalg.eigh(B)
-        modes = _fix_phase(msqrt[:, :, None] * vecs)
+        modes = _fix_phase(msqrt[..., :, None] * vecs)
     else:
         w2, modes = np.linalg.eigvalsh(B), None
-    floor = NEGATIVE_TOL * np.maximum(scale / np.min(mass, axis=1), 1.0)
-    if np.any(w2[:, 0] < floor):
-        i = np.argmax(w2[:, 0] < floor)
+    floor = NEGATIVE_TOL * np.maximum(scale / np.min(mass, axis=-1), 1.0)
+    low = (w2[..., 0] < floor).ravel()
+    if np.any(low):
+        i = np.argmax(low)
         raise NonConservativeSymbolError(
-            f"negative squared frequency {w2[i, 0]:.3e} at {where(i)}")
+            f"negative squared frequency {w2[..., 0].flat[i]:.3e} at {at(i)}")
     return w2, modes
-
-
-def stacked_frequencies(coeffs, mass, xi, with_modes: bool,
-                        where) -> np.ndarray:
-    """Angular frequencies (p, m) of the p operators of one subsystem whose
-    coefficient tables and inertias are stacked in ``coeffs`` (p, m, m, 6)
-    and ``mass`` (p, m), at the one wavevector ``xi``, in one eigensolve.
-
-    ``with_modes`` solves as ``cutoff_frequencies`` does, otherwise as
-    ``dispersion_curves`` does; errors name operator i by ``where(i)``.
-    """
-    xi = np.asarray(xi, dtype=float)
-    w2, _ = solve_wave_matrices(
-        wave_matrices(coeffs, [xi])[:, 0], mass, with_modes,
-        lambda i: f"{where(i)}, k=({xi[0]}, {xi[1]})")
-    return np.sqrt(np.clip(w2, 0.0, None))
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -138,8 +129,8 @@ def dispersion_curves(flex, ext, xi, with_modes: bool = False) -> DispersionResu
     come out sorted ascending per sample.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    w2f, mf = wave_eigensystem(flex, xi, with_modes)
-    w2e, me = wave_eigensystem(ext, xi, with_modes)
+    w2f, mf = wave_eigensystem(flex.active_coeffs, flex.mass, xi, with_modes)
+    w2e, me = wave_eigensystem(ext.active_coeffs, ext.mass, xi, with_modes)
     return DispersionResult(
         xi=xi, flexural=np.sqrt(np.clip(w2f, 0.0, None)),
         extensional=np.sqrt(np.clip(w2e, 0.0, None)),
@@ -156,11 +147,7 @@ class CutoffReport:
     zero_mode_fields: tuple[str, ...]
 
 
-_FLEX_NAMES = ("psi1", "psi2", "w", "omega3", "omega1_0", "omega2_0")
-_EXT_NAMES = ("u1", "u2", "omega3_0")
-
-
-def cutoff_frequencies(op, rel_tol: float = 1e-9) -> CutoffReport:
+def cutoff_frequencies(op) -> CutoffReport:
     """Eigenvalues of the zero-wavevector symbol, with zero-mode bookkeeping.
 
     A branch counts as a zero mode when its squared frequency is negligible
@@ -168,11 +155,12 @@ def cutoff_frequencies(op, rel_tol: float = 1e-9) -> CutoffReport:
     entirely).  Each zero mode is labelled by the dominant field of its
     eigenvector.
     """
-    (w2,), (vecs,) = wave_eigensystem(op, [(0.0, 0.0)], with_modes=True)
+    (w2,), (vecs,) = wave_eigensystem(op.active_coeffs, op.mass,
+                                      [(0.0, 0.0)], with_modes=True)
     # A(0) = -L(0) holds only the constant-monomial coefficients
     scale = np.max(np.abs(op.active_coeffs[..., 0])) / np.min(op.mass)
-    tol = rel_tol * max(scale, 1e-300)
-    names = _FLEX_NAMES if len(w2) == 6 else _EXT_NAMES
+    tol = ZERO_MODE_TOL * max(scale, 1e-300)
+    names = FLEXURAL_FIELDS if len(w2) == 6 else EXTENSIONAL_FIELDS
     zero_fields = tuple(names[int(np.argmax(np.abs(vecs[:, j])))]
                         for j in np.flatnonzero(w2 <= tol))
     return CutoffReport(np.sqrt(np.clip(w2, 0.0, None)), len(zero_fields),

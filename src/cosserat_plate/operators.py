@@ -100,9 +100,6 @@ class _SymbolMethods:
     def symbol(self, xi1, xi2) -> np.ndarray:
         return _symbol_value(self.active_coeffs, xi1, xi2)
 
-    def wave_matrix(self, k1: float, k2: float) -> np.ndarray:
-        return wave_matrices(self.active_coeffs, [[k1, k2]])[0]
-
 
 @dataclass(frozen=True)
 class FlexuralOperator(_SymbolMethods):

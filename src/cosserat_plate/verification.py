@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import __version__, oracles
@@ -33,11 +32,7 @@ from .cosserat3d import (
     strain_from_stress_3d,
     stress_from_strain_3d,
 )
-from .dispersion import (
-    cutoff_frequencies,
-    solve_wave_matrices,
-    wave_eigensystem,
-)
+from .dispersion import ZERO_MODE_TOL, cutoff_frequencies, wave_eigensystem
 from .dynamics import (
     EDGES,
     ConfigError,
@@ -69,7 +64,6 @@ from .operators import (
     build_flexural_stack,
     coefficient_diff_table,
     operator_residual_oracle,
-    wave_matrices,
 )
 from .plate_constitutive import (
     internal_work_density,
@@ -356,7 +350,8 @@ def suite_classical_limit(seed: int = 5) -> SuiteResult:
     static_err = abs(w_center - w_ref) / abs(w_ref)
 
     ks = (0.7, 1.3, 2.9, 6.1, 11.3, 23.7)
-    w2, vecs = wave_eigensystem(build_flexural(tc, inertia),
+    flex = build_flexural(tc, inertia)
+    w2, vecs = wave_eigensystem(flex.coeffs, flex.mass,
                                 [(k, 0.0) for k in ks], with_modes=True)
     support = np.sum(np.abs(vecs[:, :3, :]) ** 2, axis=1) / np.sum(
         np.abs(vecs) ** 2, axis=1
@@ -521,16 +516,11 @@ def _dispersion_min_w2(rng, n_materials: int, n_wavevectors: int) -> float:
         inertias.append(inertia_constants(p, h))
         xi.append(rng.uniform(-30.0, 30.0, size=(n_wavevectors, 2)))
     xi = np.stack(xi)
-    flat = xi.reshape(-1, 2)
     min_w2 = np.inf
     for build in (build_flexural_stack, build_extensional_stack):
         coeffs, mass = build(tcs, inertias)
-        A = wave_matrices(coeffs, xi)
-        w2, _ = solve_wave_matrices(
-            A.reshape(-1, *A.shape[2:]), np.repeat(mass, n_wavevectors, axis=0),
-            False,
-            lambda i: f"material {i // n_wavevectors}, "
-                      f"k=({flat[i, 0]}, {flat[i, 1]})")
+        w2, _ = wave_eigensystem(coeffs, mass, xi,
+                                 where=lambda i: f"material {i}")
         min_w2 = min(min_w2, float(np.min(w2)))
     return min_w2
 
@@ -545,11 +535,11 @@ def suite_dispersion_sanity(seed: int = 9, n_materials: int = 200,
     tc0 = technical_constants(p0, 0.1)
     i0 = inertia_constants(p0, 0.1)
     flex0 = build_flexural(tc0, i0)
-    A0 = flex0.wave_matrix(0.0, 0.0).real
-    block = A0[:3, :3]
-    m3 = flex0.mass[:3]
-    w2c, vecs = scipy.linalg.eigh(block, np.diag(m3))
-    tol = 1e-9 * np.max(np.abs(block)) / np.min(m3)
+    block, m3 = flex0.coeffs[:3, :3], flex0.mass[:3]
+    (w2c,), (vecs,) = wave_eigensystem(block, m3, [(0.0, 0.0)],
+                                       with_modes=True)
+    # A(0) = -L(0) holds only the constant-monomial coefficients
+    tol = ZERO_MODE_TOL * np.max(np.abs(block[..., 0])) / np.min(m3)
     zero_idx = np.where(w2c <= tol)[0]
     zero_count = len(zero_idx)
     w_dominated = all(int(np.argmax(np.abs(vecs[:, j]))) == 2 for j in zero_idx)
@@ -583,14 +573,12 @@ ALL_SUITES = (
 )
 
 
-def write_diff_table(path, tc=None, inertia=None) -> None:
+def write_diff_table(path) -> None:
     """Write the coefficient diff CSV (entry, literal expr, literal value,
-    derived value, abs diff)."""
-    if tc is None:
-        p0 = _classical_material(N=0.35)
-        tc = technical_constants(p0, 0.1)
-        inertia = inertia_constants(p0, 0.1)
-    rows = coefficient_diff_table(tc, inertia)
+    derived value, abs diff) of the classical material at N = 0.35."""
+    p0 = _classical_material(N=0.35)
+    rows = coefficient_diff_table(technical_constants(p0, 0.1),
+                                  inertia_constants(p0, 0.1))
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["entry", "paper_value_expr", "paper_value",

@@ -1,10 +1,14 @@
+import ast
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_material
+from cosserat_plate import dispersion
 from cosserat_plate.dispersion import (
     NonConservativeSymbolError,
     cutoff_frequencies,
@@ -14,7 +18,9 @@ from cosserat_plate.dispersion import (
 )
 from cosserat_plate.material import material_from_technical, technical_constants
 from cosserat_plate.oracles import mindlin_dispersion
-from cosserat_plate.operators import build_extensional, build_flexural
+from cosserat_plate.operators import (build_extensional,
+                                      build_extensional_stack, build_flexural,
+                                      build_flexural_stack, wave_matrices)
 from cosserat_plate.plate_fields import inertia_constants
 
 
@@ -58,7 +64,7 @@ def test_classical_branches_match_mindlin(classical_ops):
     tc, inertia, flex, _ = classical_ops
     S = tc.kappa1_sq * tc.G * tc.h
     for k in (0.5, 2.0, 10.0, 40.0):
-        A = flex.wave_matrix(k, 0.0)
+        A = wave_matrices(flex.coeffs, [[k, 0.0]])[0]
         M = np.diag(flex.mass)
         w2, vecs = scipy.linalg.eigh(A, M)
         support = np.sum(np.abs(vecs[:3, :]) ** 2, axis=0) / np.sum(
@@ -161,10 +167,10 @@ def test_batched_path_matches_per_wavevector_reference(micro_ops, rng):
     xi = np.vstack([rng.uniform(-20.0, 20.0, size=(40, 2)),
                     [[0.0, 0.0], [0.53, 0.53], [2.0, -2.0], [7.5, 0.0]]])
     for op in (flex, ext):
-        w2, modes = wave_eigensystem(op, xi, with_modes=True)
+        w2, modes = wave_eigensystem(op.coeffs, op.mass, xi, with_modes=True)
         for i, (k1, k2) in enumerate(xi):
-            w2_ref, v_ref = scipy.linalg.eigh(op.wave_matrix(k1, k2),
-                                              np.diag(op.mass))
+            w2_ref, v_ref = scipy.linalg.eigh(
+                wave_matrices(op.coeffs, [[k1, k2]])[0], np.diag(op.mass))
             v_ref = _reference_phase(v_ref)
             top = np.max(np.abs(w2_ref))
             assert np.max(np.abs(w2[i] - w2_ref)) <= 1e-12 * top
@@ -220,3 +226,100 @@ def test_default_wavevectors_shape():
     xi = default_wavevectors(n=30)
     assert xi.shape[1] == 2
     assert np.all(np.linalg.norm(xi, axis=1) > 0)
+
+
+def _stack(build, rng, n_tables):
+    ps = [random_material(rng) for _ in range(n_tables)]
+    return build([technical_constants(p, 0.2) for p in ps],
+                 [inertia_constants(p, 0.2) for p in ps])
+
+
+@pytest.mark.parametrize("with_modes", [False, True])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "own"])
+@pytest.mark.parametrize("build", [build_flexural_stack,
+                                   build_extensional_stack])
+def test_stacked_solve_equals_per_table_solves(rng, build, shared,
+                                               with_modes):
+    """One call on a stack of tables gives each table the bits of a call
+    on that table alone, with shared or per-table wavevectors."""
+    coeffs, mass = _stack(build, rng, 4)
+    xi = rng.uniform(-30.0, 30.0, size=(5, 2) if shared else (4, 5, 2))
+    w2, modes = wave_eigensystem(coeffs, mass, xi, with_modes)
+    assert w2.shape == (4, 5, mass.shape[1])
+    assert (modes is None) == (not with_modes)
+    for t in range(4):
+        w2_t, modes_t = wave_eigensystem(coeffs[t], mass[t],
+                                         xi if shared else xi[t], with_modes)
+        assert np.array_equal(w2[t].view(np.int64), w2_t.view(np.int64))
+        if with_modes:
+            assert np.array_equal(modes[t].view(np.int64),
+                                  modes_t.view(np.int64))
+
+
+@pytest.mark.parametrize("entry,message", [
+    ((0, 5, 0), "wave matrix not Hermitian"),    # breaks the symmetry
+    ((2, 2), "negative squared frequency"),      # W stiffens the wrong way
+])
+def test_stacked_solve_names_the_broken_table(rng, entry, message):
+    coeffs, mass = _stack(build_flexural_stack, rng, 3)
+    coeffs[(1, *entry)] *= -1.0
+    xi = rng.uniform(0.5, 2.0, size=(3, 4, 2))
+    where = re.escape(f"material 1, k=({xi[1, 0, 0]}, {xi[1, 0, 1]})")
+    with pytest.raises(NonConservativeSymbolError,
+                       match=rf"^{message} .*at {where}(:|$)"):
+        wave_eigensystem(coeffs, mass, xi, where=lambda i: f"material {i}")
+
+
+_DENSE_EIGENSOLVERS = {f"{lib}.{f}" for lib in ("numpy.linalg", "scipy.linalg")
+                       for f in ("eig", "eigh", "eigvals", "eigvalsh")}
+
+
+def _dense_eigensolver_calls(path: Path):
+    """(function, line) of each call in the module at ``path`` to a dense
+    eigensolver of NumPy or SciPy, through whatever name it was imported
+    under."""
+    tree = ast.parse(path.read_text())
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    names[a.asname] = a.name
+                else:
+                    top = a.name.split(".")[0]
+                    names[top] = top
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                names[a.asname or a.name] = f"{node.module}.{a.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id, node.id)
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return ""
+
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and dotted(node.func) in \
+                _DENSE_EIGENSOLVERS:
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_plane_wave_eigensolves_only_in_wave_eigensystem():
+    """``wave_eigensystem`` is the one dense eigensolve in the package, so
+    its checks cover every plane-wave problem."""
+    src = Path(dispersion.__file__).parent
+    calls = {str(path.relative_to(src)): found
+             for path in sorted(src.rglob("*.py"))
+             if (found := _dense_eigensolver_calls(path))}
+    assert set(calls) == {"dispersion.py"}
+    assert {f for f, _ in calls["dispersion.py"]} == {"wave_eigensystem"}

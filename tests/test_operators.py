@@ -215,7 +215,7 @@ class TestOperatorStructure:
         for _ in range(5):
             k = rng.standard_normal(2)
             for op in (flex, ext):
-                A = op.wave_matrix(*k)
+                A = wave_matrices(op.coeffs, [k])[0]
                 np.testing.assert_allclose(A, A.conj().T, rtol=0, atol=1e-12 * np.max(np.abs(A)))
 
     def test_literal_pattern_reproduces_printed_flips(self, micropolar, rng):

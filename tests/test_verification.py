@@ -213,7 +213,7 @@ def dispersion_min_w2_per_material(rng, n_materials, n_wavevectors):
         ops = (build_flexural(tc, inertia), build_extensional(tc, inertia))
         ks = rng.uniform(-30.0, 30.0, size=(n_wavevectors, 2))
         for op in ops:
-            w2, _ = wave_eigensystem(op, ks)
+            w2, _ = wave_eigensystem(op.coeffs, op.mass, ks)
             min_w2 = min(min_w2, float(np.min(w2)))
     return min_w2
 
