@@ -536,13 +536,6 @@ class _Discretization:
         return (W, np.concatenate([z[:1], ox, z]),
                 np.concatenate([z[:1], z, oy]))
 
-    @cached_property
-    def static_factor(self) -> "_StaticFactor":
-        """Factor of the condensed static system, built on first use so
-        repeat static solves never refactor and dynamic runs never pay."""
-        from .static import _StaticFactor
-        return _StaticFactor(self)
-
     # -- load / data vectors -------------------------------------------------
 
     @cached_property

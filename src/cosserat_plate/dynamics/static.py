@@ -3,14 +3,14 @@
 ``static_solve`` solves each subsystem's system A h = b condensed onto its
 free (interior and traction) dofs and factored (``_StaticFactor``): by
 banded Cholesky when the condensed matrix is symmetric, as on clamped
-plates, and by SuperLU otherwise.  The factor is built on the first
-static solve and cached on the discretization, so later solves on one
-model only run the triangular solves.  A subsystem whose right-hand side
-is all zero (no load, no boundary data, no extra forcing) is never
-factored: its solution is +0.  The factor's kind and size, the free-dof
-count and residuals are logged at DEBUG level; the normwise backward
-error of each solve is logged too and returned in ``static_solve``'s
-diagnostics.
+plates, and by SuperLU otherwise.  Each solve builds its subsystem's
+factor and releases it before the next subsystem is factored, so one
+factor at most is alive; a repeat solve on one model factors again.  A
+subsystem whose right-hand side is all zero (no load, no boundary data,
+no extra forcing) is never factored: its solution is +0.  The factor's
+kind and size, the free-dof count and residuals are logged at DEBUG
+level; the normwise backward error of each solve is logged too and
+returned in ``static_solve``'s diagnostics.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def _line_order(nx: int, ny: int) -> np.ndarray:
 
 
 class _StaticFactor:
-    """The static system of one subsystem, condensed and factored.
+    """The static system of one subsystem, condensed and factored: each
+    solve builds one and releases it before the next subsystem's factor.
 
     The identity Dirichlet rows and columns are removed, leaving the free
     (interior and traction) dofs F and A_FF h_F = b_F - A_FD g, with all
@@ -97,7 +98,7 @@ class _StaticFactor:
       n^3 and its work as n^4 on an n x n grid, against n^2 log n and n^3
       for nested dissection (George & Liu, 1981): it is faster at every
       grid measured, up to 129^2, but from 97^2 on it takes more memory
-      (854 against 596 MiB peak RSS for a 129^2 solve).  The factor runs
+      (708 against 596 MiB peak RSS for a 129^2 solve).  The factor runs
       on one BLAS thread (``_one_blas_thread``).
     - **Not symmetric**: traction rows (4-7% asymmetry) and the literal
       coefficient tables (0.3-0.5% on a clamped plate).  F is ordered by
@@ -135,7 +136,6 @@ class _StaticFactor:
         # Neither it nor the symmetry check depends on the dof order.
         self.norm = float(np.max(_abs_matvec(self.A_FF,
                                              np.ones(self.free.size))))
-        self.backward_error = None
         if (abs(self.A_FF - self.A_FF.T).max()
                 <= self.SYMMETRY_TOL * self.norm):
             band = self._lower_band()
@@ -195,13 +195,19 @@ class _StaticFactor:
         # and the symmetry check would otherwise stay resident under the
         # band (1-3 MiB more peak RSS at 65^2)
         _malloc_trim(0)
-        off = np.repeat(np.arange(n), np.diff(A.indptr)) - A.indices
-        kd = int(off.max())
-        lower = off >= 0
+        # ab[i - j, j] is flat element i - j + (kd + 1) j, made in place in
+        # one intp array (it passes 2^31 past about 400^2); only it and the
+        # values are alive while the scatter touches the band's pages
+        flat = np.repeat(np.arange(n), np.diff(A.indptr))
+        flat -= A.indices
+        kd = int(flat.max())
+        lower = flat >= 0
+        flat = flat[lower]
+        flat += np.multiply(A.indices[lower], kd + 1, dtype=np.intp)
+        data = -A.data[lower]
+        del lower
         band = np.zeros((kd + 1, n), order="F")
-        # the flat index passes 2^31 on grids past about 400^2
-        band.ravel(order="F")[(kd + 1) * A.indices[lower].astype(np.intp)
-                              + off[lower]] = -A.data[lower]
+        band.ravel(order="F")[flat] = data
         return band
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
@@ -209,11 +215,11 @@ class _StaticFactor:
             return self.lu.solve(b)
         return sla.cho_solve_banded((self.cho, True), -b, check_finite=False)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> tuple:
         """Full-grid h with A h = rhs, where rhs holds the Dirichlet data g
-        on the Dirichlet dofs.  Sets ``backward_error`` to the normwise
-        backward error ||r|| / (||A_FF|| ||x|| + ||b||), infinity norms, of
-        the refined free-dof solution x."""
+        on the Dirichlet dofs, and the normwise backward error ||r|| /
+        (||A_FF|| ||x|| + ||b||), infinity norms, of the refined free-dof
+        solution x."""
         g = rhs[self.dirich]
         b = rhs[self.free] - self.A_FD @ g
         scale = max(np.max(np.abs(b)), 1.0e-300)
@@ -224,16 +230,16 @@ class _StaticFactor:
             resid.append(np.max(np.abs(r)))
             if k < self.REFINE:
                 x += self._solve(r)
-        self.backward_error = float(
+        backward_error = float(
             resid[-1] / (self.norm * np.max(np.abs(x)) + scale))
         _log.debug("%s static solve: %d free dofs, %d refinement step(s), "
                    "relative residual %.3e -> %.3e, backward error %.3e",
                    self.name, self.free.size, self.REFINE,
-                   resid[0] / scale, resid[-1] / scale, self.backward_error)
+                   resid[0] / scale, resid[-1] / scale, backward_error)
         h = np.empty(rhs.size)
         h[self.free] = x
         h[self.dirich] = g
-        return h
+        return h, backward_error
 
 
 def _static_rhs(d: _Discretization, extra_F=None):
@@ -259,12 +265,13 @@ def _solve_subsystem(d: _Discretization, extra_F=None):
     if not np.any(rhs):
         # nothing loads this subsystem: h = +0, and nothing to factor
         return np.zeros(d.ndof), 0.0, 1.0e-300, 0.0
-    h = d.static_factor.solve(rhs)
+    h, backward_error = _StaticFactor(d).solve(rhs)
+    _malloc_trim(0)  # hand the dropped factor's freed heap back to the OS
     if not np.all(np.isfinite(h)):
         raise SingularSystemError(f"{d.name} static solve produced non-finite values")
     resid = np.max(np.abs(d.A @ h - rhs))
     scale = max(np.max(np.abs(rhs)), 1.0e-300)
-    return h, resid, scale, d.static_factor.backward_error
+    return h, resid, scale, backward_error
 
 
 def static_solve(model: DiscreteModel, extra_flex_F=None, extra_ext_F=None):

@@ -323,9 +323,9 @@ def _classical_model():
 @functools.lru_cache(maxsize=1)
 def _classical_solution():
     """The static solution of ``_classical_model()``, shared by suites 6
-    and 9.  Only the (read-only) kinematic arrays are kept, not the model
-    and its static factor; ``run_all`` clears the memo before its first
-    suite and when it ends."""
+    and 9.  Only the (read-only) kinematic arrays are kept, not the model;
+    ``static_solve`` has released its factor by the time it returns.
+    ``run_all`` clears the memo before its first suite and when it ends."""
     kin, _ = static_solve(_classical_model())
     for f in fields(kin):
         getattr(kin, f.name).flags.writeable = False

@@ -29,16 +29,16 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def count_static_factors(mp, record=lambda d: d.name) -> list:
+def count_static_factors(mp, record=lambda d, factor: d.name) -> list:
     """Make every static factor built while ``mp`` is active, band Cholesky
-    or SuperLU, append ``record`` of its discretization to the returned
-    list, before it factors.  ``mp`` patches the name that
-    ``_Discretization.static_factor`` looks up."""
+    or SuperLU, append ``record(d, factor)`` of its discretization and of
+    itself to the returned list, before it factors.  ``mp`` patches the
+    name through which ``static_solve`` builds each subsystem's factor."""
     built = []
 
     class CountingFactor(dynamics._StaticFactor):
         def __init__(self, d):
-            built.append(record(d))
+            built.append(record(d, self))
             super().__init__(d)
 
     mp.setattr(dynamics.static, "_StaticFactor", CountingFactor)
@@ -70,7 +70,7 @@ def verify_run(tmp_path_factory):
     printed = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "assemble", marking_assemble)
-        built = count_static_factors(mp, lambda d: (
+        built = count_static_factors(mp, lambda d, factor: (
             d.name, d.nx, d.ny, getattr(d, "classical", False)))
         with contextlib.redirect_stdout(printed):
             results = verification.run_all(seed=0, out_dir=out)
