@@ -46,8 +46,7 @@ import numpy as np
 
 from ..material import (MaterialParams, TechnicalConstants,
                         technical_constants, validate_parameters)
-from ..operators import (ExtensionalOperator, FlexuralOperator,
-                         build_extensional, build_flexural, build_traction,
+from ..operators import (build_extensional, build_flexural, build_traction,
                          traction_load_part)
 from ..plate_fields import (EXTENSIONAL_FIELDS, FLEXURAL_FIELDS, InertiaSet,
                             LoadSet, inertia_constants)
@@ -262,8 +261,6 @@ class DiscreteModel:
     config: ModelConfig
     tc: TechnicalConstants
     inertia: InertiaSet
-    flex: FlexuralOperator
-    ext: ExtensionalOperator
     X: np.ndarray                  # (nx, ny) node coordinates
     Y: np.ndarray
     dx: float
@@ -348,7 +345,7 @@ def assemble(config: ModelConfig) -> DiscreteModel:
                               f"or b lie outside the range of double precision")
 
     return DiscreteModel(
-        config=config, tc=tc, inertia=inertia, flex=flex, ext=ext,
+        config=config, tc=tc, inertia=inertia,
         X=X, Y=Y, dx=dx, dy=dy, bc=bc,
         flex_d=flex_d, ext_d=ext_d,
     )

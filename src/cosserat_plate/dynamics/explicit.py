@@ -25,7 +25,9 @@ arithmetic: in-place ufuncs; Lu = B u by SciPy's CSR kernel, that of
 ``B @ u``, straight into the zero-filled ``Lu`` (``_csr_matvec_into``); the
 lift and traction terms only where a part has them; one ``np.divide`` into
 ``a`` when nothing is loaded, else a subtraction of each loaded part's
-load vector straight into ``a`` and an in-place divide.
+load vector straight into ``a`` and an in-place divide.  The kernel takes
+only the interior u and w from a grid state and forms a(t0) by the routine
+every step uses, so g and the traction solve hold from t0.
 
 Per subsystem (``_Part``) the stack also holds the Dirichlet lift, the
 load terms and, with traction edges, the quasi-static traction closure
@@ -35,7 +37,9 @@ back into the interior update and are solved only when a ``DiscreteState``
 is built, at snapshots and at the end of a run.  Load envelope sums,
 traction solves and energy and work dot products are formed per subsystem
 on its slice, so the kernel's arithmetic is that of two separate
-subsystems.
+subsystems.  The stack and the kernel are private to this module:
+``DiscreteModel.interior_stack`` builds the stack, and no other module
+reads it.
 ``stable_dt`` bounds the largest frequency of both subsystems by one
 Gershgorin row-sum pass over the same stack and keeps the bound there.
 
@@ -141,8 +145,8 @@ class _TractionClosure:
     g is zero) and f* the prescribed traction ``data`` plus the traction
     load part; h_T enters the interior rows through the column block A_IT.
     A_TT is factored once, on the first ``values`` or ``rates`` call, so a
-    caller that only applies the interior rows (``HPRFunctional``) never
-    factors it.
+    caller that only reads the stack's rows (``stable_dt``) never factors
+    it.
     """
 
     def __init__(self, d: _Discretization, A_IT: sp.csr_matrix, g):
@@ -178,14 +182,14 @@ class _TractionClosure:
 class _Part:
     """What drives one subsystem in the explicit kernel: its
     discretization ``d``, its slice ``s`` of the stacked vectors, its
-    Dirichlet column block A_ID with the data ``g`` and the lift A_ID g
-    (None when g is zero), its load terms (``presets``, ``F``, ``T``), its
-    traction closure (None without traction dofs) and whether any of these
-    can move it from rest (``driven``).  None of it depends on time; the
-    loads enter through F and T weighted by their envelopes."""
+    Dirichlet data ``g`` and the lift A_ID g (None when g is zero), its
+    load terms (``presets``, ``F``, ``T``), its traction closure (None
+    without traction dofs) and whether any of these can move it from rest
+    (``driven``).  None of it depends on time; the loads enter through F
+    and T weighted by their envelopes."""
 
     def __init__(self, d: _Discretization, s: slice, A_ID, A_IT):
-        self.d, self.s, self.A_ID = d, s, A_ID
+        self.d, self.s = d, s
         self.presets, self.F, self.T = d.load_terms
         self.g = d.dirichlet_values()
         lifted = bool(np.any(self.g))
@@ -255,17 +259,6 @@ class _InteriorStack:
         self.dt = None
         self._rows = {}
 
-    def apply(self, hs) -> np.ndarray:
-        """Stacked interior rows of L h for the full-grid flat vectors
-        ``hs`` (flexural, extensional)."""
-        Lh = self.B @ self.interior(hs)
-        for p, h in zip(self.parts, hs):
-            if p.d.dirich_dofs.size:
-                Lh[p.s] += p.A_ID @ h[p.d.dirich_dofs]
-            if p.closure is not None:
-                Lh[p.s] += p.closure.A_IT @ h[p.d.trac_dofs]
-        return Lh
-
     def rows(self, live: slice) -> sp.csr_matrix:
         """B's rows ``live`` over all its columns, built once per range.
         Their data and column indices are slices of B's arrays, which scipy
@@ -281,9 +274,10 @@ class _InteriorStack:
         return self._rows[key]
 
     def interior(self, hs) -> np.ndarray:
-        """Stacked interior values of the full-grid flat vectors ``hs``."""
-        return np.concatenate([h[p.d.interior_dofs]
-                               for p, h in zip(self.parts, hs)])
+        """Stacked interior values of the full-grid fields ``hs``
+        (flexural, extensional)."""
+        return np.concatenate([np.asarray(h, dtype=float).reshape(-1)[
+            p.d.interior_dofs] for p, h in zip(self.parts, hs)])
 
     def locate(self, i: int) -> tuple:
         """The subsystem name, the field name and the node indices i, j of
@@ -298,20 +292,21 @@ class _Kernel:
     ``u``, ``w`` and ``a`` stack the positions, velocities and
     accelerations on the interior dofs of both subsystems, flexural first.
     ``Lu`` keeps the interior rows of L h of the last acceleration
-    evaluated and ``hT`` each subsystem's traction boundary values.  What
-    does not depend on time is read from the model's ``_InteriorStack``;
-    load sums, traction solves and energy terms are formed per subsystem
-    on its slice.
+    evaluated and ``hT`` the traction boundary values it solved (None for a
+    part without traction dofs).  What does not depend on time is read from
+    the model's ``_InteriorStack``; load sums, traction solves and energy
+    terms are formed per subsystem on its slice.
 
-    Only what moves is stepped.  A part is at rest when its fields and
-    velocities are zero on the whole grid at the start and nothing drives
-    it (``_Part.driven``); B is block diagonal, so its u, w, a and Lu stay
-    exactly +0 for the whole run.  The other parts are live.  A step's
-    matvec runs on B's rows over the range of the stack the live parts
-    span (``_InteriorStack.rows``), and its vector updates on the views
-    ``_u``, ``_w``, ``_a`` and ``_Lu`` of that range; with every part live
-    the range is the whole stack.  Energies, snapshots and ``hottest`` read
-    the full vectors.
+    Only what moves is stepped.  A part is at rest when its interior u and
+    w are zero at the start and nothing drives it (``_Part.driven``): its
+    boundary then holds g = 0 and, having no traction dofs, nothing else.
+    B is block diagonal, so its u, w, a and Lu stay exactly +0 for the
+    whole run.  The other parts are live.  A step's matvec runs on B's
+    rows over the range of the stack the live parts span
+    (``_InteriorStack.rows``), and its vector updates on the views ``_u``,
+    ``_w``, ``_a`` and ``_Lu`` of that range; with every part live the
+    range is the whole stack.  Energies, snapshots and ``hottest`` read the
+    full vectors.
     """
 
     def __init__(self, model: DiscreteModel):
@@ -319,20 +314,17 @@ class _Kernel:
         self.matvecs = 0
 
     def start(self, state: DiscreteState) -> "_Kernel":
-        """Take u and w from a grid state and a(t) from its fields with
-        their boundary values as given; every later acceleration re-imposes
-        g and re-solves the traction block.  An at-rest part's u and w are
-        set to +0, as a step would make of a -0."""
+        """Take u and w from a grid state's interior and a(t0) by
+        ``_acceleration``, as every step takes a(t): g on Gamma_u and the
+        traction solve on Gamma_sigma hold from t0, whatever boundary
+        values the state holds.  A part whose interior u and w are zero and
+        that nothing drives is at rest; its u and w are set to +0, as a
+        step would make of a -0."""
         stack = self.stack
-        hs = [np.asarray(h, dtype=float).reshape(-1)
-              for h in (state.flex, state.ext)]
-        vs = [np.asarray(v, dtype=float).reshape(-1)
-              for v in (state.flex_vel, state.ext_vel)]
-        self.u = stack.interior(hs)
-        self.w = stack.interior(vs)
-        self.hT = [h[p.d.trac_dofs] for p, h in zip(stack.parts, hs)]
-        moves = [p.driven or bool(np.any(h) or np.any(v))
-                 for p, h, v in zip(stack.parts, hs, vs)]
+        self.u = stack.interior((state.flex, state.ext))
+        self.w = stack.interior((state.flex_vel, state.ext_vel))
+        moves = [p.driven or bool(np.any(self.u[p.s]) or np.any(self.w[p.s]))
+                 for p in stack.parts]
         live = [p for p, m in zip(stack.parts, moves) if m]
         rest = [p for p, m in zip(stack.parts, moves) if not m]
         for p in rest:
@@ -340,9 +332,9 @@ class _Kernel:
         s = slice(min((p.s.start for p in live), default=0),
                   max((p.s.stop for p in live), default=0))
         self.rows = stack.rows(s)
-        self.matvecs += 1
-        self.Lu = stack.apply(hs)
+        self.Lu = np.zeros(self.u.size)
         self.a = np.zeros(self.u.size)
+        self.hT = [None] * len(stack.parts)
         self._u, self._w, self._a, self._Lu, self._m = (
             x[s] for x in (self.u, self.w, self.a, self.Lu, stack.mass))
         # what the matvec leaves out: the lift and traction terms, and the
@@ -353,7 +345,7 @@ class _Kernel:
                         if stack.loaded else None)
         self._kick = np.empty(s.stop - s.start)
         self._du = np.empty(s.stop - s.start)
-        self._acceleration_from_Lu(state.time)
+        self._acceleration(state.time)
         self.kick_dt = None
         _log.debug("kernel: stepping %s (%d of %d interior dofs)%s",
                    ", ".join(p.d.name for p in live) or "nothing",
@@ -374,10 +366,6 @@ class _Kernel:
                 self.hT[k] = p.closure.values(
                     self.u[p.s], _envelope_sum(p.presets, p.T, t))
                 self.Lu[p.s] += p.closure.A_IT @ self.hT[k]
-        self._acceleration_from_Lu(t)
-
-    def _acceleration_from_Lu(self, t: float) -> None:
-        """M^-1 (L h - F) on the live range from the L h kept in ``Lu``."""
         if self._forced is None:
             np.divide(self._Lu, self._m, out=self._a)
             return
@@ -457,9 +445,11 @@ class _Kernel:
 def step(state: DiscreteState, model: DiscreteModel, dt: float) -> DiscreteState:
     """One explicit central-difference step of both subsystems.
 
-    Displacement-boundary values are re-imposed exactly; traction rows are
-    solved for the boundary block after each position update.  A dt above
-    the stability bound only flags the returned state, it does not raise.
+    Only the interior of ``state`` is read.  Both accelerations, at the
+    start and after the position update, impose the displacement-boundary
+    values g exactly and solve the traction rows for the boundary block,
+    and the returned state holds them.  A dt above the stability bound
+    only flags the returned state, it does not raise.
     """
     warn = state.stability_warning or dt > stable_dt(model) * (1.0 + 1e-12)
     kernel = _Kernel(model).start(state)
@@ -513,6 +503,12 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     with a diagnostic when the total energy is not finite or has grown
     beyond ten times the initial energy plus the accumulated external work
     (of the loads and of the Dirichlet lift).
+
+    Only the interior of ``initial`` enters the run: the Dirichlet data g
+    is imposed and the traction rows are solved from the first
+    acceleration, at t0, on.  The first snapshot is ``initial`` as given,
+    its boundary values included, and every later one holds g on Gamma_u
+    and the solved traction boundary.
     """
     t_final = checked_number("t_final", t_final, positive=True)
     every = checked_number("snapshot_every", snapshot_every, integer=True)

@@ -132,14 +132,13 @@ class HPRFunctional:
 
     def _displacement_part(self, u: PlateKinematics) -> float:
         model = self.model
-        stack = model.interior_stack
-        hs = [np.ascontiguousarray(block, dtype=float).ravel()
-              for block in (u.flexural(), u.extensional())]
-        Lh = stack.apply(hs)
         total = 0.0
-        for p, h, f in zip(stack.parts, hs, (self._f_flex, self._f_ext)):
-            hI = h[p.d.interior_dofs]
-            total += (-0.5 * float(hI @ Lh[p.s]) + float(f @ hI))
+        for d, block, f in ((model.flex_d, u.flexural(), self._f_flex),
+                            (model.ext_d, u.extensional(), self._f_ext)):
+            h = np.ascontiguousarray(block, dtype=float).ravel()
+            hI = h[d.interior_dofs]
+            Lh = (d.A @ h)[d.interior_dofs]
+            total += (-0.5 * float(hI @ Lh) + float(f @ hI))
         return total * model.cell_area
 
     def _stress_part(self, state: HPRState) -> float:
@@ -243,8 +242,7 @@ class HPRFunctional:
                 for d in perturbations]
 
 
-def random_admissible_perturbation(model: DiscreteModel, rng,
-                                   interior_only: bool = True) -> HPRState:
+def random_admissible_perturbation(model: DiscreteModel, rng) -> HPRState:
     """Smooth random perturbation of all kinematic and resultant fields.
 
     Fields are random low-order polynomials modulated by a bump envelope
@@ -255,7 +253,7 @@ def random_admissible_perturbation(model: DiscreteModel, rng,
     a = float(model.X[-1, 0])
     b = float(model.Y[0, -1])
     xs, ys = X / a, Y / b
-    env = (xs * (1.0 - xs) * ys * (1.0 - ys)) ** 2 * 256.0 if interior_only else 1.0
+    env = (xs * (1.0 - xs) * ys * (1.0 - ys)) ** 2 * 256.0
     xp = [xs**i for i in range(3)]
     yp = [ys**j for j in range(3)]
 

@@ -165,8 +165,8 @@ def manufactured_static_problem(model, polys):
     polynomial kinematics as the exact solution of the static systems."""
     flex_polys = [polys[n] for n in FLEXURAL_FIELDS]
     ext_polys = [polys[n] for n in EXTENSIONAL_FIELDS]
-    F_flex = apply_to_polynomials(model.flex.active_coeffs, flex_polys)
-    F_ext = apply_to_polynomials(model.ext.active_coeffs, ext_polys)
+    F_flex = apply_to_polynomials(model.flex_d.op.active_coeffs, flex_polys)
+    F_ext = apply_to_polynomials(model.ext_d.op.active_coeffs, ext_polys)
     X, Y = model.X, model.Y
     f_flex = np.stack([f(X, Y) for f in F_flex])
     f_ext = np.stack([f(X, Y) for f in F_ext])

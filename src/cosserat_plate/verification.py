@@ -418,14 +418,16 @@ def suite_convergence(seed: int = 6) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def lowest_flexural_mode(model):
-    """Fundamental flexural eigenmode of the constrained discrete system."""
+    """Fundamental flexural eigenmode of the constrained discrete system,
+    K = -A_II and M the interior masses of the flexural rows.  ARPACK
+    starts from a fixed vector, so every call returns the same bits."""
     import scipy.sparse as sp
 
-    stack = model.interior_stack
-    s = stack.parts[0].s
-    K = (-stack.B[s, s]).tocsc()
-    M = sp.diags(stack.mass[s])
-    w2, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM")
+    d = model.flex_d
+    K = (-d.A[d.interior_dofs][:, d.interior_dofs]).tocsc()
+    M = sp.diags(d.mass_interior)
+    w2, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM",
+                          v0=np.ones(K.shape[0]))
     return float(np.sqrt(max(w2[0], 0.0))), vecs[:, 0]
 
 

@@ -279,13 +279,12 @@ def test_grid_gradients_equal_per_field_gradients():
         assert np.array_equal(bits(getattr(g2, n)), bits(gy)), n
 
 
-def per_field_perturbation(model, rng, interior_only=True):
+def per_field_perturbation(model, rng):
     """``random_admissible_perturbation`` with the monomials recomputed for
     every coefficient of every field."""
     X, Y = model.X, model.Y
     xs, ys = X / float(X[-1, 0]), Y / float(Y[0, -1])
-    env = ((xs * (1.0 - xs) * ys * (1.0 - ys)) ** 2 * 256.0
-           if interior_only else 1.0)
+    env = (xs * (1.0 - xs) * ys * (1.0 - ys)) ** 2 * 256.0
 
     def rand_field():
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
@@ -300,13 +299,10 @@ def per_field_perturbation(model, rng, interior_only=True):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("interior_only", [True, False])
-def test_perturbation_equals_per_field_monomials(interior_only, seed):
+def test_perturbation_equals_per_field_monomials(seed):
     model = make_model(nx=13, ny=9)
-    d = random_admissible_perturbation(model, np.random.default_rng(seed),
-                                       interior_only)
-    u, s = per_field_perturbation(model, np.random.default_rng(seed),
-                                  interior_only)
+    d = random_admissible_perturbation(model, np.random.default_rng(seed))
+    u, s = per_field_perturbation(model, np.random.default_rng(seed))
     for fields, want in ((d.u, u), (d.s, s)):
         for n, f in want.items():
             assert np.array_equal(bits(getattr(fields, n)), bits(f)), n

@@ -438,3 +438,20 @@ def test_classical_limit_assembles_only_the_shared_solution(monkeypatch):
     finally:
         verification._classical_solution.cache_clear()
     assert calls == [(65, 65)]
+
+
+def test_lowest_flexural_mode_is_reproducible():
+    """ARPACK starts from a fixed vector, so two calls on one model return
+    bitwise-equal frequencies and modes, and criterion 08 starts from the
+    same state in every run."""
+    from cosserat_plate.dynamics import EDGES, ModelConfig, assemble
+    from cosserat_plate.material import material_from_technical
+
+    mat = material_from_technical(E=1.0, nu=0.3, N=0.3, l_t=0.05, l_b=0.06,
+                                  Psi=0.8, rho=1.0, J=(0.1, 0.1, 0.1))
+    model = assemble(ModelConfig(material=mat, h=0.1, a=1.0, b=1.0, nx=13,
+                                 ny=11, bc={e: "clamped" for e in EDGES}))
+    (w_a, mode_a), (w_b, mode_b) = (verification.lowest_flexural_mode(model)
+                                    for _ in range(2))
+    assert w_a == w_b
+    assert np.array_equal(mode_a.view(np.int64), mode_b.view(np.int64))
