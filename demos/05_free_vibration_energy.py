@@ -29,7 +29,7 @@ print(f"fundamental flexural frequency: {omega0:.4f} rad/s")
 
 state = DiscreteState.zero(model)
 fv = state.flex_vel.reshape(6, -1).copy().ravel()
-fv[model.flex_d.interior_dofs] = mode / np.max(np.abs(mode))
+fv[model.flex_d.free_dofs] = mode / np.max(np.abs(mode))
 state = DiscreteState(flex=state.flex, ext=state.ext,
                       flex_vel=fv.reshape(6, model.nx, model.ny),
                       ext_vel=state.ext_vel)

@@ -5,8 +5,8 @@ the first, and this package re-exports their names.
 The names of ``discretization`` load eagerly and without SciPy, which it
 imports only where it builds the sparse rows.  ``static`` and ``explicit``
 import SciPy at module level, so their names, the modules themselves and
-``spla`` (``scipy.sparse.linalg``, through which the static factor and the
-traction closure call SuperLU) resolve on first access (PEP 562): a
+``spla`` (``scipy.sparse.linalg``, through which the static factor of a
+nonsymmetric system calls SuperLU) resolve on first access (PEP 562): a
 command that never assembles a model, such as ``dispersion``, never loads
 SciPy.  A resolved name is bound in this namespace, so it is the very
 object its home module defines.

@@ -4,36 +4,48 @@ The mid-plane rectangle [0, a] x [0, b] carries a uniform nx x ny node
 grid.  Each node is interior, displacement (Dirichlet) or traction.  One
 table (``EDGE_TABLE``) gives each edge its grid axis, node line and outward
 normal.  The edges are tagged in the order left, right, bottom, top, and
-displacement data wins a corner.  At a traction-traction corner the two
-edge rows superpose: the node's normal is the average n = (n1 + n2) /
-|n1 + n2| and each edge's data is weighted by 1 / |n1 + n2|.
+displacement data wins a corner.
+
+The rows of A are the Hessian of the staggered discrete energy
+
+    E_h = sum_nodes a_n 1/2 V.Q_VV V
+          + sum_x-edges a_x (1/2 X.Q_XX X + X.Q_XV Vbar)
+          + sum_y-edges a_y (1/2 Y.Q_YY Y + Y.Q_YV Vbar)
+          + sum_cells dx dy Xc.Q_XY Yc,
+
+divided by -dx dy.  Q is the subsystem's energy density form
+(``operators.energy_forms``); X and Y are the differences along an edge
+and Vbar the mean of its end values, Xc and Yc the mean differences of a
+cell; a_n, a_x and a_y are dual-cell areas, halved on the boundary lines
+(a corner node has a quarter cell).  A free node's mass and load vector
+are weighted by its dual-cell fraction w = a_n / (dx dy): 1 inside, 1/2 on
+an edge, 1/4 at a corner.  Prescribed traction data does work along its
+edge by the trapezoid rule, and the load-coupled parts of the resultants
+enter the same way.  So A restricted to the free (interior and traction)
+dofs is symmetric, and its static and explicit problems are those of one
+energy (Mattsson & Nordstrom, J. Comput. Phys. 199, 2004).
 
 Every row of A comes from one stencil-table builder
 (``_Discretization._stencil_rows``).  A node class's table holds weights
-over (row field, column field, stencil slot, node) and a node offset per
-slot, and one ``np.nonzero`` pass emits the class's COO triplets.
-Interior rows collocate the governing systems with a fixed 15-slot
-second-order central table: the value, central d/dx and d/dy, the compact
-[1, -2, 1] second differences and the 4-point cross difference.  Its
-weights (num * c) / den do not depend on the node and are broadcast over
-the interior nodes.  Displacement rows are the identity; their data is
-re-imposed exactly every step.  Traction rows n . T(d/dx) H = F* take 7
-slots per node: the value, three d/dx and three d/dy slots, one-sided
-across the edge and central along it.  They are weighted by the traction
-coefficients, which ``operators.build_traction`` reads off the stiffness
-form, contracted with the node's normal; ``operators.traction_load_part``
-gives their load part.  The formulation is ghost-free.
+over (row field, column field, stencil slot) and a node offset per slot,
+the same at every node of the class; the builder sorts each row pattern
+once and broadcasts it over the class's nodes into A's CSR arrays.  Interior
+rows keep a fixed 15-slot second-order central table: the value, central
+d/dx and d/dy, the compact [1, -2, 1] second differences and the 4-point
+cross difference, with weights (num * c) / den that equal E_h's interior
+Hessian row to roundoff.  Displacement rows are the identity; their data
+is re-imposed exactly every step.  Each traction class (4 edges, 4
+corners) takes 9 slots, the node and its 8 neighbours, read once per
+class off E_h's Hessian on a 3 x 3 reference patch (``_energy_rows``).
 Within a row the entries run over column field, then slot, which fixes
-the order in which the CSR conversion sums duplicates.
+the order in which duplicate entries are summed into A.
 
 Every load is a spatial field times a time envelope (the presets'
 ``space(x, y)`` and ``envelope(t) -> (value, rate)``).  Each subsystem
-builds, once and on first use, one term per load that acts on it: the
-interior load vector F_k of the field and its in-plane gradients, and the
-traction load part T_k at the traction nodes.  The load vector at time t
-is then sum_k e_k(t) F_k, the traction load part sum_k e_k(t) T_k and its
-rate sum_k e_k'(t) T_k; no field is sampled and no gradient taken per
-step.
+builds, once and on first use, one load vector F_k per load that acts on
+it, over its free dofs, from the field and its in-plane gradients.  The
+load vector at time t is then sum_k e_k(t) F_k; no field is sampled and no
+gradient taken per step.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ import numpy as np
 from ..material import (MaterialParams, TechnicalConstants,
                         technical_constants, validate_parameters)
 from ..operators import (build_extensional, build_flexural, build_traction,
-                         traction_load_part)
+                         energy_forms, traction_load_part)
 from ..plate_fields import (EXTENSIONAL_FIELDS, FLEXURAL_FIELDS, InertiaSet,
                             LoadSet, inertia_constants)
 
@@ -188,14 +200,14 @@ class LoadFunctions:
         return LoadSet(**{name: ev(f) for name, f in vars(self).items()})
 
 
-def _envelope_sum(presets, rows: np.ndarray, t: float, part: int = 0):
-    """sum_k e_k(t) rows[k], with e_k the value (``part`` 0) or the rate
-    (``part`` 1) of preset k's time envelope.  One preset's sum is the
-    scaled row e rows[0] + 0.0, bit for bit the matmul's zero-started sum:
-    the + 0.0 turns a -0 product into +0 as that sum does."""
+def _envelope_sum(presets, rows: np.ndarray, t: float):
+    """sum_k e_k(t) rows[k], with e_k the value of preset k's time
+    envelope.  One preset's sum is the scaled row e rows[0] + 0.0, bit for
+    bit the matmul's zero-started sum: the + 0.0 turns a -0 product into +0
+    as that sum does."""
     if len(presets) == 1:
-        return presets[0].envelope(t)[part] * rows[0] + 0.0
-    return np.array([f.envelope(t)[part] for f in presets]) @ rows
+        return presets[0].envelope(t)[0] * rows[0] + 0.0
+    return np.array([f.envelope(t)[0] for f in presets]) @ rows
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +336,7 @@ def assemble(config: ModelConfig) -> DiscreteModel:
     inertia = inertia_constants(config.material, config.h)
     flex = build_flexural(tc, inertia, paper_literal=config.paper_literal)
     ext = build_extensional(tc, inertia, paper_literal=config.paper_literal)
+    Q = energy_forms(tc)
     trac = build_traction(tc)
 
     x = np.linspace(0.0, config.a, config.nx)
@@ -335,9 +348,9 @@ def assemble(config: ModelConfig) -> DiscreteModel:
         raise ConfigError(f"geometry a = {config.a}, b = {config.b}: the "
                           f"square of the grid spacing overflows")
 
-    flex_d = _Discretization(config, bc, flex, trac.flex, trac.flex_loads,
+    flex_d = _Discretization(config, bc, flex, Q["flex"], trac.flex_loads,
                              X, Y, dx, dy, "flexural")
-    ext_d = _Discretization(config, bc, ext, trac.ext, trac.ext_loads,
+    ext_d = _Discretization(config, bc, ext, Q["ext"], trac.ext_loads,
                             X, Y, dx, dy, "extensional")
     for d in (flex_d, ext_d):
         if not np.isfinite(d.A.data).all():
@@ -369,18 +382,43 @@ _INTERIOR_SLOTS = np.array([
     (5, 1.0, 0, 1), (5, -2.0, 0, 0), (5, 1.0, 0, -1),
 ]).T
 
-# Second-order first-derivative stencils along one axis, as node offsets
-# and weights times the spacing: forward at the first node, backward at
-# the last and central elsewhere, where the third slot is empty.
-_D1_OFFSETS = np.array([[0, 1, 2], [0, -1, -2], [-1, 1, 0]])
-_D1_WEIGHTS = np.array([[-1.5, 2.0, -0.5], [1.5, -2.0, 0.5], [-0.5, 0.5, 0.0]])
+# The 9 slots of a traction row: the node and its 8 neighbours, as (di, dj)
+# offsets.
+_PATCH_DI, _PATCH_DJ = np.array(np.divmod(np.arange(9), 3)) - 1
 
 
-def _d1_slots(i: np.ndarray, n: int, d: float):
-    """(3, N) offsets and weights of d/dx at the node indices i of an
-    n-node axis with spacing d."""
-    side = np.where(i == 0, 0, np.where(i == n - 1, 1, 2))
-    return _D1_OFFSETS[side].T, (_D1_WEIGHTS / d)[side].T
+def _energy_rows(Q: np.ndarray, dx: float, dy: float) -> np.ndarray:
+    """The rows -K / (dx dy) of every node class, K the Hessian of E_h on a
+    3 x 3 node patch: (3, 3, nf, nf, 9), the row of field r at patch node
+    (i, j) weighting field c at node (i + di, j + dj) of slot s.  Patch
+    node (i, j) stands for every grid node of its class: i is 0 on the first
+    node line along x, 2 on the last and 1 between, and so is j along y."""
+    nf = Q.shape[1]
+    V = np.eye(9).reshape(3, 3, 9)  # node (i, j)'s value, over the 9 nodes
+    X, Y = (V[1:] - V[:-1]) / dx, (V[:, 1:] - V[:, :-1]) / dy
+    Xbar, Ybar = 0.5 * (V[1:] + V[:-1]), 0.5 * (V[:, 1:] + V[:, :-1])
+    Xc, Yc = 0.5 * (X[:, 1:] + X[:, :-1]), 0.5 * (Y[1:] + Y[:-1])
+    half = np.array([0.5, 1.0, 0.5])  # a node line's share of its dual cells
+    ax, ay = np.broadcast_to(half, (2, 3)), np.broadcast_to(half[:, None], (3, 2))
+
+    def hessian(w, A, M, B):
+        """The Hessian of sum w (A h).M (B h) over samples, in units of
+        dx dy: (9, nf, 9, nf)."""
+        t = np.einsum("s,sp,sq,rc->prqc", np.ravel(w), A.reshape(-1, 9),
+                      B.reshape(-1, 9), M)
+        return t + t.transpose(2, 3, 0, 1)
+
+    K = (hessian(0.5 * np.outer(half, half), V, Q[0, :, 0], V)
+         + hessian(0.5 * ax, X, Q[1, :, 1], X) + hessian(ax, X, Q[1, :, 0], Xbar)
+         + hessian(0.5 * ay, Y, Q[2, :, 2], Y) + hessian(ay, Y, Q[2, :, 0], Ybar)
+         + hessian(np.ones((2, 2)), Xc, Q[1, :, 2], Yc))
+    # -K with the column nodes padded by one, so every slot of every class
+    # indexes it; a slot outside the patch reads 0
+    padded = np.zeros((3, 3, nf, 5, 5, nf))
+    padded[:, :, :, 1:4, 1:4] = -K.reshape(3, 3, nf, 3, 3, nf)
+    i, j = np.arange(3)[:, None, None], np.arange(3)[None, :, None]
+    rows = padded[i, j, :, i + 1 + _PATCH_DI, j + 1 + _PATCH_DJ]
+    return np.moveaxis(rows, 2, -1)  # (3, 3, 9, nf, nf) -> (3, 3, nf, nf, 9)
 
 
 def _abs_matvec(A, x: np.ndarray) -> np.ndarray:
@@ -409,11 +447,12 @@ _SUBSYSTEMS = {
 class _Discretization:
     """Sparse rows of one subsystem plus the index bookkeeping."""
 
-    def __init__(self, config, bc, op, tn, tn_loads, X, Y, dx, dy, name):
+    def __init__(self, config, bc, op, Q, tn_loads, X, Y, dx, dy, name):
         self.name = name
         self.edge_key, self.fields, self.null_space = _SUBSYSTEMS[name]
         self.op = op
-        self.tn, self.tn_loads = tn, tn_loads  # traction row coefficients
+        self.Q = Q                 # the energy density form
+        self.tn_loads = tn_loads   # load parts of the boundary resultants
         self.nf = op.active_coeffs.shape[0]
         self.nx, self.ny = config.nx, config.ny
         self.dx, self.dy = dx, dy
@@ -423,80 +462,110 @@ class _Discretization:
         self.ndof = self.nf * self.nx * self.ny
 
         self._classify_nodes()
-        rows, cols, vals = map(np.concatenate, zip(
-            self._stencil_rows(self.interior_nodes, *self._interior_table()),
-            self._stencil_rows(self.dirich_nodes, *self._dirichlet_table()),
-            self._stencil_rows(self.trac_nodes, *self._traction_table())))
         import scipy.sparse as sp
-        self.A = sp.coo_matrix((vals, (rows, cols)),
-                               shape=(self.ndof, self.ndof)).tocsr()
-        self.mass_interior = np.repeat(
-            op.mass, self.interior_nodes.size
-        ).astype(float)
+        self.A = sp.csr_matrix(self._stencil_rows(),
+                               shape=(self.ndof, self.ndof))
+        weight = self.weight.ravel()[self.free_nodes]
+        self.mass_free = (op.mass[:, None] * weight).ravel()
         self.has_dirichlet = self.dirich_nodes.size > 0
 
     # -- node bookkeeping --------------------------------------------------
 
     def _classify_nodes(self):
         nx, ny = self.nx, self.ny
+        # each node line's share of its dual cells across it: 1/2 on the
+        # first and the last line, so a node's dual-cell fraction
+        # (``weight``) is 1 inside, 1/2 on an edge and 1/4 at a corner
+        self.line_weight = [np.ones(n) for n in (nx, ny)]
+        for w in self.line_weight:
+            w[[0, -1]] = 0.5
+        self.weight = np.outer(*self.line_weight)
         kind = np.zeros((nx, ny), dtype=int)  # 0 interior, 1 dirichlet, 2 traction
-        normal_raw = np.zeros((nx, ny, 2))    # accumulated edge normals
-        for name, (_, _, n) in EDGE_TABLE.items():
-            tag = 1 if self.bc[name].kind == "clamped" else 2
-            line = edge_line(name)
-            k, nr = kind[line], normal_raw[line]  # views of the edge
-            # traction-traction corner: superpose the edge rows, which
-            # averages the normals and weights each edge's data by
-            # 1 / |n1 + n2|
-            corner = (k == 2) & (tag == 2)
-            nr[corner] += n
-            new = (k != 1) & ~corner  # displacement data wins at corners
-            k[new] = tag
-            nr[new] = n
-        norm = np.linalg.norm(normal_raw, axis=2)
-        norm[norm == 0.0] = 1.0
+        for name in EDGES:
+            k = kind[edge_line(name)]  # a view of the edge
+            if self.bc[name].kind == "clamped":
+                k[:] = 1
+            else:
+                k[k != 1] = 2  # displacement data wins a corner
         self.kind = kind
-        self.normal = normal_raw / norm[:, :, None]
-        # per-node weight applied to each contributing edge's prescribed
-        # data so the combined row stays consistent with the averaged normal
-        self.trac_weight = 1.0 / norm
-        self.interior_nodes, _, self.interior_dofs = self._nodes_of(0)
-        self.dirich_nodes, self._dir_ij, self.dirich_dofs = self._nodes_of(1)
-        self.trac_nodes, self._trac_ij, self.trac_dofs = self._nodes_of(2)
+        self.interior_nodes, _, _ = self._nodes_of(kind == 0)
+        self.dirich_nodes, self._dir_ij, self.dirich_dofs = \
+            self._nodes_of(kind == 1)
+        self.trac_nodes, self._trac_ij, self.trac_dofs = self._nodes_of(kind == 2)
+        self.free_nodes, _, self.free_dofs = self._nodes_of(kind != 1)
 
     def locate(self, dof: int) -> tuple:
         """The field name and the node indices i, j of grid dof ``dof``."""
         f, node = divmod(int(dof), self.nx * self.ny)
         return (self.fields[f], *divmod(node, self.ny))
 
-    def _nodes_of(self, tag):
+    def _nodes_of(self, mask):
         """Node indices i * ny + j, their (i, j) and their dofs (field by
-        field) of the nodes of kind ``tag``."""
-        ii, jj = np.nonzero(self.kind == tag)
+        field) of the nodes in ``mask``."""
+        ii, jj = np.nonzero(mask)
         nodes = ii * self.ny + jj
         dofs = np.arange(self.nf)[:, None] * (self.nx * self.ny) + nodes
         return nodes, (ii, jj), dofs.ravel()
 
+    def _traction_edges(self):
+        """(edge, mask, weight) of each traction edge: the mask of its nodes
+        among the traction nodes and their boundary length per cell area,
+        the trapezoid weight along the edge over the spacing across it."""
+        ti, tj = self._trac_ij
+        for name, (axis, index, _) in EDGE_TABLE.items():
+            if self.bc[name].kind != "traction":
+                continue
+            mask = (ti, tj)[axis] == range((self.nx, self.ny)[axis])[index]
+            along = (tj, ti)[axis][mask]
+            yield name, mask, (self.line_weight[1 - axis][along]
+                               / (self.dx, self.dy)[axis])
+
     # -- matrix assembly ----------------------------------------------------
 
-    def _stencil_rows(self, node, W, di, dj):
-        """COO triplets (rows, cols, vals) of the rows of the nodes
-        ``node`` (i * ny + j): field r at node k takes W[r, c, s, k] times
-        field c at node k offset by (di[s, k], dj[s, k]) in (i, j).  A last
-        axis of length 1 in W, di and dj applies to every node.  Within a
-        row the entries run over c, then s, the order in which the CSR
-        conversion sums duplicates."""
-        r, c, s, k = np.nonzero(W)
-        if W.shape[-1] == node.size:
-            node = node[k]
-        else:  # node-independent weights and offsets: every node
-            r, c, s, k = (a[:, None] for a in (r, c, s, k))
+    def _stencil_tables(self):
+        """(nodes, W, di, dj) of every node class: field r at each of the
+        nodes (i * ny + j) takes W[r, c, s] times field c at the node offset
+        by (di[s], dj[s]) in (i, j), the same at every node of the class."""
+        yield self._interior_table()
+        zero = np.zeros(1, dtype=int)
+        yield self.dirich_nodes, np.eye(self.nf)[:, :, None], zero, zero
+        yield from self._traction_tables()
+
+    def _stencil_rows(self):
+        """(data, indices, indptr) of A in canonical CSR form.  A class's
+        rows have one pattern: its entries of each row field sorted by
+        column, stably, and the duplicates of a column summed in the order
+        (c, s) lists them, which is what SciPy's COO to CSR conversion makes
+        of the same triplets, bit for bit (a test checks this).  Each
+        pattern is then broadcast over its class's nodes."""
         nn = self.nx * self.ny
-        out = np.broadcast_arrays(
-            r * nn + node,
-            c * nn + di[s, k] * self.ny + dj[s, k] + node,
-            W[r, c, s, k])
-        return [a.ravel() for a in out]
+        count = np.zeros((self.nf, nn), dtype=np.int64)
+        classes = []
+        for nodes, W, di, dj in self._stencil_tables():
+            r, c, s = np.nonzero(W)
+            w = W[r, c, s]
+            offset = c * nn + di[s] * self.ny + dj[s]
+            order = np.lexsort((offset, r))  # stable
+            r, offset, w = r[order], offset[order], w[order]
+            new = np.ones(r.size, dtype=bool)
+            new[1:] = (r[1:] != r[:-1]) | (offset[1:] != offset[:-1])
+            vals = w[new]
+            # each duplicate added to its column's sum in turn
+            np.add.at(vals, np.cumsum(new)[~new] - 1, w[~new])
+            r, offset = r[new], offset[new]
+            count[:, nodes] = np.bincount(r, minlength=self.nf)[:, None]
+            classes.append((nodes[:, None], r, offset, vals,
+                            np.arange(r.size) - np.searchsorted(r, r)))
+        index = np.int32 if max(count.sum(), self.ndof) < 2**31 else np.int64
+        indptr = np.zeros(self.ndof + 1, dtype=index)
+        np.cumsum(count, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=index)
+        data = np.empty(indptr[-1])
+        for nodes, r, offset, vals, slot in classes:
+            at = indptr[r * nn + nodes] + slot
+            indices[at] = nodes + offset
+            data[at] = vals
+        return data, indices, indptr
 
     def _interior_table(self):
         """Central rows of L: node-independent weights (num * c) / den."""
@@ -505,49 +574,43 @@ class _Discretization:
         term, di, dj = (a.astype(int) for a in (term, di, dj))
         den = np.array([1.0, dx, dy, dx**2, dx * dy, dy**2])[term]
         W = (num * self.op.active_coeffs[:, :, term]) / den
-        return W[..., None], di[:, None], dj[:, None]
+        return self.interior_nodes, W, di, dj
 
-    def _dirichlet_table(self):
-        """Displacement rows: the identity."""
-        zero = np.zeros((1, 1), dtype=int)
-        return np.eye(self.nf)[:, :, None, None], zero, zero
-
-    def _traction_table(self):
-        """Traction rows n . T: 7 slots per node, the value and three d/dx
-        and three d/dy slots, one-sided across the edge and central along
-        it, weighted by the normal-contracted traction coefficients."""
+    def _traction_tables(self):
+        """(nodes, W, di, dj) of each class of traction nodes present, an
+        edge or a corner: the class's rows of E_h's Hessian."""
         ti, tj = self._trac_ij
         if ti.size == 0:
-            none = np.zeros((7, 0), dtype=int)
-            return np.zeros((self.nf, self.nf, 7, 0)), none, none
-        # the per-node contraction, made once per distinct normal
-        normals, which = np.unique(self.normal[ti, tj], axis=0,
-                                   return_inverse=True)
-        coeffs = np.stack([np.einsum("rcab,a->rcb", self.tn, n)
-                           for n in normals], axis=-1)[:, :, :, which.ravel()]
-        ox, wx = _d1_slots(ti, self.nx, self.dx)
-        oy, wy = _d1_slots(tj, self.ny, self.dy)
-        W = np.concatenate([coeffs[:, :, :1], coeffs[:, :, 1:2] * wx,
-                            coeffs[:, :, 2:3] * wy], axis=2)
-        z = np.zeros_like(ox)
-        return (W, np.concatenate([z[:1], ox, z]),
-                np.concatenate([z[:1], z, oy]))
+            return
+        rows = _energy_rows(self.Q, self.dx, self.dy)
+        # 0 on the first node line, 2 on the last, 1 between, along each axis
+        ci, cj = ((k > 0).astype(int) + (k == n - 1)
+                  for k, n in ((ti, self.nx), (tj, self.ny)))
+        cls = 3 * ci + cj
+        for c in np.unique(cls):
+            yield (self.trac_nodes[cls == c], rows[c // 3, c % 3],
+                   _PATCH_DI, _PATCH_DJ)
 
     # -- load / data vectors -------------------------------------------------
 
     @cached_property
     def load_terms(self):
-        """The loads acting on this subsystem as (presets, F, T): row k of F
-        is the interior load vector of preset k's spatial field and its
-        gradients, and row k of T minus its traction load part (per-node
-        normals), so the load vector at t is sum_k e_k(t) F[k].  A preset
-        that leaves both zero, one that loads only the other subsystem, is
-        dropped.  Built on first use: each spatial field is evaluated once
-        per model and subsystem.  A load whose field or load vectors
-        overflow is a ConfigError naming it."""
+        """The loads acting on this subsystem as (presets, F): row k of F is
+        the load vector of preset k's spatial field and its gradients over
+        the free dofs, so the load vector at t is sum_k e_k(t) F[k].  A
+        traction node's entry is its dual-cell fraction of the node's load
+        vector plus the trapezoid boundary work of the load part of its
+        resultants.  A preset that leaves F zero, one that loads only the
+        other subsystem, is dropped.  Built on first use: each spatial field
+        is evaluated once per model and subsystem.  A load whose field or
+        load vector overflows is a ConfigError naming it."""
         zeros = LoadSet(*[np.zeros_like(self.X)] * 4)
-        normal = (self.normal[:, :, 0], self.normal[:, :, 1])
-        presets, F, T = [], [], []
+        ti, tj = self._trac_ij
+        trac, weight = self.trac_nodes, self.weight[ti, tj]
+        normal = np.zeros((2, ti.size))  # outward normals x length per area
+        for name, mask, w in self._traction_edges():
+            normal[:, mask] += np.multiply.outer(EDGE_TABLE[name][2], w)
+        presets, F = [], []
         for name, f in vars(self.loads).items():
             if f is None:
                 continue
@@ -558,13 +621,14 @@ class _Discretization:
                                          edge_order=2)
                     loads, grad1, grad2 = (replace(zeros, **{name: a})
                                            for a in (space, gx, gy))
-                    Fk = np.concatenate([
-                        np.ravel(r)[self.interior_nodes] for r in
-                        self.op.load_vector(loads, grad1, grad2)])
-                    Tk = -np.concatenate([
-                        np.ravel(r)[self.trac_nodes] for r in
-                        traction_load_part(self.tn_loads, loads, normal)])
-                if not (np.isfinite(Fk).all() and np.isfinite(Tk).all()):
+                    Fk = np.stack([np.ravel(r) for r in self.op.load_vector(
+                        loads, grad1, grad2)])
+                    if trac.size:
+                        at = LoadSet(*(v[ti, tj] for v in vars(loads).values()))
+                        Fk[:, trac] = weight * Fk[:, trac] + traction_load_part(
+                            self.tn_loads, at, normal)
+                    Fk = Fk[:, self.free_nodes].ravel()
+                if not np.isfinite(Fk).all():
                     raise FloatingPointError("load vector not finite")
             except FloatingPointError as exc:
                 keys = ", ".join(f"'loads.{name}.{k}'" for k in vars(f))
@@ -572,48 +636,41 @@ class _Discretization:
                     f"'loads.{name}' overflows on the grid ({exc}): one of "
                     f"{keys} lies outside the range of double "
                     f"precision") from None
-            if np.any(Fk) or np.any(Tk):
+            if np.any(Fk):
                 presets.append(f)
                 F.append(Fk)
-                T.append(Tk)
-        n = len(presets)
-        return (tuple(presets), np.reshape(F, (n, self.interior_dofs.size)),
-                np.reshape(T, (n, self.trac_dofs.size)))
+        return (tuple(presets),
+                np.reshape(F, (len(presets), self.free_dofs.size)))
 
     def load_rhs(self, t):
-        """Interior components of the load vector F at time t."""
-        presets, F, _ = self.load_terms
+        """The load vector F over the free dofs at time t."""
+        presets, F = self.load_terms
         return _envelope_sum(presets, F, t)
 
     def dirichlet_values(self):
         """Prescribed field values on the displacement boundary dofs."""
         ii, jj = self._dir_ij
         data = np.zeros((self.nf, ii.size))
-        for mask, vals in self._edge_data("clamped", ii, jj):
-            data[:, mask] = vals
-        return data.ravel()
-
-    def traction_values(self):
-        """Prescribed boundary resultants on the traction dofs; at a
-        traction-traction corner each edge's data is weighted for the
-        averaged normal."""
-        ti, tj = self._trac_ij
-        out = np.zeros((self.nf, ti.size))
-        for mask, vals in self._edge_data("traction", ti, tj):
-            out[:, mask] += self.trac_weight[ti[mask], tj[mask]] * vals
-        return out.ravel()
-
-    def _edge_data(self, kind, ii, jj):
-        """(mask, values) over the nodes ii, jj of every ``kind`` edge with
-        data for this subsystem."""
         x, y = self.X[ii, jj], self.Y[ii, jj]
         for name, (axis, index, _) in EDGE_TABLE.items():
-            ebc = self.bc[name]
-            fdata = getattr(ebc, self.edge_key)
-            if ebc.kind != kind or fdata is None:
+            fdata = getattr(self.bc[name], self.edge_key)
+            if self.bc[name].kind != "clamped" or fdata is None:
                 continue
             mask = (ii, jj)[axis] == range((self.nx, self.ny)[axis])[index]
             if np.any(mask):
-                yield mask, np.asarray(fdata(x[mask], y[mask]))
+                data[:, mask] = np.asarray(fdata(x[mask], y[mask]))
+        return data.ravel()
 
-
+    def traction_force(self):
+        """The force of the prescribed boundary resultants on the traction
+        dofs per cell area: each edge's data times its boundary length per
+        cell area, so a traction-traction corner takes half of each of its
+        two edges' data, one over dx and one over dy."""
+        ti, tj = self._trac_ij
+        out = np.zeros((self.nf, ti.size))
+        for name, mask, w in self._traction_edges():
+            fdata = getattr(self.bc[name], self.edge_key)
+            if fdata is not None and np.any(mask):
+                out[:, mask] += w * np.asarray(fdata(self.X[ti[mask], tj[mask]],
+                                                     self.Y[ti[mask], tj[mask]]))
+        return out.ravel()

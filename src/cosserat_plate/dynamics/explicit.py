@@ -7,15 +7,15 @@ its single-state velocity form: with M hdd = L h - f,
 
 which is algebraically the classic two-level central-difference update and
 shares its conserved shadow energy.  The kernel (``_Kernel``) advances
-both subsystems at once on stacked interior vectors, flexural first:
-positions u, velocities w and accelerations a on the interior dofs, with
-one slice per subsystem.  The interior rows of the two subsystems are
-stacked once per model (``_InteriorStack``) into the block diagonal B of
-their interior blocks, which keeps every row's entries in their order in
-A, and one stacked mass vector.  A step is four vector updates and one
-matvec,
+both subsystems at once on stacked vectors over their free dofs, the
+interior and traction dofs, flexural first: positions u, velocities w and
+accelerations a, with one slice per subsystem.  The free rows of the two
+subsystems are stacked once per model (``_InteriorStack``) into the block
+diagonal B of their free blocks A_FF, which keeps every row's entries in
+their order in A, and one stacked mass vector, each node's mass weighted by
+its dual-cell fraction.  A step is four vector updates and one matvec,
 
-    w += dt/2 * a;  u += dt * w;  Lu = B u (+ lift);  a = (Lu - F(t)) / m;
+    w += dt/2 * a;  u += dt * w;  Lu = B u (+ f_b);  a = (Lu - F(t)) / m;
     w += dt/2 * a,
 
 and the end-of-step acceleration, with its half kick dt/2 * a, is the next
@@ -23,23 +23,19 @@ step's start ("first same as last").  At 17^2 a step's Python calls cost
 as much as its arithmetic, so it makes the fewest calls that keep that
 arithmetic: in-place ufuncs; Lu = B u by SciPy's CSR kernel, that of
 ``B @ u``, straight into the zero-filled ``Lu`` (``_csr_matvec_into``); the
-lift and traction terms only where a part has them; one ``np.divide`` into
-``a`` when nothing is loaded, else a subtraction of each loaded part's
-load vector straight into ``a`` and an in-place divide.  The kernel takes
-only the interior u and w from a grid state and forms a(t0) by the routine
-every step uses, so g and the traction solve hold from t0.
+boundary force f_b only where a part has one; one ``np.divide`` into ``a``
+when nothing is loaded, else a subtraction of each loaded part's load
+vector straight into ``a`` and an in-place divide.  The kernel takes only
+the free u and w from a grid state and forms a(t0) by the routine every
+step uses, so g holds from t0.
 
-Per subsystem (``_Part``) the stack also holds the Dirichlet lift, the
-load terms and, with traction edges, the quasi-static traction closure
-(``_TractionClosure``), which solves the traction rows for the boundary
-values inside every acceleration.  The boundary velocities feed nothing
-back into the interior update and are solved only when a ``DiscreteState``
-is built, at snapshots and at the end of a run.  Load envelope sums,
-traction solves and energy and work dot products are formed per subsystem
-on its slice, so the kernel's arithmetic is that of two separate
-subsystems.  The stack and the kernel are private to this module:
-``DiscreteModel.interior_stack`` builds the stack, and no other module
-reads it.
+Per subsystem (``_Part``) the stack also holds the Dirichlet data g, the
+constant boundary force f_b (the lift A_FD g of g plus the force of the
+prescribed traction data) and the load terms.  Load envelope sums and
+energy and work dot products are formed per subsystem on its slice, so the
+kernel's arithmetic is that of two separate subsystems.  The stack and the
+kernel are private to this module: ``DiscreteModel.interior_stack`` builds
+the stack, and no other module reads it.
 ``stable_dt`` bounds the largest frequency of both subsystems by one
 Gershgorin row-sum pass over the same stack and keeps the bound there.
 
@@ -49,16 +45,15 @@ subsystem at rest with nothing to drive it stays exactly +0 and is skipped
 operation are those of stepping both.
 
 Energy bookkeeping uses the discrete quadratic forms of the scheme itself:
-kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - A_ID g) over the
-interior dofs, -0.5 u^T A_II u with clamped edges (cell-area weighted), the
-consistent quadrature of the plate stress energy integral.  The Dirichlet
-lift A_ID g is a constant interior force, and its midpoint work is counted
-with the load work.  With clamped edges the semi-discrete energy less that
-work is exactly conserved, so the measured drift isolates the
-time-integration error and scales as dt^2.
+kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - f_b) = -0.5 u^T A_FF u
+over the free dofs (cell-area weighted), the discrete energy E_h whose
+Hessian A_FF is.  The boundary force f_b is constant, and its midpoint work
+is counted with the load work.  With constant forces the semi-discrete
+energy less that work is exactly conserved on every kind of edge, so the
+measured drift isolates the time-integration error and scales as dt^2.
 ``simulate`` checks that the energy is finite and within budget every
 ``GUARD_EVERY`` steps, whatever the snapshot cadence, and a failed check
-names the interior dof with the largest energy density.
+names the free dof with the largest energy density.
 """
 
 from __future__ import annotations
@@ -66,17 +61,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
 from ..plate_fields import PlateKinematics
 from .discretization import (ConfigError, DiscreteModel, InstabilityError,
-                             SingularSystemError, _abs_matvec,
-                             _Discretization, _envelope_sum, checked_number)
+                             _abs_matvec, _Discretization, _envelope_sum,
+                             checked_number)
 
 _log = logging.getLogger(__name__)
 
@@ -110,12 +103,12 @@ class DiscreteState:
 def stable_dt(model: DiscreteModel) -> float:
     """0.9 * 2/sqrt(G), below the central-difference limit 2/omega_max.
 
-    G = max_i sum_j |B_ij| / sqrt(m_i m_j), B the stacked interior rows of
-    both subsystems (``_InteriorStack``), is the infinity-norm of M^-1/2 B
-    M^-1/2, which is similar to M^-1 B, so omega_max^2 <= G whether B is
-    symmetric or not.  The quasi-static traction term A_IT A_TT^-1 A_TI is
-    not in B; the tests pin the bound for traction plates.  The row that
-    sets G is logged at DEBUG level; the result is kept on the stack.
+    G = max_i sum_j |B_ij| / sqrt(m_i m_j), B the stacked free rows of both
+    subsystems (``_InteriorStack``), is the infinity-norm of M^-1/2 B
+    M^-1/2, which is similar to M^-1 B, so omega_max^2 <= G.  B holds every
+    free row, the traction rows included, so the bound covers every kind of
+    edge.  The row that sets G is logged at DEBUG level; the result is kept
+    on the stack.
     """
     stack = model.interior_stack
     if stack.dt is None:
@@ -137,124 +130,83 @@ def _csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
     csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
 
 
-class _TractionClosure:
-    """The quasi-static traction boundary Gamma_sigma of one subsystem.
-
-    The traction rows A_TI u + A_TT h_T + ``lift`` = f* give the boundary
-    values h_T, with ``lift`` the rows' Dirichlet block times g (None when
-    g is zero) and f* the prescribed traction ``data`` plus the traction
-    load part; h_T enters the interior rows through the column block A_IT.
-    A_TT is factored once, on the first ``values`` or ``rates`` call, so a
-    caller that only reads the stack's rows (``stable_dt``) never factors
-    it.
-    """
-
-    def __init__(self, d: _Discretization, A_IT: sp.csr_matrix, g):
-        T = d.A[d.trac_dofs]
-        self.name = d.name
-        self.A_IT = A_IT
-        self.A_TI = T[:, d.interior_dofs]
-        self.A_TT = T[:, d.trac_dofs]
-        self.lift = None if g is None else T[:, d.dirich_dofs] @ g
-        self.data = d.traction_values()
-
-    @cached_property
-    def lu(self):
-        try:
-            return spla.splu(self.A_TT.tocsc())
-        except RuntimeError as exc:
-            raise SingularSystemError(
-                f"{self.name} traction boundary block is singular: {exc}"
-            ) from exc
-
-    def values(self, u: np.ndarray, load: np.ndarray) -> np.ndarray:
-        """h_T for interior values u and traction load part ``load``."""
-        rest = self.A_TI @ u
-        if self.lift is not None:
-            rest += self.lift
-        return self.lu.solve(self.data + load - rest)
-
-    def rates(self, w: np.ndarray, load_rate: np.ndarray) -> np.ndarray:
-        """The rate of h_T, from the time-differentiated traction rows."""
-        return self.lu.solve(load_rate - self.A_TI @ w)
-
-
 class _Part:
     """What drives one subsystem in the explicit kernel: its
     discretization ``d``, its slice ``s`` of the stacked vectors, its
-    Dirichlet data ``g`` and the lift A_ID g (None when g is zero), its
-    load terms (``presets``, ``F``, ``T``), its traction closure (None
-    without traction dofs) and whether any of these can move it from rest
-    (``driven``).  None of it depends on time; the loads enter through F
-    and T weighted by their envelopes."""
+    Dirichlet data ``g``, its constant boundary force ``boundary_force``
+    on the free dofs, the lift A_FD g plus the force of the traction data
+    (None when both are zero), its load terms (``presets``, ``F``) and
+    whether any of these can move it from rest (``driven``).  None of it
+    depends on time; the loads enter through F weighted by their
+    envelopes."""
 
-    def __init__(self, d: _Discretization, s: slice, A_ID, A_IT):
+    def __init__(self, d: _Discretization, s: slice, A_FD):
         self.d, self.s = d, s
-        self.presets, self.F, self.T = d.load_terms
+        self.presets, self.F = d.load_terms
         self.g = d.dirichlet_values()
-        lifted = bool(np.any(self.g))
-        self.lift = A_ID @ self.g if lifted else None
-        self.closure = (_TractionClosure(d, A_IT, self.g if lifted else None)
-                        if d.trac_dofs.size else None)
-        # a load, a lift or a traction boundary moves a subsystem from rest
-        self.driven = bool(self.presets or lifted or self.closure)
+        force = A_FD @ self.g if np.any(self.g) else None
+        data = d.traction_force()
+        if np.any(data):
+            if force is None:
+                force = np.zeros(d.free_dofs.size)
+            force[np.searchsorted(d.free_dofs, d.trac_dofs)] += data
+        self.boundary_force = force
+        # a load or a boundary force moves a subsystem from rest
+        self.driven = bool(self.presets) or force is not None
 
     def force(self, t: float) -> np.ndarray:
-        """The interior force at time t that the strain form leaves out:
-        the Dirichlet lift A_ID g minus the load vector."""
+        """The force at time t that the strain form leaves out: the
+        boundary force minus the load vector."""
         f = -_envelope_sum(self.presets, self.F, t)
-        if self.lift is not None:
-            f += self.lift
+        if self.boundary_force is not None:
+            f += self.boundary_force
         return f
 
 
 class _InteriorStack:
-    """The interior rows of both subsystems, stacked flexural first, with
+    """The free rows of both subsystems, stacked flexural first, with
     everything the explicit kernel needs that does not depend on time.
 
-    ``B`` is the block diagonal of the two interior blocks A_II in CSR form,
+    ``B`` is the block diagonal of the two free blocks A_FF in CSR form,
     each row's entries in their order in A, so ``B @ u`` forms every row sum
-    exactly as ``A_II @ u`` does.  ``mass`` stacks the interior masses and
-    ``parts`` holds one ``_Part`` per subsystem; ``dt`` keeps the
+    exactly as ``A_FF @ u`` does.  ``mass`` stacks the lumped free masses
+    and ``parts`` holds one ``_Part`` per subsystem; ``dt`` keeps the
     ``stable_dt`` bound once computed.  Built once per model, on first use
-    (``DiscreteModel.interior_stack``); no per-subsystem A_II is kept
+    (``DiscreteModel.interior_stack``); no per-subsystem A_FF is kept
     beside it.
     """
 
     def __init__(self, model: DiscreteModel):
         ds = (model.flex_d, model.ext_d)
         # the columns are sliced first: their blocks are small
-        boundary = [(d.A[:, d.dirich_dofs][d.interior_dofs],
-                     d.A[:, d.trac_dofs][d.interior_dofs]) for d in ds]
-        # B's rows are A's interior rows restricted to the interior columns,
-        # their entries taken straight from A's arrays in their order there:
-        # building each A_II first would double the memory the stack needs
-        # while it is built.  An interior row's columns are interior,
-        # Dirichlet or traction, which gives each row's count.
+        A_FD = [d.A[:, d.dirich_dofs][d.free_dofs] for d in ds]
+        # B's rows are A's free rows restricted to the free columns, their
+        # entries taken straight from A's arrays in their order there:
+        # building each A_FF first would double the memory the stack needs
+        # while it is built.  A free row's columns are free or Dirichlet,
+        # which gives each row's count.
         counts = np.concatenate([
-            np.diff(d.A.indptr)[d.interior_dofs] - np.diff(A_ID.indptr)
-            - np.diff(A_IT.indptr)
-            for d, (A_ID, A_IT) in zip(ds, boundary)])
+            np.diff(d.A.indptr)[d.free_dofs] - np.diff(a.indptr)
+            for d, a in zip(ds, A_FD)])
         indptr = np.concatenate([[0], np.cumsum(counts)])
         data = np.empty(indptr[-1])
         indices = np.empty(indptr[-1], dtype=np.int32)
         n = nnz = 0
         for d in ds:
-            interior = np.zeros(d.ndof, dtype=bool)
-            interior[d.interior_dofs] = True
-            keep = (np.repeat(interior, np.diff(d.A.indptr))
-                    & interior[d.A.indices])
+            free = np.zeros(d.ndof, dtype=bool)
+            free[d.free_dofs] = True
+            keep = np.repeat(free, np.diff(d.A.indptr)) & free[d.A.indices]
             end = nnz + int(np.count_nonzero(keep))
             data[nnz:end] = d.A.data[keep]
-            column = np.cumsum(interior, dtype=np.int32) + (n - 1)
+            column = np.cumsum(free, dtype=np.int32) + (n - 1)
             indices[nnz:end] = column[d.A.indices[keep]]
-            n += d.interior_dofs.size
+            n += d.free_dofs.size
             nnz = end
         self.B = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        self.mass = np.concatenate([d.mass_interior for d in ds])
-        ends = np.cumsum([0] + [d.interior_dofs.size for d in ds])
-        self.parts = [_Part(d, slice(lo, hi), *blocks) for d, lo, hi, blocks
-                      in zip(ds, ends[:-1], ends[1:], boundary)]
+        self.mass = np.concatenate([d.mass_free for d in ds])
+        ends = np.cumsum([0] + [d.free_dofs.size for d in ds])
+        self.parts = [_Part(d, slice(lo, hi), a) for d, lo, hi, a
+                      in zip(ds, ends[:-1], ends[1:], A_FD)]
         self.loaded = [p for p in self.parts if p.presets]
         self.dt = None
         self._rows = {}
@@ -273,40 +225,38 @@ class _InteriorStack:
                 shape=(live.stop - live.start, self.B.shape[1]))
         return self._rows[key]
 
-    def interior(self, hs) -> np.ndarray:
-        """Stacked interior values of the full-grid fields ``hs``
-        (flexural, extensional)."""
+    def free(self, hs) -> np.ndarray:
+        """Stacked free values of the full-grid fields ``hs`` (flexural,
+        extensional)."""
         return np.concatenate([np.asarray(h, dtype=float).reshape(-1)[
-            p.d.interior_dofs] for p, h in zip(self.parts, hs)])
+            p.d.free_dofs] for p, h in zip(self.parts, hs)])
 
     def locate(self, i: int) -> tuple:
         """The subsystem name, the field name and the node indices i, j of
-        stacked interior dof i."""
+        stacked free dof i."""
         p = self.parts[int(i >= self.parts[1].s.start)]
-        return (p.d.name, *p.d.locate(p.d.interior_dofs[i - p.s.start]))
+        return (p.d.name, *p.d.locate(p.d.free_dofs[i - p.s.start]))
 
 
 class _Kernel:
-    """Both subsystems' interior state in the explicit kernel.
+    """Both subsystems' free state in the explicit kernel.
 
     ``u``, ``w`` and ``a`` stack the positions, velocities and
-    accelerations on the interior dofs of both subsystems, flexural first.
-    ``Lu`` keeps the interior rows of L h of the last acceleration
-    evaluated and ``hT`` the traction boundary values it solved (None for a
-    part without traction dofs).  What does not depend on time is read from
-    the model's ``_InteriorStack``; load sums, traction solves and energy
-    terms are formed per subsystem on its slice.
+    accelerations on the free dofs of both subsystems, flexural first.
+    ``Lu`` keeps the free rows of L h of the last acceleration evaluated.
+    What does not depend on time is read from the model's
+    ``_InteriorStack``; load sums and energy terms are formed per subsystem
+    on its slice.
 
-    Only what moves is stepped.  A part is at rest when its interior u and
-    w are zero at the start and nothing drives it (``_Part.driven``): its
-    boundary then holds g = 0 and, having no traction dofs, nothing else.
-    B is block diagonal, so its u, w, a and Lu stay exactly +0 for the
-    whole run.  The other parts are live.  A step's matvec runs on B's
-    rows over the range of the stack the live parts span
-    (``_InteriorStack.rows``), and its vector updates on the views ``_u``,
-    ``_w``, ``_a`` and ``_Lu`` of that range; with every part live the
-    range is the whole stack.  Energies, snapshots and ``hottest`` read the
-    full vectors.
+    Only what moves is stepped.  A part is at rest when its u and w are
+    zero at the start and nothing drives it (``_Part.driven``): its
+    boundary then holds g = 0 and no traction data acts on it.  B is block
+    diagonal, so its u, w, a and Lu stay exactly +0 for the whole run.  The
+    other parts are live.  A step's matvec runs on B's rows over the range
+    of the stack the live parts span (``_InteriorStack.rows``), and its
+    vector updates on the views ``_u``, ``_w``, ``_a`` and ``_Lu`` of that
+    range; with every part live the range is the whole stack.  Energies,
+    snapshots and ``hottest`` read the full vectors.
     """
 
     def __init__(self, model: DiscreteModel):
@@ -314,15 +264,14 @@ class _Kernel:
         self.matvecs = 0
 
     def start(self, state: DiscreteState) -> "_Kernel":
-        """Take u and w from a grid state's interior and a(t0) by
-        ``_acceleration``, as every step takes a(t): g on Gamma_u and the
-        traction solve on Gamma_sigma hold from t0, whatever boundary
-        values the state holds.  A part whose interior u and w are zero and
-        that nothing drives is at rest; its u and w are set to +0, as a
-        step would make of a -0."""
+        """Take u and w from a grid state's free dofs and a(t0) by
+        ``_acceleration``, as every step takes a(t): g on Gamma_u holds
+        from t0, whatever Dirichlet values the state holds.  A part whose u
+        and w are zero and that nothing drives is at rest; its u and w are
+        set to +0, as a step would make of a -0."""
         stack = self.stack
-        self.u = stack.interior((state.flex, state.ext))
-        self.w = stack.interior((state.flex_vel, state.ext_vel))
+        self.u = stack.free((state.flex, state.ext))
+        self.w = stack.free((state.flex_vel, state.ext_vel))
         moves = [p.driven or bool(np.any(self.u[p.s]) or np.any(self.w[p.s]))
                  for p in stack.parts]
         live = [p for p, m in zip(stack.parts, moves) if m]
@@ -334,20 +283,19 @@ class _Kernel:
         self.rows = stack.rows(s)
         self.Lu = np.zeros(self.u.size)
         self.a = np.zeros(self.u.size)
-        self.hT = [None] * len(stack.parts)
         self._u, self._w, self._a, self._Lu, self._m = (
             x[s] for x in (self.u, self.w, self.a, self.Lu, stack.mass))
-        # what the matvec leaves out: the lift and traction terms, and the
-        # load vector of a loaded part, whose acceleration is Lu - F
-        self._bounded = [(k, p) for k, p in enumerate(stack.parts)
-                         if p.lift is not None or p.closure is not None]
+        # what the matvec leaves out: the boundary force, and the load
+        # vector of a loaded part, whose acceleration is Lu - F
+        self._bounded = [p for p in stack.parts
+                         if p.boundary_force is not None]
         self._forced = ([(self.Lu[p.s], self.a[p.s], p) for p in live]
                         if stack.loaded else None)
         self._kick = np.empty(s.stop - s.start)
         self._du = np.empty(s.stop - s.start)
         self._acceleration(state.time)
         self.kick_dt = None
-        _log.debug("kernel: stepping %s (%d of %d interior dofs)%s",
+        _log.debug("kernel: stepping %s (%d of %d free dofs)%s",
                    ", ".join(p.d.name for p in live) or "nothing",
                    s.stop - s.start, self.u.size,
                    f"; {', '.join(p.d.name for p in rest)} at rest"
@@ -356,16 +304,11 @@ class _Kernel:
 
     def _acceleration(self, t: float) -> None:
         """M^-1 (L h - F) on the live range at time t, where h is u on the
-        interior, g on Gamma_u and the traction solve on Gamma_sigma."""
+        free dofs and g on Gamma_u, and L h = B u + f_b."""
         _csr_matvec_into(self.rows, self.u, self._Lu)
         self.matvecs += 1
-        for k, p in self._bounded:
-            if p.lift is not None:
-                self.Lu[p.s] += p.lift
-            if p.closure is not None:
-                self.hT[k] = p.closure.values(
-                    self.u[p.s], _envelope_sum(p.presets, p.T, t))
-                self.Lu[p.s] += p.closure.A_IT @ self.hT[k]
+        for p in self._bounded:
+            self.Lu[p.s] += p.boundary_force
         if self._forced is None:
             np.divide(self._Lu, self._m, out=self._a)
             return
@@ -395,19 +338,18 @@ class _Kernel:
         return t1
 
     def energies(self, dA: float):
-        """Kinetic and interior strain energy, the strain from the L h of
-        the last acceleration less the Dirichlet lift, which is a force
-        (``_Part.force``): -0.5 u.A_II u with clamped edges."""
+        """Kinetic and strain energy, the strain from the L h of the last
+        acceleration less the boundary force (``_Part.force``): -0.5 u.A_FF
+        u."""
         ke = 0.0
         ue = 0.0
         for p in self.stack.parts:
             u, w = self.u[p.s], self.w[p.s]
             ke += 0.5 * float(w @ (self.stack.mass[p.s] * w)) * dA
             uLu = float(u @ self.Lu[p.s])
-            if p.lift is not None:
-                uLu -= float(u @ p.lift)
+            if p.boundary_force is not None:
+                uLu -= float(u @ p.boundary_force)
             ue += -0.5 * uLu * dA
-            # the quasi-static traction boundary's own strain is excluded
         return ke, ue
 
     def hottest(self) -> str:
@@ -415,26 +357,21 @@ class _Kernel:
         value (a NaN counts as largest): the subsystem, field and node."""
         density = self.w * (self.stack.mass * self.w) - self.u * self.Lu
         for p in self.stack.parts:
-            if p.lift is not None:
-                density[p.s] += self.u[p.s] * p.lift
+            if p.boundary_force is not None:
+                density[p.s] += self.u[p.s] * p.boundary_force
         i = int(np.argmax(np.abs(density)))
         return "{} field {} at node ({}, {})".format(*self.stack.locate(i))
 
     def grid_state(self, t: float, warn: bool) -> DiscreteState:
-        """The full-grid state at time t; the traction boundary velocities
-        are solved from the time-differentiated constraint."""
+        """The full-grid state at time t, with g on Gamma_u."""
         fields = []
-        for p, hT in zip(self.stack.parts, self.hT):
+        for p in self.stack.parts:
             d = p.d
             h = np.zeros(d.ndof)
             v = np.zeros(d.ndof)
-            h[d.interior_dofs] = self.u[p.s]
-            v[d.interior_dofs] = self.w[p.s]
+            h[d.free_dofs] = self.u[p.s]
+            v[d.free_dofs] = self.w[p.s]
             h[d.dirich_dofs] = p.g
-            if p.closure is not None:
-                h[d.trac_dofs] = hT
-                v[d.trac_dofs] = p.closure.rates(
-                    self.w[p.s], _envelope_sum(p.presets, p.T, t, part=1))
             shape = (d.nf, d.nx, d.ny)
             fields += [h.reshape(shape), v.reshape(shape)]
         flex, flex_vel, ext, ext_vel = fields
@@ -445,11 +382,10 @@ class _Kernel:
 def step(state: DiscreteState, model: DiscreteModel, dt: float) -> DiscreteState:
     """One explicit central-difference step of both subsystems.
 
-    Only the interior of ``state`` is read.  Both accelerations, at the
+    Only the free dofs of ``state`` are read.  Both accelerations, at the
     start and after the position update, impose the displacement-boundary
-    values g exactly and solve the traction rows for the boundary block,
-    and the returned state holds them.  A dt above the stability bound
-    only flags the returned state, it does not raise.
+    values g exactly, and the returned state holds them.  A dt above the
+    stability bound only flags the returned state, it does not raise.
     """
     warn = state.stability_warning or dt > stable_dt(model) * (1.0 + 1e-12)
     kernel = _Kernel(model).start(state)
@@ -502,13 +438,12 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     Every ``GUARD_EVERY`` steps, at each snapshot and at the end, aborts
     with a diagnostic when the total energy is not finite or has grown
     beyond ten times the initial energy plus the accumulated external work
-    (of the loads and of the Dirichlet lift).
+    (of the loads, the Dirichlet lift and the traction data).
 
-    Only the interior of ``initial`` enters the run: the Dirichlet data g
-    is imposed and the traction rows are solved from the first
-    acceleration, at t0, on.  The first snapshot is ``initial`` as given,
-    its boundary values included, and every later one holds g on Gamma_u
-    and the solved traction boundary.
+    Only the free dofs of ``initial`` enter the run: the Dirichlet data g
+    is imposed from the first acceleration, at t0, on.  The first snapshot
+    is ``initial`` as given, its Dirichlet values included, and every later
+    one holds g on Gamma_u.
     """
     t_final = checked_number("t_final", t_final, positive=True)
     every = checked_number("snapshot_every", snapshot_every, integer=True)
@@ -526,9 +461,9 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     state = initial if initial is not None else DiscreteState.zero(model)
     warn = state.stability_warning or dt > bound * (1.0 + 1e-12)
     kernel.start(state)
-    # subsystems on which a force does work: loads or a Dirichlet lift
+    # subsystems on which a force does work: loads or a boundary force
     worked = [p for p in kernel.stack.parts
-              if p.presets or p.lift is not None]
+              if p.presets or p.boundary_force is not None]
     dA = model.cell_area
 
     energy = EnergyLog()
@@ -553,8 +488,8 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
                 np.copyto(buf, kernel.w[p.s])
             t_mid = t + 0.5 * dt
             t = kernel.advance(t, dt)
-            # midpoint power of the applied force, A_ID g - F in the
-            # convention A_II u + A_ID g - F = M udd
+            # midpoint power of the applied force, f_b - F in the
+            # convention A_FF u + f_b - F = M udd
             for p, buf in zip(worked, w_mid):
                 buf += kernel.w[p.s]
                 buf *= 0.5

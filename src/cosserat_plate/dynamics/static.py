@@ -2,8 +2,9 @@
 
 ``static_solve`` solves each subsystem's system A h = b condensed onto its
 free (interior and traction) dofs and factored (``_StaticFactor``): by
-banded Cholesky when the condensed matrix is symmetric, as on clamped
-plates, and by SuperLU otherwise.  Each solve builds its subsystem's
+banded Cholesky when the condensed matrix is symmetric, as on every plate
+of the derived coefficient tables, and by SuperLU otherwise, which only
+the literal tables reach.  Each solve builds its subsystem's
 factor and releases it before the next subsystem is factored, so one
 factor at most is alive; a repeat solve on one model factors again.  A
 subsystem whose right-hand side is all zero (no load, no boundary data,
@@ -45,9 +46,7 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     A block is split across its longer side by one node line; the two
     halves come first, each ordered the same way, and the separator last.
     Blocks of at most 4 x 4 nodes keep their natural order.  One line
-    separates the halves: interior stencils reach only the nearest nodes,
-    and a one-sided boundary stencil, which reaches two nodes inward, stops
-    at the separator of any block it can be split from (5 nodes or more).
+    separates the halves: every stencil reaches only the nearest nodes.
     """
     order = []
 
@@ -90,8 +89,11 @@ class _StaticFactor:
 
     - **Symmetric** (max|A_FF - A_FF^T| <= ``SYMMETRY_TOL`` ||A_FF||): the
       static equations are the stationarity conditions of the positive
-      definite plate energy, so -A_FF is symmetric positive definite, as
-      on every clamped plate (asymmetry 0 to 1.6e-19).  F is ordered line
+      definite discrete plate energy, so -A_FF is symmetric positive
+      definite on every plate of the derived tables with a displacement
+      edge: the interior and traction rows are the Hessian of one energy
+      (asymmetry 0 on clamped plates, 4e-17 with traction edges).  F is
+      ordered line
       by line, each line along the grid's shorter side, and -A_FF's lower
       band is factored by LAPACK's banded Cholesky (pbtrf), which runs
       dense kernels at several times SuperLU's rate.  Its storage grows as
@@ -100,26 +102,23 @@ class _StaticFactor:
       grid measured, up to 129^2, but from 97^2 on it takes more memory
       (708 against 596 MiB peak RSS for a 129^2 solve).  The factor runs
       on one BLAS thread (``_one_blas_thread``).
-    - **Not symmetric**: traction rows (4-7% asymmetry) and the literal
-      coefficient tables (0.3-0.5% on a clamped plate).  F is ordered by
-      nested dissection of the node grid and SuperLU factors A_FF in that
-      order with threshold pivoting that prefers the diagonal.
+    - **Not symmetric**: only the literal coefficient tables of
+      ``--paper-literal-operators`` (0.3-0.5% asymmetry on a clamped
+      plate).  F is ordered by nested dissection of the node grid and
+      SuperLU factors A_FF in that order with threshold pivoting that
+      prefers the diagonal.
 
     Each solve adds ``REFINE`` = 1 step of iterative refinement against
-    A_FF, which recovers the accuracy the relaxed pivoting gives up: the
-    129^2 cantilever's max|r|/max|b| is 8.6e-10 unrefined and 2.0e-10
-    after one step, and a second step never lowered the backward error
-    (1e-16 to 1.5e-16 after one) on the static loads.  A symmetric
-    A_FF that is not negative definite, like a singular one, raises
-    ``SingularSystemError``.
+    A_FF: the 129^2 cantilever's max|r|/max|b| read 8.6e-10 unrefined and
+    2.0e-10 after one step when SuperLU factored it, and a second step
+    never lowered the backward error (1e-16 to 1.5e-16 after one) on the
+    static loads.  A symmetric A_FF that is not negative definite, like a
+    singular one, raises ``SingularSystemError``.
 
     ``PIVOT_THRESH`` lets SuperLU keep a diagonal pivot down to that
-    fraction of its column's largest entry.  The cantilever's smallest
-    such ratio is 4e-3 to 1e-2 over N 0.2-0.5, l_t 0.04-0.08, l_b
-    0.05-0.09, Psi 0.6-1.2 at 33^2-129^2 (clamped plates stay above
-    1e-2), so at 1e-3 no row swap happens and the fill is set by the
-    sparsity alone.  At 1e-2 the swaps taken depend on the material and
-    raise a 65^2 cantilever's fill from 7.0M to anywhere up to 10.6M.
+    fraction of its column's largest entry; the literal tables of an N =
+    0.2 plate still swap rows at 1e-3, so there the fill depends on the
+    material.
     """
 
     REFINE = 1
@@ -243,15 +242,18 @@ class _StaticFactor:
 
 
 def _static_rhs(d: _Discretization, extra_F=None):
+    """The right-hand side b of A h = b: the load vector, less the force of
+    the traction data, on the free dofs and g on the Dirichlet dofs.  An
+    extra forcing is weighted by each node's dual-cell fraction, as the
+    loads are."""
     rhs = np.zeros(d.ndof)
-    presets, F, T = d.load_terms
-    rhs[d.interior_dofs] = _envelope_sum(presets, F, 0.0)
+    presets, F = d.load_terms
+    rhs[d.free_dofs] = _envelope_sum(presets, F, 0.0)
     if extra_F is not None:
         flat = np.asarray(extra_F, dtype=float).reshape(d.nf, -1)
-        rhs[d.interior_dofs] += flat[:, d.interior_nodes].ravel()
+        rhs[d.free_dofs] += (flat * d.weight.ravel())[:, d.free_nodes].ravel()
     rhs[d.dirich_dofs] = d.dirichlet_values()
-    rhs[d.trac_dofs] = d.traction_values()
-    rhs[d.trac_dofs] += _envelope_sum(presets, T, 0.0)
+    rhs[d.trac_dofs] -= d.traction_force()
     return rhs
 
 

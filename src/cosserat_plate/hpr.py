@@ -136,9 +136,9 @@ class HPRFunctional:
         for d, block, f in ((model.flex_d, u.flexural(), self._f_flex),
                             (model.ext_d, u.extensional(), self._f_ext)):
             h = np.ascontiguousarray(block, dtype=float).ravel()
-            hI = h[d.interior_dofs]
-            Lh = (d.A @ h)[d.interior_dofs]
-            total += (-0.5 * float(hI @ Lh) + float(f @ hI))
+            hF = h[d.free_dofs]
+            Lh = (d.A @ h)[d.free_dofs]
+            total += (-0.5 * float(hF @ Lh) + float(f @ hF))
         return total * model.cell_area
 
     def _stress_part(self, state: HPRState) -> float:

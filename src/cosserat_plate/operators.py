@@ -33,7 +33,10 @@ sums of the extensional block, round the same on arrays as on floats.
 The traction rows of the boundary Gamma_sigma, n . (resultants) =
 prescribed, and their load parts are not tabulated: ``build_traction``
 reads them off the stiffness form ``stress_from_kinematics``, pairing each
-row with the resultants listed in ``TRACTION_RESULTANTS``.
+row with the resultants listed in ``TRACTION_RESULTANTS``.  The stored
+energy density of each subsystem, a quadratic form in the fields and
+their gradients, is read off the same stiffness form (``energy_forms``);
+the finite-difference rows are the Hessian of its discrete sum.
 """
 
 from __future__ import annotations
@@ -43,10 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .material import MaterialError, TechnicalConstants
-from .plate_constitutive import stress_from_kinematics
+from .plate_constitutive import (internal_work_density,
+                                 strain_from_kinematics,
+                                 stress_from_kinematics)
 from .plate_fields import (EXTENSIONAL_FIELDS, FLEXURAL_FIELDS,
                            KINEMATIC_FIELDS, STRESS_FIELDS, InertiaSet,
-                           LoadSet, PlateKinematics)
+                           LoadSet, PlateKinematics, PlateStrain,
+                           PlateStress)
 from .poly2d import Poly2D, apply_symbol_monomials
 
 MONOMIALS = ("1", "xi1", "xi2", "xi1^2", "xi1*xi2", "xi2^2")
@@ -442,6 +448,30 @@ def build_traction(tc: TechnicalConstants) -> TractionOperator:
             R[..., :3 * nk].reshape(nf, 2, 3, nk)[..., cols], 3, 1)
         out[name + "_loads"] = R[..., 3 * nk:]
     return TractionOperator(**out)
+
+
+def energy_forms(tc: TechnicalConstants) -> dict:
+    """Each subsystem's stored energy density W = 1/2 q^T Q q over q = (H,
+    dH/dx1, dH/dx2), keyed "flex" and "ext": Q[k, r, l, c] couples field r's
+    slot k to field c's slot l (0 the value, 1 d/dx1, 2 d/dx2).  W is half
+    the internal work of the stiffness form's resultants over the plate
+    strains, polarised on unit columns.  Its d/dx_a rows are the resultant
+    pairs of ``TRACTION_RESULTANTS``, and its Euler-Lagrange operator is the
+    derived coefficient table."""
+    nk = len(KINEMATIC_FIELDS)
+    unit = np.eye(3 * nk)
+    u, d1, d2 = (PlateKinematics(*unit[k * nk:(k + 1) * nk]) for k in range(3))
+    s = stress_from_kinematics(u, d1, d2, tc, LoadSet.zero()).as_array()
+    e = strain_from_kinematics(u, d1, d2).as_array()
+    work = internal_work_density(PlateStress.from_array(s[:, :, None]),
+                                 PlateStrain.from_array(e[:, None, :]))
+    Q = 0.5 * (work + work.T)
+    out = {}
+    for name, fields in (("flex", FLEXURAL_FIELDS), ("ext", EXTENSIONAL_FIELDS)):
+        idx = [k * nk + KINEMATIC_FIELDS.index(f) for k in range(3)
+               for f in fields]
+        out[name] = Q[np.ix_(idx, idx)].reshape(3, len(fields), 3, len(fields))
+    return out
 
 
 # ---------------------------------------------------------------------------

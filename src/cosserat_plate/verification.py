@@ -419,13 +419,13 @@ def suite_convergence(seed: int = 6) -> SuiteResult:
 
 def lowest_flexural_mode(model):
     """Fundamental flexural eigenmode of the constrained discrete system,
-    K = -A_II and M the interior masses of the flexural rows.  ARPACK
+    K = -A_FF and M the lumped masses of the free flexural rows.  ARPACK
     starts from a fixed vector, so every call returns the same bits."""
     import scipy.sparse as sp
 
     d = model.flex_d
-    K = (-d.A[d.interior_dofs][:, d.interior_dofs]).tocsc()
-    M = sp.diags(d.mass_interior)
+    K = (-d.A[d.free_dofs][:, d.free_dofs]).tocsc()
+    M = sp.diags(d.mass_free)
     w2, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM",
                           v0=np.ones(K.shape[0]))
     return float(np.sqrt(max(w2[0], 0.0))), vecs[:, 0]
@@ -444,7 +444,7 @@ def suite_energy_conservation(seed: int = 7, n_steps: int = 10_000) -> SuiteResu
     _, mode = lowest_flexural_mode(model)
     s0 = DiscreteState.zero(model)
     fv = s0.flex_vel.reshape(6, -1).copy().ravel()
-    fv[model.flex_d.interior_dofs] = mode / np.max(np.abs(mode))
+    fv[model.flex_d.free_dofs] = mode / np.max(np.abs(mode))
     s0 = DiscreteState(flex=s0.flex, ext=s0.ext,
                        flex_vel=fv.reshape(6, model.nx, model.ny),
                        ext_vel=s0.ext_vel)

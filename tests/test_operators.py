@@ -23,6 +23,7 @@ from cosserat_plate.operators import (
     coefficient_diff_table,
     derived_extensional_table,
     derived_flexural_table,
+    energy_forms,
     monomial_basis,
     operator_residual_oracle,
     traction_load_part,
@@ -357,6 +358,30 @@ class TestTraction:
                 for c in range(nf))
             assert val == pytest.approx(float((R1 * n[0] + R2 * n[1])(x, y)),
                                         rel=1e-12, abs=1e-14), r
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(admissible_materials(with_inertia=False),
+       st.sampled_from(["standard", "mindlin"]))
+def test_energy_form_gives_traction_rows_and_derived_table(p, correction):
+    """The energy density form Q is symmetric; its d/dx_a rows are the
+    traction rows read off the stiffness form, and its Euler-Lagrange
+    operator L = d_a (Q_a. q) - Q_V. q is the derived coefficient table."""
+    tc, _, flex, ext = make_ops(p, 0.21, correction)
+    trac = build_traction(tc)
+    for Q, table, C in ((energy_forms(tc)["flex"], trac.flex, flex.coeffs),
+                        (energy_forms(tc)["ext"], trac.ext, ext.coeffs)):
+        scale = np.max(np.abs(C))
+        nf = C.shape[0]
+        flat = Q.reshape(3 * nf, 3 * nf)
+        assert np.array_equal(flat, flat.T)
+        for a in range(2):
+            assert np.max(np.abs(Q[1 + a].transpose(0, 2, 1)
+                                 - table[:, :, a, :3])) <= 1e-15 * scale
+        V, X, Y = Q[0, :, 0], Q[1, :, 0], Q[2, :, 0]
+        L = np.stack([-V, X - X.T, Y - Y.T, Q[1, :, 1], Q[1, :, 2]
+                      + Q[2, :, 1], Q[2, :, 2]], axis=-1)
+        assert np.max(np.abs(L - C)) <= 1e-15 * scale
 
 
 def test_diff_table_contents(rng):
