@@ -57,7 +57,6 @@ from .plate_constitutive import (
 from .operators import (
     ExtensionalOperator,
     FlexuralOperator,
-    TractionOperator,
     apply_to_polynomials,
     build_extensional,
     build_extensional_stack,

@@ -14,16 +14,17 @@ The rows of A are the Hessian of the staggered discrete energy
           + sum_cells dx dy Xc.Q_XY Yc,
 
 divided by -dx dy.  Q is the subsystem's energy density form
-(``operators.energy_forms``); X and Y are the differences along an edge
+(``operators.build_traction``); X and Y are the differences along an edge
 and Vbar the mean of its end values, Xc and Yc the mean differences of a
 cell; a_n, a_x and a_y are dual-cell areas, halved on the boundary lines
 (a corner node has a quarter cell).  A free node's mass and load vector
 are weighted by its dual-cell fraction w = a_n / (dx dy): 1 inside, 1/2 on
 an edge, 1/4 at a corner.  Prescribed traction data does work along its
 edge by the trapezoid rule, and the load-coupled parts of the resultants
-enter the same way.  So A restricted to the free (interior and traction)
-dofs is symmetric, and its static and explicit problems are those of one
-energy (Mattsson & Nordstrom, J. Comput. Phys. 199, 2004).
+(P, read off with Q) enter the same way.  So A restricted to the free
+(interior and traction) dofs is symmetric, and its static and explicit
+problems are those of one energy (Mattsson & Nordstrom, J. Comput. Phys.
+199, 2004).
 
 Every row of A comes from one stencil-table builder
 (``_Discretization._stencil_rows``).  A node class's table holds weights
@@ -41,7 +42,7 @@ Within a row the entries run over column field, then slot, which fixes
 the order in which duplicate entries are summed into A.
 
 Every load is a spatial field times a time envelope (the presets'
-``space(x, y)`` and ``envelope(t) -> (value, rate)``).  Each subsystem
+``space(x, y)`` and ``envelope(t) -> value``).  Each subsystem
 builds, once and on first use, one load vector F_k per load that acts on
 it, over its free dofs, from the field and its in-plane gradients.  The
 load vector at time t is then sum_k e_k(t) F_k; no field is sampled and no
@@ -59,7 +60,7 @@ import numpy as np
 from ..material import (MaterialParams, TechnicalConstants,
                         technical_constants, validate_parameters)
 from ..operators import (build_extensional, build_flexural, build_traction,
-                         energy_forms, traction_load_part)
+                         traction_load_part)
 from ..plate_fields import (EXTENSIONAL_FIELDS, FLEXURAL_FIELDS, InertiaSet,
                             LoadSet, inertia_constants)
 
@@ -138,7 +139,7 @@ class ConstantLoad:
         return self.amplitude * np.ones_like(np.asarray(x, dtype=float))
 
     def envelope(self, t):
-        return 1.0, 0.0
+        return 1.0
 
 
 class GaussianPulseLoad:
@@ -159,9 +160,8 @@ class GaussianPulseLoad:
 
     def envelope(self, t):
         if self.tau is None:
-            return 1.0, 0.0
-        e = math.exp(-0.5 * ((t - self.t0) / self.tau) ** 2)
-        return e, e * (-(t - self.t0) / self.tau**2)
+            return 1.0
+        return math.exp(-0.5 * ((t - self.t0) / self.tau) ** 2)
 
 
 class SinusoidalLoad:
@@ -179,13 +179,13 @@ class SinusoidalLoad:
         )
 
     def envelope(self, t):
-        return math.cos(self.omega * t), -self.omega * math.sin(self.omega * t)
+        return math.cos(self.omega * t)
 
 
 @dataclass(frozen=True)
 class LoadFunctions:
     """The four face loads (None = zero), each a preset: a spatial field
-    ``space(x, y)`` times a time envelope ``envelope(t) -> (value, rate)``."""
+    ``space(x, y)`` times a time envelope ``envelope(t) -> value``."""
 
     p: object | None = None
     sigma0: object | None = None
@@ -194,7 +194,7 @@ class LoadFunctions:
 
     def sample(self, X, Y, time: float) -> LoadSet:
         def ev(f):
-            return (f.space(X, Y) * f.envelope(time)[0] if f is not None
+            return (f.space(X, Y) * f.envelope(time) if f is not None
                     else np.zeros_like(X))
 
         return LoadSet(**{name: ev(f) for name, f in vars(self).items()})
@@ -206,8 +206,8 @@ def _envelope_sum(presets, rows: np.ndarray, t: float):
     bit the matmul's zero-started sum: the + 0.0 turns a -0 product into +0
     as that sum does."""
     if len(presets) == 1:
-        return presets[0].envelope(t)[0] * rows[0] + 0.0
-    return np.array([f.envelope(t)[0] for f in presets]) @ rows
+        return presets[0].envelope(t) * rows[0] + 0.0
+    return np.array([f.envelope(t) for f in presets]) @ rows
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,7 @@ def assemble(config: ModelConfig) -> DiscreteModel:
     inertia = inertia_constants(config.material, config.h)
     flex = build_flexural(tc, inertia, paper_literal=config.paper_literal)
     ext = build_extensional(tc, inertia, paper_literal=config.paper_literal)
-    Q = energy_forms(tc)
-    trac = build_traction(tc)
+    forms = build_traction(tc)
 
     x = np.linspace(0.0, config.a, config.nx)
     y = np.linspace(0.0, config.b, config.ny)
@@ -348,9 +347,9 @@ def assemble(config: ModelConfig) -> DiscreteModel:
         raise ConfigError(f"geometry a = {config.a}, b = {config.b}: the "
                           f"square of the grid spacing overflows")
 
-    flex_d = _Discretization(config, bc, flex, Q["flex"], trac.flex_loads,
+    flex_d = _Discretization(config, bc, flex, *forms["flex"],
                              X, Y, dx, dy, "flexural")
-    ext_d = _Discretization(config, bc, ext, Q["ext"], trac.ext_loads,
+    ext_d = _Discretization(config, bc, ext, *forms["ext"],
                             X, Y, dx, dy, "extensional")
     for d in (flex_d, ext_d):
         if not np.isfinite(d.A.data).all():

@@ -4,7 +4,7 @@ The mixed functional over admissible states s = [U, E, S] (with E tied to U
 by the strain-displacement relation) is
 
     Theta(s) = U_K^S - Int(S . E - K Udd . U - p W - v Omega3_0) da
-               + boundary work terms on Gamma_sigma and Gamma_u,
+               - Int_{Gamma_sigma} (prescribed resultants) . U ds,
 
 whose stationary points are exactly the solutions of the governing systems
 with their constitutive relations and boundary conditions.
@@ -21,6 +21,9 @@ forms are consistent quadratures of Theta; the rearranged one is exactly
 stationary at the discrete static solution, so the diagnostic measures
 equilibrium rather than discretization noise.  The bending-compliance
 coupling to div Q* is closed with the static substitution div Q* = -p.
+The boundary work is the solver's own traction force (``traction_force``)
+dotted with the traction dofs; it enters Pi with a minus sign, as the work
+of an applied force enters a potential.
 
 Directional derivatives use a central difference, which is exact for a
 quadratic functional.  The reported stationarity measure
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EDGE_TABLE, DiscreteModel, edge_line
+from .dynamics import DiscreteModel
 from .plate_constitutive import (
     plate_energy_density,
     stress_from_kinematics,
@@ -119,6 +122,8 @@ class HPRFunctional:
         self.loads = model.sample_loads(t)
         self._f_flex = model.flex_d.load_rhs(t)
         self._f_ext = model.ext_d.load_rhs(t)
+        self._trac_flex = model.flex_d.traction_force()
+        self._trac_ext = model.ext_d.traction_force()
         zero = PlateKinematics(**{
             n: np.zeros((model.nx, model.ny)) for n in KINEMATIC_FIELDS
         })
@@ -151,30 +156,16 @@ class HPRFunctional:
         return float(np.sum(phi0)) * self.model.cell_area
 
     def _boundary_part(self, state: HPRState) -> float:
-        """Prescribed-traction work on Gamma_sigma (zero data contributes
-        0), integrated along each edge by the trapezoid rule: weight ds at
-        every node, ds/2 at the edge's two end nodes."""
+        """Minus the work of the prescribed traction data on Gamma_sigma:
+        the solver's traction force on each subsystem's traction dofs
+        dotted with their values, times the cell area."""
         model = self.model
         total = 0.0
-        for name, ebc in model.bc.items():
-            if ebc.kind != "traction":
-                continue
-            line = edge_line(name)
-            x, y = model.X[line], model.Y[line]
-            ds = (model.dy, model.dx)[EDGE_TABLE[name][0]]  # spacing along it
-            trapezoid = np.ones(x.size)
-            trapezoid[[0, -1]] = 0.5
-            for key, picker in (
-                ("flex_data", PlateKinematics.flexural),
-                ("ext_data", PlateKinematics.extensional),
-            ):
-                data = getattr(ebc, key)
-                if data is None:
-                    continue
-                fields = picker(state.u)[(slice(None),) + line]
-                total += float(np.sum(np.asarray(data(x, y)) * fields
-                                      * trapezoid)) * ds
-        return total
+        for d, block, f in ((model.flex_d, state.u.flexural(), self._trac_flex),
+                            (model.ext_d, state.u.extensional(), self._trac_ext)):
+            h = np.ascontiguousarray(block, dtype=float).ravel()
+            total -= float(f @ h[d.trac_dofs])
+        return total * model.cell_area
 
     def _kinetic_part(self, state: HPRState) -> float:
         if state.accel is None:

@@ -30,13 +30,14 @@ and only then stacked: NumPy's array ``**`` can differ from Python's float
 every coefficient.  The placement of the values, and the few products and
 sums of the extensional block, round the same on arrays as on floats.
 
-The traction rows of the boundary Gamma_sigma, n . (resultants) =
-prescribed, and their load parts are not tabulated: ``build_traction``
-reads them off the stiffness form ``stress_from_kinematics``, pairing each
-row with the resultants listed in ``TRACTION_RESULTANTS``.  The stored
-energy density of each subsystem, a quadratic form in the fields and
-their gradients, is read off the same stiffness form (``energy_forms``);
-the finite-difference rows are the Hessian of its discrete sum.
+The stiffness form ``stress_from_kinematics`` is read off in one place,
+``build_traction``: one polarisation of the internal work over unit
+columns gives each subsystem's stored energy density form Q, a quadratic
+form in the fields and their gradients, and the load parts P of the
+resultants.  The finite-difference rows are the Hessian of Q's discrete
+sum; Q's d/dx_a rows are the boundary resultants, so the traction rows
+n . (resultants) = prescribed are the boundary rows of that Hessian, and P
+gives their load part (``traction_load_part``).
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from .plate_constitutive import (internal_work_density,
                                  strain_from_kinematics,
                                  stress_from_kinematics)
 from .plate_fields import (EXTENSIONAL_FIELDS, FLEXURAL_FIELDS,
-                           KINEMATIC_FIELDS, STRESS_FIELDS, InertiaSet,
-                           LoadSet, PlateKinematics, PlateStrain,
-                           PlateStress)
+                           KINEMATIC_FIELDS, InertiaSet, LoadSet,
+                           PlateKinematics, PlateStrain, PlateStress)
 from .poly2d import Poly2D, apply_symbol_monomials
 
 MONOMIALS = ("1", "xi1", "xi2", "xi1^2", "xi1*xi2", "xi2^2")
@@ -159,24 +159,6 @@ class ExtensionalOperator(_SymbolMethods):
             -c_s * np.asarray(grad2.sigma0),
             -np.asarray(loads.v),
         ]
-
-
-@dataclass(frozen=True)
-class TractionOperator:
-    """Boundary resultant-traction rows: T(d/dx; n) H = F*.
-
-    Row r gives n_a R_ar, the gradient part of its ``TRACTION_RESULTANTS``
-    pair; F* is the prescribed boundary resultant minus the load part, so
-    the equation is exactly "resultant traction = prescribed".  Entry (r, c)
-    is stored as a (2, 6) block: normal components times symbol monomials;
-    ``*_loads[r, a, l]`` is the coefficient of load l in R_ar.  All are read
-    off the stiffness form by ``build_traction``.
-    """
-
-    flex: np.ndarray                   # (6, 6, 2, 6)
-    ext: np.ndarray                    # (3, 3, 2, 6)
-    flex_loads: np.ndarray             # (6, 2, 4)
-    ext_loads: np.ndarray              # (3, 2, 4)
 
 
 def traction_load_part(P: np.ndarray, loads, n) -> list:
@@ -420,57 +402,36 @@ def build_extensional_stack(tcs, inertias) -> tuple[np.ndarray, np.ndarray]:
     return _extensional_coeffs_from(*table.T), mass
 
 
-# Traction row r of each subsystem is n_a R_ar: the normal contraction of
-# the pair (R_1r, R_2r) of resultants.
-TRACTION_RESULTANTS = {
-    "flex": (("M11", "M21"), ("M12", "M22"), ("Q1_s", "Q2_s"),
-             ("S1_s", "S2_s"), ("R11", "R21"), ("R12", "R22")),
-    "ext": (("N11", "N21"), ("N12", "N22"), ("M1_s", "M2_s")),
-}
+def build_traction(tc: TechnicalConstants) -> dict:
+    """Each subsystem's energy density form and boundary load parts,
+    keyed "flex" and "ext" as (Q, P), from one polarisation of the internal
+    work of the stiffness form's resultants over the plate strains.  The
+    work is bilinear, so one call on unit columns gives every coefficient:
+    one column per kinematic field and slot (value, d/dx1, d/dx2) and one
+    per load (p, sigma0, v, t).
 
-
-def build_traction(tc: TechnicalConstants) -> TractionOperator:
-    """Traction rows and load parts read off the stiffness form.  It is
-    linear, so one call on unit columns gives each resultant's coefficients:
-    one column per kinematic field and slot (value, d/dx1, d/dx2, the
-    monomials 1, xi1, xi2) and one per load."""
+    W = 1/2 q^T Q q is the stored energy over q = (H, dH/dx1, dH/dx2):
+    Q[k, r, l, c] couples field r's slot k to field c's slot l.  Its d/dx_a
+    rows are the resultants R_ar that row r's traction n_a R_ar collects,
+    and its Euler-Lagrange operator is the derived coefficient table.
+    P[r, a, l] is the coefficient of load l in R_ar: the work of load l's
+    resultants over the strain of d/dx_a of field r."""
     nk = len(KINEMATIC_FIELDS)
     unit = np.eye(3 * nk + 4)
     u, d1, d2 = (PlateKinematics(*unit[k * nk:(k + 1) * nk]) for k in range(3))
     s = stress_from_kinematics(u, d1, d2, tc, LoadSet(*unit[3 * nk:])).as_array()
-    out = {}
-    for name, fields in (("flex", FLEXURAL_FIELDS), ("ext", EXTENSIONAL_FIELDS)):
-        R = s[[[STRESS_FIELDS.index(f) for f in pair]
-               for pair in TRACTION_RESULTANTS[name]]]   # (nf, 2, 3 nk + 4)
-        nf, cols = len(fields), [KINEMATIC_FIELDS.index(f) for f in fields]
-        out[name] = np.zeros((nf, nf, 2, 6))
-        out[name][..., :3] = np.moveaxis(
-            R[..., :3 * nk].reshape(nf, 2, 3, nk)[..., cols], 3, 1)
-        out[name + "_loads"] = R[..., 3 * nk:]
-    return TractionOperator(**out)
-
-
-def energy_forms(tc: TechnicalConstants) -> dict:
-    """Each subsystem's stored energy density W = 1/2 q^T Q q over q = (H,
-    dH/dx1, dH/dx2), keyed "flex" and "ext": Q[k, r, l, c] couples field r's
-    slot k to field c's slot l (0 the value, 1 d/dx1, 2 d/dx2).  W is half
-    the internal work of the stiffness form's resultants over the plate
-    strains, polarised on unit columns.  Its d/dx_a rows are the resultant
-    pairs of ``TRACTION_RESULTANTS``, and its Euler-Lagrange operator is the
-    derived coefficient table."""
-    nk = len(KINEMATIC_FIELDS)
-    unit = np.eye(3 * nk)
-    u, d1, d2 = (PlateKinematics(*unit[k * nk:(k + 1) * nk]) for k in range(3))
-    s = stress_from_kinematics(u, d1, d2, tc, LoadSet.zero()).as_array()
     e = strain_from_kinematics(u, d1, d2).as_array()
     work = internal_work_density(PlateStress.from_array(s[:, :, None]),
                                  PlateStrain.from_array(e[:, None, :]))
     Q = 0.5 * (work + work.T)
     out = {}
     for name, fields in (("flex", FLEXURAL_FIELDS), ("ext", EXTENSIONAL_FIELDS)):
+        nf = len(fields)
         idx = [k * nk + KINEMATIC_FIELDS.index(f) for k in range(3)
                for f in fields]
-        out[name] = Q[np.ix_(idx, idx)].reshape(3, len(fields), 3, len(fields))
+        P = work[3 * nk:, idx[nf:]].reshape(4, 2, nf)
+        out[name] = (Q[np.ix_(idx, idx)].reshape(3, nf, 3, nf),
+                     P.transpose(2, 1, 0))
     return out
 
 

@@ -1735,7 +1735,7 @@ class TestTractionLoadPart:
                     d, model.tc, sampled, grid).ravel())
             assert F[:, trac].tobytes() == np.array(rows).tobytes()
             for t in (0.0, 0.13):
-                e = np.array([f.envelope(t)[0] for f in presets])
+                e = np.array([f.envelope(t) for f in presets])
                 got = dynamics._envelope_sum(presets, F, t)
                 assert got.tobytes() == (e @ F).tobytes()
 
@@ -1762,7 +1762,7 @@ class TestTractionLoadPart:
             for k, group in enumerate(groups + [presets]):
                 block = F[k:k + 1] if k < len(groups) else F
                 for t in (0.0, 0.13, 1.0, 1.3):
-                    e = np.array([f.envelope(t)[0] for f in group])
+                    e = np.array([f.envelope(t) for f in group])
                     want = e @ block
                     got = dynamics._envelope_sum(group, block, t)
                     assert got.tobytes() == want.tobytes()

@@ -124,9 +124,11 @@ def test_kinetic_bilinear_term_enters():
 
 
 def test_boundary_part_is_the_per_edge_traction_work():
-    """Prescribed-traction work summed edge by edge: the data times the
-    edge's node values, by the trapezoid rule along that edge (the node
-    spacing, halved at the edge's two end nodes)."""
+    """Minus the prescribed-traction work summed edge by edge: the data
+    times the edge's traction-node values, by the trapezoid rule along that
+    edge (the node spacing, halved at the edge's end nodes).  A corner that
+    displacement data wins is no traction node and does no work; the
+    traction-traction corner takes half of each edge's data."""
     def flex_data(x, y):
         return np.stack([np.sin(k + x) * (1.0 + y) for k in range(6)])
 
@@ -148,23 +150,27 @@ def test_boundary_part_is_the_per_edge_traction_work():
     flex, ext = u.flexural(), u.extensional()
     wy, wx = np.ones(model.ny), np.ones(model.nx)
     wy[[0, -1]] = wx[[0, -1]] = 0.5
+    right, top = (-1, slice(1, None)), (slice(1, None), -1)  # less clamped corners
     terms = [  # in the order of the bc: right (flexural, extensional), top
-        float(np.sum(flex_data(X[-1], Y[-1]) * flex[:, -1, :] * wy))
-        * model.dy,
-        float(np.sum(ext_data(X[-1], Y[-1]) * ext[:, -1, :] * wy)) * model.dy,
-        float(np.sum(flex_data(X[:, -1], Y[:, -1]) * flex[:, :, -1] * wx))
-        * model.dx,
+        float(np.sum(flex_data(X[right], Y[right]) * flex[(slice(None),) + right]
+                     * wy[1:])) * model.dy,
+        float(np.sum(ext_data(X[right], Y[right]) * ext[(slice(None),) + right]
+                     * wy[1:])) * model.dy,
+        float(np.sum(flex_data(X[top], Y[top]) * flex[(slice(None),) + top]
+                     * wx[1:])) * model.dx,
     ]
     got = HPRFunctional(model)._boundary_part(
         HPRState(u=u, s=zero_state(model).s))
-    assert got == sum(terms) != 0.0
+    assert got != 0.0
+    assert got == pytest.approx(-sum(terms), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [9, 17, 33])
 def test_boundary_part_integrates_unit_data_over_the_edge_length(n):
-    """Unit data on one field of a unit-length traction edge against a unit
-    field does unit work: the rectangle rule over all n nodes gave
-    1 + 1/(n - 1)."""
+    """Unit data on one field of a unit-length traction edge between two
+    clamped edges, against a unit field, does the work of the edge's n - 2
+    traction nodes at spacing 1/(n - 1), entered with a minus sign: the
+    two corners belong to the clamped edges."""
     def flex_data(x, y):
         return np.stack([1.0 + 0 * x] + [0 * x] * 5)
 
@@ -176,7 +182,40 @@ def test_boundary_part_integrates_unit_data_over_the_edge_length(n):
     u = PlateKinematics(**{name: np.ones((n, n)) for name in KINEMATIC_FIELDS})
     got = HPRFunctional(model)._boundary_part(
         HPRState(u=u, s=zero_state(model).s))
-    assert got == 1.0
+    assert got == pytest.approx(-(n - 2) / (n - 1), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_stationary_at_static_solution_with_traction_data(n):
+    """Theta is stationary at the static solution of a plate whose traction
+    edge carries flexural and extensional data, under p and t loads, along
+    random perturbations of every free node (the traction edge included)
+    that vanish on the clamped edges.  With the boundary work's sign
+    opposite to the solver's traction force it read 1e-5 to 1.4e-4."""
+    def flex_data(x, y):
+        return np.stack([np.sin(k + 3.0 * y) * (0.2 + k) for k in range(6)])
+
+    def ext_data(x, y):
+        return np.stack([np.cos(k + 2.0 * y) + 0.5 * k for k in range(3)])
+
+    mat = material_from_technical(E=1.0, nu=0.3, N=0.35, l_t=0.05, l_b=0.06,
+                                  Psi=0.9, rho=1.0, J=(0.2, 0.2, 0.2))
+    bc = dict(ALL_CLAMPED, right=EdgeBC("traction", flex_data=flex_data,
+                                        ext_data=ext_data))
+    loads = LoadFunctions(p=ConstantLoad(0.7), t=ConstantLoad(-0.4))
+    model = assemble(ModelConfig(material=mat, h=0.1, a=1.0, b=1.0, nx=n,
+                                 ny=n, bc=bc, loads=loads))
+    kin, _ = static_solve(model)
+    eq = equilibrium_state(model, kin)
+    F = HPRFunctional(model)
+    rng = np.random.default_rng(n)
+    free = np.ones((n, n))
+    free[0] = free[:, 0] = free[:, -1] = 0.0  # zero on Gamma_u
+    perturbations = [HPRState(
+        u=PlateKinematics(**{name: rng.standard_normal((n, n)) * free
+                             for name in KINEMATIC_FIELDS}),
+        s=zero_state(model).s) for _ in range(3)]
+    assert max(F.stationarity_measures(eq, perturbations)) <= 1e-12
 
 
 def test_stationarity_evaluates_each_point_once(monkeypatch):

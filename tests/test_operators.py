@@ -1,10 +1,13 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cosserat_plate
 from conftest import admissible_materials, random_material
 from cosserat_plate.material import (
     MaterialError,
@@ -23,13 +26,27 @@ from cosserat_plate.operators import (
     coefficient_diff_table,
     derived_extensional_table,
     derived_flexural_table,
-    energy_forms,
     monomial_basis,
     operator_residual_oracle,
     traction_load_part,
     wave_matrices,
 )
-from cosserat_plate.plate_fields import LoadSet, inertia_constants
+from cosserat_plate.plate_constitutive import (
+    internal_work_density,
+    strain_from_kinematics,
+    stress_from_kinematics,
+)
+from cosserat_plate.plate_fields import (
+    EXTENSIONAL_FIELDS,
+    FLEXURAL_FIELDS,
+    KINEMATIC_FIELDS,
+    STRESS_FIELDS,
+    LoadSet,
+    PlateKinematics,
+    PlateStrain,
+    PlateStress,
+    inertia_constants,
+)
 
 
 def make_ops(p, h, shear_correction="standard"):
@@ -266,43 +283,103 @@ class TestResidualOracle:
         assert operator_residual_oracle(flex.coeffs_literal, tc, rng=5) > 1e-3
 
 
-def flex_traction_symbol(trac, xi1, xi2, n):
+# Oracle: the read-off of the stiffness form as two separate unit-column
+# calls, one for the resultants' coefficients (row r of each subsystem is
+# n_a R_ar, the normal contraction of the pair (R_1r, R_2r)) and one for
+# the energy density form.
+RESULTANT_PAIRS = {
+    "flex": (("M11", "M21"), ("M12", "M22"), ("Q1_s", "Q2_s"),
+             ("S1_s", "S2_s"), ("R11", "R21"), ("R12", "R22")),
+    "ext": (("N11", "N21"), ("N12", "N22"), ("M1_s", "M2_s")),
+}
+SUBSYSTEMS = (("flex", FLEXURAL_FIELDS), ("ext", EXTENSIONAL_FIELDS))
+
+
+def resultant_coefficients(tc):
+    """Each subsystem's traction rows (nf, nf, 2, 6): entry (r, c) holds the
+    coefficient of field c's monomial (1, xi1, xi2) in R_ar for each normal
+    component a; and its load parts P (nf, 2, 4), the coefficient of load l
+    in R_ar.  Keyed "flex" and "ext" as (rows, P)."""
+    nk = len(KINEMATIC_FIELDS)
+    unit = np.eye(3 * nk + 4)
+    u, d1, d2 = (PlateKinematics(*unit[k * nk:(k + 1) * nk]) for k in range(3))
+    s = stress_from_kinematics(u, d1, d2, tc, LoadSet(*unit[3 * nk:])).as_array()
+    out = {}
+    for name, fields in SUBSYSTEMS:
+        R = s[[[STRESS_FIELDS.index(f) for f in pair]
+               for pair in RESULTANT_PAIRS[name]]]   # (nf, 2, 3 nk + 4)
+        nf, cols = len(fields), [KINEMATIC_FIELDS.index(f) for f in fields]
+        rows = np.zeros((nf, nf, 2, 6))
+        rows[..., :3] = np.moveaxis(
+            R[..., :3 * nk].reshape(nf, 2, 3, nk)[..., cols], 3, 1)
+        out[name] = rows, R[..., 3 * nk:]
+    return out
+
+
+def energy_form_oracle(tc):
+    """Each subsystem's energy density form Q (3, nf, 3, nf), polarised on
+    kinematic unit columns alone under zero loads."""
+    nk = len(KINEMATIC_FIELDS)
+    unit = np.eye(3 * nk)
+    u, d1, d2 = (PlateKinematics(*unit[k * nk:(k + 1) * nk]) for k in range(3))
+    s = stress_from_kinematics(u, d1, d2, tc, LoadSet.zero()).as_array()
+    e = strain_from_kinematics(u, d1, d2).as_array()
+    work = internal_work_density(PlateStress.from_array(s[:, :, None]),
+                                 PlateStrain.from_array(e[:, None, :]))
+    Q = 0.5 * (work + work.T)
+    out = {}
+    for name, fields in SUBSYSTEMS:
+        idx = [k * nk + KINEMATIC_FIELDS.index(f) for k in range(3)
+               for f in fields]
+        out[name] = Q[np.ix_(idx, idx)].reshape(3, len(fields), 3, len(fields))
+    return out
+
+
+def gradient_rows(Q):
+    """The traction rows (nf, nf, 2, 6) that Q's d/dx_a rows give: entry
+    (r, c, a, k) is Q[1 + a, r, k, c] for the monomials k = 1, xi1, xi2."""
+    nf = Q.shape[1]
+    rows = np.zeros((nf, nf, 2, 6))
+    rows[..., :3] = Q[1:].transpose(1, 3, 0, 2)
+    return rows
+
+
+def flex_traction_symbol(Q, xi1, xi2, n):
     """The flexural traction rows' symbol at (xi1, xi2) on normal n."""
-    return np.einsum("rcab,a,b->rc", trac.flex, np.asarray(n, dtype=float),
-                     monomial_basis(xi1, xi2))
+    return np.einsum("rcab,a,b->rc", gradient_rows(Q),
+                     np.asarray(n, dtype=float), monomial_basis(xi1, xi2))
 
 
 class TestTraction:
     def test_t11_example(self, micropolar):
         tc, _, _, _ = micropolar
-        trac = build_traction(tc)
-        T = flex_traction_symbol(trac, 1.0, 0.0, (1.0, 0.0))
+        Q, _ = build_traction(tc)["flex"]
+        T = flex_traction_symbol(Q, 1.0, 0.0, (1.0, 0.0))
         assert T[0, 0] == pytest.approx(tc.D)
 
     def test_zero_data_zero_fstar(self, micropolar):
         tc, _, _, _ = micropolar
-        trac = build_traction(tc)
-        lp = traction_load_part(trac.flex_loads, LoadSet.zero(), (1.0, 0.0))
+        _, P = build_traction(tc)["flex"]
+        lp = traction_load_part(P, LoadSet.zero(), (1.0, 0.0))
         assert all(np.all(np.asarray(x) == 0.0) for x in lp)
 
     def test_w_coupling_vanishes_at_n0(self, classical):
         tc, _, _, _ = classical
-        trac = build_traction(tc)
-        T = flex_traction_symbol(trac, 1.0, 1.0, (0.6, 0.8))
+        Q, _ = build_traction(tc)["flex"]
+        T = flex_traction_symbol(Q, 1.0, 1.0, (0.6, 0.8))
         scale = np.max(np.abs(T))
         # micropolar boundary couplings (Q* rows to Omega^0) vanish with N
         assert abs(T[2, 4]) < 1e-12 * scale
         assert abs(T[2, 5]) < 1e-12 * scale
 
     def test_traction_rows_match_resultants(self, micropolar, rng):
-        """n . (resultant gradient part) from the operator equals the
+        """n . (resultant gradient part) from Q's gradient rows equals the
         constitutive evaluation on random polynomial fields."""
         from cosserat_plate.operators import _poly_kinematics, _poly_grad, _poly_zero_loads
-        from cosserat_plate.plate_constitutive import stress_from_kinematics
         from cosserat_plate.poly2d import Poly2D, apply_symbol_monomials
 
         tc, _, _, _ = micropolar
-        trac = build_traction(tc)
+        rows = gradient_rows(build_traction(tc)["flex"][0])
         polys = [Poly2D.random(rng, 2) for _ in range(6)]
         u = _poly_kinematics(flexural=polys)
         s = stress_from_kinematics(u, _poly_grad(u, 1), _poly_grad(u, 2), tc,
@@ -315,7 +392,7 @@ class TestTraction:
         for r in range(6):
             val = 0.0
             for c in range(6):
-                coeffs = np.einsum("ab,a->b", trac.flex[r, c], n)
+                coeffs = np.einsum("ab,a->b", rows[r, c], n)
                 val += apply_symbol_monomials(coeffs, polys[c])(x, y)
             assert val == pytest.approx(float(tr[r](x, y)), rel=1e-12,
                                         abs=1e-14), r
@@ -324,15 +401,15 @@ class TestTraction:
     @pytest.mark.parametrize("subsystem", ["flexural", "extensional"])
     def test_rows_and_load_part_match_resultants(self, rng, subsystem,
                                                  shear_correction):
-        """Each subsystem's traction rows plus their load part equal
-        n . (resultants) of the stiffness form on random polynomial fields
-        under nonzero polynomial loads, for either shear correction."""
+        """Each subsystem's traction rows (Q's gradient rows) plus their
+        load part (P) equal n . (resultants) of the stiffness form on random
+        polynomial fields under nonzero polynomial loads, for either shear
+        correction."""
         from cosserat_plate.operators import _poly_kinematics, _poly_grad
-        from cosserat_plate.plate_constitutive import stress_from_kinematics
         from cosserat_plate.poly2d import Poly2D, apply_symbol_monomials
 
         tc, _, _, _ = make_ops(random_material(rng), 0.21, shear_correction)
-        trac = build_traction(tc)
+        forms = build_traction(tc)
         nf = 6 if subsystem == "flexural" else 3
         polys = [Poly2D.random(rng, 2) for _ in range(nf)]
         u = _poly_kinematics(**{subsystem: polys})
@@ -343,10 +420,11 @@ class TestTraction:
         if subsystem == "flexural":
             pairs = [(s.M11, s.M21), (s.M12, s.M22), (s.Q1_s, s.Q2_s),
                      (s.S1_s, s.S2_s), (s.R11, s.R21), (s.R12, s.R22)]
-            table, P = trac.flex, trac.flex_loads
+            Q, P = forms["flex"]
         else:
             pairs = [(s.N11, s.N21), (s.N12, s.N22), (s.M1_s, s.M2_s)]
-            table, P = trac.ext, trac.ext_loads
+            Q, P = forms["ext"]
+        table = gradient_rows(Q)
         n = np.array([-0.6, 0.8])
         x, y = 0.3, 0.7
         lp = traction_load_part(
@@ -360,6 +438,23 @@ class TestTraction:
                                         rel=1e-12, abs=1e-14), r
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(admissible_materials(with_inertia=False),
+       st.sampled_from(["standard", "mindlin"]))
+def test_one_readoff_is_bitwise_the_two_unit_column_calls(p, correction):
+    """build_traction's one polarisation over kinematic and load columns
+    gives, bit for bit (signed zeros included), the energy form of a
+    polarisation on kinematic columns alone and the load parts of the
+    resultants read off the stiffness form directly."""
+    tc = technical_constants(p, 0.21, correction)
+    forms, Q_want = build_traction(tc), energy_form_oracle(tc)
+    for name, (_, P_want) in resultant_coefficients(tc).items():
+        Q, P = forms[name]
+        for got, want in ((Q, Q_want[name]), (P, P_want)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(admissible_materials(with_inertia=False),
        st.sampled_from(["standard", "mindlin"]))
@@ -368,9 +463,9 @@ def test_energy_form_gives_traction_rows_and_derived_table(p, correction):
     traction rows read off the stiffness form, and its Euler-Lagrange
     operator L = d_a (Q_a. q) - Q_V. q is the derived coefficient table."""
     tc, _, flex, ext = make_ops(p, 0.21, correction)
-    trac = build_traction(tc)
-    for Q, table, C in ((energy_forms(tc)["flex"], trac.flex, flex.coeffs),
-                        (energy_forms(tc)["ext"], trac.ext, ext.coeffs)):
+    forms, rows = build_traction(tc), resultant_coefficients(tc)
+    for name, C in (("flex", flex.coeffs), ("ext", ext.coeffs)):
+        Q, table = forms[name][0], rows[name][0]
         scale = np.max(np.abs(C))
         nf = C.shape[0]
         flat = Q.reshape(3 * nf, 3 * nf)
@@ -378,10 +473,52 @@ def test_energy_form_gives_traction_rows_and_derived_table(p, correction):
         for a in range(2):
             assert np.max(np.abs(Q[1 + a].transpose(0, 2, 1)
                                  - table[:, :, a, :3])) <= 1e-15 * scale
+        assert np.max(np.abs(gradient_rows(Q) - table)) <= 1e-15 * scale
         V, X, Y = Q[0, :, 0], Q[1, :, 0], Q[2, :, 0]
         L = np.stack([-V, X - X.T, Y - Y.T, Q[1, :, 1], Q[1, :, 2]
                       + Q[2, :, 1], Q[2, :, 2]], axis=-1)
         assert np.max(np.abs(L - C)) <= 1e-15 * scale
+
+
+def _names_and_calls(tree):
+    """Every name the module's tree binds or reads (identifiers, attributes,
+    imported names, definitions), and (enclosing top-level function, callee
+    name) of each call."""
+    names, calls = set(), []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update({node.name.split(".")[-1], node.asname})
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls.append((owner, getattr(f, "id", getattr(f, "attr", None))))
+    return names, calls
+
+
+def test_the_stiffness_form_is_read_off_in_one_place():
+    """No module of the package names the retired read-offs (the separate
+    traction-row operator, its resultant table and the second energy-form
+    builder), and in ``operators.py`` only ``build_traction`` (the one
+    read-off) and ``operator_residual_oracle`` (the verification hook)
+    call ``stress_from_kinematics``."""
+    retired = {"TractionOperator", "TRACTION_RESULTANTS", "energy_forms"}
+    package = Path(cosserat_plate.__file__).parent
+    paths = sorted(package.rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        names, _ = _names_and_calls(ast.parse(path.read_text()))
+        assert not names & retired, path
+    _, calls = _names_and_calls(
+        ast.parse((package / "operators.py").read_text()))
+    callers = {owner for owner, f in calls if f == "stress_from_kinematics"}
+    assert callers == {"build_traction", "operator_residual_oracle"}
 
 
 def test_diff_table_contents(rng):
