@@ -4,14 +4,17 @@
 free (interior and traction) dofs and factored (``_StaticFactor``): by
 banded Cholesky when the condensed matrix is symmetric, as on every plate
 of the derived coefficient tables, and by SuperLU otherwise, which only
-the literal tables reach.  Each solve builds its subsystem's
-factor and releases it before the next subsystem is factored, so one
-factor at most is alive; a repeat solve on one model factors again.  A
-subsystem whose right-hand side is all zero (no load, no boundary data,
-no extra forcing) is never factored: its solution is +0.  The factor's
-kind and size, the free-dof count and residuals are logged at DEBUG
-level; the normwise backward error of each solve is logged too and
-returned in ``static_solve``'s diagnostics.
+the literal tables reach.  On a plate whose edges are mirror-symmetric
+the symmetric system splits exactly into its even and odd parts under
+the mirror, and each part is band-factored on half the grid.  Each solve
+builds its subsystem's factors and releases them before the next
+subsystem is factored, so one subsystem's factors at most are alive; a
+repeat solve on one model factors again.  A subsystem whose right-hand
+side is all zero (no load, no boundary data, no extra forcing) is never
+factored: its solution is +0.  The factor's kind, mirror classes and
+size, the free-dof count and residuals are logged at DEBUG level; the
+normwise backward error of each solve is logged too and returned in
+``static_solve``'s diagnostics.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import logging
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .._blas import _one_blas_thread
@@ -78,6 +82,45 @@ def _line_order(nx: int, ny: int) -> np.ndarray:
     return (nodes if ny <= nx else nodes.T).ravel()
 
 
+def _lower_band(A) -> np.ndarray:
+    """-A's lower band in LAPACK's band storage, ab[i - j, j] = -A[i, j]
+    for 0 <= i - j <= kd, of a CSR matrix A with no duplicate entries.
+    The array is in Fortran order, which pbtrf takes in place; f2py copies
+    a C-order one."""
+    n = A.shape[0]
+    # trimmed as before the factor: the freed temporaries of the norm,
+    # the symmetry check and the mirror classes would otherwise stay
+    # resident under the band (1-3 MiB more peak RSS at 65^2)
+    _malloc_trim(0)
+    # ab[i - j, j] is flat element i - j + (kd + 1) j, made in place in
+    # one intp array (it passes 2^31 past about 400^2); only it and the
+    # values are alive while the scatter touches the band's pages
+    flat = np.repeat(np.arange(n), np.diff(A.indptr))
+    flat -= A.indices
+    kd = int(flat.max())
+    lower = flat >= 0
+    flat = flat[lower]
+    flat += np.multiply(A.indices[lower], kd + 1, dtype=np.intp)
+    data = -A.data[lower]
+    del lower
+    band = np.zeros((kd + 1, n), order="F")
+    band.ravel(order="F")[flat] = data
+    return band
+
+
+# Each field's sign under the mirror that reverses every line of
+# ``_line_order``, by the grid axis it reverses (0: i -> nx - 1 - i,
+# 1: j -> ny - 1 - j), in the subsystem's field order.  The mirror flips
+# the component of a vector (U, Psi, W) normal to its line, and the other
+# two components of a pseudovector (the microrotations).
+_MIRROR_PARITY = {
+    0: {"flexural": (-1.0, 1.0, 1.0, -1.0, 1.0, -1.0),
+        "extensional": (-1.0, 1.0, -1.0)},
+    1: {"flexural": (1.0, -1.0, 1.0, -1.0, -1.0, 1.0),
+        "extensional": (1.0, -1.0, -1.0)},
+}
+
+
 class _StaticFactor:
     """The static system of one subsystem, condensed and factored: each
     solve builds one and releases it before the next subsystem's factor.
@@ -93,15 +136,29 @@ class _StaticFactor:
       definite on every plate of the derived tables with a displacement
       edge: the interior and traction rows are the Hessian of one energy
       (asymmetry 0 on clamped plates, 4e-17 with traction edges).  F is
-      ordered line
-      by line, each line along the grid's shorter side, and -A_FF's lower
-      band is factored by LAPACK's banded Cholesky (pbtrf), which runs
-      dense kernels at several times SuperLU's rate.  Its storage grows as
-      n^3 and its work as n^4 on an n x n grid, against n^2 log n and n^3
-      for nested dissection (George & Liu, 1981): it is faster at every
-      grid measured, up to 129^2, but from 97^2 on it takes more memory
-      (708 against 596 MiB peak RSS for a 129^2 solve).  The factor runs
-      on one BLAS thread (``_one_blas_thread``).
+      ordered line by line, each line along the grid's shorter side, and
+      split into classes by the mirror M that reverses every line
+      (``_mirror_classes``).  When M maps the free dofs onto themselves
+      and commutes with A_FF exactly, S M A_FF M S = A_FF bit for bit
+      with the field signs S of ``_MIRROR_PARITY`` (the isotropic energy
+      does not see the mirror), F splits into the part even under S M and
+      the part odd under it (Bossavit, Comput. Methods Appl. Mech. Engrg.
+      56, 1986).  Each class sigma has a basis P_sigma on the half grid:
+      the nodes on one side of the mirror line and on it, with a node on
+      the line keeping only the fields whose sign is sigma.  The classes
+      do not couple, so A_FF^-1 = sum P_sigma A_sigma^-1 P_sigma^T with
+      A_sigma = P_sigma^T A_FF P_sigma, and each -A_sigma's lower band is
+      factored by LAPACK's banded Cholesky (pbtrf), which runs dense
+      kernels at several times SuperLU's rate.  The half grid's lines are
+      half as long, so the two class bands are half as wide as the whole
+      one: half its storage and a quarter of its work.  Without the
+      symmetry the whole of F is the one class, P = I.  Split or whole,
+      band storage grows as n^3 and the work as n^4 on an n x n grid,
+      against n^2 log n and n^3 for nested dissection (George & Liu,
+      1981); on the clamped 129^2 plate the split takes 1.0 s and 430 MiB
+      peak RSS, the whole band 2.6 s and 710 MiB (both subsystems loaded,
+      one core of a 2-vCPU Xeon VM).  The factors run on one BLAS thread
+      (``_one_blas_thread``).
     - **Not symmetric**: only the literal coefficient tables of
       ``--paper-literal-operators`` (0.3-0.5% asymmetry on a clamped
       plate).  F is ordered by nested dissection of the node grid and
@@ -128,7 +185,9 @@ class _StaticFactor:
     def __init__(self, d: _Discretization):
         self.name = d.name
         self.dirich = d.dirich_dofs
-        self.lu = self.cho = band = None
+        self.lu = None
+        self.mirror = "none"
+        self.classes = []  # (name, P or None for the identity, factor)
         self._condense(d, _line_order(d.nx, d.ny))
         # ||A_FF|| in the infinity norm, the largest |row| sum, for the
         # backward error; its temporary |A_FF| is freed before the factor.
@@ -137,8 +196,9 @@ class _StaticFactor:
                                              np.ones(self.free.size))))
         if (abs(self.A_FF - self.A_FF.T).max()
                 <= self.SYMMETRY_TOL * self.norm):
-            band = self._lower_band()
+            bases = self._mirror_classes(d)
         else:
+            bases = None
             self._condense(d, _nested_dissection(d.nx, d.ny))
         # SuperLU sizes its work arrays from a fill estimate and touches only
         # part of them.  On fresh pages the untouched part costs no memory;
@@ -150,11 +210,21 @@ class _StaticFactor:
         # runs spread over 221-261 MiB; trimmed, over 224-228 MiB.
         _malloc_trim(0)
         try:
-            if band is not None:
-                with _one_blas_thread():
-                    self.cho = sla.cholesky_banded(band, lower=True,
-                                                   overwrite_ab=True,
-                                                   check_finite=False)
+            if bases is not None:
+                for name, P, rows, weight in bases:
+                    A = self.A_FF
+                    if P is not None:
+                        # P^T A_FF P, read off A_FF P's half-grid rows: row
+                        # M k of A_FF P is sigma s_k times row k, so P^T
+                        # adds an off-line row twice
+                        A = A[rows] @ P
+                        A.data *= np.repeat(weight, np.diff(A.indptr))
+                    band = _lower_band(A)
+                    del A  # A_sigma is freed once its band is built
+                    with _one_blas_thread():
+                        self.classes.append((name, P, sla.cholesky_banded(
+                            band, lower=True, overwrite_ab=True,
+                            check_finite=False)))
             else:
                 self.lu = spla.splu(self.A_FF.tocsc(), permc_spec="NATURAL",
                                     diag_pivot_thresh=self.PIVOT_THRESH,
@@ -165,11 +235,14 @@ class _StaticFactor:
         _malloc_trim(0)
         if not _log.isEnabledFor(logging.DEBUG):
             return
-        if band is not None:
+        if bases is not None:
             _log.debug("%s static factor: %d free dofs, band Cholesky, "
-                       "half-bandwidth %d, band storage %.1f MiB", d.name,
-                       self.free.size, self.cho.shape[0] - 1,
-                       self.cho.nbytes / 2**20)
+                       "mirror %s, %s", d.name, self.free.size, self.mirror,
+                       "; ".join(
+                           f"{name} class {cho.shape[1]} dofs, half-bandwidth "
+                           f"{cho.shape[0] - 1}, band storage "
+                           f"{cho.nbytes / 2**20:.1f} MiB"
+                           for name, _, cho in self.classes))
         else:
             # lu.L and lu.U are copies of the factor: build them only here
             _log.debug("%s static factor: %d free dofs, SuperLU, L+U nnz %d",
@@ -185,34 +258,65 @@ class _StaticFactor:
         self.A_FF = A_F[:, self.free]
         self.A_FD = A_F[:, self.dirich]
 
-    def _lower_band(self) -> np.ndarray:
-        """-A_FF's lower band in LAPACK's band storage, ab[i - j, j] =
-        -A_FF[i, j] for 0 <= i - j <= kd.  The array is in Fortran order,
-        which pbtrf takes in place; f2py copies a C-order one."""
-        A, n = self.A_FF, self.free.size
-        # trimmed as before the factor: the freed temporaries of the norm
-        # and the symmetry check would otherwise stay resident under the
-        # band (1-3 MiB more peak RSS at 65^2)
-        _malloc_trim(0)
-        # ab[i - j, j] is flat element i - j + (kd + 1) j, made in place in
-        # one intp array (it passes 2^31 past about 400^2); only it and the
-        # values are alive while the scatter touches the band's pages
-        flat = np.repeat(np.arange(n), np.diff(A.indptr))
-        flat -= A.indices
-        kd = int(flat.max())
-        lower = flat >= 0
-        flat = flat[lower]
-        flat += np.multiply(A.indices[lower], kd + 1, dtype=np.intp)
-        data = -A.data[lower]
-        del lower
-        band = np.zeros((kd + 1, n), order="F")
-        band.ravel(order="F")[flat] = data
-        return band
+    def _mirror_classes(self, d: _Discretization) -> list:
+        """The classes of A_FF under the mirror M that reverses every line,
+        as (name, P, rows, weight), and M's grid index, "i" or "j", in
+        ``self.mirror``.  Class sigma = +1 ("even") or -1 ("odd") has the
+        basis P of the half grid's free dofs, whose positions in F are
+        ``rows``: P[k, r] = 1 for its dof r at k, and P[M k, r] = sigma s_k
+        off the mirror line; ``weight`` is P's column count, 2 off the line
+        and 1 on it.  Without the exact symmetry the one class is ("all",
+        None, None, None) and ``self.mirror`` stays "none"."""
+        axis = 1 if d.ny <= d.nx else 0  # the index along each line
+        length = (d.nx, d.ny)[axis]
+        nodes = self.free[::d.nf]
+        # twice each node's distance past the mirror line: < 0 on the half
+        # grid's side, 0 on the line
+        side = 2 * np.divmod(nodes, d.ny)[axis] - (length - 1)
+        pos = np.full(d.nx * d.ny, -1)
+        pos[nodes] = np.arange(nodes.size)
+        mate = pos[nodes - side * (1 if axis else d.ny)]
+        if np.any(mate < 0):  # a free node whose image is a Dirichlet node
+            return [("all", None, None, None)]
+        mate = (mate[:, None] * d.nf + np.arange(d.nf)).ravel()
+        sign = np.tile(_MIRROR_PARITY[axis][d.name], nodes.size)
+        A = self.A_FF.sorted_indices()
+        B = A[mate][:, mate]
+        B.sort_indices()
+        B.data *= np.repeat(sign, np.diff(B.indptr)) * sign[B.indices]
+        if not (np.array_equal(A.indptr, B.indptr)
+                and np.array_equal(A.indices, B.indices)
+                and np.array_equal(A.data, B.data)):
+            return [("all", None, None, None)]
+        del A, B
+        side = np.repeat(side, d.nf)
+        bases = []
+        for name, sigma in (("even", 1.0), ("odd", -1.0)):
+            rows = np.flatnonzero((side < 0)
+                                  | (side == 0) & (sigma * sign > 0))
+            off = side[rows] < 0
+            cols = np.arange(rows.size)
+            P = sp.csr_matrix(
+                (np.concatenate([np.ones(rows.size), sigma * sign[rows[off]]]),
+                 (np.concatenate([rows, mate[rows[off]]]),
+                  np.concatenate([cols, cols[off]]))),
+                shape=(self.free.size, rows.size))
+            bases.append((name, P, rows, 1.0 + off))
+        self.mirror = "ij"[axis]
+        return bases
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
+        """A_FF^-1 b, the sum over the classes of P A_sigma^-1 P^T b."""
         if self.lu is not None:
             return self.lu.solve(b)
-        return sla.cho_solve_banded((self.cho, True), -b, check_finite=False)
+        x = 0.0
+        for _, P, cho in self.classes:
+            if P is None:  # the whole band, the only class
+                return sla.cho_solve_banded((cho, True), -b,
+                                            check_finite=False)
+            x = x + P @ sla.cho_solve_banded((cho, True), P.T @ -b,
+                                             check_finite=False)
+        return x
 
     def solve(self, rhs: np.ndarray) -> tuple:
         """Full-grid h with A h = rhs, where rhs holds the Dirichlet data g

@@ -558,9 +558,63 @@ def literal_model(bc, n=13, material=None):
         paper_literal=True))
 
 
+def band_width(A) -> int:
+    """The half-bandwidth of a square sparse matrix: its largest i - j."""
+    A = A.tocoo()
+    return int(np.max(A.row - A.col))
+
+
+def mirror_image(f, d) -> tuple:
+    """The position of each free dof's mirror image among the free dofs and
+    the signs of the fields, for the mirror that reverses every line of
+    the line order: j -> ny - 1 - j when ny <= nx, i -> nx - 1 - i
+    otherwise.  None where a free node's image is a Dirichlet node."""
+    nn = d.nx * d.ny
+    field, node = np.divmod(f.free, nn)
+    i, j = np.divmod(node, d.ny)
+    if d.ny <= d.nx:
+        image = field * nn + i * d.ny + (d.ny - 1 - j)
+        signs = {"flexural": (1, -1, 1, -1, -1, 1), "extensional": (1, -1, -1)}
+    else:
+        image = field * nn + (d.nx - 1 - i) * d.ny + j
+        signs = {"flexural": (-1, 1, 1, -1, 1, -1), "extensional": (-1, 1, -1)}
+    where = np.full(d.ndof, -1)
+    where[f.free] = np.arange(f.free.size)
+    if np.any(where[image] < 0):
+        return None
+    return where[image], np.asarray(signs[d.name], dtype=float)[field]
+
+
+def index_formula_band(A) -> np.ndarray:
+    """-A's lower band by the direct scatter of -A[i, j] to flat element
+    i - j + (kd + 1) j of a Fortran-order (kd + 1) x n array."""
+    A, n = A.tocsr(), A.shape[0]
+    off = np.repeat(np.arange(n), np.diff(A.indptr)) - A.indices
+    kd = int(off.max())
+    lower = off >= 0
+    band = np.zeros((kd + 1, n), order="F")
+    band.ravel(order="F")[(kd + 1) * A.indices[lower].astype(np.intp)
+                          + off[lower]] = -A.data[lower]
+    return band
+
+
+def whole_band_solve(f, rhs) -> np.ndarray:
+    """The free-dof solution by one band Cholesky of the whole -A_FF and
+    one refinement step: the static solve without the mirror split."""
+    with _blas._one_blas_thread():
+        cho = sla.cholesky_banded(index_formula_band(f.A_FF), lower=True,
+                                  check_finite=False)
+    b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
+    x = sla.cho_solve_banded((cho, True), -b, check_finite=False)
+    x += sla.cho_solve_banded((cho, True), -(b - f.A_FF @ x),
+                              check_finite=False)
+    return x
+
+
 class TestStaticFactor:
     """The condensed static factorization: band Cholesky of a symmetric
-    system, nested-dissection SuperLU of any other."""
+    system, split into its mirror classes where the mirror commutes with
+    it, nested-dissection SuperLU of any other."""
 
     @pytest.mark.parametrize("nx,ny", [(17, 17), (13, 21), (21, 13)])
     @pytest.mark.parametrize("bc", [CLAMPED_WITH_DATA, RIGHT_TOP_TRACTION],
@@ -579,22 +633,35 @@ class TestStaticFactor:
               database=None)
     @given(admissible_materials())
     def test_symmetric_system_takes_the_band_factor(self, material):
-        """On a clamped plate A_FF is symmetric: -A_FF is factored in band
-        storage, with lines along the shorter side (along the longer one
-        the half-bandwidth would be at least (max(nx, ny) - 1) nf), and the
-        solution keeps the full-matrix accuracy."""
-        for nx, ny in ((17, 17), (13, 21), (21, 13)):
-            model = make_model(nx=nx, ny=ny, bc=CLAMPED_WITH_DATA,
-                               material=material, loads=STATIC_LOADS)
+        """On a clamped plate and on a cantilever A_FF is symmetric: each
+        mirror class of -A_FF is factored in band storage on the half
+        grid, with lines along the shorter side.  For L free nodes a line
+        the whole band's half-bandwidth is at most nf (L + 1) + 1 (along
+        the longer side it would be at least (max(nx, ny) - 1) nf) and
+        each class's at most nf (ceil(L / 2) + 1) + 1; the solution keeps
+        the full-matrix accuracy."""
+        for nx, ny, bc in ((17, 17, CLAMPED_WITH_DATA),
+                           (13, 21, CLAMPED_WITH_DATA),
+                           (21, 13, CLAMPED_WITH_DATA),
+                           (16, 16, CLAMPED_WITH_DATA),
+                           (17, 13, dict(CANTILEVER,
+                                         left=CLAMPED_WITH_DATA["left"]))):
+            model = make_model(nx=nx, ny=ny, bc=bc, material=material,
+                               loads=STATIC_LOADS)
             with pytest.MonkeyPatch.context() as mp:
                 factors = count_static_factors(mp, lambda d, f: f)
                 kin, diag = static_solve(model)
             for d, h, f in zip((model.flex_d, model.ext_d),
                                (kin.flexural(), kin.extensional()), factors,
                                strict=True):
-                assert f.name == d.name
-                assert f.lu is None and f.cho.flags.f_contiguous, d.name
-                assert f.cho.shape[0] - 1 < min(nx, ny) * d.nf, d.name
+                assert f.name == d.name and f.lu is None
+                assert [name for name, _, _ in f.classes] == ["even", "odd"]
+                L = int(np.max(np.sum(d.kind != 1, axis=1 if ny <= nx else 0)))
+                assert band_width(f.A_FF) <= d.nf * (L + 1) + 1, d.name
+                for _, _, cho in f.classes:
+                    assert cho.flags.f_contiguous, d.name
+                    assert cho.shape[0] - 1 <= d.nf * (-(-L // 2) + 1) + 1, \
+                        d.name
                 rhs = dynamics._static_rhs(d)
                 ref = spla.spsolve(d.A.tocsc(), rhs)
                 assert np.max(np.abs(h.ravel() - ref)) <= \
@@ -609,7 +676,7 @@ class TestStaticFactor:
         model = literal_model(bc)
         for d in (model.flex_d, model.ext_d):
             f = dynamics._StaticFactor(d)
-            assert f.cho is None and f.lu is not None, d.name
+            assert f.classes == [] and f.lu is not None, d.name
 
     def test_cantilever_takes_the_band_factor(self):
         """The traction rows are the Hessian of the same energy as the
@@ -619,7 +686,7 @@ class TestStaticFactor:
                            loads=STATIC_LOADS)
         for d in (model.flex_d, model.ext_d):
             f = dynamics._StaticFactor(d)
-            assert f.lu is None and f.cho is not None, d.name
+            assert f.lu is None and len(f.classes) == 2, d.name
         kin, diag = static_solve(model)
         for d, h in ((model.flex_d, kin.flexural()),
                      (model.ext_d, kin.extensional())):
@@ -628,12 +695,100 @@ class TestStaticFactor:
                 1e-9 * np.max(np.abs(ref)), d.name
             assert diag[f"{d.name}_backward_error"] < 1e-14
 
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              database=None)
+    @given(admissible_materials())
+    def test_mirror_commutes_with_the_free_block(self, material):
+        """The isotropic energy does not see the mirror M that reverses
+        every line: with the fields' parity signs s, s_k A_FF[M k, M l] s_l
+        = A_FF[k, l] bit for bit on every mirror-symmetric plate, with a
+        mirror line of nodes (17 x 13, 13 x 17) or without one (16 x 16),
+        for both subsystems; and the factor takes the split."""
+        for nx, ny, bc in ((17, 13, ALL_CLAMPED), (13, 17, ALL_CLAMPED),
+                           (16, 16, ALL_CLAMPED), (17, 13, CANTILEVER)):
+            model = make_model(nx=nx, ny=ny, bc=bc, material=material)
+            for d in (model.flex_d, model.ext_d):
+                f = dynamics._StaticFactor(d)
+                image, sign = mirror_image(f, d)
+                A = f.A_FF.toarray()
+                assert np.array_equal(
+                    sign[:, None] * A[np.ix_(image, image)] * sign, A)
+                assert f.mirror == ("j" if ny <= nx else "i"), (nx, ny)
+                assert [name for name, _, _ in f.classes] == ["even", "odd"]
+
+    def test_each_class_has_half_the_band(self):
+        """On the 65^2 clamped plate the whole flexural band has
+        half-bandwidth nf (L + 1) + 1 = 385 (L = 63), and each mirror
+        class nf (32 + 1) - 2 = 196."""
+        f = dynamics._StaticFactor(make_model(nx=65, ny=65).flex_d)
+        assert band_width(f.A_FF) == 385
+        assert [cho.shape[0] - 1 for _, _, cho in f.classes] == [196, 196]
+
+    @pytest.mark.parametrize("nx,ny,bc", [(13, 13, RIGHT_TOP_TRACTION),
+                                          (13, 17, CANTILEVER),
+                                          (13, 13, None)],
+                             ids=["right-top-traction", "cantilever-13x17",
+                                  "clamped-one-ulp-off"])
+    def test_no_exact_mirror_keeps_the_whole_band(self, nx, ny, bc,
+                                                  monkeypatch):
+        """Without an exact mirror symmetry the whole band is the one
+        class, and the solve is bit for bit one band Cholesky of the whole
+        -A_FF: the mirror swaps a clamped and a traction edge on the
+        right+top traction plate and on the 13 x 17 cantilever (whose line
+        mirror is i -> nx - 1 - i), and on a clamped plate one A_FF entry
+        nudged by one ulp breaks it."""
+        model = make_model(nx=nx, ny=ny, bc=bc, loads=STATIC_LOADS)
+        if bc is None:
+            for d in (model.flex_d, model.ext_d):
+                # the first field at node (1, 1) against node (1, 2)
+                A, row = d.A.copy(), d.ny + 1
+                k = A.indptr[row] + np.flatnonzero(
+                    A.indices[A.indptr[row]:A.indptr[row + 1]] == row + 1)[0]
+                A.data[k] = np.nextafter(A.data[k], np.inf)
+                monkeypatch.setattr(d, "A", A)
+        for d in (model.flex_d, model.ext_d):
+            f = dynamics._StaticFactor(d)
+            assert f.mirror == "none"
+            assert [(name, P) for name, P, _ in f.classes] == [("all", None)]
+            rhs = dynamics._static_rhs(d)
+            h, _ = f.solve(rhs)
+            assert np.array_equal(h[f.free].view(np.int64),
+                                  whole_band_solve(f, rhs).view(np.int64))
+
+    @pytest.mark.parametrize("nx,ny,bc,mirror",
+                             [(13, 17, ALL_CLAMPED, "i"),
+                              (13, 13, RIGHT_TOP_TRACTION, "none")],
+                             ids=["clamped-13x17", "right-top-traction"])
+    def test_factor_line_names_the_mirror(self, caplog, monkeypatch, nx, ny,
+                                          bc, mirror):
+        """The DEBUG factor line names the mirror ("i", "j" or "none") and
+        gives each class's dofs, half-bandwidth and band storage."""
+        caplog.set_level(logging.DEBUG, logger=dynamics.__name__)
+        factors = count_static_factors(monkeypatch, lambda d, f: f)
+        model = make_model(nx=nx, ny=ny, bc=bc, loads=STATIC_LOADS)
+        static_solve(model)
+        lines = [r.getMessage() for r in caplog.records
+                 if "static factor" in r.getMessage()]
+        for d, f, ln in zip((model.flex_d, model.ext_d), factors, lines,
+                            strict=True):
+            head = re.fullmatch(rf"{d.name} static factor: (\d+) free dofs, "
+                                rf"band Cholesky, mirror (\w+), (.*)", ln)
+            assert int(head[1]) == f.free.size and head[2] == mirror
+            classes = [re.fullmatch(r"(\w+) class (\d+) dofs, half-bandwidth "
+                                    r"(\d+), band storage ([\d.]+) MiB", part)
+                       for part in head[3].split("; ")]
+            assert [(c[1], int(c[2]), int(c[3]), float(c[4]))
+                    for c in classes] == [
+                (name, cho.shape[1], cho.shape[0] - 1,
+                 round(cho.nbytes / 2**20, 1)) for name, _, cho in f.classes]
+            assert sum(int(c[2]) for c in classes) == f.free.size
+
     @pytest.mark.skipif(_blas._BLAS_THREADS is None,
                         reason="scipy.linalg does not call OpenBLAS")
     def test_band_factor_runs_on_one_blas_thread(self, monkeypatch):
-        """The band Cholesky of the static factor and of the Mindlin
-        oracle runs on one BLAS thread and the thread count is restored
-        after it, also when the factor fails."""
+        """The band Cholesky of each mirror class of the static factor and
+        of the Mindlin oracle runs on one BLAS thread and the thread count
+        is restored after it, also when the factor fails."""
         get, set_ = _blas._BLAS_THREADS
         seen = []
 
@@ -651,7 +806,8 @@ class TestStaticFactor:
         set_(2)
         try:
             static_solve(make_model(nx=13, ny=13, loads=STATIC_LOADS))
-            assert seen == [("cholesky_banded", 1)] * 2 and get() == 2
+            # two subsystems, two mirror classes each
+            assert seen == [("cholesky_banded", 1)] * 4 and get() == 2
             model = make_model(nx=13, ny=13, loads=STATIC_LOADS)
             monkeypatch.setattr(model.flex_d, "A", -model.flex_d.A)
             with pytest.raises(SingularSystemError):
@@ -678,21 +834,18 @@ class TestStaticFactor:
     @pytest.mark.parametrize("nx,ny", [(17, 17), (13, 21), (21, 13)])
     def test_lower_band_matches_the_index_formula(self, nx, ny):
         """The in-place band builder writes the same bits as the direct
-        scatter of -A_FF[i, j] to flat element i - j + (kd + 1) j."""
+        scatter of -A[i, j] to flat element i - j + (kd + 1) j, for A_FF
+        and for each mirror class's P^T A_FF P."""
         model = make_model(nx=nx, ny=ny, bc=CLAMPED_WITH_DATA,
                            loads=STATIC_LOADS)
         for d in (model.flex_d, model.ext_d):
             f = dynamics._StaticFactor(d)
-            band = f._lower_band()
-            A, n = f.A_FF, f.free.size
-            off = np.repeat(np.arange(n), np.diff(A.indptr)) - A.indices
-            kd = int(off.max())
-            lower = off >= 0
-            ref = np.zeros((kd + 1, n), order="F")
-            ref.ravel(order="F")[(kd + 1) * A.indices[lower].astype(np.intp)
-                                 + off[lower]] = -A.data[lower]
-            assert band.flags.f_contiguous and band.shape == ref.shape
-            assert np.array_equal(band.view(np.int64), ref.view(np.int64))
+            for A in (f.A_FF, *(P.T @ f.A_FF @ P for _, P, _ in f.classes)):
+                band = dynamics.static._lower_band(A)
+                ref = index_formula_band(A)
+                assert band.flags.f_contiguous and band.shape == ref.shape
+                assert np.array_equal(band.view(np.int64),
+                                      ref.view(np.int64))
 
     def test_line_order_runs_along_the_shorter_side(self):
         assert np.array_equal(dynamics._line_order(3, 2),
@@ -744,9 +897,9 @@ class TestStaticFactor:
         assert len(calls) == 0
 
     def test_cantilever_residual_below_1e_10(self):
-        """Threshold pivoting plus one refinement step keep the cantilever
-        flexural residual an order below the full-matrix spsolve, which
-        leaves 1.9e-10 here."""
+        """The band Cholesky of the mirror classes plus one refinement step
+        keep the cantilever flexural residual an order below the
+        full-matrix spsolve, which leaves 1.9e-10 here."""
         mat = material_from_technical(E=1.0, nu=0.3, N=0.39, l_t=0.05,
                                       l_b=0.05, Psi=1.2, rho=1.0,
                                       J=(0.1, 0.1, 0.1))
@@ -777,9 +930,11 @@ class TestStaticFactor:
                 if model.config.paper_literal:
                     assert f"SuperLU, L+U nnz {f.lu.L.nnz + f.lu.U.nnz}" in ln
                 else:
-                    kd, mib = f.cho.shape[0] - 1, f.cho.nbytes / 2**20
-                    assert ln.endswith(f"band Cholesky, half-bandwidth {kd}, "
-                                       f"band storage {mib:.1f} MiB")
+                    assert ln.endswith("band Cholesky, mirror j, " + "; ".join(
+                        f"{name} class {cho.shape[1]} dofs, half-bandwidth "
+                        f"{cho.shape[0] - 1}, band storage "
+                        f"{cho.nbytes / 2**20:.1f} MiB"
+                        for name, _, cho in f.classes))
             assert [int(re.search(r"(\d+) refinement step\(s\), relative "
                                   r"residual", ln)[1]) for ln in solves] == \
                 [dynamics._StaticFactor.REFINE] * 4
