@@ -22,7 +22,8 @@ and the end-of-step acceleration, with its half kick dt/2 * a, is the next
 step's start ("first same as last").  At 17^2 a step's Python calls cost
 as much as its arithmetic, so it makes the fewest calls that keep that
 arithmetic: in-place ufuncs; Lu = B u by SciPy's CSR kernel, that of
-``B @ u``, straight into the zero-filled ``Lu`` (``_csr_matvec_into``); the
+``B @ u``, straight into the zero-filled ``Lu`` (``_csr_matvec_into``),
+with its arguments bound once per run (``_csr_matvec_args``); the
 boundary force f_b only where a part has one; one ``np.divide`` into ``a``
 when nothing is loaded, else a subtraction of each loaded part's load
 vector straight into ``a`` and an in-place divide.  The kernel takes only
@@ -42,7 +43,15 @@ Gershgorin row-sum pass over the same stack and keeps the bound there.
 The two subsystems never couple, so the kernel steps only what moves: a
 subsystem at rest with nothing to drive it stays exactly +0 and is skipped
 (``_Kernel``).  dt, the energies and the order of every floating-point
-operation are those of stepping both.
+operation are those of stepping both.  Nor do the even and odd classes of
+a mirror-symmetric plate's free block couple (``mirror``).  When the u and
+w of every live part, and its loads and boundary force, lie exactly in one
+class, the kernel steps only that class, on the half grid's rows B_sigma =
+(B P)[rows], and expands the result through P wherever full vectors are
+read.  Those rows sum in another order, so such a run agrees with stepping
+the whole block to roundoff, not bit for bit.  Any other run, on a plate
+without an exact mirror or with a state or drive in both classes, steps
+the whole block with the bits of stepping both.
 
 Energy bookkeeping uses the discrete quadratic forms of the scheme itself:
 kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - f_b) = -0.5 u^T A_FF u
@@ -70,6 +79,7 @@ from ..plate_fields import PlateKinematics
 from .discretization import (ConfigError, DiscreteModel, InstabilityError,
                              _abs_matvec, _Discretization, _envelope_sum,
                              checked_number)
+from .mirror import MirrorClass, mirror_of
 
 _log = logging.getLogger(__name__)
 
@@ -122,12 +132,19 @@ def stable_dt(model: DiscreteModel) -> float:
     return stack.dt
 
 
+def _csr_matvec_args(A: sp.csr_matrix, x: np.ndarray,
+                     out: np.ndarray) -> tuple:
+    """SciPy's CSR kernel's arguments for ``out += A @ x``, bound once:
+    reading ``A.shape`` goes through a SciPy property."""
+    return A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out
+
+
 def _csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
     """``out[...] = A @ x`` without a temporary: ``A @ x`` runs SciPy's CSR
     kernel on a zero-filled result, and so does this on ``out``, so every
     row sum is formed in the same order, bit for bit."""
     out.fill(0.0)
-    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    csr_matvec(*_csr_matvec_args(A, x, out))
 
 
 class _Part:
@@ -163,6 +180,21 @@ class _Part:
         return f
 
 
+class _ClassPart:
+    """A part stepped on one class c of its mirror, named ``mirror``: the
+    class's rows B_sigma = (B P)[rows] of the part's free block, and the
+    masses, load vectors and boundary force of those rows.  On the class
+    (B u)[rows] = B_sigma u[rows], and P gives the other rows."""
+
+    def __init__(self, p: _Part, mirror: str, c: MirrorClass, block, mass):
+        self.p, self.mirror, self.c = p, mirror, c
+        self.B = c.rows_of(block)
+        self.mass = mass[c.rows]
+        self.F = p.F[:, c.rows]
+        self.boundary_force = (None if p.boundary_force is None
+                               else p.boundary_force[c.rows])
+
+
 class _InteriorStack:
     """The free rows of both subsystems, stacked flexural first, with
     everything the explicit kernel needs that does not depend on time.
@@ -171,7 +203,8 @@ class _InteriorStack:
     each row's entries in their order in A, so ``B @ u`` forms every row sum
     exactly as ``A_FF @ u`` does.  ``mass`` stacks the lumped free masses
     and ``parts`` holds one ``_Part`` per subsystem; ``dt`` keeps the
-    ``stable_dt`` bound once computed.  Built once per model, on first use
+    ``stable_dt`` bound once computed, and ``mirror_class`` the rows of
+    each mirror class once built.  Built once per model, on first use
     (``DiscreteModel.interior_stack``); no per-subsystem A_FF is kept
     beside it.
     """
@@ -210,6 +243,7 @@ class _InteriorStack:
         self.loaded = [p for p in self.parts if p.presets]
         self.dt = None
         self._rows = {}
+        self._classes = {}  # (part start, sigma) -> _ClassPart or None
 
     def rows(self, live: slice) -> sp.csr_matrix:
         """B's rows ``live`` over all its columns, built once per range.
@@ -224,6 +258,34 @@ class _InteriorStack:
                 (self.B.data[span], self.B.indices[span], ptr - ptr[0]),
                 shape=(live.stop - live.start, self.B.shape[1]))
         return self._rows[key]
+
+    def mirror_class(self, p: _Part, u: np.ndarray,
+                     w: np.ndarray) -> _ClassPart | None:
+        """Part p on the mirror class sigma in which its free u and w, its
+        load vectors F and its boundary force all lie exactly (x[M k] ==
+        sigma s_k x[k]), when the line mirror commutes bit for bit with
+        its free block and mass; else None.  The O(n) test of the vectors
+        comes first, and only when it passes the O(nnz) commutation check,
+        made once per part and class, when the class's rows are built.
+        The mirror map is not kept: an asymmetric run would hold it for
+        nothing."""
+        m = mirror_of(p.d, p.d.free_dofs)
+        if m is None:
+            return None
+        vectors = [u, w, *p.F]
+        if p.boundary_force is not None:
+            vectors.append(p.boundary_force)
+        sigma = next((sigma for sigma in (1.0, -1.0)
+                      if all(m.holds(x, sigma) for x in vectors)), None)
+        if sigma is None:
+            return None
+        key = (p.s.start, sigma)
+        if key not in self._classes:
+            block, mass = self.B[p.s][:, p.s], self.mass[p.s]
+            self._classes[key] = (
+                _ClassPart(p, m.name, m.cls(sigma), block, mass)
+                if m.commutes(block, mass) else None)
+        return self._classes[key]
 
     def free(self, hs) -> np.ndarray:
         """Stacked free values of the full-grid fields ``hs`` (flexural,
@@ -252,11 +314,23 @@ class _Kernel:
     zero at the start and nothing drives it (``_Part.driven``): its
     boundary then holds g = 0 and no traction data acts on it.  B is block
     diagonal, so its u, w, a and Lu stay exactly +0 for the whole run.  The
-    other parts are live.  A step's matvec runs on B's rows over the range
-    of the stack the live parts span (``_InteriorStack.rows``), and its
-    vector updates on the views ``_u``, ``_w``, ``_a`` and ``_Lu`` of that
-    range; with every part live the range is the whole stack.  Energies,
-    snapshots and ``hottest`` read the full vectors.
+    other parts are live.  A step's vector updates run on ``_u``, ``_w``,
+    ``_a`` and ``_Lu``, and its matvecs are the products bound in
+    ``_products`` at the start:
+
+    - When every live part lies in one class of its mirror
+      (``_InteriorStack.mirror_class``), those are each live part's class
+      values u[rows] and so on, concatenated, and each part's class rows
+      B_sigma multiply its own values.  The class is closed under the step,
+      so the state stays in it, and the full vectors are the class values
+      expanded through P (``_expand``).
+    - Otherwise they are the views of the full vectors over the range of
+      the stack the live parts span, and B's rows over that range
+      (``_InteriorStack.rows``) multiply the full u; with every part live
+      the range is the whole stack.
+
+    Energies, snapshots, the load work and ``hottest`` read the full
+    vectors; ``a`` is full only on the second path.
     """
 
     def __init__(self, model: DiscreteModel):
@@ -278,46 +352,88 @@ class _Kernel:
         rest = [p for p, m in zip(stack.parts, moves) if not m]
         for p in rest:
             self.u[p.s] = self.w[p.s] = 0.0
-        s = slice(min((p.s.start for p in live), default=0),
-                  max((p.s.stop for p in live), default=0))
-        self.rows = stack.rows(s)
         self.Lu = np.zeros(self.u.size)
         self.a = np.zeros(self.u.size)
-        self._u, self._w, self._a, self._Lu, self._m = (
-            x[s] for x in (self.u, self.w, self.a, self.Lu, stack.mass))
-        # what the matvec leaves out: the boundary force, and the load
-        # vector of a loaded part, whose acceleration is Lu - F
-        self._bounded = [p for p in stack.parts
-                         if p.boundary_force is not None]
-        self._forced = ([(self.Lu[p.s], self.a[p.s], p) for p in live]
-                        if stack.loaded else None)
-        self._kick = np.empty(s.stop - s.start)
-        self._du = np.empty(s.stop - s.start)
+        classes = [stack.mirror_class(p, self.u[p.s], self.w[p.s])
+                   for p in live]
+        if live and None not in classes:
+            ends = np.cumsum([0] + [c.mass.size for c in classes])
+            self._segments = [(c, slice(lo, hi)) for c, lo, hi
+                              in zip(classes, ends[:-1], ends[1:])]
+            self._u, self._w = (np.concatenate([x[c.p.s][c.c.rows]
+                                                for c in classes])
+                                for x in (self.u, self.w))
+            self._a, self._Lu = np.zeros(ends[-1]), np.zeros(ends[-1])
+            self._m = np.concatenate([c.mass for c in classes])
+            # what the matvec leaves out: the boundary force, and the load
+            # vector of a loaded part, whose acceleration is Lu - F
+            self._products = [_csr_matvec_args(c.B, self._u[r], self._Lu[r])
+                              for c, r in self._segments]
+            self._bounded = [(self._Lu[r], c.boundary_force)
+                             for c, r in self._segments
+                             if c.boundary_force is not None]
+            self._forced = ([(self._Lu[r], self._a[r], c.p.presets, c.F)
+                             for c, r in self._segments]
+                            if stack.loaded else None)
+            stepped = [f"{c.p.d.name} {c.c.name} class of mirror {c.mirror}"
+                       for c in classes]
+        else:
+            self._segments = []
+            s = slice(min((p.s.start for p in live), default=0),
+                      max((p.s.stop for p in live), default=0))
+            self._u, self._w, self._a, self._Lu, self._m = (
+                x[s] for x in (self.u, self.w, self.a, self.Lu, stack.mass))
+            self._products = [_csr_matvec_args(stack.rows(s), self.u,
+                                               self._Lu)]
+            self._bounded = [(self.Lu[p.s], p.boundary_force)
+                             for p in stack.parts
+                             if p.boundary_force is not None]
+            self._forced = ([(self.Lu[p.s], self.a[p.s], p.presets, p.F)
+                             for p in live] if stack.loaded else None)
+            stepped = [p.d.name for p in live]
+        self._kick = np.empty(self._u.size)
+        self._du = np.empty(self._u.size)
         self._acceleration(state.time)
         self.kick_dt = None
         _log.debug("kernel: stepping %s (%d of %d free dofs)%s",
-                   ", ".join(p.d.name for p in live) or "nothing",
-                   s.stop - s.start, self.u.size,
-                   f"; {', '.join(p.d.name for p in rest)} at rest"
-                   if rest else "")
+                   ", ".join(stepped) or "nothing", self._u.size,
+                   self.u.size, f"; {', '.join(p.d.name for p in rest)} "
+                   f"at rest" if rest else "")
         return self
 
     def _acceleration(self, t: float) -> None:
-        """M^-1 (L h - F) on the live range at time t, where h is u on the
-        free dofs and g on Gamma_u, and L h = B u + f_b."""
-        _csr_matvec_into(self.rows, self.u, self._Lu)
+        """M^-1 (L h - F) on the stepped values at time t, where h is u on
+        the free dofs and g on Gamma_u, and L h = B u + f_b."""
+        for args in self._products:
+            args[-1].fill(0.0)
+            csr_matvec(*args)
         self.matvecs += 1
-        for p in self._bounded:
-            self.Lu[p.s] += p.boundary_force
+        for Lu, force in self._bounded:
+            Lu += force
         if self._forced is None:
             np.divide(self._Lu, self._m, out=self._a)
             return
-        for Lu, a, p in self._forced:
-            if p.presets:
-                np.subtract(Lu, _envelope_sum(p.presets, p.F, t), out=a)
+        for Lu, a, presets, F in self._forced:
+            if presets:
+                np.subtract(Lu, _envelope_sum(presets, F, t), out=a)
             else:
                 np.copyto(a, Lu)
         self._a /= self._m
+
+    def _expand(self) -> None:
+        """On a class run, the full u, w and Lu of each live part from its
+        class values, through P."""
+        for c, r in self._segments:
+            for full, values in ((self.u, self._u), (self.w, self._w),
+                                 (self.Lu, self._Lu)):
+                full[c.p.s] = c.c.P @ values[r]
+
+    def velocity(self, p: _Part) -> np.ndarray:
+        """Part p's free velocities, through P on a class run."""
+        for c, r in self._segments:
+            if c.p is p:
+                return c.c.P @ self._w[r]
+        return self.w[p.s]
 
     def advance(self, t0: float, dt: float) -> float:
         """One leapfrog step from t0; returns t0 + dt.  The kernel enters
@@ -341,6 +457,7 @@ class _Kernel:
         """Kinetic and strain energy, the strain from the L h of the last
         acceleration less the boundary force (``_Part.force``): -0.5 u.A_FF
         u."""
+        self._expand()
         ke = 0.0
         ue = 0.0
         for p in self.stack.parts:
@@ -355,6 +472,7 @@ class _Kernel:
     def hottest(self) -> str:
         """Where the energy density of ``energies`` is largest in absolute
         value (a NaN counts as largest): the subsystem, field and node."""
+        self._expand()
         density = self.w * (self.stack.mass * self.w) - self.u * self.Lu
         for p in self.stack.parts:
             if p.boundary_force is not None:
@@ -364,6 +482,7 @@ class _Kernel:
 
     def grid_state(self, t: float, warn: bool) -> DiscreteState:
         """The full-grid state at time t, with g on Gamma_u."""
+        self._expand()
         fields = []
         for p in self.stack.parts:
             d = p.d
@@ -485,13 +604,13 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
             t = kernel.advance(t, dt)
         else:
             for p, buf in zip(worked, w_mid):
-                np.copyto(buf, kernel.w[p.s])
+                np.copyto(buf, kernel.velocity(p))
             t_mid = t + 0.5 * dt
             t = kernel.advance(t, dt)
             # midpoint power of the applied force, f_b - F in the
             # convention A_FF u + f_b - F = M udd
             for p, buf in zip(worked, w_mid):
-                buf += kernel.w[p.s]
+                buf += kernel.velocity(p)
                 buf *= 0.5
                 w_ext += dt * float(p.force(t_mid) @ buf) * dA
 

@@ -24,13 +24,13 @@ import logging
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .._blas import _one_blas_thread
 from ..plate_fields import PlateKinematics
 from .discretization import (DiscreteModel, SingularSystemError,
                              _abs_matvec, _Discretization, _envelope_sum)
+from .mirror import mirror_of
 
 _log = logging.getLogger(__name__)
 
@@ -108,19 +108,6 @@ def _lower_band(A) -> np.ndarray:
     return band
 
 
-# Each field's sign under the mirror that reverses every line of
-# ``_line_order``, by the grid axis it reverses (0: i -> nx - 1 - i,
-# 1: j -> ny - 1 - j), in the subsystem's field order.  The mirror flips
-# the component of a vector (U, Psi, W) normal to its line, and the other
-# two components of a pseudovector (the microrotations).
-_MIRROR_PARITY = {
-    0: {"flexural": (-1.0, 1.0, 1.0, -1.0, 1.0, -1.0),
-        "extensional": (-1.0, 1.0, -1.0)},
-    1: {"flexural": (1.0, -1.0, 1.0, -1.0, -1.0, 1.0),
-        "extensional": (1.0, -1.0, -1.0)},
-}
-
-
 class _StaticFactor:
     """The static system of one subsystem, condensed and factored: each
     solve builds one and releases it before the next subsystem's factor.
@@ -140,16 +127,16 @@ class _StaticFactor:
       split into classes by the mirror M that reverses every line
       (``_mirror_classes``).  When M maps the free dofs onto themselves
       and commutes with A_FF exactly, S M A_FF M S = A_FF bit for bit
-      with the field signs S of ``_MIRROR_PARITY`` (the isotropic energy
-      does not see the mirror), F splits into the part even under S M and
-      the part odd under it (Bossavit, Comput. Methods Appl. Mech. Engrg.
-      56, 1986).  Each class sigma has a basis P_sigma on the half grid:
-      the nodes on one side of the mirror line and on it, with a node on
-      the line keeping only the fields whose sign is sigma.  The classes
-      do not couple, so A_FF^-1 = sum P_sigma A_sigma^-1 P_sigma^T with
-      A_sigma = P_sigma^T A_FF P_sigma, and each -A_sigma's lower band is
-      factored by LAPACK's banded Cholesky (pbtrf), which runs dense
-      kernels at several times SuperLU's rate.  The half grid's lines are
+      with the field signs S of ``mirror._MIRROR_PARITY`` (the isotropic
+      energy does not see the mirror), F splits into the part even under
+      S M and the part odd under it (Bossavit, Comput. Methods Appl.
+      Mech. Engrg. 56, 1986).  Each class sigma has a basis P_sigma on the
+      half grid: the nodes on one side of the mirror line and on it, with
+      a node on the line keeping only the fields whose sign is sigma.  The
+      classes do not couple, so A_FF^-1 = sum P_sigma A_sigma^-1
+      P_sigma^T with A_sigma = P_sigma^T A_FF P_sigma, and each -A_sigma's
+      lower band is factored by LAPACK's banded Cholesky (pbtrf), which
+      runs dense kernels at several times SuperLU's rate.  The half grid's lines are
       half as long, so the two class bands are half as wide as the whole
       one: half its storage and a quarter of its work.  Without the
       symmetry the whole of F is the one class, P = I.  Split or whole,
@@ -211,14 +198,8 @@ class _StaticFactor:
         _malloc_trim(0)
         try:
             if bases is not None:
-                for name, P, rows, weight in bases:
-                    A = self.A_FF
-                    if P is not None:
-                        # P^T A_FF P, read off A_FF P's half-grid rows: row
-                        # M k of A_FF P is sigma s_k times row k, so P^T
-                        # adds an off-line row twice
-                        A = A[rows] @ P
-                        A.data *= np.repeat(weight, np.diff(A.indptr))
+                for name, P, c in bases:
+                    A = self.A_FF if c is None else c.form(self.A_FF)
                     band = _lower_band(A)
                     del A  # A_sigma is freed once its band is built
                     with _one_blas_thread():
@@ -260,50 +241,14 @@ class _StaticFactor:
 
     def _mirror_classes(self, d: _Discretization) -> list:
         """The classes of A_FF under the mirror M that reverses every line,
-        as (name, P, rows, weight), and M's grid index, "i" or "j", in
-        ``self.mirror``.  Class sigma = +1 ("even") or -1 ("odd") has the
-        basis P of the half grid's free dofs, whose positions in F are
-        ``rows``: P[k, r] = 1 for its dof r at k, and P[M k, r] = sigma s_k
-        off the mirror line; ``weight`` is P's column count, 2 off the line
-        and 1 on it.  Without the exact symmetry the one class is ("all",
-        None, None, None) and ``self.mirror`` stays "none"."""
-        axis = 1 if d.ny <= d.nx else 0  # the index along each line
-        length = (d.nx, d.ny)[axis]
-        nodes = self.free[::d.nf]
-        # twice each node's distance past the mirror line: < 0 on the half
-        # grid's side, 0 on the line
-        side = 2 * np.divmod(nodes, d.ny)[axis] - (length - 1)
-        pos = np.full(d.nx * d.ny, -1)
-        pos[nodes] = np.arange(nodes.size)
-        mate = pos[nodes - side * (1 if axis else d.ny)]
-        if np.any(mate < 0):  # a free node whose image is a Dirichlet node
-            return [("all", None, None, None)]
-        mate = (mate[:, None] * d.nf + np.arange(d.nf)).ravel()
-        sign = np.tile(_MIRROR_PARITY[axis][d.name], nodes.size)
-        A = self.A_FF.sorted_indices()
-        B = A[mate][:, mate]
-        B.sort_indices()
-        B.data *= np.repeat(sign, np.diff(B.indptr)) * sign[B.indices]
-        if not (np.array_equal(A.indptr, B.indptr)
-                and np.array_equal(A.indices, B.indices)
-                and np.array_equal(A.data, B.data)):
-            return [("all", None, None, None)]
-        del A, B
-        side = np.repeat(side, d.nf)
-        bases = []
-        for name, sigma in (("even", 1.0), ("odd", -1.0)):
-            rows = np.flatnonzero((side < 0)
-                                  | (side == 0) & (sigma * sign > 0))
-            off = side[rows] < 0
-            cols = np.arange(rows.size)
-            P = sp.csr_matrix(
-                (np.concatenate([np.ones(rows.size), sigma * sign[rows[off]]]),
-                 (np.concatenate([rows, mate[rows[off]]]),
-                  np.concatenate([cols, cols[off]]))),
-                shape=(self.free.size, rows.size))
-            bases.append((name, P, rows, 1.0 + off))
-        self.mirror = "ij"[axis]
-        return bases
+        as (name, P, class), and M's grid index, "i" or "j", in
+        ``self.mirror``.  Without the exact symmetry the one class is
+        ("all", None, None) and ``self.mirror`` stays "none"."""
+        m = mirror_of(d, self.free)
+        if m is None or not m.commutes(self.A_FF):
+            return [("all", None, None)]
+        self.mirror = m.name
+        return [(c.name, c.P, c) for c in m.classes()]
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """A_FF^-1 b, the sum over the classes of P A_sigma^-1 P^T b."""

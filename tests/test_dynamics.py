@@ -34,6 +34,7 @@ from cosserat_plate.dynamics import (
     static_solve,
     step,
 )
+from cosserat_plate.dynamics.mirror import mirror_of
 from cosserat_plate.material import material_from_technical
 from cosserat_plate.plate_fields import (
     EXTENSIONAL_FIELDS,
@@ -1782,7 +1783,11 @@ class TestAtRest:
     def test_what_makes_a_part_live(self, case, live, caplog):
         """A load, a Dirichlet lift, traction data or a nonzero initial
         state each makes its part live; the kernel's DEBUG line names what
-        it steps, and a live part moves while an at-rest one stays 0."""
+        it steps, and a live part moves while an at-rest one stays 0.  A
+        constant U1 on the left edge, clamped or traction, is even under
+        the j-mirror, so the lift and the traction data step the
+        extensional even class: 3 fields on the half grid's 7 x 3 (lift)
+        or 8 x 3 (traction) nodes and U1 on its 7 or 8 line nodes."""
         def ext_data(x, y):
             return np.stack([0.01 + 0 * x, 0 * x, 0 * x])
 
@@ -1806,9 +1811,11 @@ class TestAtRest:
         n = {p.d.name: p.s.stop - p.s.start
              for p in model.interior_stack.parts}
         rest = [name for name in n if name not in live]
-        want = (f"kernel: stepping {', '.join(live) or 'nothing'} "
-                f"({sum(n[name] for name in live)} of {sum(n.values())} "
-                f"free dofs)"
+        stepped = {"lift": "extensional even class of mirror j (70",
+                   "traction": "extensional even class of mirror j (80"}.get(
+            case, f"{', '.join(live) or 'nothing'} "
+                  f"({sum(n[name] for name in live)}")
+        want = (f"kernel: stepping {stepped} of {sum(n.values())} free dofs)"
                 + (f"; {', '.join(rest)} at rest" if rest else ""))
         assert kernel_lines(caplog) == [want] * 5
         moved = {"flexural": s.flex_vel, "extensional": s.ext_vel}
@@ -1828,6 +1835,168 @@ class TestAtRest:
         assert kernel_lines(caplog) == [
             "kernel: stepping flexural (1350 of 2025 free dofs); "
             "extensional at rest"]
+
+
+def verify_material():
+    """Criterion 08's material."""
+    return material_from_technical(E=1.0, nu=0.3, N=0.3, l_t=0.05, l_b=0.06,
+                                   Psi=0.8, rho=1.0, J=(0.1, 0.1, 0.1))
+
+
+def mode_state(model):
+    """Criterion 08's start: the lowest flexural mode as the velocity,
+    scaled to a largest entry of 1; it lies in one mirror class."""
+    from cosserat_plate.verification import lowest_flexural_mode
+
+    _, mode = lowest_flexural_mode(model)
+    s = DiscreteState.zero(model)
+    fv = s.flex_vel.reshape(6, -1).copy()
+    fv.ravel()[model.flex_d.free_dofs] = mode / np.max(np.abs(mode))
+    return with_fields(s, flex_vel=fv.reshape(s.flex_vel.shape))
+
+
+def mirrored(model, s, sigma):
+    """``s`` with each subsystem's free values x, positions and
+    velocities, replaced by x + sigma s_k x[M k], which lies exactly in
+    class sigma of the line mirror."""
+    arrays = {}
+    for d, names in ((model.flex_d, ("flex", "flex_vel")),
+                     (model.ext_d, ("ext", "ext_vel"))):
+        m = mirror_of(d, d.free_dofs)
+        for name in names:
+            h = getattr(s, name).ravel().copy()
+            x = h[d.free_dofs]
+            h[d.free_dofs] = x + sigma * m.sign * x[m.mate]
+            arrays[name] = h.reshape(getattr(s, name).shape)
+    return with_fields(s, **arrays)
+
+
+def whole_path(monkeypatch, model):
+    """Make the kernel step the whole stack whatever the state."""
+    monkeypatch.setattr(model.interior_stack, "mirror_class",
+                        lambda p, u, w: None)
+
+
+class TestMirrorClass:
+    """When a run's state and all that drives it lie exactly in one class
+    of the line mirror, the kernel steps that class on the half grid and
+    expands it through P wherever full vectors are read; anything else
+    takes the whole path with its bits."""
+
+    # model, start and the classes stepped: the mode is odd, p loads W
+    # (even) and v loads U2, whose sign under the j-mirror is -1 (odd)
+    CASES = {
+        "clamped-17x17-mode": lambda: (
+            make_model(nx=17, ny=17, material=verify_material()),
+            mode_state, "flexural odd"),
+        "clamped-16x16-constant-load": lambda: (
+            make_model(nx=16, ny=16, loads=LoadFunctions(
+                p=ConstantLoad(0.1), v=ConstantLoad(0.05))),
+            DiscreteState.zero, "flexural even, extensional odd"),
+        "cantilever-17x13-kick": lambda: (
+            make_model(nx=17, ny=13, bc=dict(CANTILEVER)),
+            lambda m: mirrored(m, kicked_state(m), 1.0),
+            "flexural even, extensional even"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_class_run_agrees_with_the_whole_run(self, case, caplog,
+                                                 monkeypatch):
+        """States and every energy-log column agree to 1e-12 relative to
+        their largest magnitude; only the summation order differs."""
+        model, start, classes = self.CASES[case]()
+        s0 = start(model)
+        dt = stable_dt(model)
+        with caplog.at_level(logging.DEBUG, logger=dynamics.__name__):
+            got = simulate(model, t_final=400 * dt, dt=dt,
+                           snapshot_every=100, initial=s0)
+        stepped = ", ".join(f"{c} class of mirror j"
+                            for c in classes.split(", "))
+        assert kernel_lines(caplog)[0].startswith(
+            f"kernel: stepping {stepped} (")
+        whole_path(monkeypatch, model)
+        want = simulate(model, t_final=400 * dt, dt=dt, snapshot_every=100,
+                        initial=s0)
+        assert len(got.states) == len(want.states) == 5
+        for g, w in zip(got.states, want.states):
+            for x, y in zip(state_arrays(g), state_arrays(w)):
+                assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+        e, f = got.energy.as_arrays(), want.energy.as_arrays()
+        for name in ("t", "kinetic", "strain", "external_work", "total"):
+            assert np.max(np.abs(e[name] - f[name])) <= \
+                1e-12 * np.max(np.abs(f[name])), name
+        if "load" in case:
+            assert np.all(e["external_work"][1:] > 0)
+
+    @pytest.mark.parametrize("case", ["clamped-17x17-mode",
+                                      "clamped-16x16-constant-load"])
+    def test_class_run_conserves_the_modified_energy(self, case):
+        """H~ holds to ``TestModifiedEnergy.TOL`` on a class run: the class
+        system is the leapfrog of P^T K P with the mass P^T M P."""
+        model, start, _ = self.CASES[case]()
+        assert TestModifiedEnergy.drift(model, start(model)) <= \
+            TestModifiedEnergy.TOL
+
+    @pytest.mark.parametrize("other", ["one-ulp-in-w", "load"])
+    def test_other_class_content_takes_the_whole_path(self, other, caplog):
+        """One ulp of even content in the odd mode's w, or an even load
+        on it, touches both classes: the run steps the whole flexural
+        block, bit for bit as ``reference_leapfrog``."""
+        loads = (LoadFunctions(p=ConstantLoad(0.1)) if other == "load"
+                 else None)
+        model = make_model(nx=17, ny=17, material=verify_material(),
+                           loads=loads)
+        s0 = mode_state(model)
+        if other == "one-ulp-in-w":
+            fv = s0.flex_vel.copy()
+            fv[2, 3, 4] = np.nextafter(fv[2, 3, 4], np.inf)
+            s0 = with_fields(s0, flex_vel=fv)
+        dt = stable_dt(model)
+        with caplog.at_level(logging.DEBUG, logger=dynamics.__name__):
+            traj = simulate(model, t_final=60 * dt, dt=dt, snapshot_every=25,
+                            initial=s0)
+        assert kernel_lines(caplog) == [
+            "kernel: stepping flexural (1350 of 2025 free dofs); "
+            "extensional at rest"]
+        states, log = reference_leapfrog(model, s0, traj.dt, traj.n_steps,
+                                         25)
+        stack = model.interior_stack
+        for got, (u, w) in zip(traj.states, states, strict=True):
+            assert np.array_equal(bits(stack.free(
+                [got.flex.ravel(), got.ext.ravel()])), bits(u))
+            assert np.array_equal(bits(stack.free(
+                [got.flex_vel.ravel(), got.ext_vel.ravel()])), bits(w))
+        e = traj.energy.as_arrays()
+        for name, want in zip(("t", "kinetic", "strain", "external_work",
+                               "total"), log):
+            assert np.array_equal(bits(e[name]), bits(want)), name
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_step_equals_simulate(self, case):
+        """``step()`` takes the class from each grid state it is given and
+        expands its result; ``simulate`` keeps the class values between
+        steps: the states are bitwise equal."""
+        model, start, _ = self.CASES[case]()
+        s0 = start(model)
+        dt = stable_dt(model)
+        traj = simulate(model, t_final=40 * dt, dt=dt, snapshot_every=10,
+                        initial=s0)
+        ref = step_loop(model, s0, traj.dt, traj.n_steps, 10)
+        for got, want in zip(traj.states, ref, strict=True):
+            for g, w in zip(state_arrays(got), state_arrays(want)):
+                assert g.tobytes() == w.tobytes()
+
+    def test_kernel_line_names_the_mirror_and_class(self, caplog):
+        """Criterion 08's run steps the odd class's 675 of the flexural
+        block's 1350 rows; ``simulate``'s summary keeps its wording."""
+        model = make_model(nx=17, ny=17, material=verify_material())
+        dt = stable_dt(model)
+        with caplog.at_level(logging.DEBUG, logger=dynamics.__name__):
+            simulate(model, t_final=20 * dt, dt=dt, initial=mode_state(model))
+        assert kernel_lines(caplog) == [
+            "kernel: stepping flexural odd class of mirror j (675 of 2025 "
+            "free dofs); extensional at rest"]
+        assert "simulate: 20 steps, 21 matvecs," in caplog.text
 
 
 def per_node_traction_load_rows(d, tc, loads, F):
@@ -2099,3 +2268,29 @@ def test_only_the_explicit_kernel_reads_its_interior_stack():
     found = {str(path.relative_to(SRC)): names for path in modules
              if path != kernel and (names := _kernel_private_names(path))}
     assert found == {}
+
+
+def test_one_mirror_implementation():
+    """One implementation per concept: exactly one module of the package
+    defines the field parities ``_MIRROR_PARITY`` and the bitwise
+    commutation check ``commutes``, and the static factor and the explicit
+    kernel import the mirror from it."""
+    defines, imports = {}, {}
+    for path in sorted((SRC / "cosserat_plate").rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                found = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found = [node.name]
+            else:
+                found = []
+            for what in set(found) & {"_MIRROR_PARITY", "commutes"}:
+                defines.setdefault(what, []).append(name)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and \
+                    node.module == "mirror":
+                imports[name] = [a.name for a in node.names]
+    home = "cosserat_plate/dynamics/mirror.py"
+    assert defines == {"_MIRROR_PARITY": [home], "commutes": [home]}
+    assert "mirror_of" in imports["cosserat_plate/dynamics/static.py"]
+    assert "mirror_of" in imports["cosserat_plate/dynamics/explicit.py"]

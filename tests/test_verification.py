@@ -455,3 +455,28 @@ def test_lowest_flexural_mode_is_reproducible():
                                     for _ in range(2))
     assert w_a == w_b
     assert np.array_equal(mode_a.view(np.int64), mode_b.view(np.int64))
+
+
+@pytest.mark.parametrize("nx,ny", [(17, 17), (13, 11), (16, 16)])
+def test_lowest_flexural_mode_lies_in_one_mirror_class(nx, ny):
+    """On a clamped plate the line mirror commutes with K and M, so the
+    mode is solved per class: its frequency is the whole system's to
+    1e-12, and the mode lies bit for bit in one class (x[M k] == sigma
+    s_k x[k]), with the whole system's M-normalisation."""
+    from cosserat_plate.dynamics import EDGES, ModelConfig, assemble
+    from cosserat_plate.dynamics.mirror import mirror_of
+    from cosserat_plate.material import material_from_technical
+
+    mat = material_from_technical(E=1.0, nu=0.3, N=0.3, l_t=0.05, l_b=0.06,
+                                  Psi=0.8, rho=1.0, J=(0.1, 0.1, 0.1))
+    model = assemble(ModelConfig(material=mat, h=0.1, a=1.0, b=1.0, nx=nx,
+                                 ny=ny, bc={e: "clamped" for e in EDGES}))
+    omega, mode = verification.lowest_flexural_mode(model)
+    d = model.flex_d
+    K = (-d.A[d.free_dofs][:, d.free_dofs]).tocsc()
+    w2, _ = spla.eigsh(K, k=1, M=sp.diags(d.mass_free), sigma=0.0,
+                       which="LM", v0=np.ones(K.shape[0]))
+    assert abs(omega - np.sqrt(w2[0])) <= 1e-12 * np.sqrt(w2[0])
+    m = mirror_of(d, d.free_dofs)
+    assert [m.holds(mode, sigma) for sigma in (1.0, -1.0)].count(True) == 1
+    assert abs(mode @ (d.mass_free * mode) - 1.0) <= 1e-12
