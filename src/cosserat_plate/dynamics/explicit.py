@@ -44,14 +44,17 @@ The two subsystems never couple, so the kernel steps only what moves: a
 subsystem at rest with nothing to drive it stays exactly +0 and is skipped
 (``_Kernel``).  dt, the energies and the order of every floating-point
 operation are those of stepping both.  Nor do the even and odd classes of
-a mirror-symmetric plate's free block couple (``mirror``).  When the u and
-w of every live part, and its loads and boundary force, lie exactly in one
-class, the kernel steps only that class, on the half grid's rows B_sigma =
-(B P)[rows], and expands the result through P wherever full vectors are
-read.  Those rows sum in another order, so such a run agrees with stepping
-the whole block to roundoff, not bit for bit.  Any other run, on a plate
-without an exact mirror or with a state or drive in both classes, steps
-the whole block with the bits of stepping both.
+a mirror-symmetric plate's free block couple (``mirror``), under either
+of the rectangle's two mirrors.  When the u and w of every live part, and
+its loads and boundary force, lie exactly in one class of each mirror
+that commutes with its free block, the kernel steps only the class of
+all those mirrors, on its rows B_sigma = (B P)[rows] of the half grid
+(one mirror) or the quarter grid (both), and expands the result through
+P wherever full vectors are read.  Those rows sum in another order, so
+such a run agrees with stepping the whole block to roundoff, not bit for
+bit.  Any other run, on a plate without an exact mirror or with a state
+or drive in both classes of each, steps the whole block with the bits of
+stepping both.
 
 Energy bookkeeping uses the discrete quadratic forms of the scheme itself:
 kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - f_b) = -0.5 u^T A_FF u
@@ -79,7 +82,7 @@ from ..plate_fields import PlateKinematics
 from .discretization import (ConfigError, DiscreteModel, InstabilityError,
                              _abs_matvec, _Discretization, _envelope_sum,
                              checked_number)
-from .mirror import MirrorClass, mirror_of
+from .mirror import MirrorClass, class_of, mirror_of
 
 _log = logging.getLogger(__name__)
 
@@ -181,13 +184,13 @@ class _Part:
 
 
 class _ClassPart:
-    """A part stepped on one class c of its mirror, named ``mirror``: the
-    class's rows B_sigma = (B P)[rows] of the part's free block, and the
-    masses, load vectors and boundary force of those rows.  On the class
-    (B u)[rows] = B_sigma u[rows], and P gives the other rows."""
+    """A part stepped on one class c of its mirrors: the class's rows
+    B_sigma = (B P)[rows] of the part's free block, and the masses, load
+    vectors and boundary force of those rows.  On the class (B u)[rows] =
+    B_sigma u[rows], and P gives the other rows."""
 
-    def __init__(self, p: _Part, mirror: str, c: MirrorClass, block, mass):
-        self.p, self.mirror, self.c = p, mirror, c
+    def __init__(self, p: _Part, c: MirrorClass, block, mass):
+        self.p, self.c = p, c
         self.B = c.rows_of(block)
         self.mass = mass[c.rows]
         self.F = p.F[:, c.rows]
@@ -203,10 +206,10 @@ class _InteriorStack:
     each row's entries in their order in A, so ``B @ u`` forms every row sum
     exactly as ``A_FF @ u`` does.  ``mass`` stacks the lumped free masses
     and ``parts`` holds one ``_Part`` per subsystem; ``dt`` keeps the
-    ``stable_dt`` bound once computed, and ``mirror_class`` the rows of
-    each mirror class once built.  Built once per model, on first use
-    (``DiscreteModel.interior_stack``); no per-subsystem A_FF is kept
-    beside it.
+    ``stable_dt`` bound once computed, and ``mirror_class`` each mirror's
+    commutation and the rows of each class once built.  Built once per
+    model, on first use (``DiscreteModel.interior_stack``); no
+    per-subsystem A_FF is kept beside it.
     """
 
     def __init__(self, model: DiscreteModel):
@@ -243,7 +246,8 @@ class _InteriorStack:
         self.loaded = [p for p in self.parts if p.presets]
         self.dt = None
         self._rows = {}
-        self._classes = {}  # (part start, sigma) -> _ClassPart or None
+        self._commutes = {}  # (part start, axis) -> bool
+        self._classes = {}  # (part start, axes, sigmas) -> _ClassPart
 
     def rows(self, live: slice) -> sp.csr_matrix:
         """B's rows ``live`` over all its columns, built once per range.
@@ -261,30 +265,37 @@ class _InteriorStack:
 
     def mirror_class(self, p: _Part, u: np.ndarray,
                      w: np.ndarray) -> _ClassPart | None:
-        """Part p on the mirror class sigma in which its free u and w, its
-        load vectors F and its boundary force all lie exactly (x[M k] ==
-        sigma s_k x[k]), when the line mirror commutes bit for bit with
-        its free block and mass; else None.  The O(n) test of the vectors
-        comes first, and only when it passes the O(nnz) commutation check,
-        made once per part and class, when the class's rows are built.
-        The mirror map is not kept: an asymmetric run would hold it for
+        """Part p on the class of every mirror under which its free u and
+        w, its load vectors F and its boundary force all lie exactly in one
+        class sigma (x[M k] == sigma s_k x[k]) and which commutes bit for
+        bit with its free block and mass; None when no mirror does.  The
+        O(n) test of the vectors comes first, and only when it passes the
+        O(nnz) commutation check, made once per part and mirror.  The
+        mirror maps are not kept: an asymmetric run would hold them for
         nothing."""
-        m = mirror_of(p.d, p.d.free_dofs)
-        if m is None:
-            return None
         vectors = [u, w, *p.F]
         if p.boundary_force is not None:
             vectors.append(p.boundary_force)
-        sigma = next((sigma for sigma in (1.0, -1.0)
-                      if all(m.holds(x, sigma) for x in vectors)), None)
-        if sigma is None:
+        mirrors, sigmas = [], []
+        for axis in (0, 1):
+            m = mirror_of(p.d, p.d.free_dofs, axis)
+            sigma = m and next((sigma for sigma in (1.0, -1.0) if all(
+                m.holds(x, sigma) for x in vectors)), None)
+            if sigma is None:
+                continue
+            if (p.s.start, axis) not in self._commutes:
+                self._commutes[p.s.start, axis] = m.commutes(
+                    self.B[p.s][:, p.s], self.mass[p.s])
+            if self._commutes[p.s.start, axis]:
+                mirrors.append(m)
+                sigmas.append(sigma)
+        if not mirrors:
             return None
-        key = (p.s.start, sigma)
+        key = (p.s.start, tuple(m.axis for m in mirrors), tuple(sigmas))
         if key not in self._classes:
-            block, mass = self.B[p.s][:, p.s], self.mass[p.s]
-            self._classes[key] = (
-                _ClassPart(p, m.name, m.cls(sigma), block, mass)
-                if m.commutes(block, mass) else None)
+            self._classes[key] = _ClassPart(
+                p, class_of(mirrors, sigmas), self.B[p.s][:, p.s],
+                self.mass[p.s])
         return self._classes[key]
 
     def free(self, hs) -> np.ndarray:
@@ -318,7 +329,7 @@ class _Kernel:
     ``_a`` and ``_Lu``, and its matvecs are the products bound in
     ``_products`` at the start:
 
-    - When every live part lies in one class of its mirror
+    - When every live part lies in one class of its mirrors
       (``_InteriorStack.mirror_class``), those are each live part's class
       values u[rows] and so on, concatenated, and each part's class rows
       B_sigma multiply its own values.  The class is closed under the step,
@@ -375,8 +386,7 @@ class _Kernel:
             self._forced = ([(self._Lu[r], self._a[r], c.p.presets, c.F)
                              for c, r in self._segments]
                             if stack.loaded else None)
-            stepped = [f"{c.p.d.name} {c.c.name} class of mirror {c.mirror}"
-                       for c in classes]
+            stepped = [f"{c.p.d.name} {c.c.label}" for c in classes]
         else:
             self._segments = []
             s = slice(min((p.s.start for p in live), default=0),

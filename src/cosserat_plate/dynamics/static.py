@@ -30,7 +30,7 @@ from .._blas import _one_blas_thread
 from ..plate_fields import PlateKinematics
 from .discretization import (DiscreteModel, SingularSystemError,
                              _abs_matvec, _Discretization, _envelope_sum)
-from .mirror import mirror_of
+from .mirror import classes_of, mirror_of
 
 _log = logging.getLogger(__name__)
 
@@ -73,13 +73,15 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     return np.concatenate(order)
 
 
-def _line_order(nx: int, ny: int) -> np.ndarray:
+def _line_order(nx: int, ny: int, axis: int | None = None) -> np.ndarray:
     """Node indices i * ny + j of the nx x ny grid line by line, each line
-    along the shorter side, which gives a stencil matrix its narrowest
-    band: a node couples to the nodes of the next line at most one line
-    length plus one later."""
+    along grid axis ``axis`` (0: i, 1: j), by default the shorter side,
+    which gives a stencil matrix its narrowest band: a node couples to the
+    nodes of the next line at most one line length plus one later."""
+    if axis is None:
+        axis = 1 if ny <= nx else 0
     nodes = np.arange(nx * ny).reshape(nx, ny)
-    return (nodes if ny <= nx else nodes.T).ravel()
+    return (nodes if axis else nodes.T).ravel()
 
 
 def _lower_band(A) -> np.ndarray:
@@ -119,33 +121,35 @@ class _StaticFactor:
 
     - **Symmetric** (max|A_FF - A_FF^T| <= ``SYMMETRY_TOL`` ||A_FF||): the
       static equations are the stationarity conditions of the positive
-      definite discrete plate energy, so -A_FF is symmetric positive
-      definite on every plate of the derived tables with a displacement
-      edge: the interior and traction rows are the Hessian of one energy
-      (asymmetry 0 on clamped plates, 4e-17 with traction edges).  F is
-      ordered line by line, each line along the grid's shorter side, and
-      split into classes by the mirror M that reverses every line
-      (``_mirror_classes``).  When M maps the free dofs onto themselves
-      and commutes with A_FF exactly, S M A_FF M S = A_FF bit for bit
-      with the field signs S of ``mirror._MIRROR_PARITY`` (the isotropic
-      energy does not see the mirror), F splits into the part even under
-      S M and the part odd under it (Bossavit, Comput. Methods Appl.
-      Mech. Engrg. 56, 1986).  Each class sigma has a basis P_sigma on the
-      half grid: the nodes on one side of the mirror line and on it, with
-      a node on the line keeping only the fields whose sign is sigma.  The
-      classes do not couple, so A_FF^-1 = sum P_sigma A_sigma^-1
-      P_sigma^T with A_sigma = P_sigma^T A_FF P_sigma, and each -A_sigma's
-      lower band is factored by LAPACK's banded Cholesky (pbtrf), which
-      runs dense kernels at several times SuperLU's rate.  The half grid's lines are
-      half as long, so the two class bands are half as wide as the whole
-      one: half its storage and a quarter of its work.  Without the
-      symmetry the whole of F is the one class, P = I.  Split or whole,
-      band storage grows as n^3 and the work as n^4 on an n x n grid,
-      against n^2 log n and n^3 for nested dissection (George & Liu,
-      1981); on the clamped 129^2 plate the split takes 1.0 s and 430 MiB
-      peak RSS, the whole band 2.6 s and 710 MiB (both subsystems loaded,
-      one core of a 2-vCPU Xeon VM).  The factors run on one BLAS thread
-      (``_one_blas_thread``).
+      definite discrete plate energy, so -A_FF is symmetric positive definite
+      on every plate of the derived tables with a displacement edge: the
+      interior and traction rows are the Hessian of one energy (asymmetry 0 on
+      clamped plates, 4e-17 with traction edges).  F is ordered line by line,
+      each line along the grid's shorter side, or along the longer one when
+      only that side's mirror maps the free dofs onto themselves, and split
+      into classes by the mirror M that reverses every line
+      (``_mirror_classes``).  When M maps the free dofs onto themselves and
+      commutes with A_FF exactly, S M A_FF M S = A_FF bit for bit with the
+      field signs S of ``mirror._MIRROR_PARITY`` (the isotropic energy does
+      not see the mirror), F splits into the part even under S M and the part
+      odd under it (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  Each class sigma has a basis P_sigma on the half grid: the nodes
+      on one side of the mirror line and on it, with a node on the line
+      keeping only the fields whose sign is sigma.  The classes do not couple,
+      so A_FF^-1 = sum P_sigma A_sigma^-1 P_sigma^T with A_sigma = P_sigma^T
+      A_FF P_sigma, and each -A_sigma's lower band is factored by LAPACK's
+      banded Cholesky (pbtrf), which runs dense kernels at several times
+      SuperLU's rate.  The half grid's lines are half as long, so the two
+      class bands are half as wide as the whole one: half its storage and a
+      quarter of its work.  The other mirror would halve each class's dofs but
+      not its band, so it is not taken.  The 97 x 129 cantilever, clamped on
+      its left edge, takes lines along j and splits at half-bandwidth 394,
+      against 583 for the whole band.  Without the symmetry the whole of F is the one
+      class, P = I.  Split or whole, band storage grows as n^3 and the work as
+      n^4 on an n x n grid, against n^2 log n and n^3 for nested dissection
+      (George & Liu, 1981); on the clamped 129^2 plate the split takes 1.0 s
+      and 430 MiB peak RSS, the whole band 2.6 s and 710 MiB (both subsystems
+      loaded, one core of a 2-vCPU Xeon VM).  The factors run on one BLAS
+      thread (``_one_blas_thread``).
     - **Not symmetric**: only the literal coefficient tables of
       ``--paper-literal-operators`` (0.3-0.5% asymmetry on a clamped
       plate).  F is ordered by nested dissection of the node grid and
@@ -174,8 +178,13 @@ class _StaticFactor:
         self.dirich = d.dirich_dofs
         self.lu = None
         self.mirror = "none"
+        # the lines run along the shorter side, unless only the other
+        # side's mirror maps the free dofs onto themselves
+        axes = (1, 0) if d.ny <= d.nx else (0, 1)
+        self.axis = next((a for a in axes if mirror_of(d, d.free_dofs, a)),
+                         axes[0])
         self.classes = []  # (name, P or None for the identity, factor)
-        self._condense(d, _line_order(d.nx, d.ny))
+        self._condense(d, _line_order(d.nx, d.ny, self.axis))
         # ||A_FF|| in the infinity norm, the largest |row| sum, for the
         # backward error; its temporary |A_FF| is freed before the factor.
         # Neither it nor the symmetry check depends on the dof order.
@@ -218,7 +227,8 @@ class _StaticFactor:
             return
         if bases is not None:
             _log.debug("%s static factor: %d free dofs, band Cholesky, "
-                       "mirror %s, %s", d.name, self.free.size, self.mirror,
+                       "lines along %s, mirror %s, %s", d.name,
+                       self.free.size, "ij"[self.axis], self.mirror,
                        "; ".join(
                            f"{name} class {cho.shape[1]} dofs, half-bandwidth "
                            f"{cho.shape[0] - 1}, band storage "
@@ -244,11 +254,11 @@ class _StaticFactor:
         as (name, P, class), and M's grid index, "i" or "j", in
         ``self.mirror``.  Without the exact symmetry the one class is
         ("all", None, None) and ``self.mirror`` stays "none"."""
-        m = mirror_of(d, self.free)
+        m = mirror_of(d, self.free, self.axis)
         if m is None or not m.commutes(self.A_FF):
             return [("all", None, None)]
         self.mirror = m.name
-        return [(c.name, c.P, c) for c in m.classes()]
+        return [(c.name, c.P, c) for c in classes_of([m])]
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """A_FF^-1 b, the sum over the classes of P A_sigma^-1 P^T b."""

@@ -565,15 +565,15 @@ def band_width(A) -> int:
     return int(np.max(A.row - A.col))
 
 
-def mirror_image(f, d) -> tuple:
+def mirror_image(f, d, mirror) -> tuple:
     """The position of each free dof's mirror image among the free dofs and
-    the signs of the fields, for the mirror that reverses every line of
-    the line order: j -> ny - 1 - j when ny <= nx, i -> nx - 1 - i
-    otherwise.  None where a free node's image is a Dirichlet node."""
+    the signs of the fields, for the mirror ``mirror``: "j" is j -> ny - 1
+    - j, "i" is i -> nx - 1 - i.  None where a free node's image is a
+    Dirichlet node."""
     nn = d.nx * d.ny
     field, node = np.divmod(f.free, nn)
     i, j = np.divmod(node, d.ny)
-    if d.ny <= d.nx:
+    if mirror == "j":
         image = field * nn + i * d.ny + (d.ny - 1 - j)
         signs = {"flexural": (1, -1, 1, -1, -1, 1), "extensional": (1, -1, -1)}
     else:
@@ -704,18 +704,28 @@ class TestStaticFactor:
         every line: with the fields' parity signs s, s_k A_FF[M k, M l] s_l
         = A_FF[k, l] bit for bit on every mirror-symmetric plate, with a
         mirror line of nodes (17 x 13, 13 x 17) or without one (16 x 16),
-        for both subsystems; and the factor takes the split."""
-        for nx, ny, bc in ((17, 13, ALL_CLAMPED), (13, 17, ALL_CLAMPED),
-                           (16, 16, ALL_CLAMPED), (17, 13, CANTILEVER)):
+        for both subsystems; and the factor takes the split.  The 13 x 17
+        cantilever's lines along its shorter side i run along its clamped
+        edge, whose mirror i -> nx - 1 - i swaps it with a traction edge:
+        its lines are taken along j, and it splits by j -> ny - 1 - j."""
+        for nx, ny, bc, mirror in ((17, 13, ALL_CLAMPED, "j"),
+                                   (13, 17, ALL_CLAMPED, "i"),
+                                   (16, 16, ALL_CLAMPED, "j"),
+                                   (17, 13, CANTILEVER, "j"),
+                                   (13, 17, CANTILEVER, "j")):
             model = make_model(nx=nx, ny=ny, bc=bc, material=material)
             for d in (model.flex_d, model.ext_d):
                 f = dynamics._StaticFactor(d)
-                image, sign = mirror_image(f, d)
+                image, sign = mirror_image(f, d, mirror)
                 A = f.A_FF.toarray()
                 assert np.array_equal(
                     sign[:, None] * A[np.ix_(image, image)] * sign, A)
-                assert f.mirror == ("j" if ny <= nx else "i"), (nx, ny)
+                assert f.mirror == "ij"[f.axis] == mirror, (nx, ny)
                 assert [name for name, _, _ in f.classes] == ["even", "odd"]
+                # node by node, line by line along the mirror's axis
+                order = dynamics._line_order(nx, ny, f.axis)
+                assert np.array_equal(f.free[::d.nf],
+                                      order[d.kind.ravel()[order] != 1])
 
     def test_each_class_has_half_the_band(self):
         """On the 65^2 clamped plate the whole flexural band has
@@ -726,18 +736,16 @@ class TestStaticFactor:
         assert [cho.shape[0] - 1 for _, _, cho in f.classes] == [196, 196]
 
     @pytest.mark.parametrize("nx,ny,bc", [(13, 13, RIGHT_TOP_TRACTION),
-                                          (13, 17, CANTILEVER),
                                           (13, 13, None)],
-                             ids=["right-top-traction", "cantilever-13x17",
+                             ids=["right-top-traction",
                                   "clamped-one-ulp-off"])
     def test_no_exact_mirror_keeps_the_whole_band(self, nx, ny, bc,
                                                   monkeypatch):
         """Without an exact mirror symmetry the whole band is the one
         class, and the solve is bit for bit one band Cholesky of the whole
-        -A_FF: the mirror swaps a clamped and a traction edge on the
-        right+top traction plate and on the 13 x 17 cantilever (whose line
-        mirror is i -> nx - 1 - i), and on a clamped plate one A_FF entry
-        nudged by one ulp breaks it."""
+        -A_FF in lines along the shorter side: each mirror swaps a clamped
+        and a traction edge on the right+top traction plate, and on a
+        clamped plate one A_FF entry nudged by one ulp breaks both."""
         model = make_model(nx=nx, ny=ny, bc=bc, loads=STATIC_LOADS)
         if bc is None:
             for d in (model.flex_d, model.ext_d):
@@ -749,21 +757,24 @@ class TestStaticFactor:
                 monkeypatch.setattr(d, "A", A)
         for d in (model.flex_d, model.ext_d):
             f = dynamics._StaticFactor(d)
-            assert f.mirror == "none"
+            assert f.mirror == "none" and f.axis == 1
             assert [(name, P) for name, P, _ in f.classes] == [("all", None)]
             rhs = dynamics._static_rhs(d)
             h, _ = f.solve(rhs)
             assert np.array_equal(h[f.free].view(np.int64),
                                   whole_band_solve(f, rhs).view(np.int64))
 
-    @pytest.mark.parametrize("nx,ny,bc,mirror",
-                             [(13, 17, ALL_CLAMPED, "i"),
-                              (13, 13, RIGHT_TOP_TRACTION, "none")],
-                             ids=["clamped-13x17", "right-top-traction"])
+    @pytest.mark.parametrize("nx,ny,bc,axis,mirror",
+                             [(13, 17, ALL_CLAMPED, "i", "i"),
+                              (13, 17, CANTILEVER, "j", "j"),
+                              (13, 13, RIGHT_TOP_TRACTION, "j", "none")],
+                             ids=["clamped-13x17", "cantilever-13x17",
+                                  "right-top-traction"])
     def test_factor_line_names_the_mirror(self, caplog, monkeypatch, nx, ny,
-                                          bc, mirror):
-        """The DEBUG factor line names the mirror ("i", "j" or "none") and
-        gives each class's dofs, half-bandwidth and band storage."""
+                                          bc, axis, mirror):
+        """The DEBUG factor line names the axis the lines run along, the
+        mirror ("i", "j" or "none") and each class's dofs, half-bandwidth
+        and band storage."""
         caplog.set_level(logging.DEBUG, logger=dynamics.__name__)
         factors = count_static_factors(monkeypatch, lambda d, f: f)
         model = make_model(nx=nx, ny=ny, bc=bc, loads=STATIC_LOADS)
@@ -773,11 +784,13 @@ class TestStaticFactor:
         for d, f, ln in zip((model.flex_d, model.ext_d), factors, lines,
                             strict=True):
             head = re.fullmatch(rf"{d.name} static factor: (\d+) free dofs, "
-                                rf"band Cholesky, mirror (\w+), (.*)", ln)
-            assert int(head[1]) == f.free.size and head[2] == mirror
+                                rf"band Cholesky, lines along (\w), "
+                                rf"mirror (\w+), (.*)", ln)
+            assert int(head[1]) == f.free.size
+            assert (head[2], head[3]) == (axis, mirror)
             classes = [re.fullmatch(r"(\w+) class (\d+) dofs, half-bandwidth "
                                     r"(\d+), band storage ([\d.]+) MiB", part)
-                       for part in head[3].split("; ")]
+                       for part in head[4].split("; ")]
             assert [(c[1], int(c[2]), int(c[3]), float(c[4]))
                     for c in classes] == [
                 (name, cho.shape[1], cho.shape[0] - 1,
@@ -931,7 +944,8 @@ class TestStaticFactor:
                 if model.config.paper_literal:
                     assert f"SuperLU, L+U nnz {f.lu.L.nnz + f.lu.U.nnz}" in ln
                 else:
-                    assert ln.endswith("band Cholesky, mirror j, " + "; ".join(
+                    assert ln.endswith("band Cholesky, lines along j, "
+                                       "mirror j, " + "; ".join(
                         f"{name} class {cho.shape[1]} dofs, half-bandwidth "
                         f"{cho.shape[0] - 1}, band storage "
                         f"{cho.nbytes / 2**20:.1f} MiB"
@@ -1858,11 +1872,11 @@ def mode_state(model):
 def mirrored(model, s, sigma):
     """``s`` with each subsystem's free values x, positions and
     velocities, replaced by x + sigma s_k x[M k], which lies exactly in
-    class sigma of the line mirror."""
+    class sigma of the mirror M: j -> ny - 1 - j."""
     arrays = {}
     for d, names in ((model.flex_d, ("flex", "flex_vel")),
                      (model.ext_d, ("ext", "ext_vel"))):
-        m = mirror_of(d, d.free_dofs)
+        m = mirror_of(d, d.free_dofs, 1)
         for name in names:
             h = getattr(s, name).ravel().copy()
             x = h[d.free_dofs]
@@ -1879,24 +1893,30 @@ def whole_path(monkeypatch, model):
 
 class TestMirrorClass:
     """When a run's state and all that drives it lie exactly in one class
-    of the line mirror, the kernel steps that class on the half grid and
-    expands it through P wherever full vectors are read; anything else
-    takes the whole path with its bits."""
+    of each of the mirrors that commute with a part's free block, the
+    kernel steps that class on the half or quarter grid and expands it
+    through P wherever full vectors are read; anything else takes the
+    whole path with its bits."""
 
-    # model, start and the classes stepped: the mode is odd, p loads W
-    # (even) and v loads U2, whose sign under the j-mirror is -1 (odd)
+    # model, start and the classes stepped: the mode is odd under both
+    # mirrors, p loads W (even under both) and v loads the drilling
+    # microrotation, whose sign is -1 under both (odd); the cantilever's
+    # clamped edge breaks its i-mirror
     CASES = {
         "clamped-17x17-mode": lambda: (
             make_model(nx=17, ny=17, material=verify_material()),
-            mode_state, "flexural odd"),
+            mode_state, "flexural odd-odd class of mirrors i, j"),
         "clamped-16x16-constant-load": lambda: (
             make_model(nx=16, ny=16, loads=LoadFunctions(
                 p=ConstantLoad(0.1), v=ConstantLoad(0.05))),
-            DiscreteState.zero, "flexural even, extensional odd"),
+            DiscreteState.zero,
+            "flexural even-even class of mirrors i, j, "
+            "extensional odd-odd class of mirrors i, j"),
         "cantilever-17x13-kick": lambda: (
             make_model(nx=17, ny=13, bc=dict(CANTILEVER)),
             lambda m: mirrored(m, kicked_state(m), 1.0),
-            "flexural even, extensional even"),
+            "flexural even class of mirror j, "
+            "extensional even class of mirror j"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1904,14 +1924,12 @@ class TestMirrorClass:
                                                  monkeypatch):
         """States and every energy-log column agree to 1e-12 relative to
         their largest magnitude; only the summation order differs."""
-        model, start, classes = self.CASES[case]()
+        model, start, stepped = self.CASES[case]()
         s0 = start(model)
         dt = stable_dt(model)
         with caplog.at_level(logging.DEBUG, logger=dynamics.__name__):
             got = simulate(model, t_final=400 * dt, dt=dt,
                            snapshot_every=100, initial=s0)
-        stepped = ", ".join(f"{c} class of mirror j"
-                            for c in classes.split(", "))
         assert kernel_lines(caplog)[0].startswith(
             f"kernel: stepping {stepped} (")
         whole_path(monkeypatch, model)
@@ -1987,15 +2005,16 @@ class TestMirrorClass:
                 assert g.tobytes() == w.tobytes()
 
     def test_kernel_line_names_the_mirror_and_class(self, caplog):
-        """Criterion 08's run steps the odd class's 675 of the flexural
-        block's 1350 rows; ``simulate``'s summary keeps its wording."""
+        """Criterion 08's run steps the class odd under both mirrors, 337
+        of the flexural block's 1350 rows; ``simulate``'s summary keeps its
+        wording."""
         model = make_model(nx=17, ny=17, material=verify_material())
         dt = stable_dt(model)
         with caplog.at_level(logging.DEBUG, logger=dynamics.__name__):
             simulate(model, t_final=20 * dt, dt=dt, initial=mode_state(model))
         assert kernel_lines(caplog) == [
-            "kernel: stepping flexural odd class of mirror j (675 of 2025 "
-            "free dofs); extensional at rest"]
+            "kernel: stepping flexural odd-odd class of mirrors i, j (337 of "
+            "2025 free dofs); extensional at rest"]
         assert "simulate: 20 steps, 21 matvecs," in caplog.text
 
 
@@ -2272,10 +2291,11 @@ def test_only_the_explicit_kernel_reads_its_interior_stack():
 
 def test_one_mirror_implementation():
     """One implementation per concept: exactly one module of the package
-    defines the field parities ``_MIRROR_PARITY`` and the bitwise
-    commutation check ``commutes``, and the static factor and the explicit
-    kernel import the mirror from it."""
-    defines, imports = {}, {}
+    defines the field parities ``_MIRROR_PARITY``, the bitwise commutation
+    check ``commutes`` and the class builders, and only it builds a
+    ``MirrorClass`` and so its basis P; the static factor, the explicit
+    kernel and ``lowest_flexural_mode`` import the mirror from it."""
+    defines, imports, builds = {}, {}, {}
     for path in sorted((SRC / "cosserat_plate").rglob("*.py")):
         name = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -2285,12 +2305,20 @@ def test_one_mirror_implementation():
                 found = [node.name]
             else:
                 found = []
-            for what in set(found) & {"_MIRROR_PARITY", "commutes"}:
+            for what in set(found) & {"_MIRROR_PARITY", "commutes",
+                                      "class_of", "classes_of"}:
                 defines.setdefault(what, []).append(name)
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "MirrorClass":
+                builds.setdefault(name, 0)
+                builds[name] += 1
             if isinstance(node, ast.ImportFrom) and node.level == 1 and \
-                    node.module == "mirror":
+                    node.module in ("mirror", "dynamics.mirror"):
                 imports[name] = [a.name for a in node.names]
     home = "cosserat_plate/dynamics/mirror.py"
-    assert defines == {"_MIRROR_PARITY": [home], "commutes": [home]}
-    assert "mirror_of" in imports["cosserat_plate/dynamics/static.py"]
-    assert "mirror_of" in imports["cosserat_plate/dynamics/explicit.py"]
+    assert defines == {"_MIRROR_PARITY": [home], "commutes": [home],
+                       "class_of": [home], "classes_of": [home]}
+    assert list(builds) == [home]
+    for module in ("dynamics/static.py", "dynamics/explicit.py",
+                   "verification.py"):
+        assert "mirror_of" in imports[f"cosserat_plate/{module}"], module
