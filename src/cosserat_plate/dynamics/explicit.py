@@ -1,34 +1,35 @@
 """Explicit dynamics on the discretization.
 
-Time integration is the explicit central-difference (leapfrog) scheme in
-its single-state velocity form: with M hdd = L h - f,
+Time integration is the explicit central-difference (leapfrog) scheme with
+M hdd = L h - f in its two-level (Stormer) form: with du = dt * w_{n+1/2}
+the position increment and z = dt^2 * a(h, t),
 
-    v+ = v + dt/2 * a(h);  h' = h + dt * v+;  v' = v+ + dt/2 * a(h'),
+    h_{n+1} = h_n + du;  du += z(h_{n+1}, t_{n+1}),
 
-which is algebraically the classic two-level central-difference update and
-shares its conserved shadow energy.  The kernel (``_Kernel``) advances
-both subsystems at once on stacked vectors over their free dofs, the
-interior and traction dofs, flexural first: positions u, velocities w and
-accelerations a, with one slice per subsystem.  The free rows of the two
-subsystems are stacked once per model (``_InteriorStack``) into the block
-diagonal B of their free blocks A_FF, which keeps every row's entries in
-their order in A, and one stacked mass vector, each node's mass weighted by
-its dual-cell fraction.  A step is four vector updates and one matvec,
+started from du = dt * w_0 + dt^2/2 * a(h_0, t_0) (Hairer, Lubich &
+Wanner, Acta Numerica 12, 2003).  It is algebraically the velocity-form
+leapfrog and shares its conserved shadow energy.  The kernel
+(``_Kernel``) advances both subsystems at once on stacked vectors over
+their free dofs, the interior and traction dofs, flexural first.  The free
+rows of the two subsystems are stacked once per model (``_InteriorStack``)
+into the block diagonal B of their free blocks A_FF, which keeps every
+row's entries in their order in A, and one stacked mass vector, each
+node's mass weighted by its dual-cell fraction.  Per run the kernel scales
+B's rows to C = dt^2 M^-1 B, which shares B's index arrays, and the
+boundary force and load vectors alike.  A step is one vector update and
+one matvec,
 
-    w += dt/2 * a;  u += dt * w;  Lu = B u (+ f_b);  a = (Lu - F(t)) / m;
-    w += dt/2 * a,
+    u += du;  du += C u (+ dt^2 M^-1 (f_b - F(t))),
 
-and the end-of-step acceleration, with its half kick dt/2 * a, is the next
-step's start ("first same as last").  At 17^2 a step's Python calls cost
-as much as its arithmetic, so it makes the fewest calls that keep that
-arithmetic: in-place ufuncs; Lu = B u by SciPy's CSR kernel, that of
-``B @ u``, straight into the zero-filled ``Lu`` (``_csr_matvec_into``),
-with its arguments bound once per run (``_csr_matvec_args``); the
-boundary force f_b only where a part has one; one ``np.divide`` into ``a``
-when nothing is loaded, else a subtraction of each loaded part's load
-vector straight into ``a`` and an in-place divide.  The kernel takes only
-the free u and w from a grid state and forms a(t0) by the routine every
-step uses, so g holds from t0.
+the matvec by SciPy's CSR kernel, that of ``C @ u``, which adds into
+``du`` in place, with its arguments bound once per run
+(``_csr_matvec_args``).  At 17^2 a step's Python calls cost as much as
+its arithmetic, so a step makes no other call unless a part has a
+boundary force or a load.  Velocities and L h are formed only where they
+are read, at the energy checks, snapshots and the end, by one matvec of B:
+w_n = (du - dt^2/2 * a_n) / dt.  The kernel takes only the free u and w
+from a grid state and forms a(t0) by that same routine, so g holds from
+t0.
 
 Per subsystem (``_Part``) the stack also holds the Dirichlet data g, the
 constant boundary force f_b (the lift A_FD g of g plus the force of the
@@ -60,7 +61,9 @@ Energy bookkeeping uses the discrete quadratic forms of the scheme itself:
 kinetic = 0.5 v^T M v and strain = -0.5 u^T (L h - f_b) = -0.5 u^T A_FF u
 over the free dofs (cell-area weighted), the discrete energy E_h whose
 Hessian A_FF is.  The boundary force f_b is constant, and its midpoint work
-is counted with the load work.  With constant forces the semi-discrete
+is counted with the load work: per step dA (f_b - F(t_mid)) . (dt w_mid),
+with dt w_mid = dt (w_n + w_{n+1}) / 2 = du + (z_{n+1} - z_n) / 4, by one
+dot product per load vector.  With constant forces the semi-discrete
 energy less that work is exactly conserved on every kind of edge, so the
 measured drift isolates the time-integration error and scales as dt^2.
 ``simulate`` checks that the energy is finite and within budget every
@@ -142,12 +145,20 @@ def _csr_matvec_args(A: sp.csr_matrix, x: np.ndarray,
     return A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out
 
 
-def _csr_matvec_into(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
-    """``out[...] = A @ x`` without a temporary: ``A @ x`` runs SciPy's CSR
-    kernel on a zero-filled result, and so does this on ``out``, so every
-    row sum is formed in the same order, bit for bit."""
-    out.fill(0.0)
-    csr_matvec(*_csr_matvec_args(A, x, out))
+def _csr_matvec_into(args: tuple) -> None:
+    """``out[...] = A @ x`` for the bound ``args`` of A, x and out, without
+    a temporary: ``A @ x`` runs SciPy's CSR kernel on a zero-filled result,
+    and so does this on ``out``, so every row sum is formed in the same
+    order, bit for bit."""
+    args[-1].fill(0.0)
+    csr_matvec(*args)
+
+
+def _scaled(B: sp.csr_matrix, scale: np.ndarray) -> np.ndarray:
+    """B's data with row i scaled by scale[i], in one array."""
+    data = np.repeat(scale, np.diff(B.indptr))
+    data *= B.data
+    return data
 
 
 class _Part:
@@ -174,14 +185,6 @@ class _Part:
         # a load or a boundary force moves a subsystem from rest
         self.driven = bool(self.presets) or force is not None
 
-    def force(self, t: float) -> np.ndarray:
-        """The force at time t that the strain form leaves out: the
-        boundary force minus the load vector."""
-        f = -_envelope_sum(self.presets, self.F, t)
-        if self.boundary_force is not None:
-            f += self.boundary_force
-        return f
-
 
 class _ClassPart:
     """A part stepped on one class c of its mirrors: the class's rows
@@ -190,7 +193,7 @@ class _ClassPart:
     B_sigma u[rows], and P gives the other rows."""
 
     def __init__(self, p: _Part, c: MirrorClass, block, mass):
-        self.p, self.c = p, c
+        self.p, self.c, self.presets = p, c, p.presets
         self.B = c.rows_of(block)
         self.mass = mass[c.rows]
         self.F = p.F[:, c.rows]
@@ -314,47 +317,53 @@ class _InteriorStack:
 class _Kernel:
     """Both subsystems' free state in the explicit kernel.
 
-    ``u``, ``w`` and ``a`` stack the positions, velocities and
-    accelerations on the free dofs of both subsystems, flexural first.
-    ``Lu`` keeps the free rows of L h of the last acceleration evaluated.
+    ``u`` and ``w`` stack the positions and velocities on the free dofs of
+    both subsystems, flexural first, and ``Lu`` the free rows of L h; all
+    three hold the kernel's time ``t`` only after an observation
+    (``_observe``), which energies, ``hottest`` and ``grid_state`` make
+    first.  Between observations the kernel steps u and the increment du.
     What does not depend on time is read from the model's
-    ``_InteriorStack``; load sums and energy terms are formed per subsystem
-    on its slice.
+    ``_InteriorStack``; load sums and energy and work terms are formed per
+    subsystem on its slice.
 
     Only what moves is stepped.  A part is at rest when its u and w are
     zero at the start and nothing drives it (``_Part.driven``): its
     boundary then holds g = 0 and no traction data acts on it.  B is block
-    diagonal, so its u, w, a and Lu stay exactly +0 for the whole run.  The
-    other parts are live.  A step's vector updates run on ``_u``, ``_w``,
-    ``_a`` and ``_Lu``, and its matvecs are the products bound in
-    ``_products`` at the start:
+    diagonal, so its u, w and Lu stay exactly +0 for the whole run.  The
+    other parts are live.  The stepped values are ``_u``, ``_du``, ``_w``,
+    ``_Lu`` and ``_a``; a step's matvecs are the products of C bound in
+    ``_steps`` at the start, and an observation's those of B in
+    ``_products``:
 
     - When every live part lies in one class of its mirrors
-      (``_InteriorStack.mirror_class``), those are each live part's class
-      values u[rows] and so on, concatenated, and each part's class rows
-      B_sigma multiply its own values.  The class is closed under the step,
-      so the state stays in it, and the full vectors are the class values
-      expanded through P (``_expand``).
+      (``_InteriorStack.mirror_class``), the stepped values are each live
+      part's class values u[rows] and so on, concatenated, and each part's
+      class rows B_sigma multiply its own values.  The class is closed
+      under the step, so the state stays in it, and an observation expands
+      it to the full vectors through P (``_expand``).
     - Otherwise they are the views of the full vectors over the range of
       the stack the live parts span, and B's rows over that range
       (``_InteriorStack.rows``) multiply the full u; with every part live
       the range is the whole stack.
 
-    Energies, snapshots, the load work and ``hottest`` read the full
-    vectors; ``a`` is full only on the second path.
+    When a force does work on a live part, the step also keeps z = dt^2 a
+    as the change of du and sums the midpoint work into ``work``.
     """
 
     def __init__(self, model: DiscreteModel):
         self.stack = model.interior_stack
-        self.matvecs = 0
+        self.dA = model.cell_area
+        self.step_matvecs = self.check_matvecs = 0
 
-    def start(self, state: DiscreteState) -> "_Kernel":
-        """Take u and w from a grid state's free dofs and a(t0) by
-        ``_acceleration``, as every step takes a(t): g on Gamma_u holds
-        from t0, whatever Dirichlet values the state holds.  A part whose u
-        and w are zero and that nothing drives is at rest; its u and w are
-        set to +0, as a step would make of a -0."""
+    def start(self, state: DiscreteState, dt: float) -> "_Kernel":
+        """Take u and w from a grid state's free dofs and a(t0) by the
+        observation every check makes, and scale the stepped rows and
+        forces by dt^2 M^-1: g on Gamma_u holds from t0, whatever Dirichlet
+        values the state holds.  A part whose u and w are zero and that
+        nothing drives is at rest; its u and w are set to +0, as a step
+        would make of a -0."""
         stack = self.stack
+        self.t, self.dt, self.work = state.time, dt, 0.0
         self.u = stack.free((state.flex, state.ext))
         self.w = stack.free((state.flex_vel, state.ext_vel))
         moves = [p.driven or bool(np.any(self.u[p.s]) or np.any(self.w[p.s]))
@@ -364,125 +373,164 @@ class _Kernel:
         for p in rest:
             self.u[p.s] = self.w[p.s] = 0.0
         self.Lu = np.zeros(self.u.size)
-        self.a = np.zeros(self.u.size)
         classes = [stack.mirror_class(p, self.u[p.s], self.w[p.s])
                    for p in live]
         if live and None not in classes:
             ends = np.cumsum([0] + [c.mass.size for c in classes])
-            self._segments = [(c, slice(lo, hi)) for c, lo, hi
-                              in zip(classes, ends[:-1], ends[1:])]
+            ranges = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
             self._u, self._w = (np.concatenate([x[c.p.s][c.c.rows]
                                                 for c in classes])
                                 for x in (self.u, self.w))
-            self._a, self._Lu = np.zeros(ends[-1]), np.zeros(ends[-1])
+            self._Lu = np.zeros(ends[-1])
             self._m = np.concatenate([c.mass for c in classes])
-            # what the matvec leaves out: the boundary force, and the load
-            # vector of a loaded part, whose acceleration is Lu - F
-            self._products = [_csr_matvec_args(c.B, self._u[r], self._Lu[r])
-                              for c, r in self._segments]
-            self._bounded = [(self._Lu[r], c.boundary_force)
-                             for c, r in self._segments
-                             if c.boundary_force is not None]
-            self._forced = ([(self._Lu[r], self._a[r], c.p.presets, c.F)
-                             for c, r in self._segments]
-                            if stack.loaded else None)
+            blocks = [(c.B, self._u[r], r) for c, r in zip(classes, ranges)]
+            parts = [(c, r, c.c.weight) for c, r in zip(classes, ranges)]
+            self._expansions = [
+                _csr_matvec_args(c.c.P, values[r], full[c.p.s])
+                for c, r in zip(classes, ranges)
+                for full, values in ((self.u, self._u), (self.w, self._w),
+                                     (self.Lu, self._Lu))]
             stepped = [f"{c.p.d.name} {c.c.label}" for c in classes]
         else:
-            self._segments = []
-            s = slice(min((p.s.start for p in live), default=0),
-                      max((p.s.stop for p in live), default=0))
-            self._u, self._w, self._a, self._Lu, self._m = (
-                x[s] for x in (self.u, self.w, self.a, self.Lu, stack.mass))
-            self._products = [_csr_matvec_args(stack.rows(s), self.u,
-                                               self._Lu)]
-            self._bounded = [(self.Lu[p.s], p.boundary_force)
-                             for p in stack.parts
-                             if p.boundary_force is not None]
-            self._forced = ([(self.Lu[p.s], self.a[p.s], p.presets, p.F)
-                             for p in live] if stack.loaded else None)
+            lo = min((p.s.start for p in live), default=0)
+            s = slice(lo, max((p.s.stop for p in live), default=0))
+            self._u, self._w, self._Lu, self._m = (
+                x[s] for x in (self.u, self.w, self.Lu, stack.mass))
+            blocks = [(stack.rows(s), self.u, slice(0, s.stop - lo))]
+            parts = [(p, slice(p.s.start - lo, p.s.stop - lo), None)
+                     for p in live]
+            self._expansions = []
             stepped = [p.d.name for p in live]
-        self._kick = np.empty(self._u.size)
-        self._du = np.empty(self._u.size)
-        self._acceleration(state.time)
-        self.kick_dt = None
+        n = self._u.size
+        self._a, self._du = np.empty(n), np.empty(n)
+        scale = dt * dt / self._m
+        self._half = 0.5 * dt * dt
+        # B's rows and C = dt^2 M^-1 B, which shares B's index arrays
+        self._products = [_csr_matvec_args(B, x, self._Lu[r])
+                          for B, x, r in blocks]
+        self._steps = [_csr_matvec_args(sp.csr_matrix(
+            (_scaled(B, scale[r]), B.indices, B.indptr), shape=B.shape), x,
+            self._du[r]) for B, x, r in blocks]
+        # what the matvecs leave out: the boundary force and the loads
+        self._bounded = [(self._Lu[r], self._du[r], x.boundary_force,
+                          scale[r] * x.boundary_force)
+                         for x, r, _ in parts if x.boundary_force is not None]
+        self._loads = [(self._a[r], self._du[r], x.presets, x.F,
+                        scale[r] * x.F) for x, r, _ in parts if x.presets]
+        self._accelerate()
+        np.multiply(self._w, dt, out=self._du)
+        self._du += self._a * self._half
+        # the forces that do work; on a class f . P x = (weight f[rows]) . x
+        self._worked = [
+            (r, x.presets, *(f if f is None or weight is None else weight * f
+                             for f in (x.boundary_force, x.F)))
+            for x, r, weight in parts
+            if x.presets or x.boundary_force is not None]
+        if self._worked:
+            # the previous du, and z_n and z_{n+1}
+            self._prev, self._z1 = np.empty(n), np.empty(n)
+            self._z0 = self._a * (dt * dt)
+        self._expand()
+        self._fresh = True
         _log.debug("kernel: stepping %s (%d of %d free dofs)%s",
-                   ", ".join(stepped) or "nothing", self._u.size,
+                   ", ".join(stepped) or "nothing", n,
                    self.u.size, f"; {', '.join(p.d.name for p in rest)} "
                    f"at rest" if rest else "")
         return self
 
-    def _acceleration(self, t: float) -> None:
-        """M^-1 (L h - F) on the stepped values at time t, where h is u on
-        the free dofs and g on Gamma_u, and L h = B u + f_b."""
+    def _accelerate(self) -> None:
+        """Lu = B u + f_b and a = M^-1 (Lu - F) on the stepped values at
+        the kernel's time, where h is u on the free dofs and g on
+        Gamma_u."""
         for args in self._products:
-            args[-1].fill(0.0)
-            csr_matvec(*args)
-        self.matvecs += 1
-        for Lu, force in self._bounded:
+            _csr_matvec_into(args)
+        self.check_matvecs += 1
+        for Lu, _, force, _ in self._bounded:
             Lu += force
-        if self._forced is None:
-            np.divide(self._Lu, self._m, out=self._a)
-            return
-        for Lu, a, presets, F in self._forced:
-            if presets:
-                np.subtract(Lu, _envelope_sum(presets, F, t), out=a)
-            else:
-                np.copyto(a, Lu)
+        np.copyto(self._a, self._Lu)
+        for a, _, presets, F, _ in self._loads:
+            a -= _envelope_sum(presets, F, self.t)
         self._a /= self._m
+
+    def _observe(self) -> None:
+        """Lu, a and w = (du - dt^2/2 a) / dt at the kernel's time, and
+        the full vectors; once per time reached."""
+        if self._fresh:
+            return
+        self._accelerate()
+        np.multiply(self._a, self._half, out=self._w)
+        np.subtract(self._du, self._w, out=self._w)
+        self._w /= self.dt
+        self._expand()
+        self._fresh = True
 
     def _expand(self) -> None:
         """On a class run, the full u, w and Lu of each live part from its
         class values, through P."""
-        for c, r in self._segments:
-            for full, values in ((self.u, self._u), (self.w, self._w),
-                                 (self.Lu, self._Lu)):
-                full[c.p.s] = c.c.P @ values[r]
+        for args in self._expansions:
+            _csr_matvec_into(args)
 
-    def velocity(self, p: _Part) -> np.ndarray:
-        """Part p's free velocities, through P on a class run."""
-        for c, r in self._segments:
-            if c.p is p:
-                return c.c.P @ self._w[r]
-        return self.w[p.s]
+    def advance(self, n: int) -> float:
+        """n leapfrog steps from the kernel's time; returns the time
+        reached, accumulated as t = t + dt per step."""
+        t, dt, u, du = self.t, self.dt, self._u, self._du
+        steps, bounded, loads = self._steps, self._bounded, self._loads
+        worked = self._worked
+        for _ in range(n):
+            if worked:
+                np.copyto(self._prev, du)
+                t_mid = t + 0.5 * dt
+            t = t + dt
+            u += du
+            for args in steps:
+                csr_matvec(*args)
+            for _, d, _, force in bounded:
+                d += force
+            for _, d, presets, _, F in loads:
+                d -= _envelope_sum(presets, F, t)
+            if worked:
+                self._add_work(t_mid)
+        self.step_matvecs += n
+        self.t = t
+        self._fresh = False
+        return t
 
-    def advance(self, t0: float, dt: float) -> float:
-        """One leapfrog step from t0; returns t0 + dt.  The kernel enters
-        holding a(t0) and leaves holding a(t0 + dt), which the next step
-        reuses as its starting acceleration, and with it the half kick
-        dt/2 * a when dt is unchanged."""
-        half = 0.5 * dt
-        t1 = t0 + dt
-        if self.kick_dt != dt:
-            np.multiply(self._a, half, out=self._kick)
-        self._w += self._kick
-        np.multiply(self._w, dt, out=self._du)
-        self._u += self._du
-        self._acceleration(t1)
-        np.multiply(self._a, half, out=self._kick)
-        self.kick_dt = dt
-        self._w += self._kick
-        return t1
+    def _add_work(self, t_mid: float) -> None:
+        """The step's midpoint work dA (f_b - F(t_mid)) . (dt w_mid), with
+        dt w_mid = du_n + (z_{n+1} - z_n) / 4 and z_{n+1} = du_{n+1} -
+        du_n.  dt w_mid takes z_n's buffer, which z_{n+2} takes next."""
+        z1, x = self._z1, self._z0
+        np.subtract(self._du, self._prev, out=z1)
+        np.subtract(z1, x, out=x)
+        x *= 0.25
+        x += self._prev
+        for r, presets, fb, F in self._worked:
+            xr = x[r]
+            work = 0.0 if fb is None else float(fb @ xr)
+            for f, Fx in zip(presets, F @ xr):
+                work -= f.envelope(t_mid) * float(Fx)
+            self.work += work * self.dA
+        self._z0, self._z1 = z1, x
 
-    def energies(self, dA: float):
-        """Kinetic and strain energy, the strain from the L h of the last
-        acceleration less the boundary force (``_Part.force``): -0.5 u.A_FF
-        u."""
-        self._expand()
+    def energies(self):
+        """Kinetic and strain energy, the strain from L h less the boundary
+        force: -0.5 u.A_FF u."""
+        self._observe()
         ke = 0.0
         ue = 0.0
         for p in self.stack.parts:
             u, w = self.u[p.s], self.w[p.s]
-            ke += 0.5 * float(w @ (self.stack.mass[p.s] * w)) * dA
+            ke += 0.5 * float(w @ (self.stack.mass[p.s] * w)) * self.dA
             uLu = float(u @ self.Lu[p.s])
             if p.boundary_force is not None:
                 uLu -= float(u @ p.boundary_force)
-            ue += -0.5 * uLu * dA
+            ue += -0.5 * uLu * self.dA
         return ke, ue
 
     def hottest(self) -> str:
         """Where the energy density of ``energies`` is largest in absolute
         value (a NaN counts as largest): the subsystem, field and node."""
-        self._expand()
+        self._observe()
         density = self.w * (self.stack.mass * self.w) - self.u * self.Lu
         for p in self.stack.parts:
             if p.boundary_force is not None:
@@ -490,9 +538,9 @@ class _Kernel:
         i = int(np.argmax(np.abs(density)))
         return "{} field {} at node ({}, {})".format(*self.stack.locate(i))
 
-    def grid_state(self, t: float, warn: bool) -> DiscreteState:
-        """The full-grid state at time t, with g on Gamma_u."""
-        self._expand()
+    def grid_state(self, warn: bool) -> DiscreteState:
+        """The full-grid state at the kernel's time, with g on Gamma_u."""
+        self._observe()
         fields = []
         for p in self.stack.parts:
             d = p.d
@@ -505,7 +553,8 @@ class _Kernel:
             fields += [h.reshape(shape), v.reshape(shape)]
         flex, flex_vel, ext, ext_vel = fields
         return DiscreteState(flex=flex, ext=ext, flex_vel=flex_vel,
-                             ext_vel=ext_vel, time=t, stability_warning=warn)
+                             ext_vel=ext_vel, time=self.t,
+                             stability_warning=warn)
 
 
 def step(state: DiscreteState, model: DiscreteModel, dt: float) -> DiscreteState:
@@ -517,8 +566,9 @@ def step(state: DiscreteState, model: DiscreteModel, dt: float) -> DiscreteState
     stability bound only flags the returned state, it does not raise.
     """
     warn = state.stability_warning or dt > stable_dt(model) * (1.0 + 1e-12)
-    kernel = _Kernel(model).start(state)
-    return kernel.grid_state(kernel.advance(state.time, dt), warn)
+    kernel = _Kernel(model).start(state, dt)
+    kernel.advance(1)
+    return kernel.grid_state(warn)
 
 
 @dataclass
@@ -554,8 +604,9 @@ class Trajectory:
 
 
 # Steps between energy checks in ``simulate``, whatever the snapshot
-# cadence: a check costs two dot products per subsystem, about a tenth of
-# one step's matvec, and an unstable run overflows within ~1000 steps.
+# cadence: a check costs one matvec of B and two dot products per
+# subsystem, about two steps, and an unstable run overflows within ~1000
+# steps.
 GUARD_EVERY = 50
 
 
@@ -567,7 +618,8 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
     Every ``GUARD_EVERY`` steps, at each snapshot and at the end, aborts
     with a diagnostic when the total energy is not finite or has grown
     beyond ten times the initial energy plus the accumulated external work
-    (of the loads, the Dirichlet lift and the traction data).
+    (of the loads, the Dirichlet lift and the traction data).  The kernel
+    advances in one call from one such check to the next.
 
     Only the free dofs of ``initial`` enter the run: the Dirichlet data g
     is imposed from the first acceleration, at t0, on.  The first snapshot
@@ -589,53 +641,29 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
 
     state = initial if initial is not None else DiscreteState.zero(model)
     warn = state.stability_warning or dt > bound * (1.0 + 1e-12)
-    kernel.start(state)
-    # subsystems on which a force does work: loads or a boundary force
-    worked = [p for p in kernel.stack.parts
-              if p.presets or p.boundary_force is not None]
-    dA = model.cell_area
+    kernel.start(state, dt)
 
     energy = EnergyLog()
-    t = state.time
-    ke, ue = kernel.energies(dA)
-    w_ext = 0.0
-    energy.append(t, ke, ue, w_ext)
+    ke, ue = kernel.energies()
+    energy.append(state.time, ke, ue, kernel.work)
     e0 = ke + ue
     states = [state]
-    times = [t]
-    checks = 0
-
-    # one buffer per worked part: its velocity at a step's start, then the
-    # step's midpoint velocity
-    w_mid = [np.empty(p.s.stop - p.s.start) for p in worked]
-
-    for k in range(1, n_steps + 1):
-        if not worked:
-            t = kernel.advance(t, dt)
-        else:
-            for p, buf in zip(worked, w_mid):
-                np.copyto(buf, kernel.velocity(p))
-            t_mid = t + 0.5 * dt
-            t = kernel.advance(t, dt)
-            # midpoint power of the applied force, f_b - F in the
-            # convention A_FF u + f_b - F = M udd
-            for p, buf in zip(worked, w_mid):
-                buf += kernel.velocity(p)
-                buf *= 0.5
-                w_ext += dt * float(p.force(t_mid) @ buf) * dA
-
-        record = bool(every) and k % every == 0
-        if k == n_steps or record:
-            ke, ue = kernel.energies(dA)
-            energy.append(t, ke, ue, w_ext)
-            states.append(kernel.grid_state(t, warn))
+    times = [state.time]
+    checks = k = 0
+    guard = GUARD_EVERY if abort_on_instability else n_steps
+    while k < n_steps:
+        last = k
+        k = min(n_steps, (k // guard + 1) * guard,
+                (k // every + 1) * every if every else n_steps)
+        t = kernel.advance(k - last)
+        ke, ue = kernel.energies()
+        if k == n_steps or (every and k % every == 0):
+            energy.append(t, ke, ue, kernel.work)
+            states.append(kernel.grid_state(warn))
             times.append(t)
-        elif abort_on_instability and k % GUARD_EVERY == 0:
-            ke, ue = kernel.energies(dA)
-        else:
-            continue
         if abort_on_instability:
             checks += 1
+            w_ext = kernel.work
             budget = abs(e0) + abs(w_ext) + 1e-300
             if not np.isfinite(ke + ue) or (ke + ue) > 10.0 * budget + 10.0 * abs(e0):
                 raise InstabilityError(
@@ -644,8 +672,9 @@ def simulate(model: DiscreteModel, t_final: float, dt: float | None = None,
                     f"{w_ext:.3e}); dt={dt:.3e} vs stability bound "
                     f"{bound:.3e}; largest energy density in the "
                     f"{kernel.hottest()}")
-    _log.debug("simulate: %d steps, %d matvecs, %d guard checks, "
-               "%d snapshots, dt=%.6e, stability bound=%.6e", n_steps,
-               kernel.matvecs, checks, len(states) - 1, dt, bound)
+    _log.debug("simulate: %d steps, %d step matvecs, %d check matvecs, "
+               "%d guard checks, %d snapshots, dt=%.6e, stability "
+               "bound=%.6e", n_steps, kernel.step_matvecs,
+               kernel.check_matvecs, checks, len(states) - 1, dt, bound)
     return Trajectory(times=times, states=states, energy=energy, dt=dt,
                       n_steps=n_steps)

@@ -1225,6 +1225,41 @@ def step_loop(model, s, dt, n_steps, every):
     return states
 
 
+def applied_force(p, t):
+    """The force at time t on part p's free dofs that the strain form
+    leaves out: the boundary force minus the load vector."""
+    f = -dynamics._envelope_sum(p.presets, p.F, t)
+    if p.boundary_force is not None:
+        f += p.boundary_force
+    return f
+
+
+def assert_step_matches_simulate(model, s0, n_steps=40, every=10):
+    """``step()`` is bitwise ``simulate``'s first step.  A ``step()`` loop
+    restarts the two-level form from each state's velocities, so over
+    ``n_steps`` it agrees with ``simulate`` to 1e-13 relative to each
+    array's largest magnitude, not bit for bit (measured: 1.0e-15 to
+    1.3e-14 on the 17^2 and 17x13 plates, 5.7e-14 on the 16^2
+    constant-load plate).  Returns ``simulate``'s trajectory and the
+    loop's states."""
+    dt = stable_dt(model)
+    first = simulate(model, t_final=dt, dt=dt, snapshot_every=1,
+                     initial=s0).states[1]
+    got = step(s0, model, dt)
+    assert got.time == first.time
+    for g, w in zip(state_arrays(got), state_arrays(first)):
+        assert g.tobytes() == w.tobytes()
+    traj = simulate(model, t_final=n_steps * dt, dt=dt,
+                    snapshot_every=every, initial=s0)
+    ref = step_loop(model, s0, traj.dt, traj.n_steps, every)
+    assert len(traj.states) == len(ref) == 1 + n_steps // every
+    for got, want in zip(traj.states, ref):
+        assert got.time == want.time
+        for g, w in zip(state_arrays(got), state_arrays(want)):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    return traj, ref
+
+
 def modified_energy_terms(model, traj):
     """Per snapshot, the four terms of the leapfrog's modified energy
     H~ = 1/2 v.Mv + 1/2 u.Ku - u.f - (dt^2/8) a.Ma on the stacked free dofs
@@ -1243,7 +1278,7 @@ def modified_energy_terms(model, traj):
             h[p.d.dirich_dofs] = 0.0
         u = stack.free(hs)
         v = stack.free([st.flex_vel.ravel(), st.ext_vel.ravel()])
-        f = np.concatenate([p.force(st.time) for p in stack.parts])
+        f = np.concatenate([applied_force(p, st.time) for p in stack.parts])
         Ku = -np.concatenate([(p.d.A @ h)[p.d.free_dofs]
                               for p, h in zip(stack.parts, hs)])
         Ma = f - Ku
@@ -1338,27 +1373,18 @@ class TestModifiedEnergy:
 
 
 class TestKernel:
-    """``simulate`` runs the interior-state kernel, reusing each step's end
-    acceleration and load as the next step's start; ``step()`` rebuilds
-    them from the grid state, so the two must agree."""
+    """``simulate`` runs the interior-state kernel, carrying the position
+    increment from step to step; ``step()`` rebuilds it from the grid
+    state's velocities, so the two must agree."""
 
     @pytest.mark.parametrize("loads", [
         LoadFunctions(),
         LoadFunctions(p=GaussianPulseLoad(1.0, center=(0.5, 0.5), width=0.1,
                                           t0=0.05, tau=0.02)),
     ], ids=["free-vibration", "gaussian-pulse"])
-    def test_simulate_bitwise_equals_step_loop_clamped(self, loads):
+    def test_step_equals_simulate_clamped(self, loads):
         model = make_model(nx=17, ny=17, loads=loads)
-        dt = stable_dt(model)
-        s0 = kicked_state(model)
-        traj = simulate(model, t_final=40 * dt, dt=dt, snapshot_every=10,
-                        initial=s0)
-        ref = step_loop(model, s0, traj.dt, traj.n_steps, 10)
-        assert len(traj.states) == len(ref) == 5
-        for got, want in zip(traj.states, ref):
-            assert got.time == want.time
-            for g, w in zip(state_arrays(got), state_arrays(want)):
-                assert g.tobytes() == w.tobytes()
+        assert_step_matches_simulate(model, kicked_state(model))
 
     @pytest.mark.parametrize("bc", [CLAMPED_WITH_DATA, RIGHT_TOP_TRACTION],
                              ids=["dirichlet-data", "right-top-traction"])
@@ -1464,8 +1490,9 @@ class TestKernel:
         """``p`` loads only the flexural subsystem and ``sigma0`` only the
         extensional one, whose edge data alone gives a Dirichlet lift, so
         each slice of the stacked kernel has its own preset list and lift.
-        ``simulate`` equals the ``step()`` loop bitwise, and its energy log
-        equals a per-subsystem recomputation from the step-loop states."""
+        ``simulate`` matches ``step()`` (``assert_step_matches_simulate``),
+        and its energy log equals a per-subsystem recomputation from the
+        step-loop states."""
         def ext_data(x, y):
             return np.stack([0.01 + 0 * x, 0.02 + 0 * x, 0 * x])
 
@@ -1477,16 +1504,8 @@ class TestKernel:
         model = make_model(nx=17, ny=17, loads=loads, bc=bc)
         assert model.flex_d.load_terms[0] == (loads.p,)
         assert model.ext_d.load_terms[0] == (loads.sigma0,)
-        dt = stable_dt(model)
         s0 = kicked_state(model)
-        traj = simulate(model, t_final=40 * dt, dt=dt, snapshot_every=10,
-                        initial=s0)
-        ref = step_loop(model, s0, traj.dt, traj.n_steps, 10)
-        assert len(traj.states) == len(ref) == 5
-        for got, want in zip(traj.states, ref):
-            assert got.time == want.time
-            for g, w in zip(state_arrays(got), state_arrays(want)):
-                assert g.tobytes() == w.tobytes()
+        traj, _ = assert_step_matches_simulate(model, s0)
 
         # per subsystem: the free rows of A, the lift A_FD g and the
         # energies and midpoint load work recomputed from grid states
@@ -1541,7 +1560,8 @@ class TestKernel:
 
     def test_simulate_logs_one_debug_line(self, caplog):
         """Energy checks at the snapshots (steps 40, 80, 120) and at the
-        guard steps 50 and 100; one matvec per step plus the start."""
+        guard steps 50 and 100; one matvec per step, and one per check and
+        at the start."""
         model = make_model(nx=9, ny=9)
         dt = stable_dt(model)
         with caplog.at_level(logging.DEBUG, logger="cosserat_plate.dynamics"):
@@ -1550,7 +1570,8 @@ class TestKernel:
         lines = [r.getMessage() for r in caplog.records
                  if r.getMessage().startswith("simulate:")]
         assert lines == [
-            f"simulate: 120 steps, 121 matvecs, 5 guard checks, 3 snapshots, "
+            f"simulate: 120 steps, 120 step matvecs, 6 check matvecs, "
+            f"5 guard checks, 3 snapshots, "
             f"dt={dt:.6e}, stability bound={dt:.6e}"]
 
     def test_blow_up_raises_within_guard_interval(self):
@@ -1598,11 +1619,91 @@ def bits(a):
 
 
 def reference_leapfrog(model, s0, dt, n_steps, every):
-    """``simulate``'s scheme written out on the whole stack with ``B @ u``,
-    ``np.copyto`` and ``/=``: the free u and w at t0 and every
-    ``every`` steps and the final step, and the energy log's columns t,
-    kinetic, strain, external work and total.  The start takes L h as
-    every step does, whatever boundary values ``s0`` holds."""
+    """``simulate``'s two-level scheme written out on the whole stack: the
+    free u and w at t0 and every ``every`` steps and the final step, and
+    the energy log's columns t, kinetic, strain, external work and total.
+    A step is u += du; du += C u + dt^2 M^-1 (f_b - F(t)) with C = dt^2
+    M^-1 B, the matvec summed into du as SciPy's kernel sums into its
+    output: [I | C] [du; u] with each row's identity entry first.  A check
+    forms L h and a from u and w = (du - dt^2/2 a) / dt.  The start takes
+    L h as every check does, whatever boundary values ``s0`` holds."""
+    stack = model.interior_stack
+    m, dA, B = stack.mass, model.cell_area, stack.B
+    u = stack.free([h.ravel() for h in (s0.flex, s0.ext)])
+    w = stack.free([v.ravel() for v in (s0.flex_vel, s0.ext_vel)])
+    half, scale, n = 0.5 * dt * dt, dt * dt / m, m.size
+    first = B.indptr[:-1]
+    IC = sp.csr_matrix(
+        (np.insert(B.data * np.repeat(scale, np.diff(B.indptr)), first, 1.0),
+         np.insert(B.indices + n, first, np.arange(n)),
+         B.indptr + np.arange(n + 1)), shape=(n, 2 * n))
+    worked = [p for p in stack.parts
+              if p.presets or p.boundary_force is not None]
+
+    def acceleration(t):
+        """L h and a at time t: B u and each part's boundary force, less
+        the loads, over the masses."""
+        Lu = B @ u
+        for p in stack.parts:
+            if p.boundary_force is not None:
+                Lu[p.s] += p.boundary_force
+        a = Lu.copy()
+        for p in stack.loaded:
+            a[p.s] -= dynamics._envelope_sum(p.presets, p.F, t)
+        return Lu, a / m
+
+    def energies(Lu):
+        ke = ue = 0.0
+        for p in stack.parts:
+            ke += 0.5 * float(w[p.s] @ (m[p.s] * w[p.s])) * dA
+            uLu = float(u[p.s] @ Lu[p.s])
+            if p.boundary_force is not None:
+                uLu -= float(u[p.s] @ p.boundary_force)
+            ue += -0.5 * uLu * dA
+        return ke, ue
+
+    t, work = s0.time, 0.0
+    Lu, a = acceleration(t)
+    du = w * dt
+    du += a * half
+    z0 = a * (dt * dt)
+    states, log = [(u.copy(), w.copy())], [(t, *energies(Lu), work)]
+    for k in range(1, n_steps + 1):
+        prev = du
+        t_mid = t + 0.5 * dt
+        t = t + dt
+        u = u + du
+        du = IC @ np.concatenate([du, u])
+        for p in stack.parts:
+            if p.boundary_force is not None:
+                du[p.s] += scale[p.s] * p.boundary_force
+        for p in stack.loaded:
+            du[p.s] -= dynamics._envelope_sum(p.presets, scale[p.s] * p.F, t)
+        # the midpoint work: dt w_mid = du_n + (z_{n+1} - z_n) / 4
+        z1 = du - prev
+        x = (z1 - z0) * 0.25 + prev
+        z0 = z1
+        for p in worked:
+            step_work = (0.0 if p.boundary_force is None
+                         else float(p.boundary_force @ x[p.s]))
+            for f, Fx in zip(p.presets, p.F @ x[p.s]):
+                step_work -= f.envelope(t_mid) * float(Fx)
+            work += step_work * dA
+        if k % every == 0 or k == n_steps:
+            Lu, a = acceleration(t)
+            w = (du - a * half) / dt
+            states.append((u.copy(), w.copy()))
+            log.append((t, *energies(Lu), work))
+    log = np.array(log)
+    return states, [*log.T, log[:, 1] + log[:, 2]]
+
+
+def velocity_leapfrog(model, s0, dt, n_steps, every):
+    """The oracle of the leapfrog in its velocity form, which ``simulate``
+    stepped before its two-level form, written out on the whole stack:
+    w += dt/2 a; u += dt w; a = a(u, t + dt); w += dt/2 a, with the load
+    work of the midpoint velocity (w_n + w_{n+1}) / 2.  It returns what
+    ``reference_leapfrog`` returns; the two forms agree to roundoff."""
     stack = model.interior_stack
     m, dA = stack.mass, model.cell_area
     u = stack.free([h.ravel() for h in (s0.flex, s0.ext)])
@@ -1652,7 +1753,7 @@ def reference_leapfrog(model, s0, dt, n_steps, every):
         for p, buf in zip(worked, w_mid):
             buf += w[p.s]
             buf *= 0.5
-            work += dt * float(p.force(t_mid) @ buf) * dA
+            work += dt * float(applied_force(p, t_mid) @ buf) * dA
         if k % every == 0 or k == n_steps:
             states.append((u.copy(), w.copy()))
             log.append((t, *energies(Lu), work))
@@ -1675,21 +1776,44 @@ def one_sided_ext_lift():
     return dict(ALL_CLAMPED, left=EdgeBC(kind="clamped", ext_data=ext_data))
 
 
-class TestKernelArithmetic:
-    """The kernel forms each step with SciPy's CSR kernel in place, one
-    divide when nothing is loaded and a subtract into ``a`` when something
-    is; ``simulate``'s states and energy log are bitwise those of the same
-    scheme written out with ``B @ u``, ``np.copyto`` and ``/=``."""
+def assert_agrees_with_velocity_form(model, s0, traj, every):
+    """``traj``'s states and every energy-log column agree with the
+    velocity-form oracle to 1e-12 relative to their largest magnitude."""
+    states, log = velocity_leapfrog(model, s0, traj.dt, traj.n_steps, every)
+    stack = model.interior_stack
+    got = [(stack.free([s.flex.ravel(), s.ext.ravel()]),
+            stack.free([s.flex_vel.ravel(), s.ext_vel.ravel()]))
+           for s in traj.states]
+    for g, want in zip(got, states, strict=True):
+        for x, y in zip(g, want):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+    e = traj.energy.as_arrays()
+    for name, want in zip(("t", "kinetic", "strain", "external_work",
+                           "total"), log):
+        assert np.max(np.abs(e[name] - want)) <= \
+            1e-12 * np.max(np.abs(want)), name
 
-    @pytest.mark.parametrize("bc,loads,kick", [
-        (ALL_CLAMPED, None, w_kick),
-        (ALL_CLAMPED, pulse_loads, kicked_state),
-        (one_sided_ext_lift(), None, w_kick),
-        ({"left": "clamped", "right": "traction", "bottom": "clamped",
-          "top": "traction"}, None, kicked_state),
-    ], ids=["unforced", "loaded", "lifted", "right-top-traction"])
+
+KERNEL_PLATES = pytest.mark.parametrize("bc,loads,kick", [
+    (ALL_CLAMPED, None, w_kick),
+    (ALL_CLAMPED, pulse_loads, kicked_state),
+    (one_sided_ext_lift(), None, w_kick),
+    ({"left": "clamped", "right": "traction", "bottom": "clamped",
+      "top": "traction"}, None, kicked_state),
+], ids=["unforced", "loaded", "lifted", "right-top-traction"])
+
+
+class TestKernelArithmetic:
+    """The kernel steps the two-level form with SciPy's CSR kernel adding
+    C u into du in place; ``simulate``'s states and energy log are bitwise
+    those of the same scheme written out with ``@`` (``reference_leapfrog``)
+    and agree with the velocity form of the leapfrog to roundoff."""
+
+    @KERNEL_PLATES
     def test_simulate_equals_reference_leapfrog(self, caplog, bc, loads,
                                                 kick):
+        """One matvec per step, and one per energy check: at the start and
+        at steps 25, 50 and 60."""
         model = make_model(nx=17, ny=13, bc=bc,
                            loads=loads() if loads else None)
         dt = stable_dt(model)
@@ -1697,7 +1821,7 @@ class TestKernelArithmetic:
         with caplog.at_level(logging.DEBUG, logger="cosserat_plate.dynamics"):
             traj = simulate(model, t_final=60 * dt, dt=dt, snapshot_every=25,
                             initial=s0)
-        assert "60 steps, 61 matvecs," in caplog.text
+        assert "60 steps, 60 step matvecs, 4 check matvecs," in caplog.text
         states, log = reference_leapfrog(model, s0, traj.dt, traj.n_steps, 25)
         stack = model.interior_stack
         assert len(traj.states) == len(states) == 4
@@ -1711,11 +1835,22 @@ class TestKernelArithmetic:
                                "total"), log):
             assert np.array_equal(bits(e[name]), bits(want)), name
 
+    @KERNEL_PLATES
+    def test_simulate_agrees_with_the_velocity_form(self, bc, loads, kick):
+        model = make_model(nx=17, ny=13, bc=bc,
+                           loads=loads() if loads else None)
+        dt = stable_dt(model)
+        s0 = kick(model)
+        traj = simulate(model, t_final=60 * dt, dt=dt, snapshot_every=25,
+                        initial=s0)
+        assert_agrees_with_velocity_form(model, s0, traj, 25)
+
     def test_csr_matvec_into_equals_matmul(self):
         """On B, on the rows of a live range and on a matrix with -0
         entries and empty rows, over a NaN-filled ``out`` view whose
         neighbours stay untouched."""
-        from cosserat_plate.dynamics.explicit import _csr_matvec_into
+        from cosserat_plate.dynamics.explicit import (_csr_matvec_args,
+                                                      _csr_matvec_into)
 
         stack = make_model(nx=17, ny=13).interior_stack
         x = np.random.default_rng(2).standard_normal(stack.B.shape[1])
@@ -1728,7 +1863,7 @@ class TestKernelArithmetic:
         for A, v in ((stack.B, x), (stack.rows(stack.parts[0].s), x),
                      (stack.rows(stack.parts[1].s), x), (signed, xs)):
             out = np.full(A.shape[0] + 4, np.nan)
-            _csr_matvec_into(A, v, out[2:-2])
+            _csr_matvec_into(_csr_matvec_args(A, v, out[2:-2]))
             assert np.array_equal(bits(out[2:-2]), bits(A @ v))
             assert np.isnan(out[:2]).all() and np.isnan(out[-2:]).all()
 
@@ -1993,16 +2128,41 @@ class TestMirrorClass:
     def test_step_equals_simulate(self, case):
         """``step()`` takes the class from each grid state it is given and
         expands its result; ``simulate`` keeps the class values between
-        steps: the states are bitwise equal."""
+        steps."""
+        model, start, _ = self.CASES[case]()
+        assert_step_matches_simulate(model, start(model))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_class_run_agrees_with_the_velocity_form(self, case):
         model, start, _ = self.CASES[case]()
         s0 = start(model)
         dt = stable_dt(model)
-        traj = simulate(model, t_final=40 * dt, dt=dt, snapshot_every=10,
+        traj = simulate(model, t_final=400 * dt, dt=dt, snapshot_every=100,
                         initial=s0)
-        ref = step_loop(model, s0, traj.dt, traj.n_steps, 10)
-        for got, want in zip(traj.states, ref, strict=True):
-            for g, w in zip(state_arrays(got), state_arrays(want)):
-                assert g.tobytes() == w.tobytes()
+        assert_agrees_with_velocity_form(model, s0, traj, 100)
+
+    def test_expansion_is_bitwise_the_matmul(self):
+        """The kernel expands the class values of u, w and Lu by SciPy's
+        CSR kernel into zero-filled views of the full vectors: bitwise
+        ``P @ x``, signed zeros included, and the at-rest part's entries
+        stay untouched."""
+        from cosserat_plate.dynamics.explicit import _Kernel
+
+        model = make_model(nx=17, ny=17, material=verify_material())
+        kernel = _Kernel(model).start(mode_state(model), stable_dt(model))
+        (c,) = kernel.stack._classes.values()
+        f, e = (p.s for p in kernel.stack.parts)
+        rng = np.random.default_rng(5)
+        for values in (kernel._u, kernel._w, kernel._Lu):
+            values[:] = rng.standard_normal(values.size)
+            values[::5] = -0.0
+        for full in (kernel.u, kernel.w, kernel.Lu):
+            full.fill(np.nan)
+        kernel._expand()
+        for full, values in ((kernel.u, kernel._u), (kernel.w, kernel._w),
+                             (kernel.Lu, kernel._Lu)):
+            assert np.array_equal(bits(full[f]), bits(c.c.P @ values))
+            assert np.isnan(full[e]).all()
 
     def test_kernel_line_names_the_mirror_and_class(self, caplog):
         """Criterion 08's run steps the class odd under both mirrors, 337
@@ -2015,7 +2175,8 @@ class TestMirrorClass:
         assert kernel_lines(caplog) == [
             "kernel: stepping flexural odd-odd class of mirrors i, j (337 of "
             "2025 free dofs); extensional at rest"]
-        assert "simulate: 20 steps, 21 matvecs," in caplog.text
+        assert "simulate: 20 steps, 20 step matvecs, 2 check matvecs," \
+            in caplog.text
 
 
 def per_node_traction_load_rows(d, tc, loads, F):
@@ -2277,16 +2438,35 @@ def _kernel_private_names(path):
     return found
 
 
+def _imports_sparsetools(path):
+    """Whether the module at ``path`` imports SciPy's private CSR
+    kernels, ``scipy.sparse._sparsetools``, by any form of import."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name.startswith("scipy.sparse._sparsetools")
+               for name in names):
+            return True
+    return False
+
+
 def test_only_the_explicit_kernel_reads_its_interior_stack():
     """One interior-state integrator: no module of the package but
     ``dynamics/explicit.py`` names the interior stack or the kernel's
-    private classes, except the property that builds the stack."""
+    private classes, except the property that builds the stack, or
+    imports the CSR kernels that step it."""
     kernel = SRC / "cosserat_plate" / "dynamics" / "explicit.py"
     modules = sorted((SRC / "cosserat_plate").rglob("*.py"))
     assert kernel in modules and _kernel_private_names(kernel)
     found = {str(path.relative_to(SRC)): names for path in modules
              if path != kernel and (names := _kernel_private_names(path))}
     assert found == {}
+    assert [path for path in modules if _imports_sparsetools(path)] == \
+        [kernel]
 
 
 def test_one_mirror_implementation():
