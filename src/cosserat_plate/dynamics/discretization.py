@@ -429,6 +429,49 @@ def _abs_matvec(A, x: np.ndarray) -> np.ndarray:
                          shape=A.shape) @ x
 
 
+class _FreeBlock:
+    """One subsystem's free block, read by every solver: A restricted to
+    the free (interior and traction) dofs ``free_dofs``, field by field,
+    each row's entries in their order in A (``A_FF``, so K = -A_FF is E_h's
+    Hessian), its Dirichlet columns (``A_FD``) and the lumped free masses
+    (``mass``).  The mirror map of an axis is built on each asking and not
+    kept; its bitwise commutation with A_FF and the mass is checked once."""
+
+    def __init__(self, d: "_Discretization"):
+        import scipy.sparse as sp
+        self.name, self.nx, self.ny = d.name, d.nx, d.ny
+        self.free_dofs, weight = d.free_dofs, d.weight.ravel()[d.free_nodes]
+        self.mass = (d.op.mass[:, None] * weight).ravel()
+        A = d.A
+        # the columns are sliced first: their blocks are small
+        self.A_FD = A[:, d.dirich_dofs][d.free_dofs]
+        # A_FF's rows are A's free rows less their Dirichlet columns; a
+        # slice A[free][:, free] would hold a copy of the free rows
+        free = np.zeros(d.ndof, dtype=bool)
+        free[d.free_dofs] = True
+        keep = np.repeat(free, np.diff(A.indptr)) & free[A.indices]
+        counts = np.diff(A.indptr)[d.free_dofs] - np.diff(self.A_FD.indptr)
+        column = np.cumsum(free, dtype=np.int32) - 1
+        self.A_FF = sp.csr_matrix(
+            (A.data[keep], column[A.indices[keep]],
+             np.concatenate([[0], np.cumsum(counts)])),
+            shape=(counts.size, counts.size))
+        self._commutes = {}  # axis -> bool
+
+    def mirror(self, axis: int):
+        """The mirror of grid axis ``axis`` on the free dofs, or None."""
+        from .mirror import mirror_of
+        return mirror_of(self, axis)
+
+    def commutes(self, axis: int) -> bool:
+        """Whether that mirror exists and commutes with A_FF and the mass."""
+        if axis not in self._commutes:
+            m = self.mirror(axis)
+            self._commutes[axis] = m is not None and m.commutes(self.A_FF,
+                                                                self.mass)
+        return self._commutes[axis]
+
+
 # Per subsystem: the ``EdgeBC`` attribute that holds its edge data, its
 # field names and the rigid null space that makes its static problem
 # singular without a displacement edge.
@@ -464,9 +507,12 @@ class _Discretization:
         import scipy.sparse as sp
         self.A = sp.csr_matrix(self._stencil_rows(),
                                shape=(self.ndof, self.ndof))
-        weight = self.weight.ravel()[self.free_nodes]
-        self.mass_free = (op.mass[:, None] * weight).ravel()
         self.has_dirichlet = self.dirich_nodes.size > 0
+
+    @cached_property
+    def free_block(self) -> _FreeBlock:
+        """The free block, built on first use."""
+        return _FreeBlock(self)
 
     # -- node bookkeeping --------------------------------------------------
 

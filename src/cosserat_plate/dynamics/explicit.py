@@ -10,14 +10,13 @@ started from du = dt * w_0 + dt^2/2 * a(h_0, t_0) (Hairer, Lubich &
 Wanner, Acta Numerica 12, 2003).  It is algebraically the velocity-form
 leapfrog and shares its conserved shadow energy.  The kernel
 (``_Kernel``) advances both subsystems at once on stacked vectors over
-their free dofs, the interior and traction dofs, flexural first.  The free
-rows of the two subsystems are stacked once per model (``_InteriorStack``)
-into the block diagonal B of their free blocks A_FF, which keeps every
-row's entries in their order in A, and one stacked mass vector, each
-node's mass weighted by its dual-cell fraction.  Per run the kernel scales
-B's rows to C = dt^2 M^-1 B, which shares B's index arrays, and the
-boundary force and load vectors alike.  A step is one vector update and
-one matvec,
+their free dofs, the interior and traction dofs, flexural first, with one
+stacked mass vector, each node's mass weighted by its dual-cell fraction
+(``_InteriorStack``).  The kernel steps one block B per live part: its
+free block A_FF (``_FreeBlock``), which every solver reads, or the rows of
+a mirror class of it.  Per run it scales each block's rows to C = dt^2
+M^-1 B, which shares B's index arrays, and the boundary force and load
+vectors alike.  A step is one vector update and one matvec per live part,
 
     u += du;  du += C u (+ dt^2 M^-1 (f_b - F(t))),
 
@@ -26,10 +25,10 @@ the matvec by SciPy's CSR kernel, that of ``C @ u``, which adds into
 (``_csr_matvec_args``).  At 17^2 a step's Python calls cost as much as
 its arithmetic, so a step makes no other call unless a part has a
 boundary force or a load.  Velocities and L h are formed only where they
-are read, at the energy checks, snapshots and the end, by one matvec of B:
-w_n = (du - dt^2/2 * a_n) / dt.  The kernel takes only the free u and w
-from a grid state and forms a(t0) by that same routine, so g holds from
-t0.
+are read, at the energy checks, snapshots and the end, by one matvec of
+each B: w_n = (du - dt^2/2 * a_n) / dt.  The kernel takes only the free u
+and w from a grid state and forms a(t0) by that same routine, so g holds
+from t0.
 
 Per subsystem (``_Part``) the stack also holds the Dirichlet data g, the
 constant boundary force f_b (the lift A_FD g of g plus the force of the
@@ -39,7 +38,7 @@ kernel's arithmetic is that of two separate subsystems.  The stack and the
 kernel are private to this module: ``DiscreteModel.interior_stack`` builds
 the stack, and no other module reads it.
 ``stable_dt`` bounds the largest frequency of both subsystems by one
-Gershgorin row-sum pass over the same stack and keeps the bound there.
+Gershgorin row-sum pass over their free blocks and keeps it on the stack.
 
 The two subsystems never couple, so the kernel steps only what moves: a
 subsystem at rest with nothing to drive it stays exactly +0 and is skipped
@@ -49,7 +48,7 @@ a mirror-symmetric plate's free block couple (``mirror``), under either
 of the rectangle's two mirrors.  When the u and w of every live part, and
 its loads and boundary force, lie exactly in one class of each mirror
 that commutes with its free block, the kernel steps only the class of
-all those mirrors, on its rows B_sigma = (B P)[rows] of the half grid
+all those mirrors, on its rows B_sigma = (A_FF P)[rows] of the half grid
 (one mirror) or the quarter grid (both), and expands the result through
 P wherever full vectors are read.  Those rows sum in another order, so
 such a run agrees with stepping the whole block to roundoff, not bit for
@@ -85,7 +84,7 @@ from ..plate_fields import PlateKinematics
 from .discretization import (ConfigError, DiscreteModel, InstabilityError,
                              _abs_matvec, _Discretization, _envelope_sum,
                              checked_number)
-from .mirror import MirrorClass, class_of, mirror_of
+from .mirror import MirrorClass, class_of
 
 _log = logging.getLogger(__name__)
 
@@ -119,17 +118,18 @@ class DiscreteState:
 def stable_dt(model: DiscreteModel) -> float:
     """0.9 * 2/sqrt(G), below the central-difference limit 2/omega_max.
 
-    G = max_i sum_j |B_ij| / sqrt(m_i m_j), B the stacked free rows of both
-    subsystems (``_InteriorStack``), is the infinity-norm of M^-1/2 B
-    M^-1/2, which is similar to M^-1 B, so omega_max^2 <= G.  B holds every
-    free row, the traction rows included, so the bound covers every kind of
-    edge.  The row that sets G is logged at DEBUG level; the result is kept
-    on the stack.
+    G = max_i sum_j |A_ij| / sqrt(m_i m_j) over the rows of both
+    subsystems' free blocks A_FF (``_FreeBlock``) is the infinity-norm of
+    M^-1/2 A M^-1/2, A their block diagonal, which is similar to M^-1 A, so
+    omega_max^2 <= G.  A_FF holds every free row, the traction rows
+    included, so the bound covers every kind of edge.  The row that sets G
+    is logged at DEBUG level; the result is kept on the stack.
     """
     stack = model.interior_stack
     if stack.dt is None:
         r = stack.mass ** -0.5
-        rows = _abs_matvec(stack.B, r) * r
+        rows = np.concatenate([_abs_matvec(p.B, r[p.s]) * r[p.s]
+                               for p in stack.parts])
         i = int(np.argmax(rows))
         G = float(rows[i])
         stack.dt = 0.9 * 2.0 / math.sqrt(max(G, 1e-300))
@@ -163,19 +163,20 @@ def _scaled(B: sp.csr_matrix, scale: np.ndarray) -> np.ndarray:
 
 class _Part:
     """What drives one subsystem in the explicit kernel: its
-    discretization ``d``, its slice ``s`` of the stacked vectors, its
-    Dirichlet data ``g``, its constant boundary force ``boundary_force``
-    on the free dofs, the lift A_FD g plus the force of the traction data
-    (None when both are zero), its load terms (``presets``, ``F``) and
-    whether any of these can move it from rest (``driven``).  None of it
-    depends on time; the loads enter through F weighted by their
-    envelopes."""
+    discretization ``d``, its free block ``block`` and the block's rows
+    ``B``, its slice ``s`` of the stacked vectors, its Dirichlet data
+    ``g``, its constant boundary force ``boundary_force`` on the free dofs,
+    the lift A_FD g plus the force of the traction data (None when both are
+    zero), its load terms (``presets``, ``F``) and whether any of these can
+    move it from rest (``driven``).  None of it depends on time; the loads
+    enter through F weighted by their envelopes."""
 
-    def __init__(self, d: _Discretization, s: slice, A_FD):
-        self.d, self.s = d, s
+    def __init__(self, d: _Discretization, s: slice):
+        self.d, self.s, self.block = d, s, d.free_block
+        self.B = self.block.A_FF
         self.presets, self.F = d.load_terms
         self.g = d.dirichlet_values()
-        force = A_FD @ self.g if np.any(self.g) else None
+        force = self.block.A_FD @ self.g if np.any(self.g) else None
         data = d.traction_force()
         if np.any(data):
             if force is None:
@@ -188,83 +189,39 @@ class _Part:
 
 class _ClassPart:
     """A part stepped on one class c of its mirrors: the class's rows
-    B_sigma = (B P)[rows] of the part's free block, and the masses, load
-    vectors and boundary force of those rows.  On the class (B u)[rows] =
-    B_sigma u[rows], and P gives the other rows."""
+    B_sigma = (A_FF P)[rows] of the part's free block, and the masses, load
+    vectors and boundary force of those rows.  On the class (A_FF u)[rows]
+    = B_sigma u[rows], and P gives the other rows."""
 
-    def __init__(self, p: _Part, c: MirrorClass, block, mass):
+    def __init__(self, p: _Part, c: MirrorClass):
         self.p, self.c, self.presets = p, c, p.presets
-        self.B = c.rows_of(block)
-        self.mass = mass[c.rows]
+        self.B = c.rows_of(p.B)
+        self.mass = p.block.mass[c.rows]
         self.F = p.F[:, c.rows]
         self.boundary_force = (None if p.boundary_force is None
                                else p.boundary_force[c.rows])
 
 
 class _InteriorStack:
-    """The free rows of both subsystems, stacked flexural first, with
-    everything the explicit kernel needs that does not depend on time.
+    """Both subsystems' free dofs, stacked flexural first, with everything
+    the explicit kernel needs that does not depend on time.
 
-    ``B`` is the block diagonal of the two free blocks A_FF in CSR form,
-    each row's entries in their order in A, so ``B @ u`` forms every row sum
-    exactly as ``A_FF @ u`` does.  ``mass`` stacks the lumped free masses
-    and ``parts`` holds one ``_Part`` per subsystem; ``dt`` keeps the
-    ``stable_dt`` bound once computed, and ``mirror_class`` each mirror's
-    commutation and the rows of each class once built.  Built once per
-    model, on first use (``DiscreteModel.interior_stack``); no
-    per-subsystem A_FF is kept beside it.
+    ``parts`` holds one ``_Part`` per subsystem, whose rows are those of
+    its free block, and ``mass`` stacks the lumped free masses; ``dt``
+    keeps the ``stable_dt`` bound once computed, and ``mirror_class`` the
+    rows of each class once built.  Built once per model, on first use
+    (``DiscreteModel.interior_stack``); no matrix is kept beside the free
+    blocks.
     """
 
     def __init__(self, model: DiscreteModel):
         ds = (model.flex_d, model.ext_d)
-        # the columns are sliced first: their blocks are small
-        A_FD = [d.A[:, d.dirich_dofs][d.free_dofs] for d in ds]
-        # B's rows are A's free rows restricted to the free columns, their
-        # entries taken straight from A's arrays in their order there:
-        # building each A_FF first would double the memory the stack needs
-        # while it is built.  A free row's columns are free or Dirichlet,
-        # which gives each row's count.
-        counts = np.concatenate([
-            np.diff(d.A.indptr)[d.free_dofs] - np.diff(a.indptr)
-            for d, a in zip(ds, A_FD)])
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        n = nnz = 0
-        for d in ds:
-            free = np.zeros(d.ndof, dtype=bool)
-            free[d.free_dofs] = True
-            keep = np.repeat(free, np.diff(d.A.indptr)) & free[d.A.indices]
-            end = nnz + int(np.count_nonzero(keep))
-            data[nnz:end] = d.A.data[keep]
-            column = np.cumsum(free, dtype=np.int32) + (n - 1)
-            indices[nnz:end] = column[d.A.indices[keep]]
-            n += d.free_dofs.size
-            nnz = end
-        self.B = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        self.mass = np.concatenate([d.mass_free for d in ds])
         ends = np.cumsum([0] + [d.free_dofs.size for d in ds])
-        self.parts = [_Part(d, slice(lo, hi), a) for d, lo, hi, a
-                      in zip(ds, ends[:-1], ends[1:], A_FD)]
-        self.loaded = [p for p in self.parts if p.presets]
+        self.parts = [_Part(d, slice(lo, hi))
+                      for d, lo, hi in zip(ds, ends[:-1], ends[1:])]
+        self.mass = np.concatenate([p.block.mass for p in self.parts])
         self.dt = None
-        self._rows = {}
-        self._commutes = {}  # (part start, axis) -> bool
         self._classes = {}  # (part start, axes, sigmas) -> _ClassPart
-
-    def rows(self, live: slice) -> sp.csr_matrix:
-        """B's rows ``live`` over all its columns, built once per range.
-        Their data and column indices are slices of B's arrays, which scipy
-        keeps as views when they hold at least half of B, as the flexural
-        rows do, and copies otherwise."""
-        key = (live.start, live.stop)
-        if key not in self._rows:
-            ptr = self.B.indptr[live.start:live.stop + 1]
-            span = slice(ptr[0], ptr[-1])
-            self._rows[key] = sp.csr_matrix(
-                (self.B.data[span], self.B.indices[span], ptr - ptr[0]),
-                shape=(live.stop - live.start, self.B.shape[1]))
-        return self._rows[key]
 
     def mirror_class(self, p: _Part, u: np.ndarray,
                      w: np.ndarray) -> _ClassPart | None:
@@ -273,32 +230,23 @@ class _InteriorStack:
         class sigma (x[M k] == sigma s_k x[k]) and which commutes bit for
         bit with its free block and mass; None when no mirror does.  The
         O(n) test of the vectors comes first, and only when it passes the
-        O(nnz) commutation check, made once per part and mirror.  The
-        mirror maps are not kept: an asymmetric run would hold them for
-        nothing."""
+        block's O(nnz) commutation check, which it makes once per mirror."""
         vectors = [u, w, *p.F]
         if p.boundary_force is not None:
             vectors.append(p.boundary_force)
         mirrors, sigmas = [], []
         for axis in (0, 1):
-            m = mirror_of(p.d, p.d.free_dofs, axis)
+            m = p.block.mirror(axis)
             sigma = m and next((sigma for sigma in (1.0, -1.0) if all(
                 m.holds(x, sigma) for x in vectors)), None)
-            if sigma is None:
-                continue
-            if (p.s.start, axis) not in self._commutes:
-                self._commutes[p.s.start, axis] = m.commutes(
-                    self.B[p.s][:, p.s], self.mass[p.s])
-            if self._commutes[p.s.start, axis]:
+            if sigma is not None and p.block.commutes(axis):
                 mirrors.append(m)
                 sigmas.append(sigma)
         if not mirrors:
             return None
         key = (p.s.start, tuple(m.axis for m in mirrors), tuple(sigmas))
         if key not in self._classes:
-            self._classes[key] = _ClassPart(
-                p, class_of(mirrors, sigmas), self.B[p.s][:, p.s],
-                self.mass[p.s])
+            self._classes[key] = _ClassPart(p, class_of(mirrors, sigmas))
         return self._classes[key]
 
     def free(self, hs) -> np.ndarray:
@@ -328,23 +276,23 @@ class _Kernel:
 
     Only what moves is stepped.  A part is at rest when its u and w are
     zero at the start and nothing drives it (``_Part.driven``): its
-    boundary then holds g = 0 and no traction data acts on it.  B is block
-    diagonal, so its u, w and Lu stay exactly +0 for the whole run.  The
-    other parts are live.  The stepped values are ``_u``, ``_du``, ``_w``,
-    ``_Lu`` and ``_a``; a step's matvecs are the products of C bound in
-    ``_steps`` at the start, and an observation's those of B in
-    ``_products``:
+    boundary then holds g = 0 and no traction data acts on it.  The
+    subsystems do not couple, so its u, w and Lu stay exactly +0 for the
+    whole run.  The other parts are live.  The stepped values are ``_u``,
+    ``_du``, ``_w``, ``_Lu`` and ``_a``, and each live part's block B
+    multiplies its own range of them: a step's matvecs are the products of
+    C bound in ``_steps`` at the start, and an observation's those of B in
+    ``_products``.
 
     - When every live part lies in one class of its mirrors
       (``_InteriorStack.mirror_class``), the stepped values are each live
-      part's class values u[rows] and so on, concatenated, and each part's
-      class rows B_sigma multiply its own values.  The class is closed
-      under the step, so the state stays in it, and an observation expands
-      it to the full vectors through P (``_expand``).
+      part's class values u[rows] and so on, concatenated, and B is the
+      part's class rows B_sigma.  The class is closed under the step, so
+      the state stays in it, and an observation expands it to the full
+      vectors through P (``_expand``).
     - Otherwise they are the views of the full vectors over the range of
-      the stack the live parts span, and B's rows over that range
-      (``_InteriorStack.rows``) multiply the full u; with every part live
-      the range is the whole stack.
+      the stack the live parts span, and B is the part's free block A_FF;
+      with every part live the range is the whole stack.
 
     When a force does work on a live part, the step also keeps z = dt^2 a
     as the change of du and sums the midpoint work into ``work``.
@@ -383,7 +331,6 @@ class _Kernel:
                                 for x in (self.u, self.w))
             self._Lu = np.zeros(ends[-1])
             self._m = np.concatenate([c.mass for c in classes])
-            blocks = [(c.B, self._u[r], r) for c, r in zip(classes, ranges)]
             parts = [(c, r, c.c.weight) for c, r in zip(classes, ranges)]
             self._expansions = [
                 _csr_matvec_args(c.c.P, values[r], full[c.p.s])
@@ -392,11 +339,10 @@ class _Kernel:
                                      (self.Lu, self._Lu))]
             stepped = [f"{c.p.d.name} {c.c.label}" for c in classes]
         else:
-            lo = min((p.s.start for p in live), default=0)
-            s = slice(lo, max((p.s.stop for p in live), default=0))
+            lo = live[0].s.start if live else 0
+            s = slice(lo, live[-1].s.stop if live else 0)
             self._u, self._w, self._Lu, self._m = (
                 x[s] for x in (self.u, self.w, self.Lu, stack.mass))
-            blocks = [(stack.rows(s), self.u, slice(0, s.stop - lo))]
             parts = [(p, slice(p.s.start - lo, p.s.stop - lo), None)
                      for p in live]
             self._expansions = []
@@ -405,12 +351,13 @@ class _Kernel:
         self._a, self._du = np.empty(n), np.empty(n)
         scale = dt * dt / self._m
         self._half = 0.5 * dt * dt
-        # B's rows and C = dt^2 M^-1 B, which shares B's index arrays
-        self._products = [_csr_matvec_args(B, x, self._Lu[r])
-                          for B, x, r in blocks]
+        # each part's rows B and C = dt^2 M^-1 B, which shares B's index
+        # arrays
+        self._products = [_csr_matvec_args(x.B, self._u[r], self._Lu[r])
+                          for x, r, _ in parts]
         self._steps = [_csr_matvec_args(sp.csr_matrix(
-            (_scaled(B, scale[r]), B.indices, B.indptr), shape=B.shape), x,
-            self._du[r]) for B, x, r in blocks]
+            (_scaled(x.B, scale[r]), x.B.indices, x.B.indptr),
+            shape=x.B.shape), self._u[r], self._du[r]) for x, r, _ in parts]
         # what the matvecs leave out: the boundary force and the loads
         self._bounded = [(self._Lu[r], self._du[r], x.boundary_force,
                           scale[r] * x.boundary_force)
@@ -604,9 +551,8 @@ class Trajectory:
 
 
 # Steps between energy checks in ``simulate``, whatever the snapshot
-# cadence: a check costs one matvec of B and two dot products per
-# subsystem, about two steps, and an unstable run overflows within ~1000
-# steps.
+# cadence: a check costs one matvec and two dot products per subsystem,
+# about two steps, and an unstable run overflows within ~1000 steps.
 GUARD_EVERY = 50
 
 

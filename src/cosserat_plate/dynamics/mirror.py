@@ -1,4 +1,4 @@
-"""The mirror symmetries of a plate's free block, in any dof order.
+"""The mirror symmetries of a plate's free block.
 
 A rectangle has two commuting mirrors, i -> nx - 1 - i (axis 0, "i") and
 j -> ny - 1 - j (axis 1, "j").  On a rectangle whose edge pattern is
@@ -11,11 +11,11 @@ quarter of the grid (Bossavit, Comput. Methods Appl. Mech. Engrg. 56,
 1986; Fässler & Stiefel, Group Theoretical Methods and Their
 Applications, 1992).
 
-``mirror_of`` maps a set of free dofs onto itself under the mirror of one
-axis, in the order the caller keeps them: ``static`` keeps them line by
-line, node-major, and the explicit kernel and ``lowest_flexural_mode``
-field by field.  ``Mirror.commutes`` is the bitwise check, and
-``class_of`` gives the basis P of a class of one or both mirrors.
+``mirror_of`` maps a subsystem's free dofs onto themselves under the
+mirror of one axis, field by field, in the order of its free block
+(``discretization._FreeBlock``), which is its only caller and makes the
+only call of ``Mirror.commutes``, the bitwise check; ``class_of`` gives
+the basis P of a class of one or both mirrors.
 """
 
 from __future__ import annotations
@@ -139,23 +139,23 @@ def class_of(mirrors: list, sigmas: tuple) -> MirrorClass:
                        rows, weight)
 
 
-def classes_of(mirrors: list) -> list:
-    """Every class of ``mirrors``, one per choice of signs, even first."""
-    return [class_of(mirrors, sigmas) for sigmas
-            in itertools.product((1.0, -1.0), repeat=len(mirrors))]
+def classes_of(mirrors: list):
+    """Each class of ``mirrors`` in turn, one per sign choice, even first."""
+    return (class_of(mirrors, sigmas) for sigmas
+            in itertools.product((1.0, -1.0), repeat=len(mirrors)))
 
 
-def mirror_of(d, dofs: np.ndarray, axis: int) -> Mirror | None:
-    """The mirror of grid axis ``axis`` of discretization ``d`` on its dofs
-    ``dofs``, in their order; None when a dof's image is not among them (a
-    free node whose image is a Dirichlet node)."""
-    nn = d.nx * d.ny
-    field, node = np.divmod(dofs, nn)
-    side = 2 * np.divmod(node, d.ny)[axis] - ((d.nx, d.ny)[axis] - 1)
-    pos = np.full(d.ndof, -1)
+def mirror_of(block, axis: int) -> Mirror | None:
+    """The mirror of grid axis ``axis`` on the free dofs of a subsystem's
+    free block, in their order; None when a dof's image is not among them
+    (a free node whose image is a Dirichlet node)."""
+    nx, ny, dofs = block.nx, block.ny, block.free_dofs
+    field, node = np.divmod(dofs, nx * ny)
+    side = 2 * np.divmod(node, ny)[axis] - ((nx, ny)[axis] - 1)
+    parity = np.asarray(_MIRROR_PARITY[axis][block.name])
+    pos = np.full(parity.size * nx * ny, -1)
     pos[dofs] = np.arange(dofs.size)
-    mate = pos[dofs - side * (1 if axis else d.ny)]
+    mate = pos[dofs - side * (1 if axis else ny)]
     if np.any(mate < 0):
         return None
-    sign = np.asarray(_MIRROR_PARITY[axis][d.name])[field]
-    return Mirror(axis, mate, sign, side)
+    return Mirror(axis, mate, parity[field], side)

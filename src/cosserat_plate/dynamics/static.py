@@ -1,15 +1,15 @@
 """Static solves on the discretization.
 
 ``static_solve`` solves each subsystem's system A h = b condensed onto its
-free (interior and traction) dofs and factored (``_StaticFactor``): by
-banded Cholesky when the condensed matrix is symmetric, as on every plate
-of the derived coefficient tables, and by SuperLU otherwise, which only
-the literal tables reach.  On a plate whose edges are mirror-symmetric
-the symmetric system splits exactly into its even and odd parts under
-the mirror, and each part is band-factored on half the grid.  Each solve
-builds its subsystem's factors and releases them before the next
-subsystem is factored, so one subsystem's factors at most are alive; a
-repeat solve on one model factors again.  A subsystem whose right-hand
+free (interior and traction) dofs, the free block A_FF (``_FreeBlock``),
+and factored (``_StaticFactor``): by banded Cholesky when A_FF is
+symmetric, as on every plate of the derived tables, and by SuperLU
+otherwise, which only the literal tables reach.  On a plate whose edges
+are mirror-symmetric the symmetric system splits exactly into its even
+and odd parts under the mirror, each band-factored on half the grid.
+Each solve builds its subsystem's factors and releases them before the
+next subsystem is factored, so one subsystem's factors at most are
+alive; a repeat solve on one model factors again.  A subsystem whose right-hand
 side is all zero (no load, no boundary data, no extra forcing) is never
 factored: its solution is +0.  The factor's kind, mirror classes and
 size, the free-dof count and residuals are logged at DEBUG level; the
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,7 +31,7 @@ from .._blas import _one_blas_thread
 from ..plate_fields import PlateKinematics
 from .discretization import (DiscreteModel, SingularSystemError,
                              _abs_matvec, _Discretization, _envelope_sum)
-from .mirror import classes_of, mirror_of
+from .mirror import classes_of
 
 _log = logging.getLogger(__name__)
 
@@ -115,8 +116,10 @@ class _StaticFactor:
     solve builds one and releases it before the next subsystem's factor.
 
     The identity Dirichlet rows and columns are removed, leaving the free
-    (interior and traction) dofs F and A_FF h_F = b_F - A_FD g, with all
-    fields of a node adjacent.  Which factor A_FF gets depends on its
+    (interior and traction) dofs F and A_FF h_F = b_F - A_FD g, both read
+    off the free block (``block``), field by field.  Only the matrices
+    handed to the factor are permuted, into its dof order ``order`` with
+    all fields of a node adjacent.  Which factor A_FF gets depends on its
     measured symmetry, not on the kind of its edges:
 
     - **Symmetric** (max|A_FF - A_FF^T| <= ``SYMMETRY_TOL`` ||A_FF||): the
@@ -128,13 +131,15 @@ class _StaticFactor:
       each line along the grid's shorter side, or along the longer one when
       only that side's mirror maps the free dofs onto themselves, and split
       into classes by the mirror M that reverses every line
-      (``_mirror_classes``).  When M maps the free dofs onto themselves and
+      (``_class_forms``).  When M maps the free dofs onto themselves and
       commutes with A_FF exactly, S M A_FF M S = A_FF bit for bit with the
       field signs S of ``mirror._MIRROR_PARITY`` (the isotropic energy does
-      not see the mirror), F splits into the part even under S M and the part
-      odd under it (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).  Each class sigma has a basis P_sigma on the half grid: the nodes
-      on one side of the mirror line and on it, with a node on the line
-      keeping only the fields whose sign is sigma.  The classes do not couple,
+      not see the mirror), F splits into the part even under S M and the
+      part odd under it (Bossavit, Comput. Methods Appl. Mech. Engrg. 56,
+      1986).  Each class sigma has a basis P_sigma on the half grid, its
+      columns in line order: the nodes on one side of the mirror line and on
+      it, with a node on the line keeping only the fields whose sign is
+      sigma.  The classes do not couple,
       so A_FF^-1 = sum P_sigma A_sigma^-1 P_sigma^T with A_sigma = P_sigma^T
       A_FF P_sigma, and each -A_sigma's lower band is factored by LAPACK's
       banded Cholesky (pbtrf), which runs dense kernels at several times
@@ -143,13 +148,13 @@ class _StaticFactor:
       quarter of its work.  The other mirror would halve each class's dofs but
       not its band, so it is not taken.  The 97 x 129 cantilever, clamped on
       its left edge, takes lines along j and splits at half-bandwidth 394,
-      against 583 for the whole band.  Without the symmetry the whole of F is the one
-      class, P = I.  Split or whole, band storage grows as n^3 and the work as
-      n^4 on an n x n grid, against n^2 log n and n^3 for nested dissection
-      (George & Liu, 1981); on the clamped 129^2 plate the split takes 1.0 s
-      and 430 MiB peak RSS, the whole band 2.6 s and 710 MiB (both subsystems
-      loaded, one core of a 2-vCPU Xeon VM).  The factors run on one BLAS
-      thread (``_one_blas_thread``).
+      against 583 for the whole band.  Without the symmetry the whole of F
+      is the one class.  Split or whole, band storage grows as n^3 and the
+      work as n^4 on an n x n grid, against n^2 log n and n^3 for nested
+      dissection (George & Liu, 1981); on the clamped 129^2 plate the split
+      takes 1.0 s and 430 MiB peak RSS, the whole band 2.6 s and 710 MiB
+      (both subsystems loaded, one core of a 2-vCPU Xeon VM).  The factors
+      run on one BLAS thread (``_one_blas_thread``).
     - **Not symmetric**: only the literal coefficient tables of
       ``--paper-literal-operators`` (0.3-0.5% asymmetry on a clamped
       plate).  F is ordered by nested dissection of the node grid and
@@ -175,27 +180,28 @@ class _StaticFactor:
 
     def __init__(self, d: _Discretization):
         self.name = d.name
-        self.dirich = d.dirich_dofs
+        self.free, self.dirich = d.free_dofs, d.dirich_dofs
+        self.block = block = d.free_block
+        K = block.A_FF
         self.lu = None
         self.mirror = "none"
         # the lines run along the shorter side, unless only the other
         # side's mirror maps the free dofs onto themselves
         axes = (1, 0) if d.ny <= d.nx else (0, 1)
-        self.axis = next((a for a in axes if mirror_of(d, d.free_dofs, a)),
-                         axes[0])
-        self.classes = []  # (name, P or None for the identity, factor)
-        self._condense(d, _line_order(d.nx, d.ny, self.axis))
+        self.axis = next((a for a in axes if block.mirror(a)), axes[0])
+        self.classes = []  # (name, P or None for the whole band, factor)
         # ||A_FF|| in the infinity norm, the largest |row| sum, for the
         # backward error; its temporary |A_FF| is freed before the factor.
         # Neither it nor the symmetry check depends on the dof order.
-        self.norm = float(np.max(_abs_matvec(self.A_FF,
-                                             np.ones(self.free.size))))
-        if (abs(self.A_FF - self.A_FF.T).max()
-                <= self.SYMMETRY_TOL * self.norm):
-            bases = self._mirror_classes(d)
-        else:
-            bases = None
-            self._condense(d, _nested_dissection(d.nx, d.ny))
+        self.norm = float(np.max(_abs_matvec(K, np.ones(K.shape[0]))))
+        symmetric = abs(K - K.T).max() <= self.SYMMETRY_TOL * self.norm
+        # the factor's dof order, node by node, as positions in free_dofs
+        nodes = (_line_order(d.nx, d.ny, self.axis) if symmetric
+                 else _nested_dissection(d.nx, d.ny))
+        free = d.kind.ravel() != 1
+        rank = np.cumsum(free) - 1  # a free node's place among the free
+        self.order = (rank[nodes[free[nodes]]][:, None]
+                      + d.free_nodes.size * np.arange(d.nf)).ravel()
         # SuperLU sizes its work arrays from a fill estimate and touches only
         # part of them.  On fresh pages the untouched part costs no memory;
         # on C-heap pages that earlier work touched and freed, which glibc
@@ -206,9 +212,8 @@ class _StaticFactor:
         # runs spread over 221-261 MiB; trimmed, over 224-228 MiB.
         _malloc_trim(0)
         try:
-            if bases is not None:
-                for name, P, c in bases:
-                    A = self.A_FF if c is None else c.form(self.A_FF)
+            if symmetric:
+                for name, P, A in self._class_forms(K):
                     band = _lower_band(A)
                     del A  # A_sigma is freed once its band is built
                     with _one_blas_thread():
@@ -216,7 +221,8 @@ class _StaticFactor:
                             band, lower=True, overwrite_ab=True,
                             check_finite=False)))
             else:
-                self.lu = spla.splu(self.A_FF.tocsc(), permc_spec="NATURAL",
+                self.lu = spla.splu(K[self.order][:, self.order].tocsc(),
+                                    permc_spec="NATURAL",
                                     diag_pivot_thresh=self.PIVOT_THRESH,
                                     options=dict(SymmetricMode=True))
         except (RuntimeError, np.linalg.LinAlgError) as exc:
@@ -225,7 +231,7 @@ class _StaticFactor:
         _malloc_trim(0)
         if not _log.isEnabledFor(logging.DEBUG):
             return
-        if bases is not None:
+        if symmetric:
             _log.debug("%s static factor: %d free dofs, band Cholesky, "
                        "lines along %s, mirror %s, %s", d.name,
                        self.free.size, "ij"[self.axis], self.mirror,
@@ -239,36 +245,37 @@ class _StaticFactor:
             _log.debug("%s static factor: %d free dofs, SuperLU, L+U nnz %d",
                        d.name, self.free.size, self.lu.L.nnz + self.lu.U.nnz)
 
-    def _condense(self, d: _Discretization, nodes: np.ndarray) -> None:
-        """The free dofs, node by node in the order ``nodes``, and A_FF and
-        A_FD in that order."""
-        nn = d.nx * d.ny
-        nodes = nodes[d.kind.ravel()[nodes] != 1]  # drop Dirichlet nodes
-        self.free = (nodes[:, None] + nn * np.arange(d.nf)[None, :]).ravel()
-        A_F = d.A[self.free]
-        self.A_FF = A_F[:, self.free]
-        self.A_FD = A_F[:, self.dirich]
-
-    def _mirror_classes(self, d: _Discretization) -> list:
-        """The classes of A_FF under the mirror M that reverses every line,
-        as (name, P, class), and M's grid index, "i" or "j", in
-        ``self.mirror``.  Without the exact symmetry the one class is
-        ("all", None, None) and ``self.mirror`` stays "none"."""
-        m = mirror_of(d, self.free, self.axis)
-        if m is None or not m.commutes(self.A_FF):
-            return [("all", None, None)]
-        self.mirror = m.name
-        return [(c.name, c.P, c) for c in classes_of([m])]
+    def _class_forms(self, K):
+        """Each class of A_FF = K under the mirror M that reverses every
+        line, one at a time, as (name, P, P^T K P) with P's columns in line
+        order; M's grid index goes to ``self.mirror``.  Without the exact
+        symmetry the one class is ("all", None, K in line order)."""
+        if not self.block.commutes(self.axis):
+            yield "all", None, K[self.order][:, self.order]
+            return
+        self.mirror = "ij"[self.axis]
+        for c in classes_of([self.block.mirror(self.axis)]):
+            # the class's columns in line order
+            line = np.full(self.order.size, -1)
+            line[c.rows] = np.arange(c.rows.size)
+            line = line[self.order][line[self.order] >= 0]
+            c = replace(c, P=c.P[:, line], rows=c.rows[line],
+                        weight=c.weight[line])
+            del line
+            yield c.name, c.P, c.form(K)
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        """A_FF^-1 b, the sum over the classes of P A_sigma^-1 P^T b."""
-        if self.lu is not None:
-            return self.lu.solve(b)
+        """A_FF^-1 b: the one factor's solve in its dof order, or the sum
+        over the mirror classes of P A_sigma^-1 P^T b."""
+        if self.mirror == "none":
+            x = np.empty(b.size)
+            x[self.order] = (
+                self.lu.solve(b[self.order]) if self.lu is not None
+                else sla.cho_solve_banded((self.classes[0][2], True),
+                                          -b[self.order], check_finite=False))
+            return x
         x = 0.0
         for _, P, cho in self.classes:
-            if P is None:  # the whole band, the only class
-                return sla.cho_solve_banded((cho, True), -b,
-                                            check_finite=False)
             x = x + P @ sla.cho_solve_banded((cho, True), P.T @ -b,
                                              check_finite=False)
         return x
@@ -279,12 +286,12 @@ class _StaticFactor:
         (||A_FF|| ||x|| + ||b||), infinity norms, of the refined free-dof
         solution x."""
         g = rhs[self.dirich]
-        b = rhs[self.free] - self.A_FD @ g
+        b = rhs[self.free] - self.block.A_FD @ g
         scale = max(np.max(np.abs(b)), 1.0e-300)
         x = self._solve(b)
         resid = []
         for k in range(self.REFINE + 1):
-            r = b - self.A_FF @ x
+            r = b - self.block.A_FF @ x
             resid.append(np.max(np.abs(r)))
             if k < self.REFINE:
                 x += self._solve(r)

@@ -419,7 +419,7 @@ def suite_convergence(seed: int = 6) -> SuiteResult:
 
 def lowest_flexural_mode(model):
     """Fundamental flexural eigenmode of the constrained discrete system,
-    K = -A_FF and M the lumped masses of the free flexural rows.  The
+    K = -A_FF and M the lumped masses of the flexural free block.  The
     classes of every mirror of the rectangle that commutes with K and M
     bit for bit (``dynamics.mirror``) do not couple: each class's P^T K P,
     P^T M P is solved alone and the lowest mode is returned, expanded
@@ -430,20 +430,19 @@ def lowest_flexural_mode(model):
     bits."""
     import scipy.sparse as sp
 
-    from .dynamics.mirror import classes_of, mirror_of
+    from .dynamics.mirror import classes_of
 
-    d = model.flex_d
-    K = -d.A[d.free_dofs][:, d.free_dofs]
-    mirrors = [m for m in (mirror_of(d, d.free_dofs, axis) for axis in (0, 1))
-               if m is not None and m.commutes(K, d.mass_free)]
+    block = model.flex_d.free_block
+    K = -block.A_FF
+    mirrors = [block.mirror(axis) for axis in (0, 1) if block.commutes(axis)]
     if not mirrors:
-        w2, vecs = spla.eigsh(K.tocsc(), k=1, M=sp.diags(d.mass_free),
+        w2, vecs = spla.eigsh(K.tocsc(), k=1, M=sp.diags(block.mass),
                               sigma=0.0, which="LM", v0=np.ones(K.shape[0]))
         return float(np.sqrt(max(w2[0], 0.0))), vecs[:, 0]
     modes = []
     for c in classes_of(mirrors):
         w2, vecs = spla.eigsh(c.form(K).tocsc(), k=1,
-                              M=sp.diags(c.weight * d.mass_free[c.rows]),
+                              M=sp.diags(c.weight * block.mass[c.rows]),
                               sigma=0.0, which="LM", v0=np.ones(c.rows.size))
         modes.append((w2[0], c.P @ vecs[:, 0]))
     w2, mode = min(modes, key=lambda wm: wm[0])

@@ -34,7 +34,6 @@ from cosserat_plate.dynamics import (
     static_solve,
     step,
 )
-from cosserat_plate.dynamics.mirror import mirror_of
 from cosserat_plate.material import material_from_technical
 from cosserat_plate.plate_fields import (
     EXTENSIONAL_FIELDS,
@@ -266,7 +265,7 @@ def omega_max_sq(model):
     taken by eigsh on the symmetric M^-1/2 K M^-1/2."""
     w2 = []
     for d in (model.flex_d, model.ext_d):
-        r = sp.diags(d.mass_free ** -0.5)
+        r = sp.diags(d.free_block.mass ** -0.5)
         K = -d.A[d.free_dofs][:, d.free_dofs]
         lam = spla.eigsh(r @ K @ r, k=1, which="LA",
                          return_eigenvectors=False)
@@ -335,7 +334,7 @@ class TestStableDt:
         G = []
         for d in (model.flex_d, model.ext_d):
             A_FF = d.A[d.free_dofs][:, d.free_dofs]
-            r = d.mass_free ** -0.5
+            r = d.free_block.mass ** -0.5
             G.append(np.max((abs(A_FF) @ r) * r))
         assert stable_dt(model) == 0.9 * 2.0 / np.sqrt(max(G))
 
@@ -359,7 +358,7 @@ class TestStableDt:
         names = FLEXURAL_FIELDS if d.nf == 6 else EXTENSIONAL_FIELDS
         dof = names.index(field) * d.nx * d.ny + i * d.ny + j
         k = int(np.flatnonzero(d.free_dofs == dof)[0])
-        r = d.mass_free ** -0.5
+        r = d.free_block.mass ** -0.5
         row = d.A[dof][:, d.free_dofs].toarray().ravel()
         assert np.abs(row) @ r * r[k] == pytest.approx(G, rel=1e-6)
 
@@ -565,13 +564,13 @@ def band_width(A) -> int:
     return int(np.max(A.row - A.col))
 
 
-def mirror_image(f, d, mirror) -> tuple:
-    """The position of each free dof's mirror image among the free dofs and
-    the signs of the fields, for the mirror ``mirror``: "j" is j -> ny - 1
-    - j, "i" is i -> nx - 1 - i.  None where a free node's image is a
-    Dirichlet node."""
+def mirror_image(free, d, mirror) -> tuple:
+    """The position of each free dof's mirror image among the free dofs
+    ``free`` and the signs of the fields, for the mirror ``mirror``: "j" is
+    j -> ny - 1 - j, "i" is i -> nx - 1 - i.  None where a free node's
+    image is a Dirichlet node."""
     nn = d.nx * d.ny
-    field, node = np.divmod(f.free, nn)
+    field, node = np.divmod(free, nn)
     i, j = np.divmod(node, d.ny)
     if mirror == "j":
         image = field * nn + i * d.ny + (d.ny - 1 - j)
@@ -580,7 +579,7 @@ def mirror_image(f, d, mirror) -> tuple:
         image = field * nn + (d.nx - 1 - i) * d.ny + j
         signs = {"flexural": (-1, 1, 1, -1, 1, -1), "extensional": (-1, 1, -1)}
     where = np.full(d.ndof, -1)
-    where[f.free] = np.arange(f.free.size)
+    where[free] = np.arange(free.size)
     if np.any(where[image] < 0):
         return None
     return where[image], np.asarray(signs[d.name], dtype=float)[field]
@@ -599,17 +598,54 @@ def index_formula_band(A) -> np.ndarray:
     return band
 
 
+def line_block(f) -> tuple:
+    """The static factor's free dofs, and its subsystem's free blocks A_FF
+    and A_FD, in the factor's dof order ``f.order``: node by node, line by
+    line."""
+    o = f.order
+    return f.free[o], f.block.A_FF[o][:, o], f.block.A_FD[o]
+
+
 def whole_band_solve(f, rhs) -> np.ndarray:
-    """The free-dof solution by one band Cholesky of the whole -A_FF and
-    one refinement step: the static solve without the mirror split."""
+    """The free-dof solution, in the factor's dof order, by one band
+    Cholesky of the whole -A_FF in that order and one refinement step: the
+    static solve without the mirror split."""
+    free, A_FF, A_FD = line_block(f)
     with _blas._one_blas_thread():
-        cho = sla.cholesky_banded(index_formula_band(f.A_FF), lower=True,
+        cho = sla.cholesky_banded(index_formula_band(A_FF), lower=True,
                                   check_finite=False)
-    b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
+    b = rhs[free] - A_FD @ rhs[f.dirich]
     x = sla.cho_solve_banded((cho, True), -b, check_finite=False)
-    x += sla.cho_solve_banded((cho, True), -(b - f.A_FF @ x),
+    x += sla.cho_solve_banded((cho, True), -(b - A_FF @ x),
                               check_finite=False)
     return x
+
+
+@pytest.mark.parametrize("nx,ny,bc", [
+    (17, 17, None), (17, 13, CANTILEVER), (13, 17, CANTILEVER),
+    (13, 13, RIGHT_TOP_TRACTION),
+    (16, 16, dict(ALL_CLAMPED, right="traction"))],
+    ids=["clamped-17", "cantilever-17x13", "cantilever-13x17",
+         "right-top-traction", "right-traction-16"])
+def test_free_block_is_the_free_slice_of_A(nx, ny, bc):
+    """Each subsystem's free block, built once, is bit for bit the slice
+    of A to the free rows and columns, each row's entries in their order in
+    A (indptr, indices and data), and of the free rows to the Dirichlet
+    columns; its mass is the lumped free mass."""
+    model = make_model(nx=nx, ny=ny, bc=bc)
+    for d in (model.flex_d, model.ext_d):
+        block = d.free_block
+        assert d.free_block is block
+        # each node's mass weighted by its dual-cell fraction
+        assert np.array_equal(block.mass, np.concatenate([
+            m * d.weight.ravel()[d.free_nodes] for m in d.op.mass]))
+        rows = d.A[d.free_dofs]
+        for got, want in ((block.A_FF, rows[:, d.free_dofs]),
+                          (block.A_FD, rows[:, d.dirich_dofs])):
+            assert got.shape == want.shape, d.name
+            assert np.array_equal(got.indptr, want.indptr), d.name
+            assert np.array_equal(got.indices, want.indices), d.name
+            assert np.array_equal(bits(got.data), bits(want.data)), d.name
 
 
 class TestStaticFactor:
@@ -658,7 +694,8 @@ class TestStaticFactor:
                 assert f.name == d.name and f.lu is None
                 assert [name for name, _, _ in f.classes] == ["even", "odd"]
                 L = int(np.max(np.sum(d.kind != 1, axis=1 if ny <= nx else 0)))
-                assert band_width(f.A_FF) <= d.nf * (L + 1) + 1, d.name
+                assert band_width(line_block(f)[1]) <= d.nf * (L + 1) + 1, \
+                    d.name
                 for _, _, cho in f.classes:
                     assert cho.flags.f_contiguous, d.name
                     assert cho.shape[0] - 1 <= d.nf * (-(-L // 2) + 1) + 1, \
@@ -716,15 +753,15 @@ class TestStaticFactor:
             model = make_model(nx=nx, ny=ny, bc=bc, material=material)
             for d in (model.flex_d, model.ext_d):
                 f = dynamics._StaticFactor(d)
-                image, sign = mirror_image(f, d, mirror)
-                A = f.A_FF.toarray()
+                image, sign = mirror_image(f.free, d, mirror)
+                A = f.block.A_FF.toarray()
                 assert np.array_equal(
                     sign[:, None] * A[np.ix_(image, image)] * sign, A)
                 assert f.mirror == "ij"[f.axis] == mirror, (nx, ny)
                 assert [name for name, _, _ in f.classes] == ["even", "odd"]
                 # node by node, line by line along the mirror's axis
                 order = dynamics._line_order(nx, ny, f.axis)
-                assert np.array_equal(f.free[::d.nf],
+                assert np.array_equal(f.free[f.order][::d.nf],
                                       order[d.kind.ravel()[order] != 1])
 
     def test_each_class_has_half_the_band(self):
@@ -732,7 +769,7 @@ class TestStaticFactor:
         half-bandwidth nf (L + 1) + 1 = 385 (L = 63), and each mirror
         class nf (32 + 1) - 2 = 196."""
         f = dynamics._StaticFactor(make_model(nx=65, ny=65).flex_d)
-        assert band_width(f.A_FF) == 385
+        assert band_width(line_block(f)[1]) == 385
         assert [cho.shape[0] - 1 for _, _, cho in f.classes] == [196, 196]
 
     @pytest.mark.parametrize("nx,ny,bc", [(13, 13, RIGHT_TOP_TRACTION),
@@ -761,7 +798,7 @@ class TestStaticFactor:
             assert [(name, P) for name, P, _ in f.classes] == [("all", None)]
             rhs = dynamics._static_rhs(d)
             h, _ = f.solve(rhs)
-            assert np.array_equal(h[f.free].view(np.int64),
+            assert np.array_equal(h[f.free[f.order]].view(np.int64),
                                   whole_band_solve(f, rhs).view(np.int64))
 
     @pytest.mark.parametrize("nx,ny,bc,axis,mirror",
@@ -849,12 +886,15 @@ class TestStaticFactor:
     def test_lower_band_matches_the_index_formula(self, nx, ny):
         """The in-place band builder writes the same bits as the direct
         scatter of -A[i, j] to flat element i - j + (kd + 1) j, for A_FF
-        and for each mirror class's P^T A_FF P."""
+        in the factor's line order and for each mirror class's P^T A_FF
+        P, whose columns are in line order."""
         model = make_model(nx=nx, ny=ny, bc=CLAMPED_WITH_DATA,
                            loads=STATIC_LOADS)
         for d in (model.flex_d, model.ext_d):
             f = dynamics._StaticFactor(d)
-            for A in (f.A_FF, *(P.T @ f.A_FF @ P for _, P, _ in f.classes)):
+            K = f.block.A_FF
+            for A in (line_block(f)[1], *(P.T @ K @ P
+                                          for _, P, _ in f.classes)):
                 band = dynamics.static._lower_band(A)
                 ref = index_formula_band(A)
                 assert band.flags.f_contiguous and band.shape == ref.shape
@@ -960,9 +1000,9 @@ class TestStaticFactor:
                 logged = float(re.search(r", backward error (\S+)$", ln)[1])
                 rhs = dynamics._static_rhs(d)
                 x = f.solve(rhs)[0][f.free]
-                b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
-                norm = np.max(np.sum(np.abs(f.A_FF.toarray()), axis=1))
-                want = np.max(np.abs(b - f.A_FF @ x)) / (
+                b = rhs[f.free] - f.block.A_FD @ rhs[f.dirich]
+                norm = np.max(np.sum(np.abs(f.block.A_FF.toarray()), axis=1))
+                want = np.max(np.abs(b - f.block.A_FF @ x)) / (
                     norm * np.max(np.abs(x)) + np.max(np.abs(b)))
                 assert logged == pytest.approx(want, rel=1e-2)
                 assert logged < 1e-14
@@ -993,11 +1033,11 @@ class TestStaticFactor:
             assert f.name == d.name
             rhs = dynamics._static_rhs(d)
             x = h.ravel()[f.free]
-            b = rhs[f.free] - f.A_FD @ rhs[f.dirich]
-            dense = f.A_FF.toarray()
+            b = rhs[f.free] - f.block.A_FD @ rhs[f.dirich]
+            dense = f.block.A_FF.toarray()
             norm = np.max(np.sum(np.abs(dense), axis=1))
             assert f.norm == pytest.approx(norm, rel=1e-14)
-            want = np.max(np.abs(b - f.A_FF @ x)) / (
+            want = np.max(np.abs(b - f.block.A_FF @ x)) / (
                 norm * np.max(np.abs(x)) + np.max(np.abs(b)))
             assert diag[f"{d.name}_backward_error"] == pytest.approx(
                 want, rel=1e-12)
@@ -1167,7 +1207,7 @@ class TestSimulate:
             h, v = h.ravel(), v.ravel()
             u, w = h[d.free_dofs], v[d.free_dofs]
             Lh = d.A[d.free_dofs] @ h
-            density.append(w * (d.mass_free * w) - u * Lh)
+            density.append(w * (d.free_block.mass * w) - u * Lh)
             names = FLEXURAL_FIELDS if d.nf == 6 else EXTENSIONAL_FIELDS
             f, node = np.divmod(d.free_dofs, d.nx * d.ny)
             where += [(d.name, names[fk], str(nk // d.ny), str(nk % d.ny))
@@ -1312,7 +1352,7 @@ def without_rigid_motion(model, s):
         assert np.max(np.abs(K @ Z.T)) <= 1e-12 * abs(K).max(), d.name
         v = v.copy()
         w = v.reshape(-1)[d.free_dofs]
-        MZ = Z * d.mass_free
+        MZ = Z * d.free_block.mass
         w -= Z.T @ np.linalg.solve(MZ @ Z.T, MZ @ w)
         v.reshape(-1)[d.free_dofs] = w
         vel.append(v)
@@ -1529,7 +1569,7 @@ class TestKernel:
             for (d, A_int, g), (h, v) in zip(subs, grid(s)):
                 u = h.ravel()[d.free_dofs]
                 w = v.ravel()[d.free_dofs]
-                ke += 0.5 * float(w @ (d.mass_free * w)) * dA
+                ke += 0.5 * float(w @ (d.free_block.mass * w)) * dA
                 Lh = A_int @ h.ravel() - lift(d, A_int, g)
                 ue += -0.5 * float(u @ Lh) * dA
             return ke, ue
@@ -1618,6 +1658,14 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def free_rows(model):
+    """B, the block diagonal of both subsystems' free rows of A restricted
+    to their free columns, sliced from A: each row's entries in their order
+    there, as the free blocks the kernel steps hold them."""
+    return sp.block_diag([d.A[d.free_dofs][:, d.free_dofs]
+                          for d in (model.flex_d, model.ext_d)], format="csr")
+
+
 def reference_leapfrog(model, s0, dt, n_steps, every):
     """``simulate``'s two-level scheme written out on the whole stack: the
     free u and w at t0 and every ``every`` steps and the final step, and
@@ -1628,7 +1676,7 @@ def reference_leapfrog(model, s0, dt, n_steps, every):
     forms L h and a from u and w = (du - dt^2/2 a) / dt.  The start takes
     L h as every check does, whatever boundary values ``s0`` holds."""
     stack = model.interior_stack
-    m, dA, B = stack.mass, model.cell_area, stack.B
+    m, dA, B = stack.mass, model.cell_area, free_rows(model)
     u = stack.free([h.ravel() for h in (s0.flex, s0.ext)])
     w = stack.free([v.ravel() for v in (s0.flex_vel, s0.ext_vel)])
     half, scale, n = 0.5 * dt * dt, dt * dt / m, m.size
@@ -1637,6 +1685,7 @@ def reference_leapfrog(model, s0, dt, n_steps, every):
         (np.insert(B.data * np.repeat(scale, np.diff(B.indptr)), first, 1.0),
          np.insert(B.indices + n, first, np.arange(n)),
          B.indptr + np.arange(n + 1)), shape=(n, 2 * n))
+    loaded = [p for p in stack.parts if p.presets]
     worked = [p for p in stack.parts
               if p.presets or p.boundary_force is not None]
 
@@ -1648,7 +1697,7 @@ def reference_leapfrog(model, s0, dt, n_steps, every):
             if p.boundary_force is not None:
                 Lu[p.s] += p.boundary_force
         a = Lu.copy()
-        for p in stack.loaded:
+        for p in loaded:
             a[p.s] -= dynamics._envelope_sum(p.presets, p.F, t)
         return Lu, a / m
 
@@ -1677,7 +1726,7 @@ def reference_leapfrog(model, s0, dt, n_steps, every):
         for p in stack.parts:
             if p.boundary_force is not None:
                 du[p.s] += scale[p.s] * p.boundary_force
-        for p in stack.loaded:
+        for p in loaded:
             du[p.s] -= dynamics._envelope_sum(p.presets, scale[p.s] * p.F, t)
         # the midpoint work: dt w_mid = du_n + (z_{n+1} - z_n) / 4
         z1 = du - prev
@@ -1705,15 +1754,16 @@ def velocity_leapfrog(model, s0, dt, n_steps, every):
     work of the midpoint velocity (w_n + w_{n+1}) / 2.  It returns what
     ``reference_leapfrog`` returns; the two forms agree to roundoff."""
     stack = model.interior_stack
-    m, dA = stack.mass, model.cell_area
+    m, dA, B = stack.mass, model.cell_area, free_rows(model)
     u = stack.free([h.ravel() for h in (s0.flex, s0.ext)])
     w = stack.free([v.ravel() for v in (s0.flex_vel, s0.ext_vel)])
+    loaded = [p for p in stack.parts if p.presets]
     worked = [p for p in stack.parts
               if p.presets or p.boundary_force is not None]
 
-    def free_rows(t):
+    def free_force(t):
         """L h at time t: B u and each part's boundary force."""
-        Lu = stack.B @ u
+        Lu = B @ u
         for p in stack.parts:
             if p.boundary_force is not None:
                 Lu[p.s] += p.boundary_force
@@ -1722,7 +1772,7 @@ def velocity_leapfrog(model, s0, dt, n_steps, every):
     def acceleration(Lu, t):
         a = np.empty_like(Lu)
         np.copyto(a, Lu)
-        for p in stack.loaded:
+        for p in loaded:
             a[p.s] -= dynamics._envelope_sum(p.presets, p.F, t)
         a /= m
         return a
@@ -1738,7 +1788,7 @@ def velocity_leapfrog(model, s0, dt, n_steps, every):
         return ke, ue
 
     t, work = s0.time, 0.0
-    Lu = free_rows(t)
+    Lu = free_force(t)
     a = acceleration(Lu, t)
     states, log = [(u.copy(), w.copy())], [(t, *energies(Lu), work)]
     for k in range(1, n_steps + 1):
@@ -1747,7 +1797,7 @@ def velocity_leapfrog(model, s0, dt, n_steps, every):
         w += a * (0.5 * dt)
         u += w * dt
         t = t + dt
-        Lu = free_rows(t)
+        Lu = free_force(t)
         a = acceleration(Lu, t)
         w += a * (0.5 * dt)
         for p, buf in zip(worked, w_mid):
@@ -1846,22 +1896,22 @@ class TestKernelArithmetic:
         assert_agrees_with_velocity_form(model, s0, traj, 25)
 
     def test_csr_matvec_into_equals_matmul(self):
-        """On B, on the rows of a live range and on a matrix with -0
-        entries and empty rows, over a NaN-filled ``out`` view whose
-        neighbours stay untouched."""
+        """On each subsystem's free block and on a matrix with -0 entries
+        and empty rows, over a NaN-filled ``out`` view whose neighbours stay
+        untouched."""
         from cosserat_plate.dynamics.explicit import (_csr_matvec_args,
                                                       _csr_matvec_into)
 
         stack = make_model(nx=17, ny=13).interior_stack
-        x = np.random.default_rng(2).standard_normal(stack.B.shape[1])
+        x = np.random.default_rng(2).standard_normal(stack.mass.size)
         x[::7] = -0.0
         signed = sp.csr_matrix(
             (np.array([-0.0, 1.5, -2.0, 0.0, -0.0, 3.0]),
              np.array([0, 2, 1, 3, 0, 3], dtype=np.int32),
              np.array([0, 2, 2, 4, 4, 6], dtype=np.int32)), shape=(5, 4))
         xs = np.array([2.0, 0.0, -0.0, 1.0])
-        for A, v in ((stack.B, x), (stack.rows(stack.parts[0].s), x),
-                     (stack.rows(stack.parts[1].s), x), (signed, xs)):
+        for A, v in ((stack.parts[0].B, x[stack.parts[0].s]),
+                     (stack.parts[1].B, x[stack.parts[1].s]), (signed, xs)):
             out = np.full(A.shape[0] + 4, np.nan)
             _csr_matvec_into(_csr_matvec_args(A, v, out[2:-2]))
             assert np.array_equal(bits(out[2:-2]), bits(A @ v))
@@ -2011,7 +2061,7 @@ def mirrored(model, s, sigma):
     arrays = {}
     for d, names in ((model.flex_d, ("flex", "flex_vel")),
                      (model.ext_d, ("ext", "ext_vel"))):
-        m = mirror_of(d, d.free_dofs, 1)
+        m = d.free_block.mirror(1)
         for name in names:
             h = getattr(s, name).ravel().copy()
             x = h[d.free_dofs]
@@ -2472,33 +2522,95 @@ def test_only_the_explicit_kernel_reads_its_interior_stack():
 def test_one_mirror_implementation():
     """One implementation per concept: exactly one module of the package
     defines the field parities ``_MIRROR_PARITY``, the bitwise commutation
-    check ``commutes`` and the class builders, and only it builds a
-    ``MirrorClass`` and so its basis P; the static factor, the explicit
-    kernel and ``lowest_flexural_mode`` import the mirror from it."""
-    defines, imports, builds = {}, {}, {}
+    check ``Mirror.commutes``, ``mirror_of`` and the class builders, and
+    only it builds a ``MirrorClass`` and so its basis P.  The free block
+    (``_FreeBlock``) makes the one call of ``mirror_of`` and the one call
+    of ``Mirror.commutes``: every other ``commutes`` call asks a block, and
+    the static factor, the explicit kernel and ``lowest_flexural_mode``
+    read the mirror from the block without importing ``mirror_of``."""
+
+    class Scan(ast.NodeVisitor):
+        """Definitions and calls of one module, by qualified name."""
+
+        def __init__(self):
+            self.scope, self.defines, self.calls = [], [], []
+
+        def visit_ClassDef(self, node):
+            self.defines.append(".".join([*self.scope, node.name]))
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_ClassDef
+
+        def visit_Assign(self, node):
+            self.defines += [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+            self.generic_visit(node)
+
+        def visit_Call(self, node):
+            f = node.func
+            name = getattr(f, "attr", getattr(f, "id", None))
+            # a free block is the receiver of ``block.commutes(axis)``
+            receiver = getattr(f, "value", None)
+            on_block = "block" in (getattr(receiver, "id", None),
+                                   getattr(receiver, "attr", None))
+            if name in ("mirror_of", "commutes", "MirrorClass") and \
+                    not on_block:
+                self.calls.append((name, ".".join(self.scope)))
+            self.generic_visit(node)
+
+    defines, calls, imports = {}, {}, {}
+    watched = {"_MIRROR_PARITY", "Mirror.commutes", "mirror_of", "class_of",
+               "classes_of"}
     for path in sorted((SRC / "cosserat_plate").rglob("*.py")):
         name = path.relative_to(SRC).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Assign):
-                found = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                found = [node.name]
-            else:
-                found = []
-            for what in set(found) & {"_MIRROR_PARITY", "commutes",
-                                      "class_of", "classes_of"}:
-                defines.setdefault(what, []).append(name)
-            if isinstance(node, ast.Call) and \
-                    getattr(node.func, "id", None) == "MirrorClass":
-                builds.setdefault(name, 0)
-                builds[name] += 1
+        tree = ast.parse(path.read_text())
+        scan = Scan()
+        scan.visit(tree)
+        for what in set(scan.defines) & watched:
+            defines.setdefault(what, []).append(name)
+        for what, where in scan.calls:
+            calls.setdefault(what, []).append((name, where))
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and \
                     node.module in ("mirror", "dynamics.mirror"):
                 imports[name] = [a.name for a in node.names]
     home = "cosserat_plate/dynamics/mirror.py"
-    assert defines == {"_MIRROR_PARITY": [home], "commutes": [home],
-                       "class_of": [home], "classes_of": [home]}
-    assert list(builds) == [home]
+    block = "cosserat_plate/dynamics/discretization.py"
+    assert defines == dict.fromkeys(watched, [home])
+    assert {name for name, _ in calls["MirrorClass"]} == {home}
+    assert calls["mirror_of"] == [(block, "_FreeBlock.mirror")]
+    assert calls["commutes"] == [(block, "_FreeBlock.commutes")]
+    assert [m for m, names in imports.items() if "mirror_of" in names] == \
+        [block]
     for module in ("dynamics/static.py", "dynamics/explicit.py",
                    "verification.py"):
-        assert "mirror_of" in imports[f"cosserat_plate/{module}"], module
+        assert "mirror_of" not in imports[f"cosserat_plate/{module}"], module
+
+
+def test_one_commutation_check_per_subsystem_and_axis(monkeypatch):
+    """Each subsystem's free block checks each mirror once per model,
+    whichever reader asks first: ``lowest_flexural_mode``, a run from the
+    mode with a load on the extensional subsystem (v, on the drilling
+    microrotation, odd under both mirrors, as the mode is), which steps a
+    class of both mirrors in each subsystem, and a static solve."""
+    from cosserat_plate.dynamics.mirror import Mirror
+
+    checked = []
+    commutes = Mirror.commutes
+
+    def counting(self, A, mass=None):
+        checked.append((A.shape[0], self.axis))
+        return commutes(self, A, mass)
+
+    monkeypatch.setattr(Mirror, "commutes", counting)
+    model = make_model(nx=17, ny=17, material=verify_material(),
+                       loads=LoadFunctions(v=ConstantLoad(0.05)))
+    s0 = mode_state(model)
+    simulate(model, t_final=20 * stable_dt(model), initial=s0)
+    static_solve(model)
+    names = {d.free_dofs.size: d.name for d in (model.flex_d, model.ext_d)}
+    assert sorted((names[n], axis) for n, axis in checked) == [
+        ("extensional", 0), ("extensional", 1),
+        ("flexural", 0), ("flexural", 1)]
