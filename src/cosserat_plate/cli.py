@@ -8,6 +8,11 @@ and identical config + seed gives byte-identical files.
 Exit codes: 0 success, 1 runtime/solver/verification failure, 2
 configuration or validation failure.
 
+Each command logs one DEBUG line (logger ``cosserat_plate.cli``): the
+files and bytes ``io_utils`` wrote, the floats its kernel formatted and
+how many of those took Python's own formatting.  Logging goes to stderr
+when configured, never into an output file.
+
 One table, ``_SCHEMA``, gives every config key its default and its check;
 ``parse_config`` applies it before a command runs or creates --out, and
 the commands read only what it returns.
@@ -23,6 +28,7 @@ import argparse
 import inspect
 import itertools
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -68,6 +74,9 @@ from .operators import (
     build_flexural_stack,
 )
 from .plate_fields import KINEMATIC_FIELDS, inertia_constants
+
+
+_log = logging.getLogger(__name__)
 
 
 def _load_config(path: str) -> dict:
@@ -654,18 +663,24 @@ def run(argv=None) -> int:
         return 2
     out = Path(args.out)
     cfg_hash = io_utils.config_hash(cfg)
-    try:
-        parsed = parse_config(cfg, args.command)
-        if args.command not in ("validate", "constants"):
-            out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](parsed, args, out, cfg_hash)
-    except (ConfigError, MaterialError, NonFiniteSymbolError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularSystemError, InstabilityError,
-            NonConservativeSymbolError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 1
+    with io_utils.tally() as written:
+        try:
+            parsed = parse_config(cfg, args.command)
+            if args.command not in ("validate", "constants"):
+                out.mkdir(parents=True, exist_ok=True)
+            return _COMMANDS[args.command](parsed, args, out, cfg_hash)
+        except (ConfigError, MaterialError, NonFiniteSymbolError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except (SingularSystemError, InstabilityError,
+                NonConservativeSymbolError) as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            _log.debug("%s: wrote %d files, %d bytes; formatted %d floats, "
+                       "%d by Python's formatter", args.command,
+                       written.files, written.bytes, written.values,
+                       written.fallbacks)
 
 
 def main() -> None:

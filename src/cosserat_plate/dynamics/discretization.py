@@ -57,6 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .. import io_utils
 from ..material import (MaterialParams, TechnicalConstants,
                         technical_constants, validate_parameters)
 from ..operators import (build_extensional, build_flexural, build_traction,
@@ -304,12 +305,11 @@ class DiscreteModel:
         return _InteriorStack(self)
 
     @cached_property
-    def coordinate_text(self) -> list[str]:
-        """Each node's "x1,x2" as snapshots write it (``%.17g``), in the
-        order of ``X.ravel()``: formatted once per model and reused by every
-        snapshot written from it."""
-        return ["%.17g,%.17g" % xy for xy in zip(self.X.ravel().tolist(),
-                                                 self.Y.ravel().tolist())]
+    def coordinate_text(self) -> bytes:
+        """Each node's "x1,x2" as snapshots write it, as the byte planes of
+        ``io_utils.coordinate_text``: formatted once per model and reused by
+        every snapshot written from it."""
+        return io_utils.coordinate_text(self.X, self.Y)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -438,24 +438,12 @@ class _FreeBlock:
     kept; its bitwise commutation with A_FF and the mass is checked once."""
 
     def __init__(self, d: "_Discretization"):
-        import scipy.sparse as sp
         self.name, self.nx, self.ny = d.name, d.nx, d.ny
         self.free_dofs, weight = d.free_dofs, d.weight.ravel()[d.free_nodes]
         self.mass = (d.op.mass[:, None] * weight).ravel()
-        A = d.A
-        # the columns are sliced first: their blocks are small
-        self.A_FD = A[:, d.dirich_dofs][d.free_dofs]
-        # A_FF's rows are A's free rows less their Dirichlet columns; a
-        # slice A[free][:, free] would hold a copy of the free rows
-        free = np.zeros(d.ndof, dtype=bool)
-        free[d.free_dofs] = True
-        keep = np.repeat(free, np.diff(A.indptr)) & free[A.indices]
-        counts = np.diff(A.indptr)[d.free_dofs] - np.diff(self.A_FD.indptr)
-        column = np.cumsum(free, dtype=np.int32) - 1
-        self.A_FF = sp.csr_matrix(
-            (A.data[keep], column[A.indices[keep]],
-             np.concatenate([[0], np.cumsum(counts)])),
-            shape=(counts.size, counts.size))
+        rows = d.A[d.free_dofs]
+        self.A_FD = rows[:, d.dirich_dofs]
+        self.A_FF = rows[:, d.free_dofs]
         self._commutes = {}  # axis -> bool
 
     def mirror(self, axis: int):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -707,3 +708,26 @@ def test_static_failure_names_the_worst_row(config_file, tmp_path,
         r"1e-9; worst in the flexural w row at node \(3, 2\)\n",
         captured.err), captured.err
     assert "max relative residual 1.0" in captured.out
+
+
+def test_logs_what_each_command_wrote(config_file, tmp_path, caplog):
+    """One DEBUG line per command, on the log and in no output file: the
+    files and bytes written, the floats formatted and the fallbacks."""
+    path = _edited_config(config_file, tmp_path, lambda c: c.update(
+        grid={"nx": 9, "ny": 9}, time={"t_final": 0.2, "snapshot_every": 2}))
+    out = tmp_path / "telemetry"
+    with caplog.at_level(logging.DEBUG, logger=cli.__name__):
+        assert run(["simulate", "--config", path, "--out", str(out)]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == cli.__name__]
+    assert len(lines) == 1
+    found = re.fullmatch(r"simulate: wrote (\d+) files, (\d+) bytes; "
+                         r"formatted (\d+) floats, (\d+) by Python's "
+                         r"formatter", lines[0])
+    files, size, values, fallbacks = map(int, found.groups())
+    written = sorted(out.iterdir())
+    assert files == len(written) > 2
+    assert size == sum(p.stat().st_size for p in written)
+    # coordinates once, the energy log, and at least one field per snapshot
+    assert values >= 2 * 81 + 5 * 2 + 81 * (len(written) - 2)
+    assert fallbacks == 0
+    assert not any(b"formatted" in p.read_bytes() for p in written)

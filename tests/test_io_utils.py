@@ -1,5 +1,9 @@
+import ast
 import dataclasses
 import json
+import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +244,126 @@ def test_sweep_bytes_equal_per_row_writer(tmp_path):
                         "value"], rows)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "old.csv").read_bytes()
+
+
+# --- the float-to-text kernel against Python's own formatting ---
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def python_texts(values: list, json_style: bool) -> list:
+    """Oracle: ``'%.17g' % v`` of each float, or the json module's text of
+    it: ``repr(v)`` when finite."""
+    if not json_style:
+        return ["%.17g" % v for v in values]
+    return [repr(v) if math.isfinite(v) else _JSON_NONFINITE[repr(v)]
+            for v in values]
+
+
+def assert_kernel_matches_python(values):
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    for json_style in (False, True):
+        got = io_utils._texts(values, json_style)
+        expected = python_texts(values, json_style)
+        wrong = [(v, g, e) for v, g, e in zip(values, got, expected) if g != e]
+        assert not wrong, (json_style, len(wrong), wrong[:5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_kernel_matches_python_on_hypothesis_floats(values):
+    assert_kernel_matches_python(values)
+
+
+def test_kernel_matches_python_on_random_bit_patterns():
+    rng = np.random.default_rng(34)
+    assert_kernel_matches_python(
+        rng.integers(-2**63, 2**63, 10**5, dtype=np.int64).view(np.float64))
+
+
+def test_kernel_matches_python_on_powers_of_ten_and_their_neighbours():
+    """Where log10 is one off and the digits carry into a new decade."""
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    assert_kernel_matches_python([np.nextafter(tens, 0), tens,
+                                  np.nextafter(tens, np.inf)])
+
+
+def test_kernel_matches_python_on_powers_of_two():
+    """Powers of two have asymmetric rounding intervals."""
+    assert_kernel_matches_python(np.ldexp(1.0, np.arange(-1074, 1024)))
+
+
+def test_kernel_matches_python_on_zeros_infinities_nan_and_ties():
+    """An odd multiple of 2^-j in [10^(17-j), 10^(18-j)) is exactly
+    half-way between two 17-digit decimals; decimals with few digits
+    exercise the shortening."""
+    rng = np.random.default_rng(8)
+    ties = np.concatenate([(2 * rng.integers(lo, hi, 200) + 1) / 2.0**j
+                           for j, lo, hi in ((2, 2e15, 4.5e15),
+                                             (3, 4e14, 4e15),
+                                             (4, 8e13, 8e14))])
+    for v in ties.tolist():
+        scaled = Fraction(v) * 10**(16 - math.floor(math.log10(v)))
+        assert scaled - math.floor(scaled) == Fraction(1, 2)
+    short = [float(f"{d}e{e}") for d in (1, 5, 25, 125, 333)
+             for e in range(-30, 30)]
+    with io_utils.tally() as counts:
+        assert_kernel_matches_python([0.0, -0.0, np.inf, -np.inf, np.nan,
+                                      -np.nan, *ties, *short,
+                                      0.1, 0.2, 0.3, 1 / 3, 2 / 3, 1e23])
+    # each tie and non-finite value, in both styles
+    assert counts.fallbacks >= 2 * (ties.size + 4)
+
+
+def test_ambiguous_value_takes_the_fallback_and_matches():
+    """100000000000000.125 lies exactly half-way between two 17-digit
+    decimals, so the bulk path leaves it to Python's formatting."""
+    v = 100000000000000.125
+    for json_style in (False, True):
+        with io_utils.tally() as counts:
+            text, = io_utils._texts([v], json_style)
+        assert [text] == python_texts([v], json_style)
+        assert (counts.values, counts.fallbacks) == (1, 1)
+    with io_utils.tally() as counts:
+        io_utils._texts([0.1, -0.0, 1e-5])
+    assert (counts.values, counts.fallbacks) == (3, 0)
+
+
+def _float_text_uses(path: Path) -> list:
+    """(function, line) of each ``.17g`` or ``%r`` in a string that is not
+    a docstring, f-string format specs included, and each call of
+    ``repr``, in the module at ``path``."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and (".17g" in node.value or "%r" in node.value)) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "repr"):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_float_to_text_implementation():
+    """Python's float formatting for output appears only in the kernel's
+    fallback; the %-template writers are gone."""
+    src = Path(io_utils.__file__).parent
+    uses = {str(path.relative_to(src)): found
+            for path in sorted(src.rglob("*.py"))
+            if (found := _float_text_uses(path))}
+    assert set(uses) == {"io_utils.py"}
+    assert {f for f, _ in uses["io_utils.py"]} == {"_fallback_text"}
+    for name in ("_formatted", "_json_template", "_fmt"):
+        assert not hasattr(io_utils, name)
